@@ -17,7 +17,6 @@ thread counts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -296,24 +295,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
-    overrides = {}
-    for field in ("out", "threads", "height_bound", "k_max", "torsion_bound", "m_max"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
-    return dataclasses.replace(spec, **overrides) if overrides else spec
+_FLAG_FIELDS = ("out", "threads", "height_bound", "k_max", "torsion_bound", "m_max")
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    overrides = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
     try:
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise SpecValidationError("spec", str(exc)) from None
-        spec = _apply_overrides(parse_spec(text), args)
+        spec = parse_spec(text, overrides)
         return run_command(args.command, spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,53 +15,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import (
-    INFINITY,
     InfiniteOrder,
-    InfinityBranch,
     Point,
-    QuarticModel,
+    Torsion,
     ec_add,
-    ec_mul,
+    ec_mul,  # unused here; bench/tracing.py wraps this name
     naive_height,
-    quartic_to_weierstrass,
     torsion_certify,
 )
 from .errors import (
     DomainError,
     EmptyFamily,
-    MapUndefined,
-    NoGeneratorSupplied,
     PoleAtParameter,
     SingularFiberSkip,
     TraceFieldTooLarge,
     UnsupportedRepresentation,
 )
-from .exactmath import enumerate_rationals, rat_to_string
+from .exactmath import rat_to_string
 from .fibration import (
-    ConstantX,
     FibrationModel,
-    GraphOnQuartic,
-    Parametrized,
     SingularFiber,
-    SplitList,
-    ZeroSection,
-    graph_cover_normalized,
-    graph_fiber_chart,
     specialize,
     tau_map,
 )
 
 Rat = Fraction
-
-
-@dataclass(frozen=True)
-class NonTorsion:
-    pass
-
-
-@dataclass(frozen=True)
-class Torsion:
-    m: int
 
 
 @dataclass(frozen=True)
@@ -74,7 +52,7 @@ class CertificationResult:
     b: Rat
     base: Point
     tau: Point | None
-    verdict: NonTorsion | Torsion | Skipped
+    verdict: InfiniteOrder | Torsion | Skipped
 
 
 @dataclass(frozen=True)
@@ -98,107 +76,20 @@ class Exhausted:
     reports: tuple
 
 
-def _eval_or_none(fn, value):
-    den = fn.den(value)
-    if not den:
-        return None
-    return fn.num(value) / den
-
-
 def enumerate_multisection_points(model: FibrationModel, m, height_bound: int):
     """(fiber parameter, point) pairs for every rational point of the
     multisection with parameter height up to the bound, in enumeration order."""
     if height_bound < 0:
         raise UnsupportedRepresentation("height bound must be nonnegative")
-
-    out: list[tuple[Rat, Point]] = []
-
-    if isinstance(m, ZeroSection):
-        for b in enumerate_rationals(height_bound):
-            out.append((b, INFINITY))
-        return out
-
-    if isinstance(m, ConstantX):
-        c = m.c
-        h = model.a * c + model.b + c**3
-        n, d = h.num, h.den
-        if max(n.degree, d.degree) != 1:
-            raise UnsupportedRepresentation(
-                "constant-x enumeration needs a degree-1 fiber-parameter equation"
-            )
-        n0, n1 = n.coefficient(0), n.coefficient(1)
-        d0, d1 = d.coefficient(0), d.coefficient(1)
-        for y in enumerate_rationals(height_bound):
-            v = y * y
-            # solve n(t) - v d(t) = 0
-            lead = n1 - v * d1
-            if lead == 0:
-                continue
-            t = (v * d0 - n0) / lead
-            out.append((t, Point(c, y)))
-        return out
-
-    if isinstance(m, Parametrized):
-        for s in enumerate_rationals(height_bound):
-            if m.t.den(s) == 0:
-                continue
-            b = m.t(s)
-            xv = _eval_or_none(m.x, s)
-            yv = _eval_or_none(m.y, s)
-            pt = INFINITY if xv is None or yv is None else Point(xv, yv)
-            out.append((b, pt))
-        return out
-
-    if isinstance(m, SplitList):
-        for b in enumerate_rationals(height_bound):
-            for x_fn, y_fn in m.sections:
-                xv = _eval_or_none(x_fn, b)
-                yv = _eval_or_none(y_fn, b)
-                pt = INFINITY if xv is None or yv is None else Point(xv, yv)
-                out.append((b, pt))
-        return out
-
-    if isinstance(m, GraphOnQuartic):
-        if m.generator is None:
-            raise NoGeneratorSupplied(
-                "enumerating a graph multisection needs a generator on its covering curve"
-            )
-        q, r = graph_cover_normalized(m)
-        if q.degree != 4:
-            raise UnsupportedRepresentation(
-                "covering curve enumeration needs a degree-4 squarefree cover"
-            )
-        t0, w0 = m.generator
-        if w0 * w0 != q(t0):
-            raise DomainError(f"generator ({t0}, {w0}) is not on the covering curve")
-        cover = QuarticModel(tuple(q.coefficient(i) for i in range(5)), InfinityBranch(1))
-        curve, fwd, inv = quartic_to_weierstrass(cover)
-        g = fwd(t0, w0)
-        if g.is_infinity:
-            raise UnsupportedRepresentation("generator maps to the group origin")
-        for k in range(1, height_bound + 1):
-            for signed in (k, -k):
-                pk = ec_mul(curve, signed, g)
-                if pk.is_infinity:
-                    continue
-                try:
-                    tk, wk = inv(pk)
-                except MapUndefined:
-                    continue
-                b = tk
-                w_surface = wk * r(tk)
-                _fiber, chart = graph_fiber_chart(m, b)
-                out.append((b, chart(m.p(b), w_surface)))
-        return out
-
-    raise UnsupportedRepresentation(f"cannot enumerate points of {m!r}")
+    return m.points(model, height_bound)
 
 
 def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None):
     """Certify tau(p) non-torsion and emit the translates p + k tau(p).
 
-    Returns (CertificationResult, points); the list is empty unless the
-    verdict is NonTorsion, in which case it holds k_max + 1 translates
+    Returns (CertificationResult, points); the verdict is the torsion
+    certificate of tau(p) or a Skipped reason. The list is empty unless the
+    verdict is InfiniteOrder, in which case it holds k_max + 1 translates
     indexed from k = 0 (the base point itself).
     """
     try:
@@ -214,14 +105,13 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
     except SingularFiberSkip:
         return CertificationResult(b, p, None, Skipped("singular")), []
     cert = torsion_certify(fiber, q, bound=torsion_bound)
+    points = []
     if isinstance(cert, InfiniteOrder):
-        points = []
         acc = p
         for _k in range(k_max + 1):
             points.append(acc)
             acc = ec_add(fiber, acc, q)
-        return CertificationResult(b, p, q, NonTorsion()), points
-    return CertificationResult(b, p, q, Torsion(cert.order)), []
+    return CertificationResult(b, p, q, cert), points
 
 
 def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
@@ -232,7 +122,7 @@ def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
         result, translates = certify_and_translate(model, m, b, p, k_max, torsion_bound)
         if first_result is None:
             first_result = result
-        if isinstance(result.verdict, NonTorsion):
+        if isinstance(result.verdict, InfiniteOrder):
             fiber = specialize(model, b)
             emitted = []
             seen = set()
@@ -281,7 +171,7 @@ def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None, thr
         outcomes = [_fiber_work(model, m, b, pts, k_max, torsion_bound) for b, pts in items]
 
     outcomes.sort(key=lambda o: o.b)
-    certified = sum(1 for o in outcomes if isinstance(o.result.verdict, NonTorsion))
+    certified = sum(1 for o in outcomes if isinstance(o.result.verdict, InfiniteOrder))
     distinct = set()
     max_height = 0
     for o in outcomes:
@@ -322,10 +212,10 @@ def _point_json(p: Point):
 
 
 def _verdict_json(v):
-    if isinstance(v, NonTorsion):
+    if isinstance(v, InfiniteOrder):
         return {"verdict": "non_torsion"}
     if isinstance(v, Torsion):
-        return {"verdict": "torsion", "order": v.m}
+        return {"verdict": "torsion", "order": v.order}
     return {"verdict": "skipped", "reason": v.reason}
 
 

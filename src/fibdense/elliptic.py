@@ -182,19 +182,25 @@ def torsion_certify(
         bound = uniform
     elif uniform is not None and bound < uniform and not allow_low_bound:
         raise BoundTooSmall(f"bound {bound} is below the uniform constant {uniform}")
+    order = smallest_order(curve, p, bound)
+    if order is None:
+        return InfiniteOrder()
+    if uniform == TORSION_BOUND_Q and order not in MAZUR_ORDERS:
+        raise DomainError(f"order {order} violates the rational torsion bound")
+    return Torsion(order)
+
+
+def smallest_order(curve: EllipticCurve, p: Point, bound: int) -> int | None:
+    """Least m <= bound with [m]p = Infinity, or None when there is none.
+
+    p must lie on the curve; it is not checked again here."""
     acc = p
     for m in range(1, bound + 1):
         if acc.is_infinity:
-            if uniform == TORSION_BOUND_Q:
-                assert m in MAZUR_ORDERS, f"order {m} violates the rational torsion bound"
-            return Torsion(m)
-        acc = _add_unchecked(curve, acc, p)
-    if acc.is_infinity:
-        # m = bound itself
-        if uniform == TORSION_BOUND_Q:
-            assert bound in MAZUR_ORDERS, f"order {bound} violates the rational torsion bound"
-        return Torsion(bound)
-    return InfiniteOrder()
+            return m
+        if m < bound:  # [bound + 1]p is never looked at
+            acc = _add_unchecked(curve, acc, p)
+    return None
 
 
 def naive_height(p: Point) -> int:

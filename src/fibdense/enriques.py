@@ -32,7 +32,6 @@ from .errors import (
     LeadingCoefficientNotSquare,
     NoCandidates,
     NonReducedRamification,
-    NoSquareRoot,
     NotInR0,
     NotOnR,
     VertexOnQuartic,
@@ -40,24 +39,24 @@ from .errors import (
     ZeroIntersection,
 )
 from .exactmath import (
-    NumFieldElement,
     Poly,
     RatFn,
     is_square,
     poly_gcd,
-    quadratic_field,
-    rational_roots,
+    quadratic_field,  # unused here; bench/tracing.py wraps this name
+    rat_from_string,
+    rational_roots,  # unused here; bench/tracing.py wraps this name
     resultant_bivariate,
-    squarefree_decompose,
+    squarefree_decompose,  # unused here; bench/tracing.py wraps this name
     squarefree_part,
 )
-from .fibration import FibrationModel
+from .fibration import FibrationModel, odd_square_split, small_field_roots
 
 
 def _rat(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        return rat_from_string(x)
+    if isinstance(x, int):
         return Fraction(x)
     return x
 
@@ -369,59 +368,6 @@ def tangent_line(data: RamificationData, point) -> TangentLine:
     return TangentLine((t0, z0), base, (t0 * t0, -2 * t0, Fraction(1)))
 
 
-def _field_of(p: Poly):
-    for c in p.coeffs:
-        if isinstance(c, NumFieldElement):
-            return c.field
-    return None
-
-
-def _small_field_roots(p: Poly, name: str, extend: bool = True):
-    """Distinct roots of p over Q and (when extend is set) quadratic fields.
-
-    Returns (roots, unresolved) where unresolved collects residual factors
-    whose roots need larger fields.  For input already over a quadratic
-    field only roots inside that same field are produced.
-    """
-    roots: list = []
-    unresolved: list[Poly] = []
-    if p.is_zero or p.degree < 1:
-        return roots, unresolved
-    for factor, _mult in squarefree_decompose(p):
-        if factor.degree < 1:
-            continue
-        work = factor.monic()
-        field = _field_of(work)
-        if field is None:
-            for r, _m in rational_roots(work):
-                roots.append(r)
-                work = work.exact_div(Poly([-r, Fraction(1)]))
-            if work.degree == 2 and extend:
-                _f, r1, r2 = quadratic_field(work, name=name)
-                roots.extend((r1, r2))
-            elif work.degree > 0:
-                unresolved.append(work)
-        elif work.degree == 1:
-            roots.append(-work.coefficient(0))
-        elif work.degree == 2:
-            b, c = work.coefficient(1), work.coefficient(0)
-            try:
-                root = field.sqrt(b * b - 4 * c)
-            except NoSquareRoot:
-                unresolved.append(work)
-            else:
-                half = Fraction(1, 2)
-                roots.extend(((-b + root) * half, (-b - root) * half))
-        else:
-            unresolved.append(work)
-    return roots, unresolved
-
-
-def _ordered_parameters(roots):
-    rational = sorted(r for r in roots if isinstance(r, Fraction))
-    return rational + [r for r in roots if not isinstance(r, Fraction)]
-
-
 def _pencil_coefficients(data: RamificationData, line: TangentLine) -> list[Poly]:
     """G(lam, t) along the tangent line, as t-polynomials per power of lam."""
     base = line.base.as_poly
@@ -457,8 +403,8 @@ def _verify_candidate(data: RamificationData, line: TangentLine, lam):
     if distinct.root_multiplicity(t0) != 1:
         return None
     others = distinct.exact_div(Poly([-t0, Fraction(1)]))
-    roots, unresolved = _small_field_roots(others, name="s", extend=isinstance(lam, Fraction))
-    second = tuple((t1, s.value(t1)) for t1 in _ordered_parameters(roots))
+    roots, unresolved = small_field_roots(others, "s", extend=isinstance(lam, Fraction))
+    second = tuple((t1, s.value(t1)) for t1, _mult in roots)
     return BitangentCandidate(s, lam, second, tuple(unresolved))
 
 
@@ -510,10 +456,10 @@ def bitangent_sections(data: RamificationData, point, through=None) -> Bitangent
         raise DegenerateDiscriminant("the reduced pencil degenerates identically") from None
     if disc.is_zero:
         raise DegenerateDiscriminant("every section on the tangent line is doubly tangent")
-    roots, unresolved = _small_field_roots(disc, name="l")
+    roots, unresolved = small_field_roots(disc, "l")
     higher = sum(f.degree for f in unresolved)
     candidates = []
-    for lam in _ordered_parameters(roots):
+    for lam, _mult in roots:
         cand = _verify_candidate(data, line, lam)
         if cand is not None:
             candidates.append(cand)
@@ -547,9 +493,9 @@ def singular_points(data: RamificationData) -> SingularLocusReport:
         return SingularLocusReport((), ())
     points = []
     unresolved = []
-    t_roots, t_unresolved = _small_field_roots(gate, name="t")
+    t_roots, t_unresolved = small_field_roots(gate, "t")
     unresolved.extend((factor, None) for factor in t_unresolved)
-    for t0 in _ordered_parameters(t_roots):
+    for t0, _mult in t_roots:
         slice_at = data.z_slice(t0)
         locus = poly_gcd(slice_at, slice_at.derivative())
         if locus.degree < 1:
@@ -559,10 +505,8 @@ def singular_points(data: RamificationData) -> SingularLocusReport:
             locus = poly_gcd(locus, ft)
         if locus.degree < 1:
             continue
-        z_roots, z_unresolved = _small_field_roots(
-            locus, name="z", extend=isinstance(t0, Fraction)
-        )
-        points.extend(SingularPoint(t0, z0) for z0 in _ordered_parameters(z_roots))
+        z_roots, z_unresolved = small_field_roots(locus, "z", extend=isinstance(t0, Fraction))
+        points.extend(SingularPoint(t0, z0) for z0, _mult in z_roots)
         unresolved.extend((t0, factor) for factor in z_unresolved)
     return SingularLocusReport(tuple(points), tuple(unresolved))
 
@@ -570,17 +514,6 @@ def singular_points(data: RamificationData) -> SingularLocusReport:
 # ---------------------------------------------------------------------------
 # multisections and the Weierstrass model
 # ---------------------------------------------------------------------------
-
-
-def _odd_square_split(g: Poly) -> tuple[Poly, Poly]:
-    """g = q * r^2 with q the squarefree odd-multiplicity part (lead folded in)."""
-    q = Poly([g.lead])
-    r = Poly([Fraction(1)])
-    for factor, mult in squarefree_decompose(g):
-        if mult % 2:
-            q = q * factor
-        r = r * factor ** (mult // 2)
-    return q, r
 
 
 def multisection_from_section(data: RamificationData, s: SectionConic) -> SectionCover:
@@ -595,14 +528,13 @@ def multisection_from_section(data: RamificationData, s: SectionConic) -> Sectio
     g = section_intersection_poly(data, s)
     if g.is_zero:
         raise ZeroIntersection("the section lies inside the branch curve")
-    q, r = _odd_square_split(g)
+    q, r = odd_square_split(g)
     k = q.degree + (g.degree % 2)
     genus = k // 2 - 1
     disc = branch_discriminant(data)
-    roots, unresolved = _small_field_roots(r, name="c")
+    roots, unresolved = small_field_roots(r, "c")
     tangencies = tuple(
-        Tangency(t0, s.value(t0), salient=bool(disc(t0) != 0))
-        for t0 in _ordered_parameters(roots)
+        Tangency(t0, s.value(t0), salient=bool(disc(t0) != 0)) for t0, _mult in roots
     )
     model = None
     if k == 4 and q.degree == 4 and isinstance(q.lead, Fraction) and is_square(q.lead):

@@ -40,10 +40,6 @@ class NotSquarefree(DomainError):
     """Quartic model with a repeated root."""
 
 
-class NoMarkedPoint(DomainError):
-    """Quartic-to-Weierstrass conversion requires a marked rational point."""
-
-
 class MapUndefined(DomainError):
     """Point lies in the finite exceptional set of a birational map."""
 

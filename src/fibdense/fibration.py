@@ -2,9 +2,13 @@
 
 A FibrationModel is y^2 = x^3 + a(t)x + b(t) with RatFn coefficients.
 Multisections come in five shapes (zero section, constant-x, parametrized,
-graph on a quartic-model fibration, split list); each fiber cuts out a
-Galois-stable zero-cycle whose group-law sum (the trace) is rational, and
-tau(p) = [d]p - trace is the workhorse class map.
+graph on a quartic-model fibration, split list). Each shape is one class
+with the same three methods, so the pipeline never asks which shape it has:
+points(model, height_bound) lists its rational points by parameter height,
+cycle(fiber, b) cuts out its zero-cycle on the smooth fiber at t = b, and
+ramification(model) locates the branch points of its projection to the
+t-line. Each fiber cycle is Galois-stable, so its group-law sum (the trace)
+is rational, and tau(p) = [d]p - trace is the workhorse class map.
 
 Fiber points are only ever constructed over Q or quadratic fields. Anything
 needing a larger field raises TraceFieldTooLarge instead of approximating;
@@ -29,11 +33,15 @@ from .elliptic import (
     ec_mul,
     ec_neg,
     quartic_to_weierstrass,
+    smallest_order,
     torsion_certify,
 )
 from .errors import (
     DomainError,
     EmptySampleSet,
+    MapUndefined,
+    NoGeneratorSupplied,
+    NoSquareRoot,
     PoleAtParameter,
     SingularFiberSkip,
     TraceFieldTooLarge,
@@ -42,6 +50,7 @@ from .errors import (
 from .exactmath import (
     Poly,
     RatFn,
+    enumerate_rationals,
     is_square,
     poly_gcd,
     quadratic_field,
@@ -117,6 +126,14 @@ def specialize(model: FibrationModel, b: Rat):
     return EllipticCurve(a_val, b_val)
 
 
+def _smooth_fiber(model: FibrationModel, b: Rat) -> EllipticCurve:
+    """The fiber curve at t = b; SingularFiberSkip when it is singular."""
+    fiber = specialize(model, b)
+    if isinstance(fiber, SingularFiber):
+        raise SingularFiberSkip(f"fiber at t = {b} is singular")
+    return fiber
+
+
 def _order_at(fn: RatFn, b: Rat) -> int:
     if fn.is_zero:
         raise ZeroDivisionError("order of the zero function")
@@ -150,6 +167,180 @@ def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
     return FiberType(ord_delta, ord_c4, "Other", None)
 
 
+# -- evaluation and roots over Q and quadratic fields --
+
+
+def _eval_ratfn(fn: RatFn, s):
+    """fn at s, over Q or a number field; s = None means s = infinity.
+
+    Returns None at a pole. A constant fn evaluates to a Fraction even at a
+    number-field s."""
+    if s is None:
+        n, d = fn.num.degree, fn.den.degree
+        if n > d:
+            return None
+        return fn.num.lead / fn.den.lead if n == d else Fraction(0)
+    den = fn.den(s)
+    if not den:
+        return None
+    return fn.num(s) / den
+
+
+def _eval_point(x_fn: RatFn, y_fn: RatFn, s) -> Point:
+    """The point (x(s), y(s)), or INFINITY at a pole of either coordinate."""
+    xv = _eval_ratfn(x_fn, s)
+    yv = _eval_ratfn(y_fn, s)
+    return INFINITY if xv is None or yv is None else Point(xv, yv)
+
+
+def _descend_point(p: Point) -> Point:
+    """p over Q when its number-field coordinates are both rational."""
+    x, y = p.x, p.y
+    if isinstance(x, NumFieldElement) and x.is_rational and y.is_rational:
+        return Point(x.as_fraction(), y.as_fraction())
+    return p
+
+
+def small_field_roots(p: Poly, name: str, extend: bool = True):
+    """Roots of a nonzero p over Q and quadratic fields.
+
+    Returns (roots, unresolved). roots lists (root, multiplicity) pairs: the
+    rational roots in ascending order, then the conjugate roots of each
+    irreducible quadratic squarefree part, in a new field whose generator is
+    named `name` (only when extend is set). unresolved lists the monic
+    squarefree parts left over, whose roots need a larger field. For p over a
+    quadratic field only roots inside that same field are produced.
+    """
+    rational, quadratic, unresolved = [], [], []
+    for factor, mult in squarefree_decompose(p):
+        field = next((c.field for c in factor.coeffs if isinstance(c, NumFieldElement)), None)
+        if field is None:
+            for r, _ in rational_roots(factor):
+                rational.append((r, mult))
+                factor = factor.exact_div(Poly([-r, Fraction(1)]))
+            if factor.degree == 2 and extend:
+                _K, root, conj = quadratic_field(factor, name)
+                quadratic += [(root, mult), (conj, mult)]
+            elif factor.degree > 0:
+                unresolved.append(factor)
+        elif factor.degree == 1:
+            quadratic.append((-factor.coefficient(0), mult))
+        elif factor.degree == 2:
+            b, c = factor.coefficient(1), factor.coefficient(0)
+            try:
+                root = field.sqrt(b * b - 4 * c)
+            except NoSquareRoot:
+                unresolved.append(factor)
+            else:
+                half = Fraction(1, 2)
+                quadratic += [((-b + root) * half, mult), ((-b - root) * half, mult)]
+        else:
+            unresolved.append(factor)
+    return sorted(rational) + quadratic, unresolved
+
+
+def odd_square_split(g: Poly) -> tuple[Poly, Poly]:
+    """g = q * r^2 with q the squarefree odd-multiplicity part (lead folded in)."""
+    q = Poly([g.lead])
+    r = Poly([Fraction(1)])
+    for factor, mult in squarefree_decompose(g):
+        if mult % 2:
+            q = q * factor
+        r = r * factor ** (mult // 2)
+    return q, r
+
+
+def _square_roots(value: Rat):
+    """(field, [(w, multiplicity)]) for the square roots w of a rational
+    value: a double root 0, a rational pair, or a conjugate pair in Q(w)."""
+    if value == 0:
+        return None, [(Fraction(0), 2)]
+    if is_square(value):
+        w = rat_sqrt(value)
+        return None, [(w, 1), (-w, 1)]
+    K = NumField(Poly([-value, Fraction(0), Fraction(1)]), "w")
+    return K, [(K.gen, 1), (-K.gen, 1)]
+
+
+def _embed_point(field: NumField, p: Point) -> Point:
+    if p.is_infinity:
+        return INFINITY
+    return Point(field.embed(p.x), field.embed(p.y))
+
+
+def _embed_curve(field: NumField, curve: EllipticCurve) -> EllipticCurve:
+    return EllipticCurve(field.embed(curve.a), field.embed(curve.b))
+
+
+def _rationalize_point(p: Point) -> Point:
+    p = _descend_point(p)
+    if isinstance(p.x, NumFieldElement):
+        raise DomainError(f"expected a rational point, got {p}")
+    return p
+
+
+# -- ramification reports --
+
+
+@dataclass(frozen=True)
+class RamificationPoint:
+    b: object  # Rat or NumFieldElement
+    point: Point
+    salient: bool
+
+
+@dataclass(frozen=True)
+class UnresolvedRamification:
+    """A parameter factor of degree > 2; all_singular certifies that every
+    root of the factor is a singular-fiber parameter."""
+
+    factor: Poly
+    all_singular: bool
+
+
+@dataclass(frozen=True)
+class RamificationReport:
+    points: tuple
+    unresolved: tuple = ()
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __len__(self):
+        return len(self.points)
+
+
+def _delta_nonzero_at(model: FibrationModel, b) -> bool:
+    disc = model.discriminant
+    den = disc.den(b)
+    if not den:
+        return False
+    return bool(disc.num(b))
+
+
+def _all_roots_singular(model: FibrationModel, factor: Poly, through=None) -> bool:
+    """Every root of factor is a zero of the discriminant (exactly)."""
+    disc = model.discriminant
+    target = disc.num if through is None else through
+    sf = squarefree_part(factor)
+    g = poly_gcd(sf, squarefree_part(target))
+    return g.degree == sf.degree
+
+
+def _branch_report(model, branch_poly: Poly, name: str, locate, through=None):
+    """Ramification report over the roots of branch_poly in degree <= 2
+    fields; locate(root) gives the fiber parameter and the point there."""
+    roots, unresolved = small_field_roots(branch_poly, name)
+    points = []
+    for root, _mult in roots:
+        b, pt = locate(root)
+        points.append(RamificationPoint(b, pt, b is not None and _delta_nonzero_at(model, b)))
+    return RamificationReport(
+        tuple(points),
+        tuple(UnresolvedRamification(f, _all_roots_singular(model, f, through)) for f in unresolved),
+    )
+
+
 # -- multisections --
 
 
@@ -159,6 +350,15 @@ class ZeroSection:
     def degree(self) -> int:
         return 1
 
+    def points(self, model: FibrationModel, height_bound: int):
+        return [(b, INFINITY) for b in enumerate_rationals(height_bound)]
+
+    def cycle(self, fiber: EllipticCurve, b: Rat):
+        return [(INFINITY, 1)]
+
+    def ramification(self, model: FibrationModel) -> RamificationReport:
+        return RamificationReport(points=())
+
 
 @dataclass(frozen=True)
 class ConstantX:
@@ -167,6 +367,44 @@ class ConstantX:
     @property
     def degree(self) -> int:
         return 2
+
+    def _rhs(self, model: FibrationModel) -> RatFn:
+        """x^3 + a(t)x + b(t) at x = c, as a function of t."""
+        return model.a * self.c + model.b + self.c**3
+
+    def points(self, model: FibrationModel, height_bound: int):
+        h = self._rhs(model)
+        n, d = h.num, h.den
+        if max(n.degree, d.degree) != 1:
+            raise UnsupportedRepresentation(
+                "constant-x enumeration needs a degree-1 fiber-parameter equation"
+            )
+        n0, n1 = n.coefficient(0), n.coefficient(1)
+        d0, d1 = d.coefficient(0), d.coefficient(1)
+        out = []
+        for y in enumerate_rationals(height_bound):
+            v = y * y
+            # solve n(t) - v d(t) = 0
+            lead = n1 - v * d1
+            if lead:
+                out.append(((v * d0 - n0) / lead, Point(self.c, y)))
+        return out
+
+    def cycle(self, fiber: EllipticCurve, b: Rat):
+        K, roots = _square_roots(self.c**3 + fiber.a * self.c + fiber.b)
+        x = self.c if K is None else K.embed(self.c)
+        return [(Point(x, w), mult) for w, mult in roots]
+
+    def ramification(self, model: FibrationModel) -> RamificationReport:
+        h = self._rhs(model)
+        if h.is_zero:
+            raise DomainError("constant-x multisection lies in the singular locus")
+
+        def locate(b):
+            zero = b * 0  # zero in the field of b
+            return b, Point(zero + self.c, zero)
+
+        return _branch_report(model, h.num, "b", locate)
 
 
 @dataclass(frozen=True)
@@ -180,6 +418,51 @@ class Parametrized:
     @property
     def degree(self) -> int:
         return max(self.t.num.degree, self.t.den.degree)
+
+    def points(self, model: FibrationModel, height_bound: int):
+        return [
+            (self.t(s), _eval_point(self.x, self.y, s))
+            for s in enumerate_rationals(height_bound)
+            if self.t.den(s) != 0
+        ]
+
+    def cycle(self, fiber: EllipticCurve, b: Rat):
+        solver = self.t.num - b * self.t.den
+        support = []
+        drop = self.degree - solver.degree
+        if drop > 0:
+            # the missing preimages sit at s = infinity
+            support.append((_eval_point(self.x, self.y, None), drop))
+        roots, unresolved = small_field_roots(solver, "s")
+        if unresolved:
+            factor = unresolved[0]
+            raise TraceFieldTooLarge(
+                f"fiber points at t = {b} need a degree-{factor.degree} factor {factor}"
+            )
+        support += [(_descend_point(_eval_point(self.x, self.y, s)), mult) for s, mult in roots]
+        return support
+
+    def ramification(self, model: FibrationModel) -> RamificationReport:
+        n, d = self.t.num, self.t.den
+        crit = n.derivative() * d - n * d.derivative()
+        if crit.is_zero:
+            raise DomainError("parametrized multisection has constant t(s)")
+        # exclude critical parameters that are poles of t(s)
+        g = poly_gcd(crit, d)
+        while g.degree > 0:
+            crit = crit.exact_div(g)
+            g = poly_gcd(crit, d)
+        pulled = model.discriminant.num(self.t)  # Poly evaluated at RatFn
+        disc_pullback = pulled.num if isinstance(pulled, RatFn) else Poly([pulled])
+
+        def locate(s):
+            # ramification parameters are s-values; the report carries t-images
+            tv = _eval_ratfn(self.t, s)
+            if isinstance(tv, NumFieldElement) and tv.is_rational:
+                tv = tv.as_fraction()
+            return tv, _descend_point(_eval_point(self.x, self.y, s))
+
+        return _branch_report(model, crit, "s", locate, through=disc_pullback)
 
 
 @dataclass(frozen=True)
@@ -213,6 +496,59 @@ class GraphOnQuartic:
     def degree(self) -> int:
         return 2
 
+    def points(self, model: FibrationModel, height_bound: int):
+        """Multiples [+-k]g, k <= height_bound, of the generator g on the
+        covering curve, lifted to the surface."""
+        if self.generator is None:
+            raise NoGeneratorSupplied(
+                "enumerating a graph multisection needs a generator on its covering curve"
+            )
+        q, r = graph_cover_normalized(self)
+        if q.degree != 4:
+            raise UnsupportedRepresentation(
+                "covering curve enumeration needs a degree-4 squarefree cover"
+            )
+        t0, w0 = self.generator
+        if w0 * w0 != q(t0):
+            raise DomainError(f"generator ({t0}, {w0}) is not on the covering curve")
+        cover = QuarticModel(tuple(q.coefficient(i) for i in range(5)), InfinityBranch(1))
+        curve, fwd, inv = quartic_to_weierstrass(cover)
+        g = fwd(t0, w0)
+        if g.is_infinity:
+            raise UnsupportedRepresentation("generator maps to the group origin")
+        out = []
+        for k in range(1, height_bound + 1):
+            for signed in (k, -k):
+                pk = ec_mul(curve, signed, g)
+                if pk.is_infinity:
+                    continue
+                try:
+                    b, wk = inv(pk)
+                except MapUndefined:
+                    continue
+                _fiber, chart = graph_fiber_chart(self, b)
+                out.append((b, chart(self.p(b), wk * r(b))))
+        return out
+
+    def cycle(self, fiber: EllipticCurve, b: Rat):
+        K, roots = _square_roots(graph_cover_poly(self)(b))
+        chart_curve, fwd = graph_fiber_chart(self, b, field=K)
+        if chart_curve != (fiber if K is None else _embed_curve(K, fiber)):
+            raise DomainError("graph multisection is attached to a different fibration")
+        z0 = self.p(b) if K is None else K.embed(self.p(b))
+        return [(fwd(z0, w), mult) for w, mult in roots]
+
+    def ramification(self, model: FibrationModel) -> RamificationReport:
+        g = graph_cover_poly(self)
+        if g.is_zero:
+            raise DomainError("graph multisection lies on the branch locus")
+
+        def locate(b):
+            _curve, fwd = graph_fiber_chart(self, b)
+            return b, fwd(self.p(b), b * 0)
+
+        return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate)
+
 
 @dataclass(frozen=True)
 class SplitList:
@@ -230,6 +566,19 @@ class SplitList:
     @property
     def degree(self) -> int:
         return len(self.sections)
+
+    def points(self, model: FibrationModel, height_bound: int):
+        return [
+            (b, _eval_point(x_fn, y_fn, b))
+            for b in enumerate_rationals(height_bound)
+            for x_fn, y_fn in self.sections
+        ]
+
+    def cycle(self, fiber: EllipticCurve, b: Rat):
+        return [(_eval_point(x_fn, y_fn, b), 1) for x_fn, y_fn in self.sections]
+
+    def ramification(self, model: FibrationModel) -> RamificationReport:
+        return RamificationReport(points=())
 
 
 Multisection = ZeroSection | ConstantX | Parametrized | GraphOnQuartic | SplitList
@@ -267,62 +616,10 @@ def graph_cover_normalized(m: GraphOnQuartic) -> tuple[Poly, Poly]:
 
     Points of the normalized covering curve w~^2 = q(t) lift to the surface
     via w = w~ * r(t)."""
-    g = graph_cover_poly(m)
-    q = Poly([g.lead])
-    r = Poly([Fraction(1)])
-    for factor, mult in squarefree_decompose(g):
-        if mult % 2:
-            q = q * factor
-        r = r * factor ** (mult // 2)
-    return q, r
+    return odd_square_split(graph_cover_poly(m))
 
 
-def _eval_ratfn(fn: RatFn, value):
-    """Evaluate over any field element; None signals a pole."""
-    den = fn.den(value)
-    if not den:
-        return None
-    return fn.num(value) / den
-
-
-def _embed_point(field: NumField, p: Point) -> Point:
-    if p.is_infinity:
-        return INFINITY
-    return Point(field.embed(p.x), field.embed(p.y))
-
-
-def _embed_curve(field: NumField, curve: EllipticCurve) -> EllipticCurve:
-    return EllipticCurve(field.embed(curve.a), field.embed(curve.b))
-
-
-def _rationalize_point(p: Point) -> Point:
-    if p.is_infinity:
-        return INFINITY
-    x, y = p.x, p.y
-    if isinstance(x, NumFieldElement):
-        if not (x.is_rational and y.is_rational):
-            raise DomainError(f"expected a rational point, got {p}")
-        return Point(x.as_fraction(), y.as_fraction())
-    return p
-
-
-def _pair_on_vertical(curve: EllipticCurve, x_val: Rat, b: Rat) -> list[tuple[Point, int]]:
-    """Fiber points with a fixed rational x-coordinate, over Q or Q(sqrt)."""
-    rhs = x_val**3 + curve.a * x_val + curve.b
-    if rhs == 0:
-        return [(Point(x_val, Fraction(0)), 2)]
-    if is_square(rhs):
-        w = rat_sqrt(rhs)
-        return [(Point(x_val, w), 1), (Point(x_val, -w), 1)]
-    K = NumField(Poly([-rhs, Fraction(0), Fraction(1)]), "w")
-    w = K.gen
-    return [
-        (Point(K.embed(x_val), w), 1),
-        (Point(K.embed(x_val), -w), 1),
-    ]
-
-
-def graph_fiber_chart(m: GraphOnQuartic, b: Rat, field: NumField | None = None):
+def graph_fiber_chart(m: GraphOnQuartic, b, field: NumField | None = None):
     """Per-fiber Weierstrass conversion of w^2 = F(b, z); returns (curve, fwd)."""
     coeffs = tuple(c(b) for c in m.fiber_coeffs)
     if field is not None:
@@ -330,97 +627,6 @@ def graph_fiber_chart(m: GraphOnQuartic, b: Rat, field: NumField | None = None):
     model = QuarticModel(coeffs, InfinityBranch(m.sign))
     curve, fwd, _inv = quartic_to_weierstrass(model)
     return curve, fwd
-
-
-def _graph_cycle(model: FibrationModel, m: GraphOnQuartic, b: Rat, curve: EllipticCurve):
-    z0 = m.p(b)
-    g_val = graph_cover_poly(m)(b)
-    if g_val == 0:
-        fiber_curve, fwd = graph_fiber_chart(m, b)
-        if fiber_curve != curve:
-            raise DomainError("graph multisection is attached to a different fibration")
-        return [(fwd(z0, Fraction(0)), 2)]
-    if is_square(g_val):
-        w0 = rat_sqrt(g_val)
-        fiber_curve, fwd = graph_fiber_chart(m, b)
-        if fiber_curve != curve:
-            raise DomainError("graph multisection is attached to a different fibration")
-        return [(fwd(z0, w0), 1), (fwd(z0, -w0), 1)]
-    K = NumField(Poly([-g_val, Fraction(0), Fraction(1)]), "w")
-    fiber_curve, fwd = graph_fiber_chart(m, b, field=K)
-    if fiber_curve != _embed_curve(K, curve):
-        raise DomainError("graph multisection is attached to a different fibration")
-    w0 = K.gen
-    return [
-        (fwd(K.embed(z0), w0), 1),
-        (fwd(K.embed(z0), -w0), 1),
-    ]
-
-
-def _ratfn_value_at_infinity(fn: RatFn):
-    """Limit at s = infinity: a Fraction, or None when the limit is a pole."""
-    n, d = fn.num.degree, fn.den.degree
-    if fn.is_zero:
-        return Fraction(0)
-    if n > d:
-        return None
-    if n < d:
-        return Fraction(0)
-    return fn.num.lead / fn.den.lead
-
-
-def _parametrized_cycle(m: Parametrized, b: Rat, curve: EllipticCurve):
-    d = m.degree
-    solver = m.t.num - b * m.t.den
-    support: list[tuple[Point, int]] = []
-
-    drop = d - solver.degree
-    if drop > 0:
-        # the missing preimages sit at s = infinity
-        lx = _ratfn_value_at_infinity(m.x)
-        ly = _ratfn_value_at_infinity(m.y)
-        pt = INFINITY if lx is None or ly is None else Point(lx, ly)
-        support.append((pt, drop))
-
-    remaining = solver
-    for s0, mult in rational_roots(solver):
-        xv = _eval_ratfn(m.x, s0)
-        yv = _eval_ratfn(m.y, s0)
-        pt = INFINITY if xv is None or yv is None else Point(xv, yv)
-        support.append((pt, mult))
-        for _ in range(mult):
-            remaining = remaining.exact_div(Poly([-s0, Fraction(1)]))
-
-    if remaining.degree > 0:
-        for factor, mult in squarefree_decompose(remaining):
-            if factor.degree == 0:
-                continue
-            if factor.degree != 2:
-                raise TraceFieldTooLarge(
-                    f"fiber points at t = {b} need a degree-{factor.degree} factor {factor}"
-                )
-            K, the, conj = quadratic_field(factor, "s")
-            for root in (the, conj):
-                xv = _eval_ratfn(m.x, root)
-                yv = _eval_ratfn(m.y, root)
-                if xv is None or yv is None:
-                    support.append((INFINITY, mult))
-                    continue
-                if xv.is_rational and yv.is_rational:
-                    support.append((Point(xv.as_fraction(), yv.as_fraction()), mult))
-                else:
-                    support.append((Point(xv, yv), mult))
-    return support
-
-
-def _split_cycle(m: SplitList, b: Rat):
-    support = []
-    for x_fn, y_fn in m.sections:
-        xv = _eval_ratfn(x_fn, b)
-        yv = _eval_ratfn(y_fn, b)
-        pt = INFINITY if xv is None or yv is None else Point(xv, yv)
-        support.append((pt, 1))
-    return support
 
 
 def _check_support(curve: EllipticCurve, support) -> None:
@@ -475,23 +681,8 @@ def _sum_cycle(curve: EllipticCurve, support) -> Point:
 
 def trace_cycle(model: FibrationModel, m: Multisection, b: Rat) -> tuple[ZeroCycle, TracePoint]:
     """The fiber zero-cycle of the multisection at t = b and its group sum."""
-    fiber = specialize(model, b)
-    if isinstance(fiber, SingularFiber):
-        raise SingularFiberSkip(f"fiber at t = {b} is singular")
-
-    if isinstance(m, ZeroSection):
-        support = [(INFINITY, 1)]
-    elif isinstance(m, ConstantX):
-        support = _pair_on_vertical(fiber, m.c, b)
-    elif isinstance(m, Parametrized):
-        support = _parametrized_cycle(m, b, fiber)
-    elif isinstance(m, GraphOnQuartic):
-        support = _graph_cycle(model, m, b, fiber)
-    elif isinstance(m, SplitList):
-        support = _split_cycle(m, b)
-    else:
-        raise UnsupportedRepresentation(f"unknown multisection {m!r}")
-
+    fiber = _smooth_fiber(model, b)
+    support = m.cycle(fiber, b)
     _check_support(fiber, support)
     cycle = ZeroCycle(b, tuple(support))
     if cycle.total_degree != m.degree:
@@ -506,12 +697,16 @@ def trace_cycle(model: FibrationModel, m: Multisection, b: Rat) -> tuple[ZeroCyc
 
 def tau_map(model: FibrationModel, m: Multisection, p: Point, b: Rat) -> Point:
     """tau(p) = [d]p - trace of the fiber cycle, on the smooth fiber at b."""
-    fiber = specialize(model, b)
-    if isinstance(fiber, SingularFiber):
-        raise SingularFiberSkip(f"fiber at t = {b} is singular")
+    fiber = _smooth_fiber(model, b)
     _cycle, trace = trace_cycle(model, m, b)
     d = m.degree
     return ec_add(fiber, ec_mul(fiber, d, p), ec_neg(trace.value))
+
+
+def ramification_points(model: FibrationModel, m: Multisection) -> RamificationReport:
+    """Ramification of the multisection's projection to the t-line, resolved
+    over degree <= 2 parameter fields; salient means the fiber there is smooth."""
+    return m.ramification(model)
 
 
 # -- order probing --
@@ -532,17 +727,6 @@ class NoOrderUpTo:
     m_max: int
 
 
-def _smallest_killer(curve: EllipticCurve, p: Point, m_max: int) -> int | None:
-    if p.is_infinity:
-        return 1
-    acc = p
-    for m in range(1, m_max + 1):
-        if acc.is_infinity:
-            return m
-        acc = ec_add(curve, acc, p)
-    return None
-
-
 def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: int):
     """Smallest m killing all pairwise cycle differences over the samples
     (evidence), or a proof that no order <= m_max works."""
@@ -551,9 +735,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
         raise EmptySampleSet("order probe needs at least one fiber sample")
     overall = 1
     for b in samples:
-        fiber = specialize(model, b)
-        if isinstance(fiber, SingularFiber):
-            raise SingularFiberSkip(f"fiber at t = {b} is singular")
+        fiber = _smooth_fiber(model, b)
         cycle, _trace = trace_cycle(model, m, b)
         pts = [pt for pt, _mult in cycle.support]
         for i in range(len(pts)):
@@ -564,7 +746,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
                         f"difference at t = {b} mixes incompatible fields"
                     )
                 curve_for, point = diff
-                killer = _smallest_killer(curve_for, point, m_max)
+                killer = smallest_order(curve_for, point, m_max)
                 if killer is None:
                     return NoOrderUpTo(m_max)
                 overall = overall * killer // math.gcd(overall, killer)
@@ -593,208 +775,6 @@ def _difference_on_fiber(curve: EllipticCurve, p: Point, q: Point):
     return ek, ec_add(ek, pk, ec_neg(qk))
 
 
-# -- ramification --
-
-
-@dataclass(frozen=True)
-class RamificationPoint:
-    b: object  # Rat or NumFieldElement
-    point: Point
-    salient: bool
-
-
-@dataclass(frozen=True)
-class UnresolvedRamification:
-    """A parameter factor of degree > 2; all_singular certifies that every
-    root of the factor is a singular-fiber parameter."""
-
-    factor: Poly
-    all_singular: bool
-
-
-@dataclass(frozen=True)
-class RamificationReport:
-    points: tuple
-    unresolved: tuple = ()
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def _delta_nonzero_at(model: FibrationModel, b) -> bool:
-    disc = model.discriminant
-    den = disc.den(b)
-    if not den:
-        return False
-    return bool(disc.num(b))
-
-
-def _all_roots_singular(model: FibrationModel, factor: Poly, through=None) -> bool:
-    """Every root of factor is a zero of the discriminant (exactly)."""
-    disc = model.discriminant
-    target = disc.num if through is None else through
-    sf = squarefree_part(factor)
-    g = poly_gcd(sf, squarefree_part(target))
-    return g.degree == sf.degree
-
-
-def _param_entries(model: FibrationModel, factor_poly: Poly, point_at):
-    """Resolve rational and quadratic parameter roots into report entries."""
-    entries = []
-    unresolved = []
-    remaining = factor_poly
-    for r, mult in rational_roots(factor_poly):
-        entries.append((r, mult))
-        for _ in range(mult):
-            remaining = remaining.exact_div(Poly([-r, Fraction(1)]))
-    if remaining.degree > 0:
-        for factor, mult in squarefree_decompose(remaining):
-            if factor.degree == 0:
-                continue
-            if factor.degree == 2:
-                _K, the, conj = quadratic_field(factor, "b")
-                entries.append((the, mult))
-                entries.append((conj, mult))
-            else:
-                unresolved.append(
-                    UnresolvedRamification(factor.monic(), _all_roots_singular(model, factor))
-                )
-    points = []
-    for b_val, _mult in entries:
-        pt, salient = point_at(b_val)
-        points.append(RamificationPoint(b_val, pt, salient))
-    return points, unresolved
-
-
-def ramification_points(model: FibrationModel, m: Multisection) -> RamificationReport:
-    """Ramification of the multisection's projection to the t-line, resolved
-    over degree <= 2 parameter fields; salient means the fiber there is smooth."""
-    if isinstance(m, (ZeroSection, SplitList)):
-        return RamificationReport(points=())
-
-    if isinstance(m, ConstantX):
-        c = m.c
-        h = model.a * c + model.b + c**3
-        if h.is_zero:
-            raise DomainError("constant-x multisection lies in the singular locus")
-
-        def point_at(b_val):
-            if isinstance(b_val, Fraction):
-                pt = Point(c, Fraction(0))
-                return pt, _delta_nonzero_at(model, b_val)
-            K = b_val.field
-            pt = Point(K.embed(c), K.zero)
-            disc = model.discriminant
-            den = disc.den(b_val)
-            salient = bool(den) and bool(disc.num(b_val))
-            return pt, salient
-
-        points, unresolved = _param_entries(model, h.num, point_at)
-        return RamificationReport(tuple(points), tuple(unresolved))
-
-    if isinstance(m, Parametrized):
-        n, d = m.t.num, m.t.den
-        crit = n.derivative() * d - n * d.derivative()
-        if crit.is_zero:
-            raise DomainError("parametrized multisection has constant t(s)")
-        # exclude critical parameters that are poles of t(s)
-        crit_clean = crit
-        g = poly_gcd(crit, d)
-        while g.degree > 0:
-            crit_clean = crit_clean.exact_div(g)
-            g = poly_gcd(crit_clean, d)
-
-        disc_pullback = None
-        disc = model.discriminant
-        num_pull = disc.num(m.t)  # Poly evaluated at RatFn
-        if isinstance(num_pull, RatFn):
-            disc_pullback = num_pull.num
-        else:
-            disc_pullback = Poly([num_pull])
-
-        def point_at(s_val):
-            xv = _eval_ratfn(m.x, s_val)
-            yv = _eval_ratfn(m.y, s_val)
-            pt = INFINITY if xv is None or yv is None else Point(xv, yv)
-            tv = _eval_ratfn(m.t, s_val)
-            if tv is None:
-                return pt, False
-            if isinstance(tv, NumFieldElement) and tv.is_rational:
-                tv = tv.as_fraction()
-            if isinstance(tv, Fraction):
-                salient = _delta_nonzero_at(model, tv)
-            else:
-                den = disc.den(tv)
-                salient = bool(den) and bool(disc.num(tv))
-            if isinstance(pt, Point) and not pt.is_infinity:
-                px, py = pt.x, pt.y
-                if isinstance(px, NumFieldElement) and px.is_rational and py.is_rational:
-                    pt = Point(px.as_fraction(), py.as_fraction())
-            return pt, salient
-
-        # note: ramification parameters are s-values; report carries t-image
-        entries = []
-        unresolved = []
-        remaining = crit_clean
-        for s0, mult in rational_roots(crit_clean):
-            entries.append(s0)
-            for _ in range(mult):
-                remaining = remaining.exact_div(Poly([-s0, Fraction(1)]))
-        if remaining.degree > 0:
-            for factor, _mult in squarefree_decompose(remaining):
-                if factor.degree == 0:
-                    continue
-                if factor.degree == 2:
-                    _K, the, conj = quadratic_field(factor, "s")
-                    entries.extend([the, conj])
-                else:
-                    unresolved.append(
-                        UnresolvedRamification(
-                            factor.monic(),
-                            _all_roots_singular(model, factor, through=disc_pullback),
-                        )
-                    )
-        points = []
-        for s_val in entries:
-            pt, salient = point_at(s_val)
-            tv = _eval_ratfn(m.t, s_val)
-            if isinstance(tv, NumFieldElement) and tv.is_rational:
-                tv = tv.as_fraction()
-            points.append(RamificationPoint(tv, pt, salient))
-        return RamificationReport(tuple(points), tuple(unresolved))
-
-    if isinstance(m, GraphOnQuartic):
-        g = graph_cover_poly(m)
-        if g.is_zero:
-            raise DomainError("graph multisection lies on the branch locus")
-        doubled = poly_gcd(g, g.derivative())
-        if doubled.degree == 0:
-            return RamificationReport(points=())
-
-        def point_at(b_val):
-            if isinstance(b_val, Fraction):
-                _curve, fwd = graph_fiber_chart(m, b_val)
-                pt = fwd(m.p(b_val), Fraction(0))
-                return pt, _delta_nonzero_at(model, b_val)
-            K = b_val.field
-            coeffs = tuple(c(b_val) for c in m.fiber_coeffs)
-            model_k = QuarticModel(coeffs, InfinityBranch(m.sign))
-            _curve, fwd, _inv = quartic_to_weierstrass(model_k)
-            pt = fwd(m.p(b_val), K.zero)
-            disc = model.discriminant
-            den = disc.den(b_val)
-            salient = bool(den) and bool(disc.num(b_val))
-            return pt, salient
-
-        points, unresolved = _param_entries(model, doubled, point_at)
-        return RamificationReport(tuple(points), tuple(unresolved))
-
-    raise UnsupportedRepresentation(f"no ramification rule for {m!r}")
-
-
 # -- section differences --
 
 
@@ -814,9 +794,7 @@ def _section_point(section, b: Rat) -> Point:
     if isinstance(section, ZeroSection):
         return INFINITY
     x_fn, y_fn = section
-    xv = _eval_ratfn(_as_ratfn(x_fn), b)
-    yv = _eval_ratfn(_as_ratfn(y_fn), b)
-    return INFINITY if xv is None or yv is None else Point(xv, yv)
+    return _eval_point(_as_ratfn(x_fn), _as_ratfn(y_fn), b)
 
 
 def section_difference_order(model: FibrationModel, s1, s2, samples, bound: int | None = None):
@@ -826,9 +804,7 @@ def section_difference_order(model: FibrationModel, s1, s2, samples, bound: int 
         raise EmptySampleSet("section difference probe needs samples")
     orders = []
     for b in samples:
-        fiber = specialize(model, b)
-        if isinstance(fiber, SingularFiber):
-            raise SingularFiberSkip(f"fiber at t = {b} is singular")
+        fiber = _smooth_fiber(model, b)
         p1 = _section_point(s1, b)
         p2 = _section_point(s2, b)
         diff = ec_add(fiber, p1, ec_neg(p2))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enriques import ConeQuartic
-from .errors import DomainError, SpecSyntaxError, SpecValidationError
-from .exactmath import Poly, RatFn
+from .errors import DomainError, SpecSyntaxError, SpecValidationError, ZeroInput
+from .exactmath import Poly, RatFn, rat_from_string
 from .fibration import (
     ConstantX,
     FibrationModel,
@@ -61,8 +61,8 @@ def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SpecValidationError(path, "rationals must be written as strings")
     try:
-        return Fraction(str(value))
-    except ZeroDivisionError:
+        return rat_from_string(str(value))
+    except ZeroInput:
         raise SpecValidationError(path, "zero denominator") from None
     except ValueError:
         raise SpecValidationError(path, f"not a rational: {value!r}") from None
@@ -200,8 +200,12 @@ _TOP_KEYS = {
 _PARAM_KEYS = {"height_bound", "k_max", "torsion_bound", "m_max", "samples", "threads"}
 
 
-def parse_spec(text: str) -> RunSpec:
-    """Parse and validate a JSON run spec."""
+def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
+    """Parse and validate a JSON run spec.
+
+    overrides maps "out" and params fields to values (the CLI flags) that
+    replace the spec's own before validation, so both pass the same checks.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -227,13 +231,15 @@ def parse_spec(text: str) -> RunSpec:
     if not isinstance(twist_flag, bool):
         raise SpecValidationError("allow_quadratic_twist_extension", "expected true or false")
 
+    overrides = dict(overrides or {})
+    out = overrides.pop("out", raw.get("out"))
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SpecValidationError("params", "expected an object")
+    params = {**params, **overrides}
     _check_keys(params, _PARAM_KEYS, "params")
     samples = tuple(_rational_list(params["samples"], "params.samples")) if "samples" in params else ()
 
-    out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise SpecValidationError("out", "expected a path string")
 

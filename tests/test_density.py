@@ -12,9 +12,7 @@ from fibdense.density import (
     CertificationResult,
     DensityReport,
     Exhausted,
-    NonTorsion,
     Skipped,
-    Torsion,
     certify_and_translate,
     densify,
     enumerate_multisection_points,
@@ -22,7 +20,7 @@ from fibdense.density import (
     report_to_csv,
     report_to_json,
 )
-from fibdense.elliptic import INFINITY, EllipticCurve, Point, ec_add
+from fibdense.elliptic import INFINITY, EllipticCurve, InfiniteOrder, Point, Torsion, ec_add
 from fibdense.errors import (
     DomainError,
     EmptyFamily,
@@ -132,7 +130,7 @@ class TestCertifyAndTranslate:
         result, points = certify_and_translate(
             WORKED, ConstantX(F(1)), F(2), Point(F(1), F(2)), 3
         )
-        assert result.verdict == NonTorsion()
+        assert result.verdict == InfiniteOrder()
         assert result.tau == Point(F(-7, 16), F(-13, 64))
         assert len(points) == 4
         assert len(set(points)) == 4
@@ -197,7 +195,7 @@ class TestDensify:
     def test_translates_pairwise_distinct_on_certified_fibers(self):
         report = densify(WORKED, ConstantX(F(1)), 8, 5)
         for outcome in report.per_fiber:
-            if isinstance(outcome.result.verdict, NonTorsion):
+            if isinstance(outcome.result.verdict, InfiniteOrder):
                 translate_keys = [(pt.x, pt.y) for k, pt in outcome.points]
                 assert len(translate_keys) == len(set(translate_keys))
                 ks = [k for k, _pt in outcome.points]
