@@ -10,8 +10,7 @@ One JSON spec file describes a run; the subcommand picks the pipeline:
     fibdense enriques-model <spec>      Weierstrass model of the double cover
 
 Exit statuses: 0 success, 2 spec/validation problems, 3 computational errors.
-Outputs contain exact rationals only and are byte-identical across runs and
-thread counts.
+Outputs contain exact rationals only and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .density import densify, report_to_csv, report_to_json
@@ -116,7 +114,6 @@ def _cmd_densify(spec: RunSpec) -> int:
         height_bound,
         spec.k_max if spec.k_max is not None else 5,
         spec.torsion_bound,
-        spec.threads,
     )
     out_dir = spec.out or "out"
     os.makedirs(out_dir, exist_ok=True)
@@ -184,22 +181,12 @@ def _cmd_enriques_bitangents(spec: RunSpec) -> int:
     cone = _need(spec, "cone_quartic", "enriques-bitangents")
     points = _need(spec, "points", "enriques-bitangents")
     data = restrict_quartic_to_cone(cone)
-
-    def search(point):
+    results = []
+    for point in points:
         try:
             report = bitangent_sections(data, point, through=spec.through)
         except NoCandidates:
-            return None
-        return report
-
-    if spec.threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            reports = list(pool.map(search, points))
-    else:
-        reports = [search(p) for p in points]
-
-    results = []
-    for point, report in zip(points, reports):
+            report = None
         entry = {
             "base_point": [rat_to_string(point[0]), rat_to_string(point[1])],
             "candidates": [] if report is None else [_candidate_json(c) for c in report],
@@ -287,7 +274,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("spec", help="path to a JSON run spec")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, help="worker threads")
         p.add_argument("--height-bound", type=int, dest="height_bound")
         p.add_argument("--k-max", type=int, dest="k_max")
         p.add_argument("--torsion-bound", type=int, dest="torsion_bound")
@@ -295,7 +281,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = ("out", "threads", "height_bound", "k_max", "torsion_bound", "m_max")
+_FLAG_FIELDS = ("out", "height_bound", "k_max", "torsion_bound", "m_max")
 
 
 def main(argv=None) -> int:

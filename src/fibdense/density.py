@@ -4,13 +4,12 @@ The pipeline: enumerate rational points of a multisection up to a parameter
 height bound, certify that the class-map image tau(p) has infinite order on
 its fiber, then translate p by multiples of tau(p) to flood the fiber with
 verified rational points. Reports aggregate per-fiber outcomes and stay
-byte-stable across runs and thread counts.
+byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,29 +125,20 @@ def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
             fiber = specialize(model, b)
             emitted = []
             seen = set()
-            for k, pt in enumerate(translates):
+            for k, pt in [*enumerate(translates), *((0, extra) for extra in base_points)]:
                 if pt.is_infinity:
                     continue
                 if not fiber.contains(pt):
-                    raise DomainError(f"translate {pt} failed on-curve re-verification")
+                    raise DomainError(f"point {pt} failed on-curve re-verification")
                 key = (pt.x, pt.y)
                 if key not in seen:
                     seen.add(key)
                     emitted.append((k, pt))
-            for extra in base_points:
-                if extra.is_infinity:
-                    continue
-                if not fiber.contains(extra):
-                    raise DomainError(f"base point {extra} failed on-curve re-verification")
-                key = (extra.x, extra.y)
-                if key not in seen:
-                    seen.add(key)
-                    emitted.append((0, extra))
             return FiberOutcome(b, result, tuple(emitted))
     return FiberOutcome(b, first_result, ())
 
 
-def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None, threads: int = 1):
+def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None):
     """Sweep the multisection enumeration and aggregate a density report,
     deterministically sorted by fiber parameter."""
     pairs = enumerate_multisection_points(model, m, height_bound)
@@ -158,17 +148,7 @@ def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None, thr
         if p not in bucket:
             bucket.append(p)
 
-    items = list(fibers.items())
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda it: _fiber_work(model, m, it[0], it[1], k_max, torsion_bound),
-                    items,
-                )
-            )
-    else:
-        outcomes = [_fiber_work(model, m, b, pts, k_max, torsion_bound) for b, pts in items]
+    outcomes = [_fiber_work(model, m, b, pts, k_max, torsion_bound) for b, pts in fibers.items()]
 
     outcomes.sort(key=lambda o: o.b)
     certified = sum(1 for o in outcomes if isinstance(o.result.verdict, InfiniteOrder))
@@ -187,7 +167,7 @@ def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None, thr
     )
 
 
-def family_strategy(model, family, height_bound: int, k_max: int = 5, torsion_bound=None, threads: int = 1):
+def family_strategy(model, family, height_bound: int, k_max: int = 5, torsion_bound=None):
     """Run densify over candidate multisections in order; return the first
     member that certifies a fiber, or Exhausted with every report."""
     family = list(family)
@@ -195,7 +175,7 @@ def family_strategy(model, family, height_bound: int, k_max: int = 5, torsion_bo
         raise EmptyFamily("family strategy needs at least one multisection")
     reports = []
     for idx, m in enumerate(family):
-        report = densify(model, m, height_bound, k_max, torsion_bound, threads)
+        report = densify(model, m, height_bound, k_max, torsion_bound)
         if report.fibers_certified >= 1:
             return idx, report
         reports.append(report)

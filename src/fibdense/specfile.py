@@ -2,7 +2,7 @@
 
 A run is described by one JSON file: a fibration block or a cone-quartic
 block, an optional multisection block, sweep parameters, and output paths.
-All rationals are written as strings ("3/2", "-1"); JSON floats are rejected
+All rationals are written as strings ("3/2", "-1"); JSON numbers are rejected
 so that every value in the system stays exact.  Parse failures carry a
 line/column position (malformed JSON) or a dotted field path (bad values).
 """
@@ -41,7 +41,6 @@ class RunSpec:
     torsion_bound: int | None = None
     m_max: int | None = None
     samples: tuple = ()
-    threads: int = 1
     out: str | None = None
 
 
@@ -58,10 +57,10 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 
 
 def _rational(value, path: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if not isinstance(value, str):
         raise SpecValidationError(path, "rationals must be written as strings")
     try:
-        return rat_from_string(str(value))
+        return rat_from_string(value)
     except ZeroInput:
         raise SpecValidationError(path, "zero denominator") from None
     except ValueError:
@@ -197,7 +196,7 @@ _TOP_KEYS = {
     "params",
     "out",
 }
-_PARAM_KEYS = {"height_bound", "k_max", "torsion_bound", "m_max", "samples", "threads"}
+_PARAM_KEYS = {"height_bound", "k_max", "torsion_bound", "m_max", "samples"}
 
 
 def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
@@ -261,6 +260,5 @@ def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
         ),
         m_max=_count(params["m_max"], "params.m_max", 1) if "m_max" in params else None,
         samples=samples,
-        threads=_count(params["threads"], "params.threads", 1) if "threads" in params else 1,
         out=out,
     )

@@ -56,7 +56,7 @@ class TestParseSpec:
         assert spec.fibration == FibrationModel(ratfn([0, 1]), ratfn([1]))
         assert spec.multisection == ConstantX(F(1))
         assert (spec.height_bound, spec.k_max, spec.torsion_bound) == (10, 5, 12)
-        assert spec.threads == 1 and spec.out is None
+        assert spec.out is None
 
     def test_all_multisection_kinds(self):
         assert parse_spec(
@@ -125,7 +125,7 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError):
             parse_spec('{"params": {"height_bound": -1}}')
         with pytest.raises(SpecValidationError):
-            parse_spec('{"params": {"threads": 0}}')
+            parse_spec('{"params": {"torsion_bound": 0}}')
         with pytest.raises(SpecValidationError):
             parse_spec('{"params": {"samples": ["1", "x"]}}')
 
@@ -227,22 +227,6 @@ class TestDensifyCommand:
         assert small["fibers_attempted"] < 20
         capsys.readouterr()
 
-    def test_byte_identical_across_threads(self, tmp_path, capsys):
-        path = write_spec(tmp_path, WORKED_TEXT)
-        outputs = []
-        for tag, threads in (("t1", "1"), ("t3", "3")):
-            out_dir = tmp_path / tag
-            args = ["densify", path, "--out", str(out_dir), "--height-bound", "4", "--threads", threads]
-            assert main(args) == 0
-            outputs.append(
-                (
-                    (out_dir / "report.json").read_bytes(),
-                    (out_dir / "points.csv").read_bytes(),
-                    capsys.readouterr().out.replace(str(out_dir), "OUT"),
-                )
-            )
-        assert outputs[0] == outputs[1]
-
 
 class TestEnriquesCommands:
     def test_restrict_prints_branch_coefficients(self, tmp_path, capsys):
@@ -264,20 +248,6 @@ class TestEnriquesCommands:
         assert (candidate["c0"], candidate["c1"], candidate["c2"]) == ("3/2", "0", "-1/2")
         assert candidate["parameter"] == "-1/2"
         assert candidate["second_tangency"] == [["-1", "1"]]
-
-    def test_bitangents_byte_identical_across_threads(self, tmp_path, capsys):
-        text = """{
-          "cone_quartic": {"0004": "1", "1120": "1", "4000": "-2"},
-          "points": [["1", "1"], ["-1", "1"], ["1", "-1"]]
-        }"""
-        path = write_spec(tmp_path, text)
-        blobs = []
-        for tag, threads in (("b1", "1"), ("b4", "4")):
-            out_dir = tmp_path / tag
-            assert main(["enriques-bitangents", path, "--out", str(out_dir), "--threads", threads]) == 0
-            capsys.readouterr()
-            blobs.append((out_dir / "bitangents.json").read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_model_report(self, tmp_path, capsys):
         path = write_spec(tmp_path, CONE_TEXT)

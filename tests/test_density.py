@@ -208,12 +208,6 @@ class TestDensify:
         assert large.points_emitted >= small.points_emitted
         assert large.fibers_attempted >= small.fibers_attempted
 
-    def test_deterministic_across_threads(self):
-        one = densify(WORKED, ConstantX(F(1)), 7, 4, threads=1)
-        four = densify(WORKED, ConstantX(F(1)), 7, 4, threads=4)
-        assert report_to_json(one) == report_to_json(four)
-        assert report_to_csv(one) == report_to_csv(four)
-
     def test_per_fiber_sorted_by_parameter(self):
         report = densify(WORKED, ConstantX(F(1)), 6, 3)
         params = [o.b for o in report.per_fiber]

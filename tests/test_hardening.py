@@ -7,6 +7,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibdense.elliptic as elliptic
 from fibdense.cli import main
@@ -15,6 +17,7 @@ from fibdense.elliptic import EllipticCurve, InfiniteOrder, Point, torsion_certi
 from fibdense.errors import DomainError
 from fibdense.exactmath import ratfn
 from fibdense.fibration import FibrationModel, Parametrized, trace_cycle
+from fibdense.specfile import parse_spec
 
 # 11a3 in short form: (-12, 108) has order 5
 E11 = EllipticCurve(F(-432), F(8208))
@@ -43,7 +46,7 @@ class TestTorsionLoop:
             torsion_certify(E11, P5)
 
 
-@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000"])
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", 1])
 def test_spec_rationals_are_p_or_p_over_q(tmp_path, capsys, text):
     spec = json.loads(json.dumps(WORKED))
     spec["fibration"]["b"]["num"][0] = text
@@ -51,13 +54,33 @@ def test_spec_rationals_are_p_or_p_over_q(tmp_path, capsys, text):
     assert "'fibration.b.num[0]'" in capsys.readouterr().err
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)), min_size=1, max_size=4))
+def test_spec_rationals_round_trip(pairs):
+    texts = [f"{p}/{q}" for p, q in pairs]
+    spec = parse_spec(json.dumps({"point": [texts[0], texts[-1]], "params": {"samples": texts}}))
+    values = tuple(F(p, q) for p, q in pairs)
+    assert spec.samples == values
+    assert spec.points == ((values[0], values[-1]),)
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--threads", "0", "threads"), ("--k-max", "-1", "k_max"), ("--height-bound", "-1", "height_bound")],
+    [("--k-max", "-1", "k_max"), ("--height-bound", "-1", "height_bound")],
 )
 def test_flags_pass_the_spec_validator(tmp_path, capsys, flag, value, field):
     assert _run(tmp_path, WORKED, flag, value) == 2
     assert f"'params.{field}'" in capsys.readouterr().err
+
+
+def test_threads_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, WORKED, "--threads", "2")
+    assert exc.value.code == 2
+    spec = json.loads(json.dumps(WORKED))
+    spec["params"]["threads"] = 2
+    assert _run(tmp_path, spec) == 2
+    assert "'params.threads': unknown field" in capsys.readouterr().err
 
 
 def test_low_torsion_flag_is_a_computational_error(tmp_path, capsys):
