@@ -20,10 +20,6 @@ from .poly import Poly, rational_roots
 from .rationals import is_square, rat_sqrt
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = set()
@@ -41,9 +37,7 @@ def _has_integral_quadratic_factor(m: Poly) -> bool:
     Scales to a monic integral model first; any monic rational factorization
     then descends to monic integral factors.
     """
-    c = 1
-    for coef in m.coeffs:
-        c = _lcm(c, coef.denominator)
+    c = math.lcm(*(coef.denominator for coef in m.coeffs))
     # y = c*x turns m into a monic integral quartic in y
     scaled = [m.coefficient(i) * Fraction(c) ** (4 - i) for i in range(5)]
     A = int(scaled[3])

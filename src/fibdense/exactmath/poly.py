@@ -15,9 +15,10 @@ Design notes, kept here because they are easy to get wrong:
 * resultants go through the Sylvester matrix and fraction-free Bareiss
   elimination; no floating point anywhere.
 * rational roots avoid factoring huge leading/trailing coefficients: roots of
-  the squarefree part are found modulo a 62-bit prime, Hensel-lifted, and
-  recovered by rational reconstruction, then every candidate is verified by
-  exact evaluation. Degree <= 2 short-circuits to closed forms.
+  the squarefree part are found modulo a small prime by trying every residue,
+  Hensel-lifted, and recovered by rational reconstruction, then every
+  candidate is verified by exact evaluation. Degree <= 2 short-circuits to
+  closed forms.
 """
 
 from __future__ import annotations
@@ -268,25 +269,11 @@ def _is_rational_poly(p: Poly) -> bool:
 # integer polynomial layer (private): contents, pseudo-remainders, PRS gcd
 # ---------------------------------------------------------------------------
 
-def _to_int_primitive(p: Poly) -> tuple[Fraction, list[int]]:
-    """Write p = content * primitive with primitive in Z[t], gcd of coeffs 1.
-
-    The sign convention puts a positive leading coefficient on the primitive
-    part.
-    """
-    if p.is_zero:
-        return Fraction(0), []
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if ints[-1] < 0:
-        g = -g
-    ints = [c // g for c in ints]
-    return Fraction(g, den_lcm), ints
+def _to_int_primitive(p: Poly) -> list[int]:
+    """The primitive part of p in Z[t]: gcd of coeffs 1, positive leading
+    coefficient (empty for the zero polynomial)."""
+    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    return _int_primitive([int(c * den_lcm) for c in p.coeffs])
 
 
 def _ideg(a: list[int]) -> int:
@@ -300,9 +287,7 @@ def _itrim(a: list[int]) -> list[int]:
 
 
 def _int_primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*a)
     if a and a[-1] < 0:
         g = -g
     return [c // g for c in a]
@@ -356,8 +341,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if q.is_zero:
         return p.monic()
     if _is_rational_poly(p) and _is_rational_poly(q):
-        _, a = _to_int_primitive(p)
-        _, b = _to_int_primitive(q)
+        a = _to_int_primitive(p)
+        b = _to_int_primitive(q)
         return Poly([Fraction(c) for c in _int_subresultant_gcd(a, b)]).monic()
     a, b = p, q
     while not b.is_zero:
@@ -399,9 +384,7 @@ def det_rational(rows: list[list[Fraction]]) -> Fraction:
     scale = Fraction(1)
     int_rows = []
     for row in rows:
-        lcm = 1
-        for c in row:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in row))
         scale *= lcm
         int_rows.append([int(c * lcm) for c in row])
     return Fraction(_int_det_bareiss(int_rows), 1) / scale
@@ -593,16 +576,17 @@ def _distinct_rational_roots(p: Poly) -> list[Fraction]:
         roots = {(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)}
         return sorted(roots)
     g = squarefree_part(p)
-    _, gi = _to_int_primitive(g)
+    gi = _to_int_primitive(g)
     return sorted(_modular_rational_roots(gi, p))
 
 
 def _modular_rational_roots(g: list[int], original: Poly) -> set[Fraction]:
     """Rational roots of a squarefree primitive integer polynomial.
 
-    Roots are located mod a large prime, Hensel-lifted, and recovered by
-    rational reconstruction. Every candidate is verified exactly against the
-    original polynomial, so spurious reconstructions are harmless.
+    Roots are located mod a small prime by trying every residue, Hensel-lifted,
+    and recovered by rational reconstruction. Every candidate is verified
+    exactly against the original polynomial, so spurious reconstructions are
+    harmless.
     """
     lc = abs(g[-1])
     maxabs = max(abs(c) for c in g[:-1]) if len(g) > 1 else 0
@@ -610,10 +594,10 @@ def _modular_rational_roots(g: list[int], original: Poly) -> set[Fraction]:
     den_bound = lc
     num_bound = cauchy * den_bound
     target = 2 * num_bound * den_bound + 1
-    prime = _suitable_prime(g)
     dg = [i * c for i, c in enumerate(g)][1:]
+    prime, residues = _simple_roots_mod_small_prime(g, dg)
     roots = set()
-    for r in _roots_mod_p(g, prime):
+    for r in residues:
         lifted, modulus = _hensel_lift(g, dg, r, prime, target)
         cand = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
         if cand is not None and original(cand) == 0:
@@ -621,157 +605,29 @@ def _modular_rational_roots(g: list[int], original: Poly) -> set[Fraction]:
     return roots
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the 62-bit range used here."""
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# Trying every residue of a 3-digit prime costs less than one x^p mod g, and
+# few such primes divide lc * disc.
+_FIRST_SCAN_PRIME = 101
 
 
-def _suitable_prime(g: list[int]) -> int:
-    """A 62-bit prime keeping g squarefree with unit leading coefficient."""
-    p = (1 << 62) + 135
+def _simple_roots_mod_small_prime(g: list[int], dg: list[int]) -> tuple[int, list[int]]:
+    """The first prime p >= _FIRST_SCAN_PRIME with p not dividing lc(g) at
+    which every root of g mod p is simple, and those roots, ascending.
+
+    Every rational root u/v of g has v | lc(g), so v is a unit mod p and u/v
+    reduces to one of the listed roots. A simple root lifts uniquely, so
+    Hensel lifting recovers u/v from it. Any prime not dividing lc(g) * disc(g)
+    qualifies, so the loop ends; the simplicity check stands in for asking
+    that g stay squarefree mod p.
+    """
+    p = _FIRST_SCAN_PRIME
     while True:
-        while not _is_probable_prime(p):
-            p += 2
-        if g[-1] % p != 0:
+        if g[-1] % p and all(p % d for d in range(2, math.isqrt(p) + 1)):
             gp = [c % p for c in g]
-            dgp = [i * c % p for i, c in enumerate(g)][1:]
-            if len(_pm_gcd(gp, dgp, p)) == 1:
-                return p
+            roots = [r for r in range(p) if _horner_mod(gp, r, p) == 0]
+            if all(_horner_mod(dg, r, p) for r in roots):
+                return p, roots
         p += 2
-
-
-# -- arithmetic in F_p[x]; ascending int lists, always trimmed --
-
-def _pm_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pm_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % p
-    return _pm_trim(out)
-
-
-def _pm_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _pm_trim(out)
-
-
-def _pm_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    while len(r) - 1 >= db:
-        factor = r[-1] * inv % p
-        shift = len(r) - 1 - db
-        for i, bc in enumerate(b):
-            r[i + shift] = (r[i + shift] - factor * bc) % p
-        _pm_trim(r)
-        if not r:
-            break
-    return r
-
-
-def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    _pm_trim(a)
-    _pm_trim(b)
-    while b:
-        a, b = b, _pm_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _pm_pow(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pm_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pm_rem(_pm_mul(result, base, p), mod, p)
-        base = _pm_rem(_pm_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _roots_mod_p(g: list[int], p: int) -> list[int]:
-    """Distinct roots of g over F_p via the linear stage of Cantor-Zassenhaus."""
-    gp = _pm_trim([c % p for c in g])
-    inv = pow(gp[-1], -1, p)
-    gp = [c * inv % p for c in gp]
-    xp = _pm_pow([0, 1], p, gp, p)
-    lin = _pm_gcd(_pm_sub(xp, [0, 1], p), gp, p)
-    roots: list[int] = []
-    _split_linear(lin, p, roots, 1)
-    roots.sort()
-    return roots
-
-
-def _split_linear(h: list[int], p: int, roots: list[int], shift: int) -> None:
-    deg = len(h) - 1
-    if deg <= 0:
-        return
-    if deg == 1:
-        roots.append((-h[0]) % p)
-        return
-    a = shift
-    while True:
-        w = _pm_pow([a, 1], (p - 1) // 2, h, p)
-        w = _pm_sub(w, [1], p)
-        d = _pm_gcd(w, h, p) if w else []
-        if d and 0 < len(d) - 1 < deg:
-            _split_linear(d, p, roots, a + 1)
-            _split_linear(_pm_exact_div(h, d, p), p, roots, a + 1)
-            return
-        a += 1
-
-
-def _pm_exact_div(a: list[int], b: list[int], p: int) -> list[int]:
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    q = [0] * (len(a) - db)
-    while len(r) - 1 >= db and r:
-        factor = r[-1] * inv % p
-        shift = len(r) - 1 - db
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            r[i + shift] = (r[i + shift] - factor * bc) % p
-        _pm_trim(r)
-    return _pm_trim(q)
 
 
 def _horner_mod(g: list[int], x: int, m: int) -> int:

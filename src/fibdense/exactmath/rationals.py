@@ -16,13 +16,13 @@ from ..errors import ZeroInput
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat_from_string(s: str) -> Rat:
-    """Parse "p" or "p/q" with q > 0. Rejects anything else, floats included."""
-    s = s.strip()
-    if not _RAT_RE.match(s):
+    """Parse "p" or "p/q" with q > 0, ASCII digits only. Rejects anything else,
+    floats and surrounding whitespace included."""
+    if not _RAT_RE.fullmatch(s):
         raise ValueError(f"not an exact rational: {s!r}")
     if "/" in s:
         num, den = s.split("/")

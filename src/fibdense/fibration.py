@@ -749,7 +749,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
                 killer = smallest_order(curve_for, point, m_max)
                 if killer is None:
                     return NoOrderUpTo(m_max)
-                overall = overall * killer // math.gcd(overall, killer)
+                overall = math.lcm(overall, killer)
     if overall > m_max:
         return NoOrderUpTo(m_max)
     return Order(overall)
@@ -812,10 +812,7 @@ def section_difference_order(model: FibrationModel, s1, s2, samples, bound: int 
         if isinstance(res, InfiniteOrder):
             return NonTorsion(witness=b)
         orders.append(res.order)
-    total = 1
-    for o in orders:
-        total = total * o // math.gcd(total, o)
-    return TorsionEvidence(total)
+    return TorsionEvidence(math.lcm(*orders))
 
 
 # -- the chart at t = infinity --

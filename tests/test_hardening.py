@@ -46,7 +46,7 @@ class TestTorsionLoop:
             torsion_certify(E11, P5)
 
 
-@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", 1])
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", 1, " 3 ", "3\n", "\u0663/\u0664"])
 def test_spec_rationals_are_p_or_p_over_q(tmp_path, capsys, text):
     spec = json.loads(json.dumps(WORKED))
     spec["fibration"]["b"]["num"][0] = text

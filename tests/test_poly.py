@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibdense.errors import BothZero, ZeroInput
 from fibdense.exactmath import (
@@ -20,6 +22,7 @@ from fibdense.exactmath import (
     squarefree_decompose,
     squarefree_part,
 )
+from fibdense.exactmath.poly import _simple_roots_mod_small_prime, _to_int_primitive
 
 _x = sympy.Symbol("x")
 
@@ -103,6 +106,50 @@ def test_rational_roots_survives_large_coefficients():
     big = poly([10**40 + 1, 0, 3, 0, 1])
     f = poly([-7, 3]) * poly([5, 2]) * big
     assert rational_roots(f) == [(Fraction(-5, 2), 1), (Fraction(7, 3), 1)]
+
+
+@pytest.mark.parametrize(
+    "roots, prime",
+    [
+        ([1, 102], 103),  # 1 and 102 meet mod 101
+        ([1, 1 + 101 * 103], 107),  # meet mod 101 and mod 103
+        ([1, Fraction(5, 101)], 103),  # 101 divides the leading coefficient
+    ],
+)
+def test_rational_roots_skip_primes_with_repeated_roots(roots, prime):
+    f = poly([-2, 0, 0, 1])
+    for r in roots:
+        f = f * poly([-Fraction(r).numerator, Fraction(r).denominator])
+    g = _to_int_primitive(f)
+    assert _simple_roots_mod_small_prime(g, [i * c for i, c in enumerate(g)][1:])[0] == prime
+    assert rational_roots(f) == [(Fraction(r), 1) for r in sorted(roots)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lins=st.lists(
+        st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.integers(1, 2)),
+        min_size=1,
+        max_size=3,
+    ),
+    cofactor=st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+)
+def test_rational_roots_match_sympy_factor_list(lins, cofactor):
+    # (den x - num)^mult for each linear factor, times a monic irreducible
+    # cofactor of degree 2-4 with small coefficients
+    q = _x ** len(cofactor) + sum(c * _x**i for i, c in enumerate(cofactor))
+    assume(sympy.Poly(q, _x).is_irreducible)
+    expr = q
+    for num, den, mult in lins:
+        expr *= (den * _x - num) ** mult
+    f = Poly([Fraction(int(c)) for c in reversed(sympy.Poly(expr, _x).all_coeffs())])
+
+    expected = []
+    for factor, mult in sympy.factor_list(expr, _x)[1]:
+        if sympy.degree(factor, _x) == 1:
+            a, b = sympy.Poly(factor, _x).all_coeffs()
+            expected.append((Fraction(-int(b), int(a)), mult))
+    assert rational_roots(f) == sorted(expected)
 
 
 def test_interpolate_reconstructs():

@@ -24,7 +24,9 @@ def test_parse_accepts_plus_sign():
     assert rat_from_string("+5/3") == Fraction(5, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "/2", "2/", "a", "2 /3", "0x10"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "1e3", "", "/2", "2/", "a", "2 /3", "0x10", " 3 ", "3\n", "\u0663/\u0664"]
+)
 def test_parse_rejects_non_rational_syntax(bad):
     with pytest.raises(ValueError):
         rat_from_string(bad)
