@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import (
+    EllipticCurve,
     InfiniteOrder,
     Point,
     Torsion,
-    ec_add,
+    _add_unchecked,
+    ec_add,  # unused here; bench/tracing.py wraps this name
     ec_mul,  # unused here; bench/tracing.py wraps this name
     naive_height,
     torsion_certify,
@@ -52,6 +54,7 @@ class CertificationResult:
     base: Point
     tau: Point | None
     verdict: InfiniteOrder | Torsion | Skipped
+    fiber: EllipticCurve | None = None  # the smooth fiber at b; None at a pole or singular fiber
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,10 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
     certificate of tau(p) or a Skipped reason. The list is empty unless the
     verdict is InfiniteOrder, in which case it holds k_max + 1 translates
     indexed from k = 0 (the base point itself).
+
+    The translates are not checked on the fiber here: p is checked by
+    tau_map and tau(p) by torsion_certify, and densify re-verifies every
+    point it emits.
     """
     try:
         fiber = specialize(model, b)
@@ -100,7 +107,7 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
     try:
         q = tau_map(model, m, p, b)
     except TraceFieldTooLarge:
-        return CertificationResult(b, p, None, Skipped("trace field too large")), []
+        return CertificationResult(b, p, None, Skipped("trace field too large"), fiber), []
     except SingularFiberSkip:
         return CertificationResult(b, p, None, Skipped("singular")), []
     cert = torsion_certify(fiber, q, bound=torsion_bound)
@@ -109,8 +116,8 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
         acc = p
         for _k in range(k_max + 1):
             points.append(acc)
-            acc = ec_add(fiber, acc, q)
-    return CertificationResult(b, p, q, cert), points
+            acc = _add_unchecked(fiber, acc, q)
+    return CertificationResult(b, p, q, cert, fiber), points
 
 
 def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
@@ -122,13 +129,12 @@ def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
         if first_result is None:
             first_result = result
         if isinstance(result.verdict, InfiniteOrder):
-            fiber = specialize(model, b)
             emitted = []
             seen = set()
             for k, pt in [*enumerate(translates), *((0, extra) for extra in base_points)]:
                 if pt.is_infinity:
                     continue
-                if not fiber.contains(pt):
+                if not result.fiber.contains(pt):
                     raise DomainError(f"point {pt} failed on-curve re-verification")
                 key = (pt.x, pt.y)
                 if key not in seen:

@@ -15,6 +15,7 @@ w0 = 0 reduces to a cubic. Exceptional parameters raise MapUndefined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -125,6 +126,10 @@ def ec_sub(curve: EllipticCurve, p: Point, q: Point) -> Point:
 
 def ec_mul(curve: EllipticCurve, n: int, p: Point) -> Point:
     _require_on_curve(curve, p)
+    return _mul_unchecked(curve, n, p)
+
+
+def _mul_unchecked(curve: EllipticCurve, n: int, p: Point) -> Point:
     if n < 0:
         n, p = -n, ec_neg(p)
     result = INFINITY
@@ -168,7 +173,12 @@ def torsion_certify(
     allow_low_bound: bool = False,
 ):
     """Exact order if it is at most the field's uniform torsion bound,
-    otherwise a proof of infinite order (relative to that bound)."""
+    otherwise a proof of infinite order (relative to that bound).
+
+    Over Q a non-integral multiple of p on the integral model proves
+    infinite order outright (Nagell-Lutz; Silverman, The Arithmetic of
+    Elliptic Curves, VII.3; see smallest_order), so most non-torsion points
+    are decided after a few additions."""
     _require_on_curve(curve, p)
     if p.is_infinity:
         return Torsion(1)
@@ -193,14 +203,34 @@ def torsion_certify(
 def smallest_order(curve: EllipticCurve, p: Point, bound: int) -> int | None:
     """Least m <= bound with [m]p = Infinity, or None when there is none.
 
+    Over Q the loop also stops, with None, at the first multiple [m]p whose
+    x-denominator does not divide u^2, u = lcm(den a, den b). The map
+    (x, y) -> (u^2 x, u^3 y) sends the curve to the integral model
+    Y^2 = X^3 + u^4 a X + u^6 b, where every torsion point, and so every
+    multiple of one, has integral coordinates (Nagell-Lutz; Silverman, The
+    Arithmetic of Elliptic Curves, VII.3). A non-integral multiple therefore
+    proves that p has infinite order, and None is the answer for any bound.
+    Curves over number fields always run to the bound.
+
     p must lie on the curve; it is not checked again here."""
+    scale = _integral_scale(curve, p)
     acc = p
     for m in range(1, bound + 1):
         if acc.is_infinity:
             return m
+        if scale is not None and scale % acc.x.denominator:
+            return None
         if m < bound:  # [bound + 1]p is never looked at
             acc = _add_unchecked(curve, acc, p)
     return None
+
+
+def _integral_scale(curve: EllipticCurve, p: Point) -> int | None:
+    """u^2 for the integral model of a curve over Q (see smallest_order);
+    None unless the curve and p are both over Q."""
+    if not all(isinstance(c, (int, Fraction)) for c in (curve.a, curve.b, p.x)):
+        return None
+    return math.lcm(curve.a.denominator, curve.b.denominator) ** 2
 
 
 def naive_height(p: Point) -> int:

@@ -386,7 +386,7 @@ def det_rational(rows: list[list[Fraction]]) -> Fraction:
     for row in rows:
         lcm = math.lcm(*(c.denominator for c in row))
         scale *= lcm
-        int_rows.append([int(c * lcm) for c in row])
+        int_rows.append([c.numerator * (lcm // c.denominator) for c in row])
     return Fraction(_int_det_bareiss(int_rows), 1) / scale
 
 

@@ -29,6 +29,8 @@ from .elliptic import (
     InfinityBranch,
     Point,
     QuarticModel,
+    _add_unchecked,
+    _mul_unchecked,
     ec_add,
     ec_mul,
     ec_neg,
@@ -661,27 +663,36 @@ def _galois_stable(support) -> bool:
 
 def _sum_cycle(curve: EllipticCurve, support) -> Point:
     """Group-law sum with multiplicity; quadratic points are summed inside
-    their field and the result must descend to Q."""
+    their field and the result must descend to Q.
+
+    The support must already be checked on the curve (_check_support): the
+    group law here does not check it again."""
     total = INFINITY
     by_field: dict[NumField, list[tuple[Point, int]]] = {}
     for pt, mult in support:
         if pt.is_infinity or isinstance(pt.x, Fraction):
-            total = ec_add(curve, total, ec_mul(curve, mult, pt))
+            total = _add_unchecked(curve, total, _mul_unchecked(curve, mult, pt))
         else:
             by_field.setdefault(pt.x.field, []).append((pt, mult))
     for K, pts in by_field.items():
         ek = _embed_curve(K, curve)
         acc = INFINITY
         for pt, mult in pts:
-            acc = ec_add(ek, acc, ec_mul(ek, mult, pt))
+            acc = _add_unchecked(ek, acc, _mul_unchecked(ek, mult, pt))
         acc = _rationalize_point(acc)
-        total = ec_add(curve, total, acc)
+        total = _add_unchecked(curve, total, acc)
     return total
 
 
-def trace_cycle(model: FibrationModel, m: Multisection, b: Rat) -> tuple[ZeroCycle, TracePoint]:
-    """The fiber zero-cycle of the multisection at t = b and its group sum."""
-    fiber = _smooth_fiber(model, b)
+def trace_cycle(
+    model: FibrationModel, m: Multisection, b: Rat, *, fiber: EllipticCurve | None = None
+) -> tuple[ZeroCycle, TracePoint]:
+    """The fiber zero-cycle of the multisection at t = b and its group sum.
+
+    fiber, when given, is the smooth fiber at b that the caller already
+    built; otherwise it is specialized here."""
+    if fiber is None:
+        fiber = _smooth_fiber(model, b)
     support = m.cycle(fiber, b)
     _check_support(fiber, support)
     cycle = ZeroCycle(b, tuple(support))
@@ -698,7 +709,7 @@ def trace_cycle(model: FibrationModel, m: Multisection, b: Rat) -> tuple[ZeroCyc
 def tau_map(model: FibrationModel, m: Multisection, p: Point, b: Rat) -> Point:
     """tau(p) = [d]p - trace of the fiber cycle, on the smooth fiber at b."""
     fiber = _smooth_fiber(model, b)
-    _cycle, trace = trace_cycle(model, m, b)
+    _cycle, trace = trace_cycle(model, m, b, fiber=fiber)
     d = m.degree
     return ec_add(fiber, ec_mul(fiber, d, p), ec_neg(trace.value))
 
@@ -736,7 +747,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
     overall = 1
     for b in samples:
         fiber = _smooth_fiber(model, b)
-        cycle, _trace = trace_cycle(model, m, b)
+        cycle, _trace = trace_cycle(model, m, b, fiber=fiber)
         pts = [pt for pt, _mult in cycle.support]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):

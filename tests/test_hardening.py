@@ -1,22 +1,39 @@
-"""Contracts at the edges: the torsion order loop at its bound, the rational
-parser and flag validation behind the CLI, and the pinned trisection defect."""
+"""Contracts at the edges: the torsion order loop at its bound and against a
+plain reference loop, the unchecked group law the loops rely on, the
+re-verification of emitted points, the rational parser and flag validation
+behind the CLI, and the pinned trisection defect."""
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fibdense.density as density
 import fibdense.elliptic as elliptic
 from fibdense.cli import main
 from fibdense.density import densify
-from fibdense.elliptic import EllipticCurve, InfiniteOrder, Point, torsion_certify
-from fibdense.errors import DomainError
-from fibdense.exactmath import ratfn
-from fibdense.fibration import FibrationModel, Parametrized, trace_cycle
+from fibdense.elliptic import (
+    INFINITY,
+    EllipticCurve,
+    InfiniteOrder,
+    Point,
+    Torsion,
+    _add_unchecked,
+    _mul_unchecked,
+    ec_add,
+    ec_mul,
+    ec_neg,
+    smallest_order,
+    torsion_certify,
+)
+from fibdense.errors import BoundTooSmall, DomainError
+from fibdense.exactmath import NumField, poly, ratfn
+from fibdense.fibration import ConstantX, FibrationModel, Parametrized, trace_cycle
 from fibdense.specfile import parse_spec
 
 # 11a3 in short form: (-12, 108) has order 5
@@ -36,6 +53,92 @@ def _run(tmp_path, spec, *flags):
     return main(["densify", str(path), "--out", str(tmp_path / "out"), *flags])
 
 
+def _plain_order(curve, p, bound):
+    """Reference: least m <= bound with [m]p = O by repeated checked addition,
+    with no integrality exit."""
+    acc = p
+    for m in range(1, bound + 1):
+        if acc.is_infinity:
+            return m
+        acc = ec_add(curve, acc, p)
+    return None
+
+
+def _tate_normal_form(order, t):
+    """(curve, P) with P = (0, 0) of E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2
+    moved to short Weierstrass form; P has the given order (Kubert's table)."""
+    if order == 4:
+        b, c = t, F(0)
+    elif order == 5:
+        b, c = t, t
+    elif order == 6:
+        b, c = t + t * t, t
+    elif order == 7:
+        b, c = t**3 - t**2, t**2 - t
+    elif order == 8:
+        b = (2 * t - 1) * (t - 1)
+        c = b / t
+    elif order == 9:
+        c = t * t * (t - 1)
+        b = c * (t * t - t + 1)
+    elif order == 10:
+        d = t * t / (t - (t - 1) ** 2)
+        c = t * d - t
+        b = c * d
+    else:  # 12
+        m = (3 * t - 3 * t * t - 1) / (t - 1)
+        f = m / (1 - t)
+        d = m + t
+        c = f * (d - 1)
+        b = c * d
+    a1, a3 = 1 - c, -b
+    b2, b4, b6 = a1 * a1 - 4 * b, a1 * a3, a3 * a3
+    curve = EllipticCurve(b4 / 2 - b2 * b2 / 48, b6 / 4 - b2 * b4 / 24 + b2**3 / 864)
+    return curve, Point(b2 / 12, a3 / 2)
+
+
+def _rescale(curve, p, lam):
+    """The isomorphic model (x, y) -> (lam^2 x, lam^3 y)."""
+    scaled = EllipticCurve(lam**4 * curve.a, lam**6 * curve.b)
+    return scaled, p if p.is_infinity else Point(lam**2 * p.x, lam**3 * p.y)
+
+
+small_q = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+nonzero_q = small_q.filter(bool)
+
+
+@st.composite
+def curve_through_point(draw):
+    """A random curve over Q through a random point: a, x, y drawn, b solved."""
+    a, x, y = draw(small_q), draw(small_q), draw(small_q)
+    b = y * y - x**3 - a * x
+    assume(4 * a**3 + 27 * b * b != 0)
+    return EllipticCurve(a, b), Point(x, y)
+
+
+@st.composite
+def torsion_point(draw):
+    """A point of known order: every Mazur order from Tate normal form or an
+    explicit 2- or 3-torsion point, times a multiplier, on a rescaled model."""
+    order = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12]))
+    if order == 2:
+        a, r = draw(small_q), draw(small_q)
+        b = -r**3 - a * r  # (r, 0) on y^2 = x^3 + ax + b
+        assume(4 * a**3 + 27 * b * b != 0)
+        curve, p = EllipticCurve(a, b), Point(r, F(0))
+    elif order == 3:
+        k = draw(nonzero_q)
+        curve, p = EllipticCurve(F(0), k * k), Point(F(0), k)
+    else:
+        try:
+            curve, p = _tate_normal_form(order, draw(nonzero_q))
+        except (ZeroDivisionError, DomainError):
+            assume(False)
+    k = draw(st.integers(1, order))
+    curve, p = _rescale(curve, ec_mul(curve, k, p), draw(nonzero_q))
+    return curve, p, order // math.gcd(k, order)
+
+
 class TestTorsionLoop:
     def test_order_just_past_the_bound_is_not_reported_as_the_bound(self):
         assert torsion_certify(E11, P5, bound=4, allow_low_bound=True) == InfiniteOrder()
@@ -44,6 +147,106 @@ class TestTorsionLoop:
         monkeypatch.setattr(elliptic, "MAZUR_ORDERS", elliptic.MAZUR_ORDERS - {5})
         with pytest.raises(DomainError, match="order 5"):
             torsion_certify(E11, P5)
+
+    def test_integral_point_with_non_integral_double_stops_at_the_double(self, monkeypatch):
+        # y^2 = x^3 - 2: P = (3, 5) is integral, 2P = (129/100, -383/1000) is not
+        curve, p = EllipticCurve(F(0), F(-2)), Point(F(3), F(5))
+        assert ec_mul(curve, 2, p) == Point(F(129, 100), F(-383, 1000))
+        additions = []
+
+        def counting(*args):
+            additions.append(args)
+            return _add_unchecked(*args)
+
+        monkeypatch.setattr(elliptic, "_add_unchecked", counting)
+        assert smallest_order(curve, p, 12) is None
+        assert len(additions) == 1
+        monkeypatch.undo()
+        assert _plain_order(curve, p, 12) is None
+        assert torsion_certify(curve, p) == InfiniteOrder()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(curve_through_point().map(lambda cp: (*cp, None)), torsion_point()),
+        st.integers(1, 20),
+    )
+    def test_verdicts_match_the_plain_loop(self, case, bound):
+        curve, p, order = case
+        twelve = _plain_order(curve, p, 12)
+        if order is not None:
+            assert twelve == order
+        expected = _plain_order(curve, p, bound)
+        assert smallest_order(curve, p, bound) == expected
+        if bound < 12 and not p.is_infinity:
+            with pytest.raises(BoundTooSmall):
+                torsion_certify(curve, p, bound=bound)
+        verdict = torsion_certify(curve, p, bound=bound, allow_low_bound=True)
+        assert verdict == (InfiniteOrder() if expected is None else Torsion(expected))
+        assert torsion_certify(curve, p) == (InfiniteOrder() if twelve is None else Torsion(twelve))
+
+
+def _group_law_holds(curve, p, q, r):
+    """Closure, identity, inverses, commutativity and associativity of the
+    unchecked group law, and [n]p against repeated addition."""
+    for s in (p, q, r):
+        assert curve.contains(s)
+        assert _add_unchecked(curve, s, INFINITY) == s
+        assert _add_unchecked(curve, s, ec_neg(s)) == INFINITY
+    pq = _add_unchecked(curve, p, q)
+    assert curve.contains(pq)
+    assert pq == _add_unchecked(curve, q, p) == ec_add(curve, p, q)
+    left = _add_unchecked(curve, pq, r)
+    assert curve.contains(left)
+    assert left == _add_unchecked(curve, p, _add_unchecked(curve, q, r))
+    acc = INFINITY
+    for n in range(5):
+        assert _mul_unchecked(curve, n, p) == acc == ec_mul(curve, n, p)
+        assert _mul_unchecked(curve, -n, p) == ec_neg(acc)
+        acc = _add_unchecked(curve, acc, p)
+
+
+@st.composite
+def fiber_with_points(draw, elements):
+    """A curve through two random points (a and b solved), and three points
+    of the group they generate."""
+    x1, x2 = draw(elements), draw(elements)
+    assume(x1 != x2)
+    y1, y2 = draw(elements), draw(elements)
+    a = ((y1 * y1 - x1**3) - (y2 * y2 - x2**3)) / (x1 - x2)
+    b = y1 * y1 - x1**3 - a * x1
+    assume(4 * a**3 + 27 * b * b != 0)
+    curve, p, q = EllipticCurve(a, b), Point(x1, y1), Point(x2, y2)
+    combos = []
+    for _ in range(3):
+        i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        combos.append(_add_unchecked(curve, _mul_unchecked(curve, i, p), _mul_unchecked(curve, j, q)))
+    return curve, combos
+
+
+SQRT2 = NumField(poly([-2, 0, 1]), "r")
+in_sqrt2 = st.builds(lambda u, v: SQRT2.embed(u) + SQRT2.embed(v) * SQRT2.gen, small_q, small_q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fiber_with_points(small_q))
+def test_group_law_on_random_rational_fibers(case):
+    curve, (p, q, r) = case
+    _group_law_holds(curve, p, q, r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fiber_with_points(in_sqrt2))
+def test_group_law_over_a_quadratic_field(case):
+    curve, (p, q, r) = case
+    _group_law_holds(curve, p, q, r)
+
+
+def test_translates_are_re_verified_before_they_are_emitted(monkeypatch):
+    # (0, 0) is on no fiber of y^2 = x^3 + t x + 1
+    model = FibrationModel(ratfn([0, 1]), ratfn([1]))
+    monkeypatch.setattr(density, "_add_unchecked", lambda curve, p, q: Point(F(0), F(0)))
+    with pytest.raises(DomainError, match="failed on-curve re-verification"):
+        densify(model, ConstantX(F(1)), 3, 2)
 
 
 @pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", 1, " 3 ", "3\n", "\u0663/\u0664"])
