@@ -136,9 +136,9 @@ def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
                     continue
                 if not result.fiber.contains(pt):
                     raise DomainError(f"point {pt} failed on-curve re-verification")
-                key = (pt.x, pt.y)
-                if key not in seen:
-                    seen.add(key)
+                before = len(seen)
+                seen.add((pt.x, pt.y))
+                if len(seen) > before:
                     emitted.append((k, pt))
             return FiberOutcome(b, result, tuple(emitted))
     return FiberOutcome(b, first_result, ())
@@ -158,16 +158,12 @@ def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None):
 
     outcomes.sort(key=lambda o: o.b)
     certified = sum(1 for o in outcomes if isinstance(o.result.verdict, InfiniteOrder))
-    distinct = set()
-    max_height = 0
-    for o in outcomes:
-        for _k, pt in o.points:
-            distinct.add((o.b, pt.x, pt.y))
-            max_height = max(max_height, naive_height(pt))
+    max_height = max((naive_height(pt) for o in outcomes for _k, pt in o.points), default=0)
     return DensityReport(
         fibers_attempted=len(outcomes),
         fibers_certified=certified,
-        points_emitted=len(distinct),
+        # fibers have distinct b and _fiber_work emits no point twice
+        points_emitted=sum(len(o.points) for o in outcomes),
         max_height_seen=max_height,
         per_fiber=tuple(outcomes),
     )

@@ -5,7 +5,6 @@ from .poly import (
     X,
     discriminant_resultant,
     format_poly,
-    interpolate,
     poly,
     poly_gcd,
     rational_roots,
@@ -31,7 +30,6 @@ __all__ = [
     "X",
     "discriminant_resultant",
     "format_poly",
-    "interpolate",
     "poly",
     "poly_gcd",
     "rational_roots",

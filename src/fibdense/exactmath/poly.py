@@ -397,12 +397,12 @@ def _sylvester_rows(f: Sequence, g: Sequence, n: int, m: int) -> list[list]:
     """
     size = n + m
     rows = []
-    fdesc = list(reversed(list(f))) + [Fraction(0)] * (size - (n + 1))
+    fdesc = list(reversed(list(f))) + [0] * (size - (n + 1))
     for i in range(m):
-        rows.append([Fraction(0)] * i + fdesc[: size - i])
-    gdesc = list(reversed(list(g))) + [Fraction(0)] * (size - (m + 1))
+        rows.append([0] * i + fdesc[: size - i])
+    gdesc = list(reversed(list(g))) + [0] * (size - (m + 1))
     for i in range(n):
-        rows.append([Fraction(0)] * i + gdesc[: size - i])
+        rows.append([0] * i + gdesc[: size - i])
     return rows
 
 
@@ -440,10 +440,21 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
     are themselves rational polynomials in a second variable.
 
     The structural degree is fixed by the trimmed coefficient lists, the
-    Sylvester determinant is evaluated at enough rational sample points, and
-    the result is recovered by interpolation. Evaluating the generic matrix
-    commutes with specialization even where the leading coefficient vanishes,
-    so no degree-drop bookkeeping is needed.
+    Sylvester determinant is evaluated at enough integer sample points, and
+    the result is recovered by Newton interpolation (Collins, J. ACM 18,
+    1971). Evaluating the generic matrix commutes with specialization even
+    where the leading coefficient vanishes, so no degree-drop bookkeeping is
+    needed.
+
+    All of it runs on integers. With cf, cg the lcm of the coefficient
+    denominators of f and g, res(cf*f, cg*g) = cf^m * cg^n * res(f, g) is a
+    polynomial R in Z[t], since its Sylvester matrix has entries in Z[t].
+    Its divided differences at integer nodes are integers on every sub-range:
+    the Newton basis (t - x0)...(t - x(i-1)) of any run of nodes is monic in
+    Z[t], so dividing R by it step by step never leaves Z[t], and the
+    coefficients of R in that basis are its divided differences. So each
+    Newton step divides exactly, and only the expanded R is divided by
+    cf^m * cg^n.
     """
     f = [c if isinstance(c, Poly) else Poly([c]) for c in f_coeffs]
     g = [c if isinstance(c, Poly) else Poly([c]) for c in g_coeffs]
@@ -453,44 +464,48 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
         g.pop()
     if not f or not g:
         raise ZeroInput("resultant needs nonzero polynomials")
+    if not all(_is_rational_poly(c) for c in f + g):
+        raise ZeroInput("resultant_bivariate is implemented over Q only")
     n, m = len(f) - 1, len(g) - 1
     if n == 0:
         return f[0] ** m
     if m == 0:
         return g[0] ** n
-    fmax = max(c.degree for c in f)
-    gmax = max(c.degree for c in g)
-    bound = m * max(fmax, 0) + n * max(gmax, 0)
-    xs = []
-    k = 0
-    while len(xs) < bound + 1:
-        xs.append(Fraction(k))
-        if k > 0:
-            xs.append(Fraction(-k))
-        k += 1
-    xs = xs[: bound + 1]
-    ys = []
-    for x0 in xs:
-        rows = _sylvester_rows([c(x0) for c in f], [c(x0) for c in g], n, m)
-        ys.append(det_rational(rows))
-    return interpolate(xs, ys)
+    cf = math.lcm(*(c.denominator for p in f for c in p.coeffs))
+    cg = math.lcm(*(c.denominator for p in g for c in p.coeffs))
+    fi = [[c.numerator * (cf // c.denominator) for c in p.coeffs] for p in f]
+    gi = [[c.numerator * (cg // c.denominator) for c in p.coeffs] for p in g]
+    # a degree bound for R, plus one; each list ends in a nonzero polynomial
+    count = m * max(p.degree for p in f) + n * max(p.degree for p in g) + 1
+    xs = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
+    coef = [
+        _int_det_bareiss(_sylvester_rows(_int_horner_all(fi, x), _int_horner_all(gi, x), n, m))
+        for x in xs
+    ]
+    for j in range(1, count):
+        for i in range(count - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) // (xs[i] - xs[i - j])
+    expanded = [coef[-1]]
+    for i in range(count - 2, -1, -1):
+        # expanded <- expanded * (t - xs[i]) + coef[i]
+        shifted = [0, *expanded]
+        for k, c in enumerate(expanded):
+            shifted[k] -= xs[i] * c
+        shifted[0] += coef[i]
+        expanded = shifted
+    scale = cf ** m * cg ** n
+    return Poly([Fraction(v, scale) for v in expanded])
 
 
-def interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
-    """Newton interpolation through distinct rational nodes."""
-    n = len(xs)
-    if n == 0:
-        return Poly()
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    result = Poly()
-    basis = Poly([Fraction(1)])
-    for i in range(n):
-        result = result + basis * coef[i]
-        basis = basis * Poly([-xs[i], 1])
-    return result
+def _int_horner_all(polys: list[list[int]], x: int) -> list[int]:
+    """Each integer coefficient list evaluated at x by Horner's rule."""
+    values = []
+    for cs in polys:
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        values.append(acc)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .elliptic import TORSION_BOUND_Q
 from .enriques import ConeQuartic
 from .errors import DomainError, SpecSyntaxError, SpecValidationError, ZeroInput
 from .exactmath import Poly, RatFn, rat_from_string
@@ -253,8 +254,10 @@ def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
             _count(params["height_bound"], "params.height_bound") if "height_bound" in params else None
         ),
         k_max=_count(params["k_max"], "params.k_max") if "k_max" in params else None,
+        # spec coefficients are rational, so every fiber is over Q, where
+        # torsion_certify refuses a bound below the uniform constant
         torsion_bound=(
-            _count(params["torsion_bound"], "params.torsion_bound", 1)
+            _count(params["torsion_bound"], "params.torsion_bound", TORSION_BOUND_Q)
             if "torsion_bound" in params
             else None
         ),

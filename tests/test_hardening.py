@@ -33,7 +33,15 @@ from fibdense.elliptic import (
 )
 from fibdense.errors import BoundTooSmall, DomainError
 from fibdense.exactmath import NumField, poly, ratfn
-from fibdense.fibration import ConstantX, FibrationModel, Parametrized, trace_cycle
+from fibdense.fibration import (
+    ConstantX,
+    FibrationModel,
+    Parametrized,
+    ZeroSection,
+    specialize,
+    tau_map,
+    trace_cycle,
+)
 from fibdense.specfile import parse_spec
 
 # 11a3 in short form: (-12, 108) has order 5
@@ -241,6 +249,42 @@ def test_group_law_over_a_quadratic_field(case):
     _group_law_holds(curve, p, q, r)
 
 
+@st.composite
+def fibration_with_multisection(draw):
+    """A fibration whose fiber at t0 is a random smooth curve through two
+    random points, a multisection of it, and two points of that fiber.
+
+    a(t) = a0 + alpha (t - t0), and b(t) is solved so that the line
+    (x(t), y(t)) = (xs + xi (t - t0), ys + eta (t - t0)) through a third
+    group element S of the fiber is a section; the multisection is that
+    section (trace S), the zero section, or a constant-x bisection."""
+    curve, (p, q, s) = draw(fiber_with_points(small_q))
+    assume(not p.is_infinity and not q.is_infinity and not s.is_infinity)
+    t0, alpha, xi, eta = (draw(small_q) for _ in range(4))
+    shift = poly([-t0, 1])
+    a = poly([curve.a]) + shift * alpha
+    x = poly([s.x]) + shift * xi
+    y = poly([s.y]) + shift * eta
+    b = y * y - x * x * x - a * x
+    try:
+        model = FibrationModel(ratfn(a), ratfn(b))
+    except DomainError:
+        assume(False)
+    section = Parametrized(ratfn([0, 1]), ratfn(x), ratfn(y))
+    multisection = draw(st.one_of(st.just(section), st.just(ZeroSection()), small_q.map(ConstantX)))
+    return model, multisection, t0, p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibration_with_multisection())
+def test_tau_difference_law_on_random_fibers(case):
+    # tau(p) = [d]p - trace, so tau(p) - tau(q) = [d](p - q) for any p, q on the fiber
+    model, m, t0, p, q = case
+    fiber = specialize(model, t0)
+    lhs = ec_add(fiber, tau_map(model, m, p, t0), ec_neg(tau_map(model, m, q, t0)))
+    assert lhs == ec_mul(fiber, m.degree, ec_add(fiber, p, ec_neg(q)))
+
+
 def test_translates_are_re_verified_before_they_are_emitted(monkeypatch):
     # (0, 0) is on no fiber of y^2 = x^3 + t x + 1
     model = FibrationModel(ratfn([0, 1]), ratfn([1]))
@@ -269,7 +313,13 @@ def test_spec_rationals_round_trip(pairs):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--k-max", "-1", "k_max"), ("--height-bound", "-1", "height_bound")],
+    [
+        ("--k-max", "-1", "k_max"),
+        ("--height-bound", "-1", "height_bound"),
+        # below Mazur's uniform constant 12: every fiber a spec reaches is over Q
+        ("--torsion-bound", "5", "torsion_bound"),
+        ("--torsion-bound", "11", "torsion_bound"),
+    ],
 )
 def test_flags_pass_the_spec_validator(tmp_path, capsys, flag, value, field):
     assert _run(tmp_path, WORKED, flag, value) == 2
@@ -286,10 +336,13 @@ def test_threads_is_not_an_option(tmp_path, capsys):
     assert "'params.threads': unknown field" in capsys.readouterr().err
 
 
-def test_low_torsion_flag_is_a_computational_error(tmp_path, capsys):
-    # valid as a field (>= 1); the certifier rejects it against Mazur's bound
-    assert _run(tmp_path, WORKED, "--torsion-bound", "5") == 3
-    assert "BoundTooSmall" in capsys.readouterr().err
+def test_low_torsion_bound_field_is_a_validation_error(tmp_path, capsys):
+    spec = json.loads(json.dumps(WORKED))
+    spec["params"]["torsion_bound"] = 5
+    assert _run(tmp_path, spec) == 2
+    assert "'params.torsion_bound': expected an integer >= 12" in capsys.readouterr().err
+    spec["params"]["torsion_bound"] = 12
+    assert _run(tmp_path, spec) == 0
 
 
 @pytest.mark.xfail(raises=AttributeError, strict=True, reason="known defect: a constant y(s) "

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from fibdense.errors import BothZero, ZeroInput
 from fibdense.exactmath import (
+    NumField,
     Poly,
     X,
     discriminant_resultant,
-    interpolate,
     poly,
     poly_gcd,
     rational_roots,
@@ -152,12 +152,6 @@ def test_rational_roots_match_sympy_factor_list(lins, cofactor):
     assert rational_roots(f) == sorted(expected)
 
 
-def test_interpolate_reconstructs():
-    xs = [Fraction(k) for k in range(-2, 3)]
-    ys = [Fraction(k**3 - 2 * k + 1) for k in range(-2, 3)]
-    assert interpolate(xs, ys) == poly([1, -2, 0, 1])
-
-
 def test_resultant_bivariate_eliminates_main_variable():
     # res_z(z^2 - s, z - s) = s^2 - s
     fc = [poly([0, -1]), Poly(), poly([1])]
@@ -269,3 +263,50 @@ def test_resultant_bivariate_matches_sympy():
         g_expr = sum(_to_sympy(c).as_expr().subs(_x, s) * z**i for i, c in enumerate(gc))
         theirs = sympy.Poly(sympy.resultant(f_expr, g_expr, z), s)
         assert _to_sympy(ours).as_expr().subs(_x, s).expand() == theirs.as_expr().expand()
+
+
+_inner_coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_inner = st.lists(_inner_coeff, max_size=3).map(Poly)  # may be the zero polynomial
+_nonzero_inner = _inner.filter(lambda p: not p.is_zero)
+# (t - r) * q: the main-variable degree drops at the interpolation node r
+_vanishing_at_node = st.builds(
+    lambda r, q: Poly([Fraction(-r), Fraction(1)]) * q, st.integers(-2, 2), _nonzero_inner
+)
+
+
+@st.composite
+def _bivariate(draw):
+    """Coefficient list in z (ascending) of a polynomial of z-degree 1-4
+    over Q[t], with a nonzero leading coefficient."""
+    degree = draw(st.integers(1, 4))
+    lower = draw(st.lists(_inner, min_size=degree, max_size=degree))
+    return lower + [draw(st.one_of(_nonzero_inner, _vanishing_at_node))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bivariate(), _bivariate())
+def test_resultant_bivariate_matches_sympy_on_degree_drops(fc, gc):
+    s, z = sympy.symbols("s z")
+
+    def expr(cs):
+        return sum(_to_sympy(c).as_expr().subs(_x, s) * z**i for i, c in enumerate(cs))
+
+    # sympy.resultant(f, g) swaps f and g without the sign (-1)^(nm) when
+    # deg f < deg g (see test_resultant_matches_sympy_on_random_pairs), so
+    # it is called with the higher degree first and the sign applied here.
+    n, m = len(fc) - 1, len(gc) - 1
+    if n >= m:
+        res = sympy.resultant(expr(fc), expr(gc), z)
+    else:
+        res = (-1) ** (n * m) * sympy.resultant(expr(gc), expr(fc), z)
+    theirs = sympy.Poly(res, s, domain="QQ")
+    ours = resultant_bivariate(fc, gc)
+    assert [Fraction(int(c.p), int(c.q)) for c in reversed(theirs.all_coeffs())] == (
+        list(ours.coeffs) or [Fraction(0)]
+    )
+
+
+def test_resultant_bivariate_is_over_q_only():
+    root2 = NumField(poly([-2, 0, 1])).gen
+    with pytest.raises(ZeroInput, match="over Q only"):
+        resultant_bivariate([poly([1]), Poly([root2])], [poly([0, 1]), poly([1])])
