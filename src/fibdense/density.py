@@ -28,7 +28,6 @@ from .errors import (
     DomainError,
     EmptyFamily,
     PoleAtParameter,
-    SingularFiberSkip,
     TraceFieldTooLarge,
     UnsupportedRepresentation,
 )
@@ -105,11 +104,9 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
     if isinstance(fiber, SingularFiber):
         return CertificationResult(b, p, None, Skipped("singular")), []
     try:
-        q = tau_map(model, m, p, b)
+        q = tau_map(model, m, p, b, fiber=fiber)
     except TraceFieldTooLarge:
         return CertificationResult(b, p, None, Skipped("trace field too large"), fiber), []
-    except SingularFiberSkip:
-        return CertificationResult(b, p, None, Skipped("singular")), []
     cert = torsion_certify(fiber, q, bound=torsion_bound)
     points = []
     if isinstance(cert, InfiniteOrder):

@@ -28,7 +28,7 @@ from .errors import (
     NotSquarefree,
     PointNotOnCurve,
 )
-from .exactmath import Poly, RatFn, poly_gcd, rat_sqrt
+from .exactmath import Poly, RatFn, rat_sqrt
 from .exactmath.numfield import NumFieldElement
 
 TORSION_BOUND_Q = 12
@@ -280,7 +280,8 @@ class QuarticModel:
         q = Poly(self.coeffs)
         if q.degree < 3:
             raise DomainError("the right-hand side must have degree 3 or 4")
-        if poly_gcd(q, q.derivative()).degree > 0:
+        i_inv, j_inv = _quartic_invariants(self.coeffs)
+        if not 4 * i_inv * i_inv * i_inv - j_inv * j_inv:
             raise NotSquarefree(f"right-hand side {q} is not squarefree")
         if isinstance(self.marked, InfinityBranch):
             lead = self.coeffs[4]
@@ -418,19 +419,24 @@ def quartic_to_weierstrass(model: QuarticModel):
     return curve, forward, inverse
 
 
-def opposite_branch_point(model: QuarticModel) -> Point:
-    """Weierstrass image of the unmarked branch over z = infinity.
+def infinity_branch_weierstrass(model: QuarticModel) -> tuple[EllipticCurve, Point]:
+    """Weierstrass curve of a quartic marked at infinity, and the image e2 of
+    the unmarked branch over z = infinity, from one reduction.
 
-    The conversion of a quartic marked at infinity sends the marked branch
-    to Infinity; the other branch lands on this finite point."""
+    The curve is the one quartic_to_weierstrass gives; the marked branch goes
+    to Infinity, the other branch lands on the finite point e2."""
     if not isinstance(model.marked, InfinityBranch):
         raise DomainError("only models marked at infinity carry a second branch")
     alpha = model.marked.sign * _sqrt_element(model.coeffs[4])
-    return _reduce_infinity_branch(model.coeffs, alpha)[3]
+    curve, _fwd, _inv, e2 = _reduce_infinity_branch(model.coeffs, alpha)
+    return curve, e2
 
 
-def quartic_j_invariant(coeffs):
-    """j-invariant of w^2 = quartic via the classical degree-4 invariants."""
+def _quartic_invariants(coeffs):
+    """The classical invariants I, J of the binary quartic with coefficients
+    (q0, ..., q4). 4*I^3 - J^2 is 27 times its discriminant, so it vanishes
+    exactly when the quartic has a repeated root, counting a root at infinity
+    when q4 = 0: with q4 = 0 and q3 != 0, exactly when the cubic has one."""
     q0, q1, q2, q3, q4 = coeffs
     i_inv = 12 * q4 * q0 - 3 * q3 * q1 + q2 * q2
     j_inv = (
@@ -440,6 +446,12 @@ def quartic_j_invariant(coeffs):
         + 9 * q3 * q2 * q1
         - 2 * q2 * q2 * q2
     )
+    return i_inv, j_inv
+
+
+def quartic_j_invariant(coeffs):
+    """j-invariant of w^2 = quartic via the classical degree-4 invariants."""
+    i_inv, j_inv = _quartic_invariants(coeffs)
     den = 4 * i_inv * i_inv * i_inv - j_inv * j_inv
     if not den:
         raise NotSquarefree("degenerate quartic: vanishing discriminant combination")

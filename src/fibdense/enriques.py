@@ -23,7 +23,7 @@ from .elliptic import (
     InfinityBranch,
     Point,
     QuarticModel,
-    opposite_branch_point,
+    infinity_branch_weierstrass,
     quartic_to_weierstrass,
 )
 from .errors import (
@@ -569,8 +569,7 @@ def k3_weierstrass_model(
         twist = lead
         coeffs = tuple(twist * c for c in coeffs)
     model = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(1))
-    curve, _fwd, _inv = quartic_to_weierstrass(model)
-    e2 = opposite_branch_point(model)
+    curve, e2 = infinity_branch_weierstrass(model)
     return K3Model(FibrationModel(curve.a, curve.b), e2, coeffs, twist)
 
 

@@ -3,15 +3,16 @@
 Coefficients are Fraction for the public contract. The class itself is
 coefficient-generic (anything with field arithmetic and == 0 works), which is
 how the same code serves number-field and rational-function coefficients in
-the geometry layers. Operations that genuinely need the rational field (gcd
-via the subresultant remainder sequence, resultants, squarefree splitting,
-rational root finding) check for it.
+the geometry layers. Operations that genuinely need the rational field (the
+heuristic integer gcd, resultants, squarefree splitting, rational root
+finding) check for it.
 
 Design notes, kept here because they are easy to get wrong:
 
-* gcd over Q runs on primitive integer polynomials through the subresultant
-  PRS, so intermediate coefficients stay polynomial-sized instead of doubling
-  in length each division step.
+* gcd over Q runs on primitive integer polynomials through the heuristic
+  gcd: one big-integer gcd of values at a large integer, read back as
+  digits and proved by exact division in Z[x]. No remainder sequence is
+  formed, so no intermediate coefficient swell.
 * resultants go through the Sylvester matrix and fraction-free Bareiss
   elimination; no floating point anywhere.
 * rational roots avoid factoring huge leading/trailing coefficients: roots of
@@ -266,7 +267,7 @@ def _is_rational_poly(p: Poly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial layer (private): contents, pseudo-remainders, PRS gcd
+# integer polynomial layer (private): contents, exact division, heuristic gcd
 # ---------------------------------------------------------------------------
 
 def _to_int_primitive(p: Poly) -> list[int]:
@@ -276,16 +277,6 @@ def _to_int_primitive(p: Poly) -> list[int]:
     return _int_primitive([int(c * den_lcm) for c in p.coeffs])
 
 
-def _ideg(a: list[int]) -> int:
-    return len(a) - 1
-
-
-def _itrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _int_primitive(a: list[int]) -> list[int]:
     g = math.gcd(*a)
     if a and a[-1] < 0:
@@ -293,47 +284,70 @@ def _int_primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def _int_pseudo_rem(A: list[int], B: list[int]) -> list[int]:
-    """prem(A, B) = lc(B)^(deg A - deg B + 1) * A  mod B, all integral."""
-    dB = _ideg(B)
+def _int_heuristic_gcd(A: list[int], B: list[int]) -> list[int]:
+    """Primitive gcd of primitive integer polynomials by the heuristic gcd.
+
+    Each try evaluates A and B at an integer xi, takes h = gcd(A(xi), B(xi))
+    and reads h back as a polynomial G through its symmetric base-xi digits
+    (each in (-xi/2, xi/2]). The first try uses xi = 2*min(|A|, |B|) + 2, |.|
+    the largest absolute coefficient; each failed try doubles xi. (Char,
+    Geddes, Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm based on
+    integer GCD computation", J. Symbolic Comput. 7 (1989); Geddes, Czapor,
+    Labahn, Algorithms for Computer Algebra, 7.7.)
+
+    Proof. Let g be the true primitive gcd and say |B| <= |A|, so
+    xi >= 2|B| + 2 and B(xi) != 0. Suppose P = pp(G) divides A and B in
+    Z[x]. Then P divides g; write g = P*C. Every root r of C is a root of B,
+    so |r| < 1 + |B| <= xi/2 (Cauchy) and |C(xi)| > (xi/2)^deg C. Since g
+    divides A and B, g(xi) divides h = G(xi) = cont(G)*P(xi), which is not
+    0 as B(xi) is not. So C(xi) divides cont(G), and
+    |C(xi)| <= cont(G) <= |G| <= xi/2 rules out deg C >= 1. As g is
+    primitive, C = +-1 and P = g.
+
+    Termination. Write A = g*Ab and B = g*Bb with Ab, Bb coprime. Then
+    h = |g(xi)| * gamma with gamma = gcd(Ab(xi), Bb(xi)), and gamma divides
+    R = Res(Ab, Bb) != 0, because R = s*Ab + t*Bb with s, t in Z[x]. Once
+    xi > 2*|R|*|g|, the polynomial +-gamma*g has every coefficient below
+    xi/2, so its digits are exactly those of h, pp(G) = g, and the division
+    test passes. So the loop needs no cap and no fallback.
+    """
+    xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
+    while True:
+        h = math.gcd(*_int_horner_all([A, B], xi))
+        digits = []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        G = _int_primitive(digits)
+        if _int_divides(G, A) and _int_divides(G, B):
+            return G
+        xi *= 2
+
+
+def _int_divides(B: list[int], A: list[int]) -> bool:
+    """Whether the nonzero B divides A in Z[x]: integer long division that
+    stops at the first quotient coefficient that is not an integer."""
+    n, m = len(A), len(B)
+    if n < m:
+        return not A
     lB = B[-1]
     R = list(A)
-    e = _ideg(A) - dB + 1
-    while R and _ideg(R) >= dB:
-        lead = R[-1]
-        dR = _ideg(R)
-        R = [lB * c for c in R]
-        for i, bc in enumerate(B):
-            R[i + dR - dB] -= lead * bc
-        _itrim(R)
-        e -= 1
-    if e > 0:
-        q = lB ** e
-        R = [q * c for c in R]
-    return R
-
-
-def _int_subresultant_gcd(A: list[int], B: list[int]) -> list[int]:
-    """Primitive gcd of primitive integer polynomials via the subresultant PRS."""
-    if _ideg(A) < _ideg(B):
-        A, B = B, A
-    g, h = 1, 1
-    while True:
-        delta = _ideg(A) - _ideg(B)
-        R = _int_pseudo_rem(A, B)
-        if not R:
-            return _int_primitive(B)
-        if _ideg(R) == 0:
-            return [1]
-        scale = g * h ** delta
-        A, B = B, [c // scale for c in R]
-        g = A[-1]
-        if delta > 0:
-            h = g ** delta // h ** (delta - 1)
+    for k in range(n - m, -1, -1):
+        q, r = divmod(R[k + m - 1], lB)
+        if r:
+            return False
+        if q:
+            for i, bc in enumerate(B):
+                R[i + k] -= q * bc
+    return not any(R[: m - 1])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd. Uses the subresultant PRS over Q, monic Euclid elsewhere."""
+    """Monic gcd. Over Q it is the heuristic gcd of the primitive integer
+    parts (_int_heuristic_gcd); over other fields, monic Euclid."""
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     if p.is_zero:
@@ -343,7 +357,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if _is_rational_poly(p) and _is_rational_poly(q):
         a = _to_int_primitive(p)
         b = _to_int_primitive(q)
-        return Poly([Fraction(c) for c in _int_subresultant_gcd(a, b)]).monic()
+        return Poly([Fraction(c) for c in _int_heuristic_gcd(a, b)]).monic()
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b

@@ -37,10 +37,11 @@ class RatFn:
         if n.is_zero:
             self.num, self.den = Poly(), _ONE
             return
-        g = poly_gcd(n, d)
-        if g.degree > 0:
-            n = n.exact_div(g)
-            d = d.exact_div(g)
+        if d.degree > 0:  # a nonzero constant has gcd 1 with anything
+            g = poly_gcd(n, d)
+            if g.degree > 0:
+                n = n.exact_div(g)
+                d = d.exact_div(g)
         lead = d.lead
         if lead != 1:
             inv = 1 / lead

@@ -706,9 +706,15 @@ def trace_cycle(
     return cycle, TracePoint(b, trace)
 
 
-def tau_map(model: FibrationModel, m: Multisection, p: Point, b: Rat) -> Point:
-    """tau(p) = [d]p - trace of the fiber cycle, on the smooth fiber at b."""
-    fiber = _smooth_fiber(model, b)
+def tau_map(
+    model: FibrationModel, m: Multisection, p: Point, b: Rat, *, fiber: EllipticCurve | None = None
+) -> Point:
+    """tau(p) = [d]p - trace of the fiber cycle, on the smooth fiber at b.
+
+    fiber, when given, is the smooth fiber at b that the caller already
+    built; otherwise it is specialized here."""
+    if fiber is None:
+        fiber = _smooth_fiber(model, b)
     _cycle, trace = trace_cycle(model, m, b, fiber=fiber)
     d = m.degree
     return ec_add(fiber, ec_mul(fiber, d, p), ec_neg(trace.value))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibdense.errors import (
     BoundTooSmall,
@@ -32,7 +34,7 @@ from fibdense.elliptic import (
     quartic_to_weierstrass,
     torsion_certify,
 )
-from fibdense.exactmath import NumField, poly
+from fibdense.exactmath import RATFN_T, NumField, Poly, RatFn, poly, poly_gcd
 
 F = Fraction
 
@@ -228,6 +230,76 @@ def test_quartic_model_validation():
         QuarticModel((F(0), F(9), F(0), F(1), F(0)), InfinityBranch(1))
     with pytest.raises(DomainError):
         QuarticModel((F(1), F(1), F(1), F(0), F(0)), (F(0), F(1)))  # degree 2
+
+
+def _expand(*factors) -> tuple:
+    product = Poly([1])
+    for f in factors:
+        product = product * f
+    return tuple(product.coefficient(k) for k in range(5))
+
+
+def test_quartic_model_rejects_repeated_roots_over_q():
+    z = poly([0, 1])
+    for coeffs, marked in [
+        (_expand(z - 1, z - 1, z * z + 1), (F(1), F(0))),
+        (_expand(z - 2, z - 2, z - 3, z + 5), (F(2), F(0))),
+        (_expand(z - 1, z - 1, z + 2), (F(1), F(0))),  # a cubic: q4 = 0
+        (_expand(2 * z + 1, 2 * z + 1, z), (F(0), F(0))),
+    ]:
+        with pytest.raises(NotSquarefree):
+            QuarticModel(coeffs, marked)
+    # the cubic with simple roots is a valid model
+    QuarticModel(_expand(z - 1, z + 1, z + 2), (F(1), F(0)))
+
+
+def test_quartic_model_rejects_repeated_roots_over_q_t():
+    t = RATFN_T
+    zero, one = RatFn(0), RatFn(1)
+    for coeffs in [
+        # (z - t)^2 (z^2 + t): a double root at z = t
+        (t**3, -2 * t * t, t * t + t, -2 * t, one),
+        # (z - t)^2 (z + 1): a cubic over Q(t) with a double root
+        (t * t, t * t - 2 * t, 1 - 2 * t, one, zero),
+    ]:
+        with pytest.raises(NotSquarefree):
+            QuarticModel(coeffs, (t, zero))
+    # (z - t)(z + t)(z^2 + 1) has distinct roots over Q(t)
+    QuarticModel((-t * t, zero, 1 - t * t, zero, one), InfinityBranch(1))
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _quartic_with_point(draw):
+    """(q0, ..., q4) of degree 3 or 4 with a marked point on w^2 = q(z);
+    half of them have a planted double root."""
+    if draw(st.booleans()):
+        r = draw(_small)
+        rest = Poly([draw(_small), draw(_small), draw(_small)])
+        coeffs = _expand(Poly([-r, 1]), Poly([-r, 1]), rest)
+        marked = (r, F(0))
+    else:
+        w0 = draw(_small)
+        coeffs = (w0 * w0, draw(_small), draw(_small), draw(_small), draw(_small))
+        marked = (F(0), w0)
+    assume(coeffs[3] or coeffs[4])
+    return coeffs, marked
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quartic_with_point())
+def test_quartic_squarefree_check_agrees_with_gcd(case):
+    coeffs, marked = case
+    q = Poly(coeffs)
+    repeated = poly_gcd(q, q.derivative()).degree > 0
+    try:
+        QuarticModel(coeffs, marked)
+    except NotSquarefree:
+        assert repeated
+    else:
+        assert not repeated
 
 
 def test_quartic_spec_example_j_1728():

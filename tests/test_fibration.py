@@ -369,6 +369,15 @@ class TestTauMap:
         p = Point(F(1), F(0))
         assert tau_map(WORKED, TRISECTION, p, F(-2)) == p
 
+    def test_given_fiber_gives_the_same_image(self):
+        for m, p, b in [
+            (ZeroSection(), Point(F(1), F(2)), F(2)),
+            (ConstantX(F(1)), Point(F(1), F(2)), F(2)),
+            (TRISECTION, Point(F(1), F(0)), F(-2)),
+        ]:
+            fiber = specialize(WORKED, b)
+            assert tau_map(WORKED, m, p, b, fiber=fiber) == tau_map(WORKED, m, p, b)
+
     def test_singular_fiber_refused(self):
         with pytest.raises(SingularFiberSkip):
             tau_map(CUSPFIB, ZeroSection(), Point(F(0), F(0)), F(0))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -22,7 +25,11 @@ from fibdense.exactmath import (
     squarefree_decompose,
     squarefree_part,
 )
-from fibdense.exactmath.poly import _simple_roots_mod_small_prime, _to_int_primitive
+from fibdense.exactmath.poly import (
+    _int_horner_all,
+    _simple_roots_mod_small_prime,
+    _to_int_primitive,
+)
 
 _x = sympy.Symbol("x")
 
@@ -35,6 +42,23 @@ def _rand_poly(rng: random.Random, max_deg: int, max_coef: int = 9) -> Poly:
     deg = rng.randint(0, max_deg)
     coeffs = [Fraction(rng.randint(-max_coef, max_coef)) for _ in range(deg + 1)]
     return Poly(coeffs)
+
+
+@contextlib.contextmanager
+def _counted_tries(cap: int = 64):
+    """Record the heuristic gcd's evaluation points (one per try) and fail
+    once `cap` tries have passed: a kernel that never accepts its answer
+    would otherwise double xi forever."""
+    tries = []
+    evaluate = _int_horner_all
+
+    def counted(polys, x):
+        tries.append(x)
+        assert len(tries) <= cap, "the heuristic gcd did not settle"
+        return evaluate(polys, x)
+
+    with mock.patch.object(sys.modules["fibdense.exactmath.poly"], "_int_horner_all", counted):
+        yield tries
 
 
 def test_construction_strips_trailing_zeros():
@@ -66,8 +90,9 @@ def test_divmod_exact_and_remainder():
 
 
 def test_gcd_fixed_values():
-    assert poly_gcd(poly([-1, 0, 0, 0, 1]), poly([-1, 0, 0, 0, 0, 0, 1])) == poly([-1, 0, 1])
-    assert poly_gcd(poly([1, 2, 1]), poly([1, 1])) == poly([1, 1])
+    with _counted_tries():
+        assert poly_gcd(poly([-1, 0, 0, 0, 1]), poly([-1, 0, 0, 0, 0, 0, 1])) == poly([-1, 0, 1])
+        assert poly_gcd(poly([1, 2, 1]), poly([1, 1])) == poly([1, 1])
     assert poly_gcd(poly([1, 1]), Poly()) == poly([1, 1])
     with pytest.raises(BothZero):
         poly_gcd(Poly(), Poly())
@@ -166,9 +191,69 @@ def test_gcd_matches_sympy_on_random_pairs():
         g = _rand_poly(rng, 6)
         if f.is_zero and g.is_zero:
             continue
-        ours = poly_gcd(f, g)
+        with _counted_tries():
+            ours = poly_gcd(f, g)
         theirs = sympy.gcd(_to_sympy(f), _to_sympy(g)).monic()
         assert _to_sympy(ours) == theirs
+
+
+# rationals with numerators of up to 128 bits and denominators up to 2^20
+_big_coeff = st.builds(Fraction, st.integers(-(2**128), 2**128), st.integers(1, 2**20))
+
+
+def _big_poly(max_degree: int):
+    return st.lists(_big_coeff, max_size=max_degree + 1).map(Poly).filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_big_poly(10), _big_poly(20), _big_poly(20))
+def test_gcd_matches_sympy_on_planted_factors(g, a, b):
+    # g * a and g * b share g; a and b are almost always coprime, and a
+    # constant g (G = 1) or a constant a (a constant input) is drawn too
+    f, h = g * a, g * b
+    with _counted_tries():
+        ours = poly_gcd(f, h)
+    theirs = sympy.gcd(_to_sympy(f), _to_sympy(h)).monic()
+    assert _to_sympy(ours) == theirs
+    assert ours.lead == 1
+    assert (f % ours).is_zero and (h % ours).is_zero
+    assert (ours % g.monic()).is_zero
+
+
+@pytest.mark.parametrize(
+    "f,h,gcd",
+    [
+        # xi = 6: h = 24 reads back as x^2 - 2x, which divides only the
+        # first input; xi = 12 gives h = 24 = 2x, whose primitive part is x
+        (poly([0, -2, 1]), poly([0, 2, 1]), poly([0, 1])),
+        (poly([0, 2, 1]), poly([0, -2, 1]), poly([0, 1])),
+        # xi = 4: h = 3 reads back as x - 1, which divides only x - 1
+        (poly([-1, 1]), poly([2, 1]), poly([1])),
+        (poly([2, 1]), poly([-1, 1]), poly([1])),
+    ],
+)
+def test_gcd_retries_when_the_first_point_fails(f, h, gcd):
+    with _counted_tries() as tries:
+        assert poly_gcd(f, h) == gcd
+    assert tries[1] == 2 * tries[0]
+
+
+def test_gcd_first_point_is_twice_the_smaller_norm_plus_two():
+    # with xi = 3 = |A| the values A(3) = 2, B(3) = 5 are coprime and the
+    # constant 1 would pass the division test, though the gcd is x - 2
+    with _counted_tries() as tries:
+        assert poly_gcd(poly([2, -3, 1]), poly([-4, 0, 1])) == poly([-2, 1])
+    assert tries[0] == 2 * 3 + 2
+
+
+def test_gcd_settles_when_every_value_shares_a_factor():
+    # x^2 + x and x^2 + x + 2 are coprime, but both are even at every
+    # integer, so h always carries an extra factor 2 (or more) that only the
+    # primitive part removes
+    g = poly([-1, 1])
+    with _counted_tries() as tries:
+        assert poly_gcd(g * poly([0, 1, 1]), g * poly([2, 1, 1])) == g
+    assert len(tries) <= 3
 
 
 def _sylvester_det_sympy(f: Poly, g: Poly):
