@@ -1,9 +1,9 @@
 """Elliptic curves y^2 = x^3 + a*x + b over an exact field.
 
 Coefficients and coordinates are duck-typed: Fraction, NumFieldElement, and
-RatFn all work, so the same group law and quartic-model reduction serve
-curves over Q, over small number fields (trace cycles), and over Q(t)
-(fibration generic fibers).
+RatFn all work, and they mix, so the same group law and quartic-model
+reduction serve curves over Q, their points over quadratic fields (trace
+cycles), and curves over Q(t) (fibration generic fibers).
 
 The quartic bridge turns w^2 = q4*z^4 + ... + q0 with a marked rational
 point into a short Weierstrass curve together with explicit mutually inverse
@@ -157,12 +157,7 @@ def _default_torsion_bound(curve: EllipticCurve) -> int:
     if isinstance(sample, (int, Fraction)):
         return TORSION_BOUND_Q
     if isinstance(sample, NumFieldElement):
-        if sample.field.degree == 2:
-            return TORSION_BOUND_QUADRATIC
-        raise BoundTooSmall(
-            "no uniform torsion constant for fields of degree "
-            f"{sample.field.degree}; pass an explicit bound"
-        )
+        return TORSION_BOUND_QUADRATIC
     raise BoundTooSmall("torsion certification needs a curve over Q or a quadratic field")
 
 

@@ -34,6 +34,7 @@ from .errors import (
     NonReducedRamification,
     NotInR0,
     NotOnR,
+    NotSquarefree,
     VertexOnQuartic,
     ZeroInput,
     ZeroIntersection,
@@ -554,9 +555,10 @@ def k3_weierstrass_model(
     the opt-in flag multiplies w^2 by that coefficient -- the quadratic twist
     that becomes an isomorphism after adjoining its square root -- and the
     factor is recorded on the model.
+
+    A repeated component of the branch curve is a repeated root of the
+    quartic over Q(t), which QuarticModel rejects by 4I^3 - J^2 = 0.
     """
-    if branch_discriminant(data).is_zero:
-        raise NonReducedRamification("the branch curve has a repeated component")
     lead = data.lead_z
     twist = Fraction(1)
     coeffs = data.coeffs
@@ -568,7 +570,10 @@ def k3_weierstrass_model(
             )
         twist = lead
         coeffs = tuple(twist * c for c in coeffs)
-    model = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(1))
+    try:
+        model = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(1))
+    except NotSquarefree:
+        raise NonReducedRamification("the branch curve has a repeated component") from None
     curve, e2 = infinity_branch_weierstrass(model)
     return K3Model(FibrationModel(curve.a, curve.b), e2, coeffs, twist)
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: rationals, polynomials, small number fields, Q(t)."""
+"""Exact arithmetic kernel: rationals, polynomials, quadratic number fields, Q(t)."""
 
 from .poly import (
     Poly,

@@ -393,17 +393,6 @@ def _int_det_bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def det_rational(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (denominators cleared row-wise)."""
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        lcm = math.lcm(*(c.denominator for c in row))
-        scale *= lcm
-        int_rows.append([c.numerator * (lcm // c.denominator) for c in row])
-    return Fraction(_int_det_bareiss(int_rows), 1) / scale
-
-
 def _sylvester_rows(f: Sequence, g: Sequence, n: int, m: int) -> list[list]:
     """Sylvester matrix rows for deg f = n, deg g = m (structural degrees).
 
@@ -421,18 +410,10 @@ def _sylvester_rows(f: Sequence, g: Sequence, n: int, m: int) -> list[list]:
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:
-    """res(p, q) over Q."""
-    if p.is_zero or q.is_zero:
-        raise ZeroInput("resultant needs nonzero polynomials")
-    if not (_is_rational_poly(p) and _is_rational_poly(q)):
-        raise ZeroInput("resultant is implemented over Q only")
-    n, m = p.degree, q.degree
-    if n == 0:
-        return p.lead ** m
-    if m == 0:
-        return q.lead ** n
-    rows = _sylvester_rows(p.coeffs, q.coeffs, n, m)
-    return det_rational(rows)
+    """res(p, q) over Q: the bivariate resultant of p and q read as
+    polynomials with constant coefficients."""
+    res = resultant_bivariate([Poly([c]) for c in p.coeffs], [Poly([c]) for c in q.coeffs])
+    return res.coefficient(0)
 
 
 def discriminant_resultant(p: Poly, q: Poly | None = None) -> Fraction:

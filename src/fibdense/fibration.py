@@ -264,16 +264,6 @@ def _square_roots(value: Rat):
     return K, [(K.gen, 1), (-K.gen, 1)]
 
 
-def _embed_point(field: NumField, p: Point) -> Point:
-    if p.is_infinity:
-        return INFINITY
-    return Point(field.embed(p.x), field.embed(p.y))
-
-
-def _embed_curve(field: NumField, curve: EllipticCurve) -> EllipticCurve:
-    return EllipticCurve(field.embed(curve.a), field.embed(curve.b))
-
-
 def _rationalize_point(p: Point) -> Point:
     p = _descend_point(p)
     if isinstance(p.x, NumFieldElement):
@@ -533,11 +523,11 @@ class GraphOnQuartic:
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
-        K, roots = _square_roots(graph_cover_poly(self)(b))
-        chart_curve, fwd = graph_fiber_chart(self, b, field=K)
-        if chart_curve != (fiber if K is None else _embed_curve(K, fiber)):
+        _K, roots = _square_roots(graph_cover_poly(self)(b))
+        chart_curve, fwd = graph_fiber_chart(self, b)
+        if chart_curve != fiber:
             raise DomainError("graph multisection is attached to a different fibration")
-        z0 = self.p(b) if K is None else K.embed(self.p(b))
+        z0 = self.p(b)
         return [(fwd(z0, w), mult) for w, mult in roots]
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
@@ -621,26 +611,17 @@ def graph_cover_normalized(m: GraphOnQuartic) -> tuple[Poly, Poly]:
     return odd_square_split(graph_cover_poly(m))
 
 
-def graph_fiber_chart(m: GraphOnQuartic, b, field: NumField | None = None):
+def graph_fiber_chart(m: GraphOnQuartic, b):
     """Per-fiber Weierstrass conversion of w^2 = F(b, z); returns (curve, fwd)."""
     coeffs = tuple(c(b) for c in m.fiber_coeffs)
-    if field is not None:
-        coeffs = tuple(field.embed(c) for c in coeffs)
     model = QuarticModel(coeffs, InfinityBranch(m.sign))
     curve, fwd, _inv = quartic_to_weierstrass(model)
     return curve, fwd
 
 
 def _check_support(curve: EllipticCurve, support) -> None:
-    fields = {}
-    for pt, mult in support:
-        if pt.is_infinity or isinstance(pt.x, Fraction):
-            if not curve.contains(pt):
-                raise DomainError(f"cycle point {pt} is off the fiber")
-            continue
-        K = pt.x.field
-        ek = fields.setdefault(K, _embed_curve(K, curve))
-        if not ek.contains(pt):
+    for pt, _mult in support:
+        if not curve.contains(pt):
             raise DomainError(f"cycle point {pt} is off the fiber")
 
 
@@ -662,25 +643,23 @@ def _galois_stable(support) -> bool:
 
 
 def _sum_cycle(curve: EllipticCurve, support) -> Point:
-    """Group-law sum with multiplicity; quadratic points are summed inside
-    their field and the result must descend to Q.
+    """Group-law sum with multiplicity; the points over each quadratic field
+    are summed first and that sum must descend to Q.
 
     The support must already be checked on the curve (_check_support): the
     group law here does not check it again."""
     total = INFINITY
     by_field: dict[NumField, list[tuple[Point, int]]] = {}
     for pt, mult in support:
-        if pt.is_infinity or isinstance(pt.x, Fraction):
-            total = _add_unchecked(curve, total, _mul_unchecked(curve, mult, pt))
-        else:
+        if isinstance(pt.x, NumFieldElement):
             by_field.setdefault(pt.x.field, []).append((pt, mult))
-    for K, pts in by_field.items():
-        ek = _embed_curve(K, curve)
+        else:
+            total = _add_unchecked(curve, total, _mul_unchecked(curve, mult, pt))
+    for pts in by_field.values():
         acc = INFINITY
         for pt, mult in pts:
-            acc = _add_unchecked(ek, acc, _mul_unchecked(ek, mult, pt))
-        acc = _rationalize_point(acc)
-        total = _add_unchecked(curve, total, acc)
+            acc = _add_unchecked(curve, acc, _mul_unchecked(curve, mult, pt))
+        total = _add_unchecked(curve, total, _rationalize_point(acc))
     return total
 
 
@@ -762,8 +741,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
                     raise TraceFieldTooLarge(
                         f"difference at t = {b} mixes incompatible fields"
                     )
-                curve_for, point = diff
-                killer = smallest_order(curve_for, point, m_max)
+                killer = smallest_order(fiber, diff, m_max)
                 if killer is None:
                     return NoOrderUpTo(m_max)
                 overall = math.lcm(overall, killer)
@@ -772,24 +750,17 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
     return Order(overall)
 
 
-def _difference_on_fiber(curve: EllipticCurve, p: Point, q: Point):
-    """p - q on the fiber, lifting into a common field when needed."""
+def _difference_on_fiber(curve: EllipticCurve, p: Point, q: Point) -> Point | None:
+    """p - q on the fiber over Q, or None when p and q lie over two
+    different quadratic fields.
 
-    def field_of(pt):
-        if pt.is_infinity or isinstance(pt.x, Fraction):
-            return None
-        return pt.x.field
-
-    fp, fq = field_of(p), field_of(q)
-    if fp is None and fq is None:
-        return curve, ec_add(curve, p, ec_neg(q))
-    K = fp or fq
-    if fp is not None and fq is not None and fp != fq:
+    The difference may lie over a quadratic field K while the curve stays
+    over Q, so it goes only to smallest_order. torsion_certify reads its
+    uniform bound from the curve's coefficients and would apply the bound
+    for Q to a point over K."""
+    if len({pt.x.field for pt in (p, q) if isinstance(pt.x, NumFieldElement)}) > 1:
         return None
-    ek = _embed_curve(K, curve)
-    pk = p if fp is not None else _embed_point(K, p)
-    qk = q if fq is not None else _embed_point(K, q)
-    return ek, ec_add(ek, pk, ec_neg(qk))
+    return ec_add(curve, p, ec_neg(q))
 
 
 # -- section differences --

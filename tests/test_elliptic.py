@@ -149,13 +149,13 @@ def test_torsion_bound_policing():
         torsion_certify(E, P, bound=5)
     assert torsion_certify(E, P, bound=5, allow_low_bound=True) == InfiniteOrder()
     assert torsion_certify(E, P, bound=20) == InfiniteOrder()
-    # no uniform constant beyond quadratic fields
-    K3 = NumField(poly([-2, 0, 0, 1]), "c")
-    E3 = EllipticCurve(K3.embed(0), K3.embed(1))
+    # no uniform constant over Q(t): y^2 = x^3 + t^6 with (2t^2, 3t^3) of order 6
+    t = RATFN_T
+    Et = EllipticCurve(RatFn(0), t**6)
+    Pt = Point(2 * t**2, 3 * t**3)
     with pytest.raises(BoundTooSmall):
-        torsion_certify(E3, Point(K3.embed(2), K3.embed(3)))
-    got = torsion_certify(E3, Point(K3.embed(2), K3.embed(3)), bound=6, allow_low_bound=True)
-    assert got == Torsion(6)
+        torsion_certify(Et, Pt)
+    assert torsion_certify(Et, Pt, bound=6, allow_low_bound=True) == Torsion(6)
 
 
 def test_torsion_over_quadratic_field_uses_bound_18():

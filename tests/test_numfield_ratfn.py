@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibdense.errors import DomainError, NoSquareRoot, PoleAtParameter, ZeroInput
 from fibdense.exactmath import (
@@ -11,6 +14,7 @@ from fibdense.exactmath import (
     NumField,
     Poly,
     RatFn,
+    is_square,
     poly,
     quadratic_field,
     ratfn,
@@ -19,8 +23,6 @@ from fibdense.exactmath import (
 FIELDS = [
     NumField(poly([-2, 0, 1]), "s"),  # sqrt(2)
     NumField(poly([1, 0, 1]), "i"),  # sqrt(-1)
-    NumField(poly([-2, 0, 0, 1]), "c"),  # cbrt(2)
-    NumField(poly([1, 0, 0, 0, 1]), "z"),  # 8th root of unity
 ]
 
 
@@ -79,10 +81,42 @@ def test_reducible_minimal_polynomials_rejected():
         NumField(poly([1] + [0] * 4 + [1]))  # degree 5
 
 
-def test_irreducible_quartics_accepted():
-    NumField(poly([2, 0, 0, 0, 1]))  # x^4 + 2
-    NumField(poly([-2, 0, 0, 0, 1]))  # x^4 - 2
-    NumField(poly([1, 1, 1, 1, 1]))  # 5th cyclotomic
+def test_higher_degree_minimal_polynomials_rejected():
+    with pytest.raises(DomainError):
+        NumField(poly([-2, 0, 0, 1]))  # x^3 - 2, irreducible
+    with pytest.raises(DomainError):
+        NumField(poly([2, 0, 0, 0, 1]))  # x^4 + 2, irreducible
+    with pytest.raises(DomainError):
+        NumField(poly([1, 1, 1, 1, 1]))  # 5th cyclotomic
+
+
+_x = sympy.Symbol("x")
+_rat64 = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+def _to_sympy(coeffs):
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)] or [0], _x, domain="QQ"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rat64, _rat64, st.lists(_rat64, min_size=4, max_size=4))
+def test_closed_forms_match_sympy(p1, p0, cs):
+    """Product, inverse, norm and square root of x^2 + p1*x + p0 against
+    polynomial arithmetic modulo the minimal polynomial."""
+    assume(not is_square(p1 * p1 - 4 * p0))
+    K = NumField(poly([p0, p1, 1]), "r")
+    a, b = K.element(cs[:2]), K.element(cs[2:])
+    m, sa, sb = _to_sympy([p0, p1, Fraction(1)]), _to_sympy(cs[:2]), _to_sympy(cs[2:])
+    assert _to_sympy((a * b).coeffs) == (sa * sb).rem(m)
+    norm = a * a.conjugate()
+    assert norm.is_rational and norm.as_fraction() == Fraction(str(m.resultant(sa)))
+    if a:
+        assert _to_sympy(a.inverse().coeffs) == sa.invert(m)
+    sq = a * a
+    root = K.sqrt(sq)
+    assert root * root == sq
 
 
 def test_conjugate_properties():
@@ -93,8 +127,6 @@ def test_conjugate_properties():
         assert (a + a.conjugate()).is_rational
         assert (a * a.conjugate()).is_rational
         assert a.conjugate().conjugate() == a
-    with pytest.raises(DomainError):
-        FIELDS[2].gen.conjugate()
 
 
 def test_quadratic_field_roots():
