@@ -108,13 +108,7 @@ def _cmd_densify(spec: RunSpec) -> int:
     model = _need(spec, "fibration", "densify")
     m = _need(spec, "multisection", "densify")
     height_bound = _need(spec, "height_bound", "densify")
-    report = densify(
-        model,
-        m,
-        height_bound,
-        spec.k_max if spec.k_max is not None else 5,
-        spec.torsion_bound,
-    )
+    report = densify(model, m, height_bound, spec.k_max if spec.k_max is not None else 5)
     out_dir = spec.out or "out"
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
@@ -233,9 +227,7 @@ def _cmd_enriques_model(spec: RunSpec) -> int:
     print(f"e2 = ({k3.e2.x}, {k3.e2.y})")
     print(f"twist = {rat_to_string(k3.twist)}")
     samples = list(spec.samples) if spec.samples else _default_difference_samples(k3.fibration)
-    verdict = section_difference_order(
-        k3.fibration, ZeroSection(), (k3.e2.x, k3.e2.y), samples, bound=spec.torsion_bound
-    )
+    verdict = section_difference_order(k3.fibration, ZeroSection(), (k3.e2.x, k3.e2.y), samples)
     rendered = ", ".join(rat_to_string(b) for b in samples)
     if isinstance(verdict, TorsionEvidence):
         print(f"e1 - e2: TorsionEvidence(order={verdict.order}) (samples {rendered})")
@@ -276,12 +268,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--height-bound", type=int, dest="height_bound")
         p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--torsion-bound", type=int, dest="torsion_bound")
         p.add_argument("--m-max", type=int, dest="m_max")
     return parser
 
 
-_FLAG_FIELDS = ("out", "height_bound", "k_max", "torsion_bound", "m_max")
+_FLAG_FIELDS = ("out", "height_bound", "k_max", "m_max")
 
 
 def main(argv=None) -> int:

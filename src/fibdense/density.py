@@ -85,7 +85,7 @@ def enumerate_multisection_points(model: FibrationModel, m, height_bound: int):
     return m.points(model, height_bound)
 
 
-def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None):
+def certify_and_translate(model, m, b, p: Point, k_max: int):
     """Certify tau(p) non-torsion and emit the translates p + k tau(p).
 
     Returns (CertificationResult, points); the verdict is the torsion
@@ -107,7 +107,7 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
         q = tau_map(model, m, p, b, fiber=fiber)
     except TraceFieldTooLarge:
         return CertificationResult(b, p, None, Skipped("trace field too large"), fiber), []
-    cert = torsion_certify(fiber, q, bound=torsion_bound)
+    cert = torsion_certify(fiber, q)
     points = []
     if isinstance(cert, InfiniteOrder):
         acc = p
@@ -117,12 +117,12 @@ def certify_and_translate(model, m, b, p: Point, k_max: int, torsion_bound=None)
     return CertificationResult(b, p, q, cert, fiber), points
 
 
-def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
+def _fiber_work(model, m, b, base_points, k_max):
     """Try each rational base point once; emit the first certified fiber's
     translates plus every enumerated base point on that fiber."""
     first_result = None
     for p in base_points:
-        result, translates = certify_and_translate(model, m, b, p, k_max, torsion_bound)
+        result, translates = certify_and_translate(model, m, b, p, k_max)
         if first_result is None:
             first_result = result
         if isinstance(result.verdict, InfiniteOrder):
@@ -141,7 +141,7 @@ def _fiber_work(model, m, b, base_points, k_max, torsion_bound):
     return FiberOutcome(b, first_result, ())
 
 
-def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None):
+def densify(model, m, height_bound: int, k_max: int = 5):
     """Sweep the multisection enumeration and aggregate a density report,
     deterministically sorted by fiber parameter."""
     pairs = enumerate_multisection_points(model, m, height_bound)
@@ -151,7 +151,7 @@ def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None):
         if p not in bucket:
             bucket.append(p)
 
-    outcomes = [_fiber_work(model, m, b, pts, k_max, torsion_bound) for b, pts in fibers.items()]
+    outcomes = [_fiber_work(model, m, b, pts, k_max) for b, pts in fibers.items()]
 
     outcomes.sort(key=lambda o: o.b)
     certified = sum(1 for o in outcomes if isinstance(o.result.verdict, InfiniteOrder))
@@ -166,7 +166,7 @@ def densify(model, m, height_bound: int, k_max: int = 5, torsion_bound=None):
     )
 
 
-def family_strategy(model, family, height_bound: int, k_max: int = 5, torsion_bound=None):
+def family_strategy(model, family, height_bound: int, k_max: int = 5):
     """Run densify over candidate multisections in order; return the first
     member that certifies a fiber, or Exhausted with every report."""
     family = list(family)
@@ -174,7 +174,7 @@ def family_strategy(model, family, height_bound: int, k_max: int = 5, torsion_bo
         raise EmptyFamily("family strategy needs at least one multisection")
     reports = []
     for idx, m in enumerate(family):
-        report = densify(model, m, height_bound, k_max, torsion_bound)
+        report = densify(model, m, height_bound, k_max)
         if report.fibers_certified >= 1:
             return idx, report
         reports.append(report)

@@ -152,7 +152,7 @@ class InfiniteOrder:
     pass
 
 
-def _default_torsion_bound(curve: EllipticCurve) -> int:
+def _uniform_bound(curve: EllipticCurve) -> int:
     sample = curve.a if curve.a else curve.b
     if isinstance(sample, (int, Fraction)):
         return TORSION_BOUND_Q
@@ -161,14 +161,10 @@ def _default_torsion_bound(curve: EllipticCurve) -> int:
     raise BoundTooSmall("torsion certification needs a curve over Q or a quadratic field")
 
 
-def torsion_certify(
-    curve: EllipticCurve,
-    p: Point,
-    bound: int | None = None,
-    allow_low_bound: bool = False,
-):
-    """Exact order if it is at most the field's uniform torsion bound,
-    otherwise a proof of infinite order (relative to that bound).
+def torsion_certify(curve: EllipticCurve, p: Point):
+    """Exact order if it is at most the field's uniform torsion bound (12
+    over Q by Mazur, 18 over a quadratic field), otherwise a proof of
+    infinite order. Other fields raise BoundTooSmall.
 
     Over Q a non-integral multiple of p on the integral model proves
     infinite order outright (Nagell-Lutz; Silverman, The Arithmetic of
@@ -177,20 +173,11 @@ def torsion_certify(
     _require_on_curve(curve, p)
     if p.is_infinity:
         return Torsion(1)
-    uniform = None
-    try:
-        uniform = _default_torsion_bound(curve)
-    except BoundTooSmall:
-        if bound is None or not allow_low_bound:
-            raise
-    if bound is None:
-        bound = uniform
-    elif uniform is not None and bound < uniform and not allow_low_bound:
-        raise BoundTooSmall(f"bound {bound} is below the uniform constant {uniform}")
+    bound = _uniform_bound(curve)
     order = smallest_order(curve, p, bound)
     if order is None:
         return InfiniteOrder()
-    if uniform == TORSION_BOUND_Q and order not in MAZUR_ORDERS:
+    if bound == TORSION_BOUND_Q and order not in MAZUR_ORDERS:
         raise DomainError(f"order {order} violates the rational torsion bound")
     return Torsion(order)
 

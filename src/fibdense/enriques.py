@@ -51,7 +51,13 @@ from .exactmath import (
     squarefree_decompose,  # unused here; bench/tracing.py wraps this name
     squarefree_part,
 )
-from .fibration import FibrationModel, odd_square_split, small_field_roots
+from .fibration import (
+    FibrationModel,
+    fiber_quartic,
+    odd_square_split,
+    quartic_on_graph,
+    small_field_roots,
+)
 
 
 def _rat(x):
@@ -339,14 +345,7 @@ def section_intersection_poly(data: RamificationData, s: SectionConic) -> Poly:
     """G_s(t) = F(t, s(t)): the degree <= 8 intersection divisor of a section
     with the branch curve; degree deficits account for intersections in the
     swapped chart at t = infinity."""
-    sp = s.as_poly
-    total = Poly()
-    power = Poly([Fraction(1)])
-    for c in data.coeffs:
-        if not c.is_zero:
-            total = total + c * power
-        power = power * sp
-    return total
+    return quartic_on_graph(data.coeffs, s.as_poly)
 
 
 def tangent_line(data: RamificationData, point) -> TangentLine:
@@ -585,5 +584,4 @@ def k3_fiber_chart(model: K3Model, t0):
     w^2 = F(t0, z) (after the recorded twist) onto the Weierstrass fiber,
     inv goes back; the marked branch at infinity is the fiber's origin.
     """
-    coeffs = tuple(c(t0) for c in model.fiber_coeffs)
-    return quartic_to_weierstrass(QuarticModel(coeffs, InfinityBranch(1)))
+    return quartic_to_weierstrass(fiber_quartic(model.fiber_coeffs, t0))

@@ -33,7 +33,7 @@ class PointNotOnCurve(DomainError):
 
 
 class BoundTooSmall(DomainError):
-    """Torsion search bound below the field's uniform torsion bound."""
+    """No uniform torsion bound is known for the curve's field."""
 
 
 class NotSquarefree(DomainError):

@@ -237,7 +237,7 @@ def poly(coeffs: Sequence) -> Poly:
 X = Poly([0, 1])
 
 
-def format_poly(p: Poly, var: str = "t") -> str:
+def format_poly(p: Poly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -248,7 +248,7 @@ def format_poly(p: Poly, var: str = "t") -> str:
         if k == 0:
             term = str(c)
         else:
-            mon = var if k == 1 else f"{var}^{k}"
+            mon = "t" if k == 1 else f"t^{k}"
             if c == 1:
                 term = mon
             elif c == -1:
@@ -416,13 +416,8 @@ def resultant(p: Poly, q: Poly) -> Fraction:
     return res.coefficient(0)
 
 
-def discriminant_resultant(p: Poly, q: Poly | None = None) -> Fraction:
-    """Resultant of p and q, or the discriminant of p when q is omitted.
-
-    disc(p) = (-1)^(d(d-1)/2) * res(p, p') / lead(p).
-    """
-    if q is not None:
-        return resultant(p, q)
+def discriminant_resultant(p: Poly) -> Fraction:
+    """disc(p) = (-1)^(d(d-1)/2) * res(p, p') / lead(p)."""
     if p.is_zero or p.degree < 1:
         raise ZeroInput("discriminant needs degree >= 1")
     d = p.degree

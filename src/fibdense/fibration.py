@@ -488,6 +488,10 @@ class GraphOnQuartic:
     def degree(self) -> int:
         return 2
 
+    def _fiber_chart(self, b):
+        """Weierstrass conversion (curve, fwd, inv) of w^2 = F(b, z)."""
+        return quartic_to_weierstrass(fiber_quartic(self.fiber_coeffs, b, self.sign))
+
     def points(self, model: FibrationModel, height_bound: int):
         """Multiples [+-k]g, k <= height_bound, of the generator g on the
         covering curve, lifted to the surface."""
@@ -495,7 +499,9 @@ class GraphOnQuartic:
             raise NoGeneratorSupplied(
                 "enumerating a graph multisection needs a generator on its covering curve"
             )
-        q, r = graph_cover_normalized(self)
+        # G = q * r^2 with q squarefree; points of the normalized covering
+        # curve w~^2 = q(t) lift to the surface via w = w~ * r(t)
+        q, r = odd_square_split(graph_cover_poly(self))
         if q.degree != 4:
             raise UnsupportedRepresentation(
                 "covering curve enumeration needs a degree-4 squarefree cover"
@@ -518,13 +524,13 @@ class GraphOnQuartic:
                     b, wk = inv(pk)
                 except MapUndefined:
                     continue
-                _fiber, chart = graph_fiber_chart(self, b)
+                _fiber, chart, _inv = self._fiber_chart(b)
                 out.append((b, chart(self.p(b), wk * r(b))))
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
         _K, roots = _square_roots(graph_cover_poly(self)(b))
-        chart_curve, fwd = graph_fiber_chart(self, b)
+        chart_curve, fwd, _inv = self._fiber_chart(b)
         if chart_curve != fiber:
             raise DomainError("graph multisection is attached to a different fibration")
         z0 = self.p(b)
@@ -536,7 +542,7 @@ class GraphOnQuartic:
             raise DomainError("graph multisection lies on the branch locus")
 
         def locate(b):
-            _curve, fwd = graph_fiber_chart(self, b)
+            _curve, fwd, _inv = self._fiber_chart(b)
             return b, fwd(self.p(b), b * 0)
 
         return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate)
@@ -592,31 +598,24 @@ class TracePoint:
     value: Point
 
 
-def graph_cover_poly(m: GraphOnQuartic) -> Poly:
-    """G(t) = F(t, p(t)): the polynomial whose square roots give the fiber
-    points of the graph multisection."""
+def quartic_on_graph(coeffs, p: Poly) -> Poly:
+    """F(t, p(t)) for F(t, z) = sum_i coeffs[i](t) z^i, by Horner in z."""
     total = Poly()
-    power = Poly([Fraction(1)])
-    for coeff in m.fiber_coeffs:
-        total = total + coeff * power
-        power = power * m.p
+    for c in reversed(coeffs):
+        total = total * p + c
     return total
 
 
-def graph_cover_normalized(m: GraphOnQuartic) -> tuple[Poly, Poly]:
-    """Split G = q * r^2 with q squarefree (odd-multiplicity part).
-
-    Points of the normalized covering curve w~^2 = q(t) lift to the surface
-    via w = w~ * r(t)."""
-    return odd_square_split(graph_cover_poly(m))
+def graph_cover_poly(m: GraphOnQuartic) -> Poly:
+    """G(t) = F(t, p(t)): the polynomial whose square roots give the fiber
+    points of the graph multisection."""
+    return quartic_on_graph(m.fiber_coeffs, m.p)
 
 
-def graph_fiber_chart(m: GraphOnQuartic, b):
-    """Per-fiber Weierstrass conversion of w^2 = F(b, z); returns (curve, fwd)."""
-    coeffs = tuple(c(b) for c in m.fiber_coeffs)
-    model = QuarticModel(coeffs, InfinityBranch(m.sign))
-    curve, fwd, _inv = quartic_to_weierstrass(model)
-    return curve, fwd
+def fiber_quartic(coeffs, t0, sign: int = 1) -> QuarticModel:
+    """The fiber w^2 = F(t0, z) of F(t, z) = sum_i coeffs[i](t) z^i, marked
+    at its branch at z = infinity."""
+    return QuarticModel(tuple(c(t0) for c in coeffs), InfinityBranch(sign))
 
 
 def _check_support(curve: EllipticCurve, support) -> None:
@@ -785,7 +784,7 @@ def _section_point(section, b: Rat) -> Point:
     return _eval_point(_as_ratfn(x_fn), _as_ratfn(y_fn), b)
 
 
-def section_difference_order(model: FibrationModel, s1, s2, samples, bound: int | None = None):
+def section_difference_order(model: FibrationModel, s1, s2, samples):
     """NonTorsion proof or per-sample torsion evidence for s1 - s2."""
     samples = list(samples)
     if not samples:
@@ -796,7 +795,7 @@ def section_difference_order(model: FibrationModel, s1, s2, samples, bound: int 
         p1 = _section_point(s1, b)
         p2 = _section_point(s2, b)
         diff = ec_add(fiber, p1, ec_neg(p2))
-        res = torsion_certify(fiber, diff, bound=bound)
+        res = torsion_certify(fiber, diff)
         if isinstance(res, InfiniteOrder):
             return NonTorsion(witness=b)
         orders.append(res.order)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import TORSION_BOUND_Q
 from .enriques import ConeQuartic
 from .errors import DomainError, SpecSyntaxError, SpecValidationError, ZeroInput
 from .exactmath import Poly, RatFn, rat_from_string
@@ -39,7 +38,6 @@ class RunSpec:
     allow_quadratic_twist_extension: bool = False
     height_bound: int | None = None
     k_max: int | None = None
-    torsion_bound: int | None = None
     m_max: int | None = None
     samples: tuple = ()
     out: str | None = None
@@ -197,7 +195,7 @@ _TOP_KEYS = {
     "params",
     "out",
 }
-_PARAM_KEYS = {"height_bound", "k_max", "torsion_bound", "m_max", "samples"}
+_PARAM_KEYS = {"height_bound", "k_max", "m_max", "samples"}
 
 
 def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
@@ -254,13 +252,6 @@ def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
             _count(params["height_bound"], "params.height_bound") if "height_bound" in params else None
         ),
         k_max=_count(params["k_max"], "params.k_max") if "k_max" in params else None,
-        # spec coefficients are rational, so every fiber is over Q, where
-        # torsion_certify refuses a bound below the uniform constant
-        torsion_bound=(
-            _count(params["torsion_bound"], "params.torsion_bound", TORSION_BOUND_Q)
-            if "torsion_bound" in params
-            else None
-        ),
         m_max=_count(params["m_max"], "params.m_max", 1) if "m_max" in params else None,
         samples=samples,
         out=out,

@@ -94,7 +94,7 @@ CONE = ConeQuartic({(0, 0, 0, 4): 1, (1, 1, 2, 0): 1, (4, 0, 0, 0): -2})
 WORKED_SPEC = """{
   "fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
   "multisection": {"kind": "constant_x", "x": "1"},
-  "params": {"height_bound": 5, "k_max": 5, "torsion_bound": 12}
+  "params": {"height_bound": 5, "k_max": 5}
 }"""
 
 BITANGENT_SPEC = """{
@@ -164,7 +164,7 @@ def test_torsion_certification(capfd):
             assert _order_by_repeated_addition(curve, p, 12) == verdict.order
             got[(curve.a, curve.b, p.x, p.y)] = verdict.order
         assert got[(F(0), F(1), F(2), F(3))] == 6
-        assert torsion_certify(EllipticCurve(F(0), F(-2)), Point(F(3), F(5)), bound=12) == InfiniteOrder()
+        assert torsion_certify(EllipticCurve(F(0), F(-2)), Point(F(3), F(5))) == InfiniteOrder()
         assert _order_by_repeated_addition(EllipticCurve(F(0), F(-2)), Point(F(3), F(5)), 12) is None
 
 
@@ -268,7 +268,7 @@ def test_salience_and_order_probe_consistency(capfd):
 
 def test_density_regression(capfd):
     with criterion("density sweep: height 10", 60.0, capfd):
-        report = densify(WORKED, ConstantX(F(1)), 10, 5, 12)
+        report = densify(WORKED, ConstantX(F(1)), 10, 5)
         assert report.fibers_certified >= 40
         assert report.points_emitted >= 200
         triples = set()

@@ -26,7 +26,7 @@ from fibdense.specfile import RunSpec, parse_spec
 WORKED_TEXT = """{
   "fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
   "multisection": {"kind": "constant_x", "x": "1"},
-  "params": {"height_bound": 10, "k_max": 5, "torsion_bound": 12}
+  "params": {"height_bound": 10, "k_max": 5}
 }"""
 
 PROBE_TEXT = """{
@@ -55,7 +55,7 @@ class TestParseSpec:
         spec = parse_spec(WORKED_TEXT)
         assert spec.fibration == FibrationModel(ratfn([0, 1]), ratfn([1]))
         assert spec.multisection == ConstantX(F(1))
-        assert (spec.height_bound, spec.k_max, spec.torsion_bound) == (10, 5, 12)
+        assert (spec.height_bound, spec.k_max) == (10, 5)
         assert spec.out is None
 
     def test_all_multisection_kinds(self):
@@ -125,7 +125,7 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError):
             parse_spec('{"params": {"height_bound": -1}}')
         with pytest.raises(SpecValidationError):
-            parse_spec('{"params": {"torsion_bound": 0}}')
+            parse_spec('{"params": {"m_max": 0}}')
         with pytest.raises(SpecValidationError):
             parse_spec('{"params": {"samples": ["1", "x"]}}')
 
@@ -201,7 +201,7 @@ class TestDensifyCommand:
         stdout = capsys.readouterr().out
         assert "fibers certified:" in stdout
 
-        report = densify(FibrationModel(ratfn([0, 1]), ratfn([1])), ConstantX(F(1)), 4, 5, 12)
+        report = densify(FibrationModel(ratfn([0, 1]), ratfn([1])), ConstantX(F(1)), 4, 5)
         assert (out_dir / "report.json").read_text(encoding="utf-8") == report_to_json(report)
         assert (out_dir / "points.csv").read_text(encoding="utf-8") == report_to_csv(report)
 
@@ -212,7 +212,7 @@ class TestDensifyCommand:
         capsys.readouterr()
         with open(out_dir / "points.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        report = densify(FibrationModel(ratfn([0, 1]), ratfn([1])), ConstantX(F(1)), 3, 5, 12)
+        report = densify(FibrationModel(ratfn([0, 1]), ratfn([1])), ConstantX(F(1)), 3, 5)
         assert len(rows) == report.points_emitted
         model = FibrationModel(ratfn([0, 1]), ratfn([1]))
         for row in rows:

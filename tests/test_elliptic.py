@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fibdense.elliptic as elliptic
 from fibdense.errors import (
     BoundTooSmall,
     DomainError,
@@ -32,6 +33,7 @@ from fibdense.elliptic import (
     naive_height,
     quartic_j_invariant,
     quartic_to_weierstrass,
+    smallest_order,
     torsion_certify,
 )
 from fibdense.exactmath import RATFN_T, NumField, Poly, RatFn, poly, poly_gcd
@@ -145,26 +147,28 @@ def test_torsion_orders_lie_in_mazur_set_and_divisor_property():
 def test_torsion_bound_policing():
     E = EllipticCurve(F(0), F(-2))
     P = Point(F(3), F(5))
-    with pytest.raises(BoundTooSmall):
-        torsion_certify(E, P, bound=5)
-    assert torsion_certify(E, P, bound=5, allow_low_bound=True) == InfiniteOrder()
-    assert torsion_certify(E, P, bound=20) == InfiniteOrder()
+    assert torsion_certify(E, P) == InfiniteOrder()
+    assert smallest_order(E, P, 20) is None
     # no uniform constant over Q(t): y^2 = x^3 + t^6 with (2t^2, 3t^3) of order 6
     t = RATFN_T
     Et = EllipticCurve(RatFn(0), t**6)
     Pt = Point(2 * t**2, 3 * t**3)
     with pytest.raises(BoundTooSmall):
         torsion_certify(Et, Pt)
-    assert torsion_certify(Et, Pt, bound=6, allow_low_bound=True) == Torsion(6)
+    assert smallest_order(Et, Pt, 5) is None
+    assert smallest_order(Et, Pt, 6) == 6
 
 
-def test_torsion_over_quadratic_field_uses_bound_18():
+def test_torsion_over_quadratic_field_uses_bound_18(monkeypatch):
     K = NumField(poly([-2, 0, 1]), "s")
     E = EllipticCurve(K.embed(0), K.embed(-2))
     P = Point(K.embed(3), K.embed(5))
+    additions = []
+    add = elliptic._add_unchecked
+    monkeypatch.setattr(elliptic, "_add_unchecked", lambda *args: additions.append(args) or add(*args))
     assert torsion_certify(E, P) == InfiniteOrder()
-    with pytest.raises(BoundTooSmall):
-        torsion_certify(E, P, bound=15)
+    # [m]P is looked at for m = 1, ..., 18 and [19]P is never formed
+    assert len(additions) == 17
 
 
 def test_naive_height():

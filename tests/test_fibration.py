@@ -42,8 +42,8 @@ from fibdense.fibration import (
     ZeroSection,
     chart_swap,
     fiber_type,
-    graph_cover_normalized,
     graph_cover_poly,
+    odd_square_split,
     order_probe,
     ramification_points,
     section_difference_order,
@@ -284,7 +284,7 @@ class TestGraphOnQuartic:
         )
         g = graph_cover_poly(gq)
         assert g == poly([0, 0, 0, 0, 1])  # t^4
-        q, r = graph_cover_normalized(gq)
+        q, r = odd_square_split(g)
         assert q * r * r == g
         assert q == poly([1])
 
@@ -506,27 +506,27 @@ def split_family():
 
 class TestSectionDifference:
     def test_equal_sections(self):
-        got = section_difference_order(WORKED, ZeroSection(), ZeroSection(), [F(1)], None)
+        got = section_difference_order(WORKED, ZeroSection(), ZeroSection(), [F(1)])
         assert got == TorsionEvidence(1)
 
     def test_worked_section_non_torsion(self):
         sec = (ratfn([0]), ratfn([1]))
-        got = section_difference_order(WORKED, ZeroSection(), sec, [F(1), F(2), F(5)], None)
+        got = section_difference_order(WORKED, ZeroSection(), sec, [F(1), F(2), F(5)])
         assert isinstance(got, NonTorsion)
 
     def test_split_family_two_torsion(self):
         fib, sec = split_family()
-        got = section_difference_order(fib, ZeroSection(), sec, [F(2), F(3), F(5)], None)
+        got = section_difference_order(fib, ZeroSection(), sec, [F(2), F(3), F(5)])
         assert got == TorsionEvidence(2)
 
     def test_empty_samples(self):
         with pytest.raises(EmptySampleSet):
-            section_difference_order(WORKED, ZeroSection(), ZeroSection(), [], None)
+            section_difference_order(WORKED, ZeroSection(), ZeroSection(), [])
 
     def test_singular_sample_refused(self):
         fib, sec = split_family()
         with pytest.raises(SingularFiberSkip):
-            section_difference_order(fib, ZeroSection(), sec, [F(1)], None)
+            section_difference_order(fib, ZeroSection(), sec, [F(1)])
 
 
 class TestChartSwap:

@@ -1,18 +1,22 @@
 """Contracts at the edges: the torsion order loop at its bound and against a
 plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
-behind the CLI, and the pinned trisection defect."""
+behind the CLI, the pinned trisection defect, and the ban on assert in the
+package."""
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fibdense
 import fibdense.density as density
 import fibdense.elliptic as elliptic
 from fibdense.cli import main
@@ -31,7 +35,7 @@ from fibdense.elliptic import (
     smallest_order,
     torsion_certify,
 )
-from fibdense.errors import BoundTooSmall, DomainError
+from fibdense.errors import DomainError
 from fibdense.exactmath import NumField, poly, ratfn
 from fibdense.fibration import (
     ConstantX,
@@ -149,7 +153,9 @@ def torsion_point(draw):
 
 class TestTorsionLoop:
     def test_order_just_past_the_bound_is_not_reported_as_the_bound(self):
-        assert torsion_certify(E11, P5, bound=4, allow_low_bound=True) == InfiniteOrder()
+        assert smallest_order(E11, P5, 4) is None
+        assert smallest_order(E11, P5, 5) == 5
+        assert torsion_certify(E11, P5) == Torsion(5)
 
     def test_mazur_check_survives_optimization(self, monkeypatch):
         monkeypatch.setattr(elliptic, "MAZUR_ORDERS", elliptic.MAZUR_ORDERS - {5})
@@ -185,11 +191,6 @@ class TestTorsionLoop:
             assert twelve == order
         expected = _plain_order(curve, p, bound)
         assert smallest_order(curve, p, bound) == expected
-        if bound < 12 and not p.is_infinity:
-            with pytest.raises(BoundTooSmall):
-                torsion_certify(curve, p, bound=bound)
-        verdict = torsion_certify(curve, p, bound=bound, allow_low_bound=True)
-        assert verdict == (InfiniteOrder() if expected is None else Torsion(expected))
         assert torsion_certify(curve, p) == (InfiniteOrder() if twelve is None else Torsion(twelve))
 
 
@@ -316,9 +317,7 @@ def test_spec_rationals_round_trip(pairs):
     [
         ("--k-max", "-1", "k_max"),
         ("--height-bound", "-1", "height_bound"),
-        # below Mazur's uniform constant 12: every fiber a spec reaches is over Q
-        ("--torsion-bound", "5", "torsion_bound"),
-        ("--torsion-bound", "11", "torsion_bound"),
+        ("--m-max", "0", "m_max"),
     ],
 )
 def test_flags_pass_the_spec_validator(tmp_path, capsys, flag, value, field):
@@ -336,13 +335,29 @@ def test_threads_is_not_an_option(tmp_path, capsys):
     assert "'params.threads': unknown field" in capsys.readouterr().err
 
 
-def test_low_torsion_bound_field_is_a_validation_error(tmp_path, capsys):
+def test_torsion_bound_is_not_an_option(tmp_path, capsys):
+    # verdicts use the field's uniform bound: Mazur's 12 over Q, 18 over a quadratic field
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, WORKED, "--torsion-bound", "12")
+    assert exc.value.code == 2
     spec = json.loads(json.dumps(WORKED))
-    spec["params"]["torsion_bound"] = 5
+    spec["params"]["torsion_bound"] = "12"
     assert _run(tmp_path, spec) == 2
-    assert "'params.torsion_bound': expected an integer >= 12" in capsys.readouterr().err
-    spec["params"]["torsion_bound"] = 12
-    assert _run(tmp_path, spec) == 0
+    assert "'params.torsion_bound': unknown field" in capsys.readouterr().err
+
+
+def test_no_runtime_check_relies_on_assert():
+    # python -O strips assert statements, and with them any check written as one
+    root = pathlib.Path(fibdense.__file__).parent
+    modules = sorted(root.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in fibdense: {found}"
 
 
 @pytest.mark.xfail(raises=AttributeError, strict=True, reason="known defect: a constant y(s) "
