@@ -114,9 +114,9 @@ def _cmd_densify(spec: RunSpec) -> int:
     report_path = os.path.join(out_dir, "report.json")
     points_path = os.path.join(out_dir, "points.csv")
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report_to_json(report))
+        report_to_json(report, fh)
     with open(points_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report_to_csv(report))
+        report_to_csv(report, fh)
     print(f"fibers attempted: {report.fibers_attempted}")
     print(f"fibers certified: {report.fibers_certified}")
     print(f"points emitted: {report.points_emitted}")

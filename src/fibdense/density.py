@@ -9,6 +9,7 @@ byte-stable across runs.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,34 +199,49 @@ def _verdict_json(v):
     return {"verdict": "skipped", "reason": v.reason}
 
 
-def report_to_json(report: DensityReport) -> str:
-    doc = {
-        "fibers_attempted": report.fibers_attempted,
-        "fibers_certified": report.fibers_certified,
-        "points_emitted": report.points_emitted,
-        "max_height_seen": report.max_height_seen,
-        "per_fiber": [
-            {
-                "b": rat_to_string(o.b),
-                **_verdict_json(o.result.verdict),
-                "base": _point_json(o.result.base),
-                "tau": _point_json(o.result.tau) if o.result.tau is not None else None,
-                "points": [
-                    {"k": k, "x": rat_to_string(pt.x), "y": rat_to_string(pt.y)}
-                    for k, pt in o.points
-                ],
-            }
-            for o in report.per_fiber
+def _fiber_json(o: FiberOutcome):
+    return {
+        "b": rat_to_string(o.b),
+        **_verdict_json(o.result.verdict),
+        "base": _point_json(o.result.base),
+        "tau": _point_json(o.result.tau) if o.result.tau is not None else None,
+        "points": [
+            {"k": k, "x": rat_to_string(pt.x), "y": rat_to_string(pt.y)} for k, pt in o.points
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def report_to_csv(report: DensityReport) -> str:
-    lines = ["b,x,y,k"]
+def report_to_json(report: DensityReport, fh=None) -> str | None:
+    """The report as JSON, byte for byte json.dumps(doc, indent=2) + "\n".
+
+    With a text file fh the document is written to it one fiber at a time
+    and None is returned, so the whole string is never held; without one it
+    is returned as a string."""
+    out = io.StringIO() if fh is None else fh
+    out.write("{\n")
+    for key in ("fibers_attempted", "fibers_certified", "points_emitted", "max_height_seen"):
+        out.write(f'  "{key}": {getattr(report, key)},\n')
+    out.write('  "per_fiber": [')
+    sep = "\n    "
     for o in report.per_fiber:
-        for k, pt in o.points:
-            lines.append(
-                f"{rat_to_string(o.b)},{rat_to_string(pt.x)},{rat_to_string(pt.y)},{k}"
-            )
-    return "\n".join(lines) + "\n"
+        # json.dumps escapes newlines inside strings, so every newline in an
+        # entry is structural and takes the list's extra indentation
+        out.write(sep + json.dumps(_fiber_json(o), indent=2).replace("\n", "\n    "))
+        sep = ",\n    "
+    out.write("\n  ]\n}\n" if report.per_fiber else "]\n}\n")
+    return out.getvalue() if fh is None else None
+
+
+def report_to_csv(report: DensityReport, fh=None) -> str | None:
+    """The emitted points as CSV rows b,x,y,k under a header line.
+
+    With a text file fh the rows are written to it one fiber at a time and
+    None is returned; without one the text is returned as a string."""
+    out = io.StringIO() if fh is None else fh
+    out.write("b,x,y,k\n")
+    for o in report.per_fiber:
+        b = rat_to_string(o.b)
+        out.write(
+            "".join(f"{b},{rat_to_string(pt.x)},{rat_to_string(pt.y)},{k}\n" for k, pt in o.points)
+        )
+    return out.getvalue() if fh is None else None

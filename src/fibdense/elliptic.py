@@ -3,7 +3,9 @@
 Coefficients and coordinates are duck-typed: Fraction, NumFieldElement, and
 RatFn all work, and they mix, so the same group law and quartic-model
 reduction serve curves over Q, their points over quadratic fields (trace
-cycles), and curves over Q(t) (fibration generic fibers).
+cycles), and curves over Q(t) (fibration generic fibers). The on-curve check
+of a point over Q on a curve over Q runs on integer numerators and
+denominators (see EllipticCurve.contains).
 
 The quartic bridge turns w^2 = q4*z^4 + ... + q0 with a marked rational
 point into a short Weierstrass curve together with explicit mutually inverse
@@ -34,6 +36,7 @@ from .exactmath.numfield import NumFieldElement
 TORSION_BOUND_Q = 12
 TORSION_BOUND_QUADRATIC = 18
 MAZUR_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
+_RATIONAL = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,40 @@ class EllipticCurve:
         return -16 * (4 * a * a * a + 27 * b * b)
 
     def contains(self, p: Point) -> bool:
+        """Whether p lies on the curve, decided exactly.
+
+        When x, y, a and b are all rationals (int or Fraction), with
+        x = xn/xd, y = yn/yd, a = an/ad, b = bn/bd, the test is the
+        cross-multiplied identity
+
+            yn^2 * xd^3 * ad * bd == yd^2 * (xn^3 * ad * bd
+                                             + an * bd * xn * xd^2
+                                             + bn * ad * xd^3)
+
+        on integers: y^2 = x^3 + a x + b multiplied through by
+        yd^2 xd^3 ad bd. Every denominator is positive, so that factor is
+        nonzero and the two equations hold together; no Fraction is built and
+        no gcd is taken. Other coefficient rings use the field expression."""
         if p.is_infinity:
             return True
-        x, y = p.x, p.y
-        return y * y == x * x * x + self.a * x + self.b
+        x, y, a, b = p.x, p.y, self.a, self.b
+        if not (
+            isinstance(x, _RATIONAL)
+            and isinstance(y, _RATIONAL)
+            and isinstance(a, _RATIONAL)
+            and isinstance(b, _RATIONAL)
+        ):
+            return y * y == x * x * x + a * x + b
+        xn, xd = x.numerator, x.denominator
+        yn, yd = y.numerator, y.denominator
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        xd2 = xd * xd
+        xd3 = xd2 * xd
+        abd = ad * bd
+        lhs = yn * yn * xd3 * abd
+        rhs = yd * yd * (xn * (xn * xn * abd + an * bd * xd2) + bn * ad * xd3)
+        return lhs == rhs
 
     def __repr__(self):
         return f"EllipticCurve(a={self.a}, b={self.b})"
@@ -137,8 +170,9 @@ def _mul_unchecked(curve: EllipticCurve, n: int, p: Point) -> Point:
     while n:
         if n & 1:
             result = _add_unchecked(curve, result, base)
-        base = _add_unchecked(curve, base, base)
         n >>= 1
+        if n:
+            base = _add_unchecked(curve, base, base)
     return result
 
 
@@ -154,7 +188,7 @@ class InfiniteOrder:
 
 def _uniform_bound(curve: EllipticCurve) -> int:
     sample = curve.a if curve.a else curve.b
-    if isinstance(sample, (int, Fraction)):
+    if isinstance(sample, _RATIONAL):
         return TORSION_BOUND_Q
     if isinstance(sample, NumFieldElement):
         return TORSION_BOUND_QUADRATIC
@@ -210,7 +244,7 @@ def smallest_order(curve: EllipticCurve, p: Point, bound: int) -> int | None:
 def _integral_scale(curve: EllipticCurve, p: Point) -> int | None:
     """u^2 for the integral model of a curve over Q (see smallest_order);
     None unless the curve and p are both over Q."""
-    if not all(isinstance(c, (int, Fraction)) for c in (curve.a, curve.b, p.x)):
+    if not all(isinstance(c, _RATIONAL) for c in (curve.a, curve.b, p.x)):
         return None
     return math.lcm(curve.a.denominator, curve.b.denominator) ** 2
 
@@ -237,7 +271,7 @@ class InfinityBranch:
 
 def _sqrt_element(x):
     """Exact square root of a field element; NoSquareRoot when none exists."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _RATIONAL):
         return rat_sqrt(Fraction(x))
     if isinstance(x, NumFieldElement):
         return x.field.sqrt(x)
@@ -281,13 +315,13 @@ class QuarticModel:
 
 
 def _long_to_short(a1, a2, a3, a4, a6):
-    """Complete the square and cube; returns the curve and (u,v) <-> Point maps."""
+    """Complete the square and cube; returns the short coefficients (A, B)
+    and the (u,v) <-> Point maps."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     A = b4 / 2 - b2 * b2 / 48
     B = b6 / 4 - b2 * b4 / 24 + b2 * b2 * b2 / 864
-    curve = EllipticCurve(A, B)
 
     def to_short(u, v) -> Point:
         return Point(u + b2 / 12, v + (a1 * u + a3) / 2)
@@ -297,19 +331,20 @@ def _long_to_short(a1, a2, a3, a4, a6):
         v = p.y - (a1 * u + a3) / 2
         return u, v
 
-    return curve, to_short, from_short
+    return (A, B), to_short, from_short
 
 
 def _reduce_infinity_branch(coeffs, alpha):
     """Quartic with branch w ~ alpha*z^2 at infinity; that branch goes to
-    Infinity, the opposite branch to the distinguished affine point e2."""
+    Infinity, the opposite branch to the distinguished affine point e2.
+    Returns the short coefficients (A, B), the point maps and e2."""
     q0, q1, q2, q3, _q4 = coeffs
     beta = q3 / (2 * alpha)
     gamma = (q2 - beta * beta) / (2 * alpha)
     dt = q1 - 2 * beta * gamma
     et = q0 - gamma * gamma
     zero = alpha * 0
-    curve, to_short, from_short = _long_to_short(
+    coeffs_ab, to_short, from_short = _long_to_short(
         2 * beta, -4 * alpha * gamma, 2 * alpha * dt, -4 * alpha * alpha * et, zero
     )
     e2 = to_short(zero, -2 * alpha * dt)
@@ -329,7 +364,7 @@ def _reduce_infinity_branch(coeffs, alpha):
         w = u / (2 * alpha) - (alpha * z * z + beta * z + gamma)
         return z, w
 
-    return curve, forward, inverse, e2
+    return coeffs_ab, forward, inverse, e2
 
 
 def quartic_to_weierstrass(model: QuarticModel):
@@ -342,7 +377,8 @@ def quartic_to_weierstrass(model: QuarticModel):
     coeffs = model.coeffs
     if isinstance(model.marked, InfinityBranch):
         alpha = model.marked.sign * _sqrt_element(coeffs[4])
-        return _reduce_infinity_branch(coeffs, alpha)[:3]
+        coeffs_ab, forward, inverse, _e2 = _reduce_infinity_branch(coeffs, alpha)
+        return EllipticCurve(*coeffs_ab), forward, inverse
 
     z0, w0 = model.marked
     shifted = Poly(coeffs).shift(z0)  # p(h) = q(z0 + h)
@@ -354,7 +390,7 @@ def quartic_to_weierstrass(model: QuarticModel):
     if w0:
         # invert: s = 1/(z - z0), W = w/(z - z0)^2 gives lead p0 = w0^2
         rev = (p[4], p[3], p[2], p[1], p[0])
-        curve, fwd_inf, inv_inf, e2 = _reduce_infinity_branch(rev, w0)
+        coeffs_ab, fwd_inf, inv_inf, e2 = _reduce_infinity_branch(rev, w0)
 
         def forward(z, w) -> Point:
             if z == z0:
@@ -375,13 +411,13 @@ def quartic_to_weierstrass(model: QuarticModel):
             h = 1 / s
             return z0 + h, big_w * h * h
 
-        return curve, forward, inverse
+        return EllipticCurve(*coeffs_ab), forward, inverse
 
     # marked point with w0 = 0: the shifted quartic has p0 = 0, p1 != 0,
     # and W^2 = p1 s^3 + p2 s^2 + p3 s + p4 monicizes to a cubic model
     p1, p2, p3, p4 = p[1], p[2], p[3], p[4]
     zero = p1 * 0
-    curve, to_short, from_short = _long_to_short(zero, p2, zero, p1 * p3, p1 * p1 * p4)
+    coeffs_ab, to_short, from_short = _long_to_short(zero, p2, zero, p1 * p3, p1 * p1 * p4)
 
     def forward(z, w) -> Point:
         if z == z0:
@@ -398,20 +434,22 @@ def quartic_to_weierstrass(model: QuarticModel):
         h = p1 / u
         return z0 + h, (v / p1) * h * h
 
-    return curve, forward, inverse
+    return EllipticCurve(*coeffs_ab), forward, inverse
 
 
-def infinity_branch_weierstrass(model: QuarticModel) -> tuple[EllipticCurve, Point]:
-    """Weierstrass curve of a quartic marked at infinity, and the image e2 of
-    the unmarked branch over z = infinity, from one reduction.
+def infinity_branch_weierstrass(model: QuarticModel) -> tuple[object, object, Point]:
+    """Weierstrass coefficients (a, b) of a quartic marked at infinity, and
+    the image e2 of the unmarked branch over z = infinity, from one reduction.
 
-    The curve is the one quartic_to_weierstrass gives; the marked branch goes
-    to Infinity, the other branch lands on the finite point e2."""
+    y^2 = x^3 + a x + b is the curve quartic_to_weierstrass gives; the marked
+    branch goes to Infinity, the other branch lands on the finite point e2.
+    No EllipticCurve is built, so the caller checks the discriminant once, in
+    whatever model it builds from (a, b)."""
     if not isinstance(model.marked, InfinityBranch):
         raise DomainError("only models marked at infinity carry a second branch")
     alpha = model.marked.sign * _sqrt_element(model.coeffs[4])
-    curve, _fwd, _inv, e2 = _reduce_infinity_branch(model.coeffs, alpha)
-    return curve, e2
+    (a, b), _fwd, _inv, e2 = _reduce_infinity_branch(model.coeffs, alpha)
+    return a, b, e2
 
 
 def _quartic_invariants(coeffs):

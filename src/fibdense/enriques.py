@@ -573,8 +573,8 @@ def k3_weierstrass_model(
         model = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(1))
     except NotSquarefree:
         raise NonReducedRamification("the branch curve has a repeated component") from None
-    curve, e2 = infinity_branch_weierstrass(model)
-    return K3Model(FibrationModel(curve.a, curve.b), e2, coeffs, twist)
+    a, b, e2 = infinity_branch_weierstrass(model)
+    return K3Model(FibrationModel(a, b), e2, coeffs, twist)
 
 
 def k3_fiber_chart(model: K3Model, t0):

@@ -12,6 +12,7 @@ from fibdense.density import (
     CertificationResult,
     DensityReport,
     Exhausted,
+    FiberOutcome,
     Skipped,
     certify_and_translate,
     densify,
@@ -27,7 +28,7 @@ from fibdense.errors import (
     NoGeneratorSupplied,
     UnsupportedRepresentation,
 )
-from fibdense.exactmath import enumerate_rationals, poly, ratfn
+from fibdense.exactmath import enumerate_rationals, poly, rat_to_string, ratfn
 from fibdense.fibration import (
     ConstantX,
     FibrationModel,
@@ -271,6 +272,86 @@ class TestReports:
         a = report_to_json(densify(WORKED, ConstantX(F(1)), 5, 3))
         b = report_to_json(densify(WORKED, ConstantX(F(1)), 5, 3))
         assert a == b
+
+
+def _reference_json(report):
+    """report.json as one document dumped at once."""
+
+    def point(p):
+        return "inf" if p.is_infinity else [rat_to_string(p.x), rat_to_string(p.y)]
+
+    def verdict(v):
+        if isinstance(v, InfiniteOrder):
+            return {"verdict": "non_torsion"}
+        if isinstance(v, Torsion):
+            return {"verdict": "torsion", "order": v.order}
+        return {"verdict": "skipped", "reason": v.reason}
+
+    doc = {
+        "fibers_attempted": report.fibers_attempted,
+        "fibers_certified": report.fibers_certified,
+        "points_emitted": report.points_emitted,
+        "max_height_seen": report.max_height_seen,
+        "per_fiber": [
+            {
+                "b": rat_to_string(o.b),
+                **verdict(o.result.verdict),
+                "base": point(o.result.base),
+                "tau": None if o.result.tau is None else point(o.result.tau),
+                "points": [
+                    {"k": k, "x": rat_to_string(pt.x), "y": rat_to_string(pt.y)}
+                    for k, pt in o.points
+                ],
+            }
+            for o in report.per_fiber
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _reference_csv(report):
+    lines = ["b,x,y,k"]
+    for o in report.per_fiber:
+        for k, pt in o.points:
+            lines.append(f"{rat_to_string(o.b)},{rat_to_string(pt.x)},{rat_to_string(pt.y)},{k}")
+    return "\n".join(lines) + "\n"
+
+
+def _one_fiber_report(result):
+    return DensityReport(1, 0, 0, 0, (FiberOutcome(result.b, result, ()),))
+
+
+class TestStreamedReports:
+    CASES = {
+        "empty": lambda: densify(WORKED, ConstantX(F(1)), 0, 5),
+        "trace_field_too_large": lambda: _one_fiber_report(
+            certify_and_translate(WORKED, TRISECTION, F(1), Point(F(0), F(1)), 3)[0]
+        ),
+        "singular": lambda: densify(CUSPFIB, ZeroSection(), 2, 3),
+        "torsion": lambda: densify(WORKED, TRISECTION, 6, 3),
+        "worked": lambda: densify(WORKED, ConstantX(F(1)), 10, 3),
+    }
+
+    def test_cases_cover_each_entry_shape(self):
+        reports = {name: build() for name, build in self.CASES.items()}
+        assert reports["empty"].per_fiber == ()
+        for name, reason in (("trace_field_too_large", "trace field too large"), ("singular", "singular")):
+            skipped = [o for o in reports[name].per_fiber if o.result.verdict == Skipped(reason)]
+            assert skipped and all(o.result.tau is None for o in skipped)
+        assert all(isinstance(o.result.verdict, Torsion) for o in reports["torsion"].per_fiber)
+        verdicts = {type(o.result.verdict) for o in reports["worked"].per_fiber}
+        assert {InfiniteOrder, Torsion} <= verdicts
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_streamed_files_equal_returned_strings(self, name, tmp_path):
+        report = self.CASES[name]()
+        for render, reference in ((report_to_json, _reference_json), (report_to_csv, _reference_csv)):
+            text = render(report)
+            assert text == reference(report)
+            path = tmp_path / "out"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                assert render(report, fh) is None
+            assert path.read_text(encoding="utf-8") == text
 
 
 class TestCrossModuleConsistency:

@@ -86,6 +86,68 @@ def test_mul_negation_symmetry():
         assert ec_mul(E, -n, P) == ec_neg(ec_mul(E, n, P))
 
 
+def test_mul_doubles_only_while_bits_remain(monkeypatch):
+    """[n]p by double-and-add equals n repeated additions, over Q and over a
+    quadratic field, and forms no doubling past the top bit of |n|."""
+    K = NumField(poly([-2, 0, 1]), "s")
+    cases = [
+        (EllipticCurve(F(0), F(-2)), Point(F(3), F(5))),
+        (EllipticCurve(K.embed(0), K.embed(-2)), Point(K.embed(3), K.embed(5))),
+    ]
+    add = elliptic._add_unchecked
+    doublings = []
+
+    def counting_add(curve, p, q):
+        if p == q:  # P has infinite order, so an addition never sees equal points
+            doublings.append(p)
+        return add(curve, p, q)
+
+    for E, P in cases:
+        for n in range(-5, 21):
+            expected = INFINITY
+            for _ in range(abs(n)):
+                expected = add(E, expected, P if n > 0 else ec_neg(P))
+            doublings.clear()
+            monkeypatch.setattr(elliptic, "_add_unchecked", counting_add)
+            got = elliptic._mul_unchecked(E, n, P)
+            monkeypatch.setattr(elliptic, "_add_unchecked", add)
+            assert got == expected, n
+            assert len(doublings) == max(abs(n).bit_length() - 1, 0), n
+
+
+_RAT = st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**20))
+_INT_OR_RAT = st.one_of(st.integers(-1000, 1000), _RAT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT)
+def test_integer_contains_agrees_with_field_expression(x, y, a, b, delta):
+    """contains decides y^2 = x^3 + ax + b on integers for points over Q;
+    b is also set so that the point lies on the curve, and moved off it."""
+    on_b = y * y - x * x * x - a * x
+    for b_val, on in ((b, None), (on_b, True), (on_b + delta, delta == 0)):
+        assume(4 * a * a * a + 27 * b_val * b_val != 0)
+        got = EllipticCurve(a, b_val).contains(Point(x, y))
+        assert got == (y * y == x * x * x + a * x + b_val)
+        if on is not None:
+            assert got == on
+
+
+def test_integer_contains_fixed_examples():
+    E = EllipticCurve(0, 1)  # int coefficients
+    for x, y in ((0, 1), (0, -1), (-1, 0), (2, 3), (2, -3), (F(2), 3)):
+        assert E.contains(Point(x, y))
+    for x, y in ((1, 1), (0, 0), (F(1, 2), F(3, 2)), (2, F(3, 2))):
+        assert not E.contains(Point(x, y))
+    E2 = EllipticCurve(F(2), F(1))
+    assert E2.contains(Point(F(-7, 16), F(-13, 64)))
+    assert not E2.contains(Point(F(-7, 16), F(13, 63)))
+    # denominators in the coefficients: y^2 = x^3 - x/4 + 1/9 through (0, -1/3)
+    E3 = EllipticCurve(F(-1, 4), F(1, 9))
+    assert E3.contains(Point(0, F(-1, 3)))
+    assert not E3.contains(Point(0, F(1, 9)))
+
+
 def test_off_curve_points_rejected():
     E = EllipticCurve(F(0), F(1))
     with pytest.raises(PointNotOnCurve):

@@ -11,6 +11,7 @@ import pytest
 import sympy
 
 from fibdense.elliptic import (
+    EllipticCurve,
     Point,
     QuarticModel,
     ec_mul,
@@ -47,6 +48,7 @@ from fibdense.errors import (
 )
 from fibdense.exactmath import Poly, poly, ratfn
 from fibdense.fibration import (
+    FibrationModel,
     GraphOnQuartic,
     TorsionEvidence,
     ZeroSection,
@@ -382,6 +384,15 @@ class TestK3Model:
             fiber = specialize(k3.fibration, t0)
             quartic_j = quartic_j_invariant(tuple(c(t0) for c in k3.fiber_coeffs))
             assert j_invariant(fiber) == quartic_j == 1728
+
+    def test_discriminant_is_computed_once(self, monkeypatch):
+        calls = []
+        for cls in (EllipticCurve, FibrationModel):
+            fget = cls.discriminant.fget
+            counted = property(lambda self, fget=fget: calls.append(type(self)) or fget(self))
+            monkeypatch.setattr(cls, "discriminant", counted)
+        k3_weierstrass_model(FD)
+        assert calls == [FibrationModel]
 
     def test_non_square_lead_needs_flag(self):
         cone = ConeQuartic({(0, 0, 0, 4): 2, (1, 1, 2, 0): 1, (4, 0, 0, 0): -2})
