@@ -111,10 +111,9 @@ def certify_and_translate(model, m, b, p: Point, k_max: int):
     cert = torsion_certify(fiber, q)
     points = []
     if isinstance(cert, InfiniteOrder):
-        acc = p
-        for _k in range(k_max + 1):
-            points.append(acc)
-            acc = _add_unchecked(fiber, acc, q)
+        points.append(p)
+        for _k in range(k_max):
+            points.append(_add_unchecked(fiber, points[-1], q))
     return CertificationResult(b, p, q, cert, fiber), points
 
 

@@ -384,9 +384,6 @@ def quartic_to_weierstrass(model: QuarticModel):
     shifted = Poly(coeffs).shift(z0)  # p(h) = q(z0 + h)
     p = [shifted.coefficient(k) for k in range(5)]
 
-    if w0 * w0 != p[0]:  # pragma: no cover - guarded at construction
-        raise PointNotOnCurve("marked point drifted off the model")
-
     if w0:
         # invert: s = 1/(z - z0), W = w/(z - z0)^2 gives lead p0 = w0^2
         rev = (p[4], p[3], p[2], p[1], p[0])
@@ -437,18 +434,20 @@ def quartic_to_weierstrass(model: QuarticModel):
     return EllipticCurve(*coeffs_ab), forward, inverse
 
 
-def infinity_branch_weierstrass(model: QuarticModel) -> tuple[object, object, Point]:
-    """Weierstrass coefficients (a, b) of a quartic marked at infinity, and
-    the image e2 of the unmarked branch over z = infinity, from one reduction.
+def infinity_branch_weierstrass(coeffs, sign: int = 1) -> tuple[object, object, Point]:
+    """Weierstrass coefficients (a, b) of w^2 = q(z), q = q4 z^4 + ... + q0
+    with coeffs = (q0, ..., q4), and the image e2 of the branch over
+    z = infinity that is not marked, from one reduction.
 
-    y^2 = x^3 + a x + b is the curve quartic_to_weierstrass gives; the marked
-    branch goes to Infinity, the other branch lands on the finite point e2.
-    No EllipticCurve is built, so the caller checks the discriminant once, in
-    whatever model it builds from (a, b)."""
-    if not isinstance(model.marked, InfinityBranch):
-        raise DomainError("only models marked at infinity carry a second branch")
-    alpha = model.marked.sign * _sqrt_element(model.coeffs[4])
-    (a, b), _fwd, _inv, e2 = _reduce_infinity_branch(model.coeffs, alpha)
+    The marked branch is w ~ sign * sqrt(q4) z^2, which goes to Infinity; q4
+    must be a nonzero square (NoSquareRoot otherwise). y^2 = x^3 + a x + b is
+    the curve quartic_to_weierstrass gives for QuarticModel(coeffs,
+    InfinityBranch(sign)), but the coefficients are not validated and no
+    curve is built: for this reduction Delta(y^2 = x^3 + a x + b) =
+    16 * disc_z(q) for either sign, so the discriminant of whatever model the
+    caller builds from (a, b) is the squarefreeness check of q."""
+    alpha = sign * _sqrt_element(coeffs[4])
+    (a, b), _fwd, _inv, e2 = _reduce_infinity_branch(coeffs, alpha)
     return a, b, e2
 
 

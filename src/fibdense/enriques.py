@@ -34,7 +34,6 @@ from .errors import (
     NonReducedRamification,
     NotInR0,
     NotOnR,
-    NotSquarefree,
     VertexOnQuartic,
     ZeroInput,
     ZeroIntersection,
@@ -400,7 +399,7 @@ def _verify_candidate(data: RamificationData, line: TangentLine, lam):
     if distinct.degree < 2:
         return None
     t0 = line.point[0]
-    if distinct.root_multiplicity(t0) != 1:
+    if distinct(t0):
         return None
     others = distinct.exact_div(Poly([-t0, Fraction(1)]))
     roots, unresolved = small_field_roots(others, "s", extend=isinstance(lam, Fraction))
@@ -556,7 +555,10 @@ def k3_weierstrass_model(
     factor is recorded on the model.
 
     A repeated component of the branch curve is a repeated root of the
-    quartic over Q(t), which QuarticModel rejects by 4I^3 - J^2 = 0.
+    quartic over Q(t). The reduction gives Delta = 16 * disc_z(q) for the
+    (twisted) quartic q, and branch_discriminant(data) = Res_z(F, F_z) =
+    f4 * disc_z(F) with f4 a nonzero constant, so the discriminant check of
+    FibrationModel is the repeated-component check.
     """
     lead = data.lead_z
     twist = Fraction(1)
@@ -569,12 +571,12 @@ def k3_weierstrass_model(
             )
         twist = lead
         coeffs = tuple(twist * c for c in coeffs)
+    a, b, e2 = infinity_branch_weierstrass(tuple(RatFn(c) for c in coeffs))
     try:
-        model = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(1))
-    except NotSquarefree:
+        fibration = FibrationModel(a, b)
+    except DomainError:
         raise NonReducedRamification("the branch curve has a repeated component") from None
-    a, b, e2 = infinity_branch_weierstrass(model)
-    return K3Model(FibrationModel(a, b), e2, coeffs, twist)
+    return K3Model(fibration, e2, coeffs, twist)
 
 
 def k3_fiber_chart(model: K3Model, t0):

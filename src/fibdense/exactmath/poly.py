@@ -15,11 +15,12 @@ Design notes, kept here because they are easy to get wrong:
   formed, so no intermediate coefficient swell.
 * resultants go through the Sylvester matrix and fraction-free Bareiss
   elimination; no floating point anywhere.
-* rational roots avoid factoring huge leading/trailing coefficients: roots of
-  the squarefree part are found modulo a small prime by trying every residue,
-  Hensel-lifted, and recovered by rational reconstruction, then every
-  candidate is verified by exact evaluation. Degree <= 2 short-circuits to
-  closed forms.
+* rational roots come from each factor of Yun's squarefree decomposition,
+  with that factor's multiplicity. Closed forms handle factors of degree
+  <= 2. Squarefree factors of higher degree avoid factoring huge
+  leading/trailing coefficients: their roots are found modulo a small prime
+  by trying every residue, Hensel-lifted, and recovered by rational
+  reconstruction, then every candidate is verified by exact evaluation.
 """
 
 from __future__ import annotations
@@ -547,45 +548,37 @@ def squarefree_part(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots with exact multiplicities, ascending by value."""
+    """All rational roots with exact multiplicities, ascending by value.
+
+    The roots of each factor of Yun's decomposition carry that factor's
+    multiplicity; the factors are squarefree and pairwise coprime, so no
+    root is found twice and none needs its multiplicity counted."""
     if p.is_zero:
         raise ZeroInput("rational roots of 0")
-    if p.degree < 1:
-        return []
-    coeffs = list(p.coeffs)
-    zero_mult = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        zero_mult += 1
-    stripped = Poly(coeffs)
-    found: list[tuple[Fraction, int]] = []
-    if zero_mult:
-        found.append((Fraction(0), zero_mult))
-    if stripped.degree >= 1:
-        for r in _distinct_rational_roots(stripped):
-            found.append((r, stripped.root_multiplicity(r)))
+    found = []
+    for factor, mult in squarefree_decompose(p):
+        found.extend((r, mult) for r in _squarefree_rational_roots(factor))
     found.sort(key=lambda rm: rm[0])
     return found
 
 
-def _distinct_rational_roots(p: Poly) -> list[Fraction]:
-    """Distinct rational roots of p (nonzero constant term)."""
-    if p.degree == 1:
-        return [-p.coeffs[0] / p.coeffs[1]]
-    if p.degree == 2:
-        a2, a1, a0 = p.coeffs[2], p.coeffs[1], p.coeffs[0]
+def _squarefree_rational_roots(f: Poly) -> list[Fraction]:
+    """Rational roots of a squarefree f of degree >= 1, in no set order."""
+    if f.degree == 1:
+        return [-f.coeffs[0] / f.coeffs[1]]
+    if f.degree == 2:
+        a2, a1, a0 = f.coeffs[2], f.coeffs[1], f.coeffs[0]
         disc = a1 * a1 - 4 * a2 * a0
         if not is_square(disc):
             return []
         s = rat_sqrt(disc)
-        roots = {(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)}
-        return sorted(roots)
-    g = squarefree_part(p)
-    gi = _to_int_primitive(g)
-    return sorted(_modular_rational_roots(gi, p))
+        return [(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)]
+    if f.coeffs[0] == 0:
+        return [Fraction(0), *_squarefree_rational_roots(Poly(f.coeffs[1:]))]
+    return _modular_rational_roots(_to_int_primitive(f), f)
 
 
-def _modular_rational_roots(g: list[int], original: Poly) -> set[Fraction]:
+def _modular_rational_roots(g: list[int], original: Poly) -> list[Fraction]:
     """Rational roots of a squarefree primitive integer polynomial.
 
     Roots are located mod a small prime by trying every residue, Hensel-lifted,
@@ -601,12 +594,12 @@ def _modular_rational_roots(g: list[int], original: Poly) -> set[Fraction]:
     target = 2 * num_bound * den_bound + 1
     dg = [i * c for i, c in enumerate(g)][1:]
     prime, residues = _simple_roots_mod_small_prime(g, dg)
-    roots = set()
+    roots = []
     for r in residues:
         lifted, modulus = _hensel_lift(g, dg, r, prime, target)
         cand = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
         if cand is not None and original(cand) == 0:
-            roots.add(cand)
+            roots.append(cand)
     return roots
 
 

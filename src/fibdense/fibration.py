@@ -121,11 +121,10 @@ def specialize(model: FibrationModel, b: Rat):
     """The fiber curve at t = b, or a SingularFiber marker."""
     if model.a.den(b) == 0 or model.b.den(b) == 0:
         raise PoleAtParameter(f"coefficient pole at t = {b}")
-    a_val = model.a(b)
-    b_val = model.b(b)
-    if 4 * a_val**3 + 27 * b_val**2 == 0:
+    try:
+        return EllipticCurve(model.a(b), model.b(b))
+    except DomainError:
         return SingularFiber(b)
-    return EllipticCurve(a_val, b_val)
 
 
 def _smooth_fiber(model: FibrationModel, b: Rat) -> EllipticCurve:
@@ -311,12 +310,12 @@ def _delta_nonzero_at(model: FibrationModel, b) -> bool:
 
 
 def _all_roots_singular(model: FibrationModel, factor: Poly, through=None) -> bool:
-    """Every root of factor is a zero of the discriminant (exactly)."""
+    """Every root of factor, monic and squarefree, is a zero of the
+    discriminant (exactly)."""
     disc = model.discriminant
     target = disc.num if through is None else through
-    sf = squarefree_part(factor)
-    g = poly_gcd(sf, squarefree_part(target))
-    return g.degree == sf.degree
+    g = poly_gcd(factor, squarefree_part(target))
+    return g.degree == factor.degree
 
 
 def _branch_report(model, branch_poly: Poly, name: str, locate, through=None):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fibdense.density as density
 from fibdense.density import (
     CertificationResult,
     DensityReport,
@@ -21,7 +22,15 @@ from fibdense.density import (
     report_to_csv,
     report_to_json,
 )
-from fibdense.elliptic import INFINITY, EllipticCurve, InfiniteOrder, Point, Torsion, ec_add
+from fibdense.elliptic import (
+    INFINITY,
+    EllipticCurve,
+    InfiniteOrder,
+    Point,
+    Torsion,
+    ec_add,
+    ec_mul,
+)
 from fibdense.errors import (
     DomainError,
     EmptyFamily,
@@ -140,6 +149,18 @@ class TestCertifyAndTranslate:
         assert points[1] == ec_add(fiber, points[0], result.tau)
         for p in points:
             assert fiber.contains(p)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 4])
+    def test_translates_take_k_max_additions(self, k_max, monkeypatch):
+        additions = []
+        add = density._add_unchecked
+        monkeypatch.setattr(density, "_add_unchecked", lambda *args: additions.append(args) or add(*args))
+        p = Point(F(1), F(2))
+        result, points = certify_and_translate(WORKED, ConstantX(F(1)), F(2), p, k_max)
+        assert result.verdict == InfiniteOrder()
+        assert len(additions) == k_max
+        fiber = specialize(WORKED, F(2))
+        assert points == [ec_add(fiber, p, ec_mul(fiber, k, result.tau)) for k in range(k_max + 1)]
 
     def test_two_torsion_base_point_is_torsion(self):
         result, points = certify_and_translate(

@@ -29,6 +29,7 @@ from fibdense.elliptic import (
     ec_mul,
     ec_neg,
     ec_sub,
+    infinity_branch_weierstrass,
     j_invariant,
     naive_height,
     quartic_j_invariant,
@@ -444,6 +445,37 @@ def test_quartic_branches_map_to_distinct_curve_points():
     seedm = fwd(F(0), F(-1))
     assert seedp != seedm
     assert curve.contains(seedp) and curve.contains(seedm)
+
+
+_T = RATFN_T
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (F(1), F(1), F(1), F(1), F(1)),
+        (F(-3), F(2), F(0), F(5), F(4)),
+        (_T * _T + 1, _T, 2 * _T, RatFn(1), RatFn(4)),
+    ],
+    ids=["q", "q-lead-4", "q(t)"],
+)
+def test_infinity_branch_weierstrass_matches_quartic_model(coeffs, sign):
+    curve, _, _ = quartic_to_weierstrass(QuarticModel(coeffs, InfinityBranch(sign)))
+    a, b, e2 = infinity_branch_weierstrass(coeffs, sign)
+    assert (a, b) == (curve.a, curve.b)
+    assert curve.contains(e2)
+    # the unmarked branch is the point (0, -root) of the reversed chart
+    # W^2 = q4 + q3 s + ... + q0 s^4, s = 1/z, whose model marked at (0, root)
+    # reduces through the same branch
+    zero, root = coeffs[0] * 0, sign * elliptic._sqrt_element(coeffs[4])
+    reversed_model = QuarticModel(tuple(reversed(coeffs)), (zero, root))
+    reversed_curve, reversed_fwd, _ = quartic_to_weierstrass(reversed_model)
+    assert reversed_curve == curve
+    assert reversed_fwd(zero, -root) == e2
+    # Delta = 16 disc_z(q), and 4I^3 - J^2 = 27 disc_z(q)
+    i_inv, j_inv = elliptic._quartic_invariants(coeffs)
+    assert 27 * curve.discriminant == 16 * (4 * i_inv**3 - j_inv**2)
 
 
 def test_ec_sub():

@@ -394,6 +394,15 @@ class TestK3Model:
         k3_weierstrass_model(FD)
         assert calls == [FibrationModel]
 
+    def test_builds_no_quartic_model(self, monkeypatch):
+        built = []
+        check = QuarticModel.__post_init__
+        monkeypatch.setattr(QuarticModel, "__post_init__", lambda self: built.append(self) or check(self))
+        cone = ConeQuartic({(0, 0, 0, 4): 2, (1, 1, 2, 0): 1, (4, 0, 0, 0): -2})
+        k3_weierstrass_model(FD)
+        k3_weierstrass_model(restrict_quartic_to_cone(cone), allow_quadratic_twist_extension=True)
+        assert built == []
+
     def test_non_square_lead_needs_flag(self):
         cone = ConeQuartic({(0, 0, 0, 4): 2, (1, 1, 2, 0): 1, (4, 0, 0, 0): -2})
         data = restrict_quartic_to_cone(cone)
@@ -410,6 +419,10 @@ class TestK3Model:
         data = RamificationData((poly([0, 0, 1]), poly([0]), poly([0, -2]), poly([0]), poly([1])))
         with pytest.raises(NonReducedRamification):
             k3_weierstrass_model(data)
+        # 2(z^2 - t)^2: its lead 2 needs the twist before the check is reached
+        doubled = RamificationData(tuple(2 * c for c in data.coeffs))
+        with pytest.raises(NonReducedRamification):
+            k3_weierstrass_model(doubled, allow_quadratic_twist_extension=True)
 
     def test_section_difference_has_definite_verdict(self):
         k3 = k3_weierstrass_model(FD)

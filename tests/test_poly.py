@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibdense.errors import BothZero, ZeroInput
@@ -159,6 +159,12 @@ def test_rational_roots_skip_primes_with_repeated_roots(roots, prime):
     ),
     cofactor=st.lists(st.integers(-9, 9), min_size=2, max_size=4),
 )
+# root 0 in a squarefree Yun factor of degree >= 3: t(t^2 + 1), and
+# t(2t - 3)(t^3 + 2), whose degree-4 quotient by t takes the modular search
+@example(lins=[(0, 1, 1)], cofactor=[1, 0])
+@example(lins=[(0, 1, 1), (3, 2, 1)], cofactor=[2, 0, 0])
+# root 0 in the repeated Yun factor t(3t - 5)(2t + 7) of multiplicity 2
+@example(lins=[(0, 1, 2), (5, 3, 2), (-7, 2, 2)], cofactor=[1, 0])
 def test_rational_roots_match_sympy_factor_list(lins, cofactor):
     # (den x - num)^mult for each linear factor, times a monic irreducible
     # cofactor of degree 2-4 with small coefficients

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from fibdense.exactmath import NumFieldElement, Poly
+from fibdense.exactmath import NumFieldElement, Poly, quadratic_field
 from fibdense.fibration import small_field_roots
 
 X = sympy.Symbol("x")
@@ -73,3 +73,14 @@ def test_small_field_roots_match_sympy(lead, lins, quads, cubs):
         assert r.field.minimal_polynomial == factor
         assert factor(r) == 0 and p(r) == 0
     assert unresolved == expected_unresolved
+
+
+def test_small_field_roots_over_a_quadratic_field():
+    K, r, _conj = quadratic_field(Poly([-2, 0, 1]), "r")
+    x = Poly([0, 1])
+    assert small_field_roots((x - r) * (x - 1 - r), "s") == ([(1 + r, 1), (r, 1)], [])
+    assert small_field_roots((x - r) * (x - 1 - r) * (x - r), "s") == ([(1 + r, 1), (r, 2)], [])
+    assert small_field_roots((x - r) ** 2, "s") == ([(r, 2)], [])
+    # the discriminant -12 of x^2 + 3 has no square root in Q(r)
+    p = Poly([K.embed(3), 0, 1])
+    assert small_field_roots(p, "s") == ([], [p])
