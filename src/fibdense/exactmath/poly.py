@@ -573,8 +573,6 @@ def _squarefree_rational_roots(f: Poly) -> list[Fraction]:
             return []
         s = rat_sqrt(disc)
         return [(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)]
-    if f.coeffs[0] == 0:
-        return [Fraction(0), *_squarefree_rational_roots(Poly(f.coeffs[1:]))]
     return _modular_rational_roots(_to_int_primitive(f), f)
 
 

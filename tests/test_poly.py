@@ -160,7 +160,7 @@ def test_rational_roots_skip_primes_with_repeated_roots(roots, prime):
     cofactor=st.lists(st.integers(-9, 9), min_size=2, max_size=4),
 )
 # root 0 in a squarefree Yun factor of degree >= 3: t(t^2 + 1), and
-# t(2t - 3)(t^3 + 2), whose degree-4 quotient by t takes the modular search
+# t(2t - 3)(t^3 + 2), a degree-5 factor that takes the modular search
 @example(lins=[(0, 1, 1)], cofactor=[1, 0])
 @example(lins=[(0, 1, 1), (3, 2, 1)], cofactor=[2, 0, 0])
 # root 0 in the repeated Yun factor t(3t - 5)(2t + 7) of multiplicity 2
