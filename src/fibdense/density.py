@@ -126,17 +126,16 @@ def _fiber_work(model, m, b, base_points, k_max):
         if first_result is None:
             first_result = result
         if isinstance(result.verdict, InfiniteOrder):
-            emitted = []
-            seen = set()
-            for k, pt in [*enumerate(translates), *((0, extra) for extra in base_points)]:
-                if pt.is_infinity:
-                    continue
+            # the translates p + k tau are pairwise distinct, since
+            # (i - j) tau = O forces i = j for a non-torsion tau; only the
+            # extra base points can repeat an emitted point
+            emitted = [(k, pt) for k, pt in enumerate(translates) if not pt.is_infinity]
+            for extra in base_points:
+                if not extra.is_infinity and all(extra != pt for _k, pt in emitted):
+                    emitted.append((0, extra))
+            for _k, pt in emitted:
                 if not result.fiber.contains(pt):
                     raise DomainError(f"point {pt} failed on-curve re-verification")
-                before = len(seen)
-                seen.add((pt.x, pt.y))
-                if len(seen) > before:
-                    emitted.append((k, pt))
             return FiberOutcome(b, result, tuple(emitted))
     return FiberOutcome(b, first_result, ())
 

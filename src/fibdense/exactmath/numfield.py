@@ -184,8 +184,12 @@ class NumFieldElement:
         return NumFieldElement(K, ((a - b * K._p1) / norm, -b / norm))
 
     def __truediv__(self, other):
-        o = self._binop(other)
-        return self * o.inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroInput("division of a field element by zero")
+            a, b = self.coeffs
+            return NumFieldElement(self.field, (a / other, b / other))
+        return self * self._binop(other).inverse()
 
     def __rtruediv__(self, other):
         return self._binop(other) * self.inverse()
@@ -229,10 +233,11 @@ class NumFieldElement:
 
 
 def quadratic_field(f: Poly, name: str = "r") -> tuple[NumField, NumFieldElement, NumFieldElement]:
-    """Field defined by a monic irreducible quadratic, with its two roots.
+    """Field defined by an irreducible quadratic, with its two roots.
 
-    The generator is one root; the other is its conjugate.
+    The minimal polynomial is f made monic. The generator is one root; the
+    other is its conjugate.
     """
-    field = NumField(f.monic(), name=name)
+    field = NumField(f, name=name)
     r1 = field.gen
     return field, r1, r1.conjugate()

@@ -59,7 +59,6 @@ from .exactmath import (
     rat_sqrt,
     rational_roots,
     squarefree_decompose,
-    squarefree_part,
 )
 from .exactmath.numfield import NumField, NumFieldElement
 
@@ -211,20 +210,28 @@ def small_field_roots(p: Poly, name: str, extend: bool = True):
     named `name` (only when extend is set). unresolved lists the monic
     squarefree parts left over, whose roots need a larger field. For p over a
     quadratic field only roots inside that same field are produced.
+
+    Over Q the rational roots come from one rational_roots call on p. What
+    is left once they are divided out has no rational root, so a remainder
+    of degree 2 or 3 is irreducible (and squarefree) as it stands; only a
+    remainder of degree >= 4 needs Yun's decomposition.
     """
-    rational, quadratic, unresolved = [], [], []
-    for factor, mult in squarefree_decompose(p):
-        field = next((c.field for c in factor.coeffs if isinstance(c, NumFieldElement)), None)
-        if field is None:
-            for r, _ in rational_roots(factor):
-                rational.append((r, mult))
-                factor = factor.exact_div(Poly([-r, Fraction(1)]))
+    field = next((c.field for c in p.coeffs if isinstance(c, NumFieldElement)), None)
+    quadratic, unresolved = [], []
+    if field is None:
+        rational = rational_roots(p)
+        rest = p
+        for r, mult in rational:
+            rest = rest.exact_div(Poly([-r, Fraction(1)]) ** mult)
+        for factor, mult in squarefree_decompose(rest) if rest.degree >= 4 else [(rest, 1)]:
             if factor.degree == 2 and extend:
                 _K, root, conj = quadratic_field(factor, name)
                 quadratic += [(root, mult), (conj, mult)]
             elif factor.degree > 0:
-                unresolved.append(factor)
-        elif factor.degree == 1:
+                unresolved.append(factor.monic())
+        return rational + quadratic, unresolved
+    for factor, mult in squarefree_decompose(p):
+        if factor.degree == 1:
             quadratic.append((-factor.coefficient(0), mult))
         elif factor.degree == 2:
             b, c = factor.coefficient(1), factor.coefficient(0)
@@ -237,7 +244,7 @@ def small_field_roots(p: Poly, name: str, extend: bool = True):
                 quadratic += [((-b + root) * half, mult), ((-b - root) * half, mult)]
         else:
             unresolved.append(factor)
-    return sorted(rational) + quadratic, unresolved
+    return quadratic, unresolved
 
 
 def odd_square_split(g: Poly) -> tuple[Poly, Poly]:
@@ -261,13 +268,6 @@ def _square_roots(value: Rat):
         return None, [(w, 1), (-w, 1)]
     K = NumField(Poly([-value, Fraction(0), Fraction(1)]), "w")
     return K, [(K.gen, 1), (-K.gen, 1)]
-
-
-def _rationalize_point(p: Point) -> Point:
-    p = _descend_point(p)
-    if isinstance(p.x, NumFieldElement):
-        raise DomainError(f"expected a rational point, got {p}")
-    return p
 
 
 # -- ramification reports --
@@ -311,11 +311,15 @@ def _delta_nonzero_at(model: FibrationModel, b) -> bool:
 
 def _all_roots_singular(model: FibrationModel, factor: Poly, through=None) -> bool:
     """Every root of factor, monic and squarefree, is a zero of the
-    discriminant (exactly)."""
+    discriminant numerator, or of through when given (exactly).
+
+    factor is squarefree, so that holds exactly when factor divides the
+    target, that is when gcd(factor, target) has the degree of factor. The
+    target is never zero: FibrationModel rejects a zero discriminant, and
+    through is its numerator pulled back along a nonconstant t(s)."""
     disc = model.discriminant
     target = disc.num if through is None else through
-    g = poly_gcd(factor, squarefree_part(target))
-    return g.degree == factor.degree
+    return poly_gcd(factor, target).degree == factor.degree
 
 
 def _branch_report(model, branch_poly: Poly, name: str, locate, through=None):
@@ -623,42 +627,58 @@ def _check_support(curve: EllipticCurve, support) -> None:
             raise DomainError(f"cycle point {pt} is off the fiber")
 
 
-def _galois_stable(support) -> bool:
-    quad = {}
+def _pair_conjugates(support):
+    """(rational, pairs) for a cycle's support, or None when it is not
+    Galois-stable.
+
+    rational lists the points over Q with their multiplicities; a point over
+    a quadratic field whose coordinates are both rational is listed here over
+    Q. pairs lists one point P of each conjugate pair {P, conj(P)} with the
+    multiplicity the two must share. One pass over the support keeps, for
+    each pair met so far, the multiplicity of P minus that of conj(P); the
+    support is Galois-stable when every difference ends at zero."""
+    rational, pending = [], []  # pending entries: [key, point, multiplicity, difference]
     for pt, mult in support:
-        if pt.is_infinity or isinstance(pt.x, Fraction):
+        if not isinstance(pt.x, NumFieldElement):
+            rational.append((pt, mult))
             continue
-        key = (pt.x.field, pt.x.coeffs, pt.y.coeffs)
-        quad[key] = quad.get(key, 0) + mult
-    for (K, xc, yc), mult in quad.items():
-        x = NumFieldElement(K, xc)
-        y = NumFieldElement(K, yc)
-        cx, cy = x.conjugate(), y.conjugate()
-        ckey = (K, cx.coeffs, cy.coeffs)
-        if quad.get(ckey, 0) != mult:
-            return False
-    return True
-
-
-def _sum_cycle(curve: EllipticCurve, support) -> Point:
-    """Group-law sum with multiplicity; the points over each quadratic field
-    are summed first and that sum must descend to Q.
-
-    The support must already be checked on the curve (_check_support): the
-    group law here does not check it again."""
-    total = INFINITY
-    by_field: dict[NumField, list[tuple[Point, int]]] = {}
-    for pt, mult in support:
-        if isinstance(pt.x, NumFieldElement):
-            by_field.setdefault(pt.x.field, []).append((pt, mult))
+        yc, xc = pt.y.coeffs, pt.x.coeffs
+        if not (xc[1] or yc[1]):
+            rational.append((Point(xc[0], yc[0]), mult))
+            continue
+        field = pt.x.field
+        key = (field, xc, yc)
+        conj = (field, pt.x.conjugate().coeffs, pt.y.conjugate().coeffs)
+        for entry in pending:
+            if entry[0] == conj:
+                entry[3] -= mult
+                break
+            if entry[0] == key:
+                entry[2] += mult
+                entry[3] += mult
+                break
         else:
-            total = _add_unchecked(curve, total, _mul_unchecked(curve, mult, pt))
-    for pts in by_field.values():
-        acc = INFINITY
-        for pt, mult in pts:
-            acc = _add_unchecked(curve, acc, _mul_unchecked(curve, mult, pt))
-        total = _add_unchecked(curve, total, _rationalize_point(acc))
-    return total
+            pending.append([key, pt, mult, mult])
+    if any(entry[3] for entry in pending):
+        return None
+    return rational, [(pt, mult) for _key, pt, mult, _diff in pending]
+
+
+def _pair_sum(p: Point) -> Point:
+    """P + conj(P) over Q for P = (ax + bx*g, ay + by*g) on a curve over Q,
+    with g^2 + p1*g + p0 = 0.
+
+    The chord through P and conj(P) has slope l = by/bx; its third point is
+    rational, x3 = l^2 - (2ax - bx*p1) and y3 = l*(ax - x3) - ay. When
+    bx = 0 and by != 0, conj(P) = -P on the curve and the sum is the origin.
+    This is Cantor's reduction of a degree-2 divisor (D. G. Cantor, Math.
+    Comp. 48, 1987)."""
+    (ax, bx), (ay, by) = p.x.coeffs, p.y.coeffs
+    if not bx:
+        return INFINITY
+    slope = by / bx
+    x3 = slope * slope - ax - p.x.conjugate().coeffs[0]
+    return Point(x3, slope * (ax - x3) - ay)
 
 
 def trace_cycle(
@@ -666,20 +686,29 @@ def trace_cycle(
 ) -> tuple[ZeroCycle, TracePoint]:
     """The fiber zero-cycle of the multisection at t = b and its group sum.
 
+    The trace is summed over Q: the rational points with their
+    multiplicities, and each conjugate pair by its chord (_pair_sum). The
+    fiber is defined over Q, so conjugation maps its points to its points,
+    and one point of each pair is checked on it.
+
     fiber, when given, is the smooth fiber at b that the caller already
     built; otherwise it is specialized here."""
     if fiber is None:
         fiber = _smooth_fiber(model, b)
     support = m.cycle(fiber, b)
-    _check_support(fiber, support)
+    split = _pair_conjugates(support)
+    if split is None:
+        raise DomainError(f"cycle at t = {b} is not Galois-stable")
+    rational, pairs = split
+    _check_support(fiber, rational + pairs)
     cycle = ZeroCycle(b, tuple(support))
     if cycle.total_degree != m.degree:
         raise DomainError(
             f"cycle at t = {b} has degree {cycle.total_degree}, expected {m.degree}"
         )
-    if not _galois_stable(support):
-        raise DomainError(f"cycle at t = {b} is not Galois-stable")
-    trace = _rationalize_point(_sum_cycle(fiber, support))
+    trace = INFINITY
+    for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
+        trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
     return cycle, TracePoint(b, trace)
 
 

@@ -223,6 +223,15 @@ class TestDensify:
                 ks = [k for k, _pt in outcome.points]
                 assert set(range(6)).issubset(set(ks) | {0})
 
+    def test_extra_base_point_equal_to_a_translate_emitted_once(self):
+        m, b, p = ConstantX(F(1)), F(2), Point(F(1), F(2))
+        result, translates = certify_and_translate(WORKED, m, b, p, 3)
+        assert result.verdict == InfiniteOrder()
+        other = Point(F(1), F(-2))
+        assert other not in translates
+        outcome = density._fiber_work(WORKED, m, b, [p, translates[2], other, INFINITY, other], 3)
+        assert outcome.points == (*enumerate(translates), (0, other))
+
     def test_monotonicity_in_height_bound(self):
         small = densify(WORKED, ConstantX(F(1)), 5, 3)
         large = densify(WORKED, ConstantX(F(1)), 8, 3)

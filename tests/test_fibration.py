@@ -39,6 +39,7 @@ from fibdense.fibration import (
     SingularFiber,
     SplitList,
     TorsionEvidence,
+    UnresolvedRamification,
     ZeroSection,
     chart_swap,
     fiber_type,
@@ -334,6 +335,19 @@ class TestRamification:
         # lie entirely over singular fibers
         assert len(report.unresolved) == 1
         assert report.unresolved[0].all_singular is True
+
+    def test_unresolved_factor_singular_or_not(self):
+        # y^2 = x^3 + (t^3 - 2): the line x = 0 meets the fibration over the
+        # roots of t^3 - 2, whose fibers are all singular (Delta ~ (t^3 - 2)^2)
+        cubic = poly([-2, 0, 0, 1])
+        singular = FibrationModel(ratfn([0]), RatFn(cubic))
+        report = ramification_points(singular, ConstantX(F(0)))
+        assert report.unresolved == (UnresolvedRamification(cubic, True),)
+        # y^2 = x^3 + (t^3 - 3): x = 1 meets it over the same roots, where
+        # Delta ~ (t^3 - 3)^2 does not vanish
+        smooth = FibrationModel(ratfn([0]), ratfn([-3, 0, 0, 1]))
+        report = ramification_points(smooth, ConstantX(F(1)))
+        assert report.unresolved == (UnresolvedRamification(cubic, False),)
 
     def test_bitangent_graph_salient_at_both_tangencies(self):
         fib, gq = engineered_bitangent_pair()

@@ -66,6 +66,26 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert g**-2 == Fraction(1, 2)
 
 
+_small_rat = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_small_rat, min_size=2, max_size=2), st.one_of(st.integers(-20, 20), _small_rat).filter(bool))
+def test_division_by_a_rational_matches_the_field_inverse(cs, r):
+    for K in FIELDS:
+        a = K.element(cs)
+        got = a / r
+        assert got == a * K.embed(r).inverse()
+        assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+
+def test_division_by_rational_zero_raises():
+    a = FIELDS[0].element([1, 2])
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroInput):
+            a / zero
+
+
 def test_reducible_minimal_polynomials_rejected():
     with pytest.raises(DomainError):
         NumField(poly([1, 2, 1]))  # (x+1)^2

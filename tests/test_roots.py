@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibdense.exactmath import NumFieldElement, Poly, quadratic_field
@@ -34,6 +34,10 @@ def _to_poly(expr) -> Poly:
     quads=st.lists(quadratics, max_size=2),
     cubs=st.lists(cubics, max_size=1),
 )
+# (x^2 + 1)^2 (x - 1): the remainder (x^2 + 1)^2 has degree 4 and goes to Yun
+@example(lead=F(1), lins=[(F(1), 1)], quads=[((0, 1), 2)], cubs=[])
+# x^3 - 2: an irreducible cubic remainder, left unresolved without Yun
+@example(lead=F(1), lins=[], quads=[], cubs=[((0, 0, -2), 1)])
 def test_small_field_roots_match_sympy(lead, lins, quads, cubs):
     factors = [(X - sympy.Rational(r.numerator, r.denominator), m) for r, m in lins]
     for (b, c), m in quads:
