@@ -16,6 +16,7 @@ Outputs contain exact rationals only and are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,7 +257,9 @@ def run_command(name: str, spec: RunSpec) -> int:
 # -- argument plumbing --
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fibdense",
         description="Exact density sweeps for elliptic fibrations and cone quartics.",

@@ -4,6 +4,7 @@ from .poly import (
     Poly,
     X,
     discriminant_resultant,
+    divide_out_roots,
     format_poly,
     poly,
     poly_gcd,
@@ -29,6 +30,7 @@ __all__ = [
     "Poly",
     "X",
     "discriminant_resultant",
+    "divide_out_roots",
     "format_poly",
     "poly",
     "poly_gcd",

@@ -149,7 +149,10 @@ class NumFieldElement:
         return self.field._coerce(other)
 
     def __add__(self, other):
-        (a, b), (c, d) = self.coeffs, self._binop(other).coeffs
+        a, b = self.coeffs
+        if isinstance(other, (int, Fraction)):
+            return NumFieldElement(self.field, (a + other, b))
+        c, d = self._binop(other).coeffs
         return NumFieldElement(self.field, (a + c, b + d))
 
     __radd__ = __add__
@@ -159,7 +162,11 @@ class NumFieldElement:
         return NumFieldElement(self.field, (-a, -b))
 
     def __sub__(self, other):
-        return self + (-self._binop(other))
+        a, b = self.coeffs
+        if isinstance(other, (int, Fraction)):
+            return NumFieldElement(self.field, (a - other, b))
+        c, d = self._binop(other).coeffs
+        return NumFieldElement(self.field, (a - c, b - d))
 
     def __rsub__(self, other):
         return (-self) + other

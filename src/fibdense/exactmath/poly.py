@@ -13,11 +13,14 @@ Design notes, kept here because they are easy to get wrong:
   gcd: one big-integer gcd of values at a large integer, read back as
   digits and proved by exact division in Z[x]. No remainder sequence is
   formed, so no intermediate coefficient swell.
-* resultants go through the Sylvester matrix and fraction-free Bareiss
-  elimination; no floating point anywhere.
-* rational roots come from each factor of Yun's squarefree decomposition,
-  with that factor's multiplicity. Closed forms handle factors of degree
-  <= 2. Squarefree factors of higher degree avoid factoring huge
+* bivariate resultants are interpolated from integer nodes; at each node
+  the resultant of the two integer polynomials comes from the subresultant
+  remainder sequence, whose divisions are exact. No floating point anywhere.
+* squarefree decomposition and rational roots over Q run on the primitive
+  integer polynomial: Yun's algorithm in Z[x] divides only by primitive
+  polynomials, so every quotient is exact. Rational roots come from each
+  Yun factor, with that factor's multiplicity. Closed forms handle factors
+  of degree <= 2. Squarefree factors of higher degree avoid factoring huge
   leading/trailing coefficients: their roots are found modulo a small prime
   by trying every residue, Hensel-lifted, and recovered by rational
   reconstruction, then every candidate is verified by exact evaluation.
@@ -30,7 +33,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import BothZero, ZeroInput
-from .rationals import is_square, rat_sqrt
 
 
 def _as_coeff(c):
@@ -323,27 +325,42 @@ def _int_heuristic_gcd(A: list[int], B: list[int]) -> list[int]:
             digits.append(d)
             h = (h - d) // xi
         G = _int_primitive(digits)
-        if _int_divides(G, A) and _int_divides(G, B):
+        if _int_divide(A, G) is not None and _int_divide(B, G) is not None:
             return G
         xi *= 2
 
 
-def _int_divides(B: list[int], A: list[int]) -> bool:
-    """Whether the nonzero B divides A in Z[x]: integer long division that
-    stops at the first quotient coefficient that is not an integer."""
+def _int_divide(A: list[int], B: list[int]) -> list[int] | None:
+    """A / B in Z[x] for a nonzero B, or None when B does not divide A:
+    integer long division that stops at the first quotient coefficient
+    that is not an integer."""
     n, m = len(A), len(B)
     if n < m:
-        return not A
+        return None if A else []
     lB = B[-1]
     R = list(A)
+    Q = [0] * (n - m + 1)
     for k in range(n - m, -1, -1):
         q, r = divmod(R[k + m - 1], lB)
         if r:
-            return False
+            return None
         if q:
+            Q[k] = q
             for i, bc in enumerate(B):
                 R[i + k] -= q * bc
-    return not any(R[: m - 1])
+    return None if any(R[: m - 1]) else Q
+
+
+def _int_derivative(A: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(A)][1:]
+
+
+def _int_sub(A: list[int], B: list[int]) -> list[int]:
+    """A - B, trimmed."""
+    out = [a - b for a, b in zip(A, B)] + A[len(B):] + [-b for b in B[len(A):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -358,7 +375,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if _is_rational_poly(p) and _is_rational_poly(q):
         a = _to_int_primitive(p)
         b = _to_int_primitive(q)
-        return Poly([Fraction(c) for c in _int_heuristic_gcd(a, b)]).monic()
+        return _int_to_monic(_int_heuristic_gcd(a, b))
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b
@@ -369,45 +386,51 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # determinants, resultants, discriminants
 # ---------------------------------------------------------------------------
 
-def _int_det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free determinant; mutates its argument."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[-1][-1]
+def _int_prem(A: list[int], B: list[int]) -> list[int]:
+    """The pseudo-remainder R, trimmed: lc(B)^(deg A - deg B + 1) * A = Q*B + R
+    with deg R < deg B, for deg A >= deg B >= 1."""
+    lB, m = B[-1], len(B)
+    R = list(A)
+    for k in range(len(A) - m, -1, -1):
+        top = R.pop()
+        R = [c * lB for c in R]
+        if top:
+            for i in range(m - 1):
+                R[k + i] -= top * B[i]
+    while R and not R[-1]:
+        R.pop()
+    return R
 
 
-def _sylvester_rows(f: Sequence, g: Sequence, n: int, m: int) -> list[list]:
-    """Sylvester matrix rows for deg f = n, deg g = m (structural degrees).
-
-    Row layout: m shifted copies of f's descending coefficients, then n of g's.
-    """
-    size = n + m
-    rows = []
-    fdesc = list(reversed(list(f))) + [0] * (size - (n + 1))
-    for i in range(m):
-        rows.append([0] * i + fdesc[: size - i])
-    gdesc = list(reversed(list(g))) + [0] * (size - (m + 1))
-    for i in range(n):
-        rows.append([0] * i + gdesc[: size - i])
-    return rows
+def _int_resultant(A: list[int], B: list[int]) -> int:
+    """res(A, B) of integer polynomials of degree >= 1 (trimmed lists) by the
+    subresultant remainder sequence (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7; Collins, J. ACM 14, 1967; Brown and
+    Traub, J. ACM 18, 1971): contents come out first, then each
+    pseudo-remainder is divided exactly by g*h^delta."""
+    s = 1
+    if len(A) < len(B):
+        A, B = B, A
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            s = -s
+    a, b = math.gcd(*A), math.gcd(*B)
+    A = [c // a for c in A]
+    B = [c // b for c in B]
+    t = a ** (len(B) - 1) * b ** (len(A) - 1)
+    g = h = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
+            s = -s
+        R = _int_prem(A, B)
+        if not R:
+            return 0
+        div = g * h ** delta
+        A, B = B, [c // div for c in R]
+        g = A[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    d = len(A) - 1
+    return s * t * (B[0] ** d // h ** (d - 1))
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:
@@ -430,22 +453,25 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
     """Resultant in the main variable of two polynomials whose coefficients
     are themselves rational polynomials in a second variable.
 
-    The structural degree is fixed by the trimmed coefficient lists, the
-    Sylvester determinant is evaluated at enough integer sample points, and
-    the result is recovered by Newton interpolation (Collins, J. ACM 18,
-    1971). Evaluating the generic matrix commutes with specialization even
-    where the leading coefficient vanishes, so no degree-drop bookkeeping is
-    needed.
+    The structural degrees n, m are fixed by the trimmed coefficient lists.
+    The resultant is evaluated at enough integer nodes and recovered by
+    Newton interpolation (Collins, J. ACM 18, 1971). The nodes come from
+    the sequence 0, 1, -1, 2, -2, ..., skipping every node where the leading
+    coefficient of f or of g vanishes: at the other nodes the specialized
+    polynomials keep degrees n and m, so their Sylvester matrix is the
+    specialized Sylvester matrix and their resultant is the value there.
+    At most deg lc(f) + deg lc(g) nodes are skipped. Each value is the
+    subresultant resultant of two integer polynomials (_int_resultant).
 
     All of it runs on integers. With cf, cg the lcm of the coefficient
     denominators of f and g, res(cf*f, cg*g) = cf^m * cg^n * res(f, g) is a
     polynomial R in Z[t], since its Sylvester matrix has entries in Z[t].
-    Its divided differences at integer nodes are integers on every sub-range:
-    the Newton basis (t - x0)...(t - x(i-1)) of any run of nodes is monic in
-    Z[t], so dividing R by it step by step never leaves Z[t], and the
-    coefficients of R in that basis are its divided differences. So each
-    Newton step divides exactly, and only the expanded R is divided by
-    cf^m * cg^n.
+    Its divided differences at distinct integer nodes, in any order and with
+    any gaps, are integers on every sub-range: the Newton basis
+    (t - x0)...(t - x(i-1)) of any run of nodes is monic in Z[t], so
+    dividing R by it step by step never leaves Z[t], and the coefficients of
+    R in that basis are its divided differences. So each Newton step divides
+    exactly, and only the expanded R is divided by cf^m * cg^n.
     """
     f = [c if isinstance(c, Poly) else Poly([c]) for c in f_coeffs]
     g = [c if isinstance(c, Poly) else Poly([c]) for c in g_coeffs]
@@ -468,11 +494,15 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
     gi = [[c.numerator * (cg // c.denominator) for c in p.coeffs] for p in g]
     # a degree bound for R, plus one; each list ends in a nonzero polynomial
     count = m * max(p.degree for p in f) + n * max(p.degree for p in g) + 1
-    xs = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
-    coef = [
-        _int_det_bareiss(_sylvester_rows(_int_horner_all(fi, x), _int_horner_all(gi, x), n, m))
-        for x in xs
-    ]
+    xs, coef = [], []
+    step = 0
+    while len(xs) < count:
+        x = (step + 1) // 2 if step % 2 else -(step // 2)
+        step += 1
+        F, G = _int_horner_all(fi, x), _int_horner_all(gi, x)
+        if F[-1] and G[-1]:
+            xs.append(x)
+            coef.append(_int_resultant(F, G))
     for j in range(1, count):
         for i in range(count - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) // (xs[i] - xs[i - j])
@@ -506,11 +536,16 @@ def _int_horner_all(polys: list[list[int]], x: int) -> list[int]:
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: p = lead * prod f_i^(m_i), f_i monic squarefree and
     pairwise coprime, multiplicities ascending in the output.
+
+    Over Q it runs in Z[x] on the primitive part (_int_yun); over a
+    quadratic field it runs on monic polynomials with Euclid's gcd.
     """
     if p.is_zero:
         raise ZeroInput("squarefree decomposition of 0")
     if p.degree < 1:
         return []
+    if _is_rational_poly(p):
+        return [(_int_to_monic(P), i) for P, i in _int_yun(_to_int_primitive(p))]
     f = p.monic()
     df = f.derivative()
     a0 = poly_gcd(f, df)
@@ -529,8 +564,41 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
         c = d.exact_div(a)
         d = c - b.derivative()
         i += 1
-    out.sort(key=lambda fm: fm[1])
     return out
+
+
+def _int_yun(A: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm in Z[x] for a primitive A of degree >= 1 with a
+    positive lead: the factors P_i of A = prod P_i^i that have degree >= 1,
+    each primitive with a positive lead, multiplicities ascending.
+
+    The gcds (_int_heuristic_gcd) are primitive with positive leads, so
+    gcd(A, A') = prod P_i^(i-1) exactly and A/gcd(A, A') = prod P_i, and
+    every later gcd is the next P_i itself. Each divisor is primitive, so by
+    Gauss's lemma a quotient that exists in Q[x] lies in Z[x], and exact
+    integer division (_int_divide) finds it.
+    """
+    dA = _int_derivative(A)
+    a0 = _int_heuristic_gcd(A, _int_primitive(dA))
+    if len(a0) == 1:
+        return [(A, 1)]
+    b = _int_divide(A, a0)
+    d = _int_sub(_int_divide(dA, a0), _int_derivative(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _int_heuristic_gcd(b, _int_primitive(d)) if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b = _int_divide(b, a)
+        d = _int_sub(_int_divide(d, a), _int_derivative(b))
+        i += 1
+    return out
+
+
+def _int_to_monic(P: list[int]) -> Poly:
+    lead = P[-1]
+    return Poly([Fraction(c, lead) for c in P])
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -548,57 +616,86 @@ def squarefree_part(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots with exact multiplicities, ascending by value.
+    """All rational roots of a nonzero p over Q with exact multiplicities,
+    ascending by value.
 
-    The roots of each factor of Yun's decomposition carry that factor's
-    multiplicity; the factors are squarefree and pairwise coprime, so no
-    root is found twice and none needs its multiplicity counted."""
+    The roots of each factor of Yun's decomposition in Z[x] carry that
+    factor's multiplicity; the factors are squarefree and pairwise coprime,
+    so no root is found twice and none needs its multiplicity counted."""
     if p.is_zero:
         raise ZeroInput("rational roots of 0")
+    if p.degree < 1:
+        return []
     found = []
-    for factor, mult in squarefree_decompose(p):
-        found.extend((r, mult) for r in _squarefree_rational_roots(factor))
+    for P, mult in _int_yun(_to_int_primitive(p)):
+        found.extend((r, mult) for r in _int_rational_roots(P))
     found.sort(key=lambda rm: rm[0])
     return found
 
 
-def _squarefree_rational_roots(f: Poly) -> list[Fraction]:
-    """Rational roots of a squarefree f of degree >= 1, in no set order."""
-    if f.degree == 1:
-        return [-f.coeffs[0] / f.coeffs[1]]
-    if f.degree == 2:
-        a2, a1, a0 = f.coeffs[2], f.coeffs[1], f.coeffs[0]
-        disc = a1 * a1 - 4 * a2 * a0
-        if not is_square(disc):
-            return []
-        s = rat_sqrt(disc)
-        return [(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)]
-    return _modular_rational_roots(_to_int_primitive(f), f)
+def divide_out_roots(f: Poly, roots: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], Poly]:
+    """Divide every listed rational root out of a nonzero f over Q, as often
+    as it divides f.
+
+    Returns the (root, multiplicity in f) of the listed roots of f, in list
+    order, and the monic quotient. Runs on the primitive integer polynomial:
+    r = u/v in lowest terms is a root exactly when the primitive v*x - u
+    divides it in Z[x] (Gauss's lemma)."""
+    A = _to_int_primitive(f)
+    found = []
+    for r in roots:
+        linear = [-r.numerator, r.denominator]
+        mult = 0
+        while (Q := _int_divide(A, linear)) is not None:
+            A = Q
+            mult += 1
+        if mult:
+            found.append((r, mult))
+    return found, _int_to_monic(A)
 
 
-def _modular_rational_roots(g: list[int], original: Poly) -> list[Fraction]:
-    """Rational roots of a squarefree primitive integer polynomial.
+def _int_rational_roots(g: list[int]) -> list[Fraction]:
+    """Rational roots of a squarefree primitive integer polynomial of degree
+    >= 1, in no set order.
 
-    Roots are located mod a small prime by trying every residue, Hensel-lifted,
-    and recovered by rational reconstruction. Every candidate is verified
-    exactly against the original polynomial, so spurious reconstructions are
-    harmless.
+    Degrees 1 and 2 use closed forms. Beyond, roots are located mod a small
+    prime by trying every residue, Hensel-lifted, and recovered by rational
+    reconstruction. Every candidate u/v is verified exactly, as
+    v^d * g(u/v) = 0 on integers, so spurious reconstructions are harmless.
     """
+    if len(g) == 2:
+        return [Fraction(-g[0], g[1])]
+    if len(g) == 3:
+        a0, a1, a2 = g
+        disc = a1 * a1 - 4 * a2 * a0
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return []
+        return [Fraction(-a1 + s, 2 * a2), Fraction(-a1 - s, 2 * a2)]
     lc = abs(g[-1])
-    maxabs = max(abs(c) for c in g[:-1]) if len(g) > 1 else 0
+    maxabs = max(abs(c) for c in g[:-1])
     cauchy = 1 + (maxabs + lc - 1) // lc  # integer ceiling of the Cauchy bound
     den_bound = lc
     num_bound = cauchy * den_bound
     target = 2 * num_bound * den_bound + 1
-    dg = [i * c for i, c in enumerate(g)][1:]
+    dg = _int_derivative(g)
     prime, residues = _simple_roots_mod_small_prime(g, dg)
     roots = []
     for r in residues:
         lifted, modulus = _hensel_lift(g, dg, r, prime, target)
         cand = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
-        if cand is not None and original(cand) == 0:
+        if cand is not None and _int_homogeneous_value(g, cand.numerator, cand.denominator) == 0:
             roots.append(cand)
     return roots
+
+
+def _int_homogeneous_value(g: list[int], u: int, v: int) -> int:
+    """v^d * g(u/v) for d = deg g, by Horner's rule on integers."""
+    acc, vpow = g[-1], 1
+    for c in reversed(g[:-1]):
+        vpow *= v
+        acc = acc * u + c * vpow
+    return acc
 
 
 # Trying every residue of a 3-digit prime costs less than one x^p mod g, and

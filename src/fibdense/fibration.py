@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .elliptic import (
     INFINITY,
@@ -52,6 +54,7 @@ from .errors import (
 from .exactmath import (
     Poly,
     RatFn,
+    divide_out_roots,
     enumerate_rationals,
     is_square,
     poly_gcd,
@@ -211,24 +214,28 @@ def small_field_roots(p: Poly, name: str, extend: bool = True):
     squarefree parts left over, whose roots need a larger field. For p over a
     quadratic field only roots inside that same field are produced.
 
-    Over Q the rational roots come from one rational_roots call on p. What
-    is left once they are divided out has no rational root, so a remainder
-    of degree 2 or 3 is irreducible (and squarefree) as it stands; only a
-    remainder of degree >= 4 needs Yun's decomposition.
+    Over Q, rational_roots runs once. A p of degree <= 3 goes to it whole:
+    once its rational roots are divided out, what is left has degree <= 3
+    and no rational root, so it is irreducible (and squarefree). A p of
+    degree >= 4 is decomposed once, rational_roots runs on the product of
+    its squarefree factors, and each factor has its roots divided out; what
+    is left of it keeps that factor's multiplicity.
     """
     field = next((c.field for c in p.coeffs if isinstance(c, NumFieldElement)), None)
     quadratic, unresolved = [], []
     if field is None:
-        rational = rational_roots(p)
-        rest = p
-        for r, mult in rational:
-            rest = rest.exact_div(Poly([-r, Fraction(1)]) ** mult)
-        for factor, mult in squarefree_decompose(rest) if rest.degree >= 4 else [(rest, 1)]:
-            if factor.degree == 2 and extend:
-                _K, root, conj = quadratic_field(factor, name)
+        factors = squarefree_decompose(p) if p.degree >= 4 else [(p, 1)]
+        candidates = [r for r, _m in rational_roots(reduce(mul, (f for f, _m in factors)))]
+        rational = []
+        for factor, mult in factors:
+            found, rest = divide_out_roots(factor, candidates)
+            rational += [(r, k * mult) for r, k in found]
+            if rest.degree == 2 and extend:
+                _K, root, conj = quadratic_field(rest, name)
                 quadratic += [(root, mult), (conj, mult)]
-            elif factor.degree > 0:
-                unresolved.append(factor.monic())
+            elif rest.degree > 0:
+                unresolved.append(rest)
+        rational.sort(key=lambda rm: rm[0])
         return rational + quadratic, unresolved
     for factor, mult in squarefree_decompose(p):
         if factor.degree == 1:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import fibdense
 from fibdense.cli import main, run_command
 from fibdense.density import densify, report_to_csv, report_to_json
 from fibdense.enriques import ConeQuartic
@@ -170,6 +174,34 @@ class TestExitCodes:
     def test_run_command_unknown_name(self):
         with pytest.raises(SpecValidationError):
             run_command("frobnicate", RunSpec())
+
+
+class TestParserReuse:
+    def test_bad_flag_then_valid_spec_match_a_fresh_process(self, tmp_path, capsys):
+        # main() builds its parser once per process; a rejected command line
+        # must leave it as a fresh process would have it
+        path = write_spec(tmp_path, WORKED_TEXT)
+        bad = ["densify", path, "--height-bound", "x"]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        bad_err = capsys.readouterr().err
+        assert bad_err.startswith("usage: fibdense densify")
+        assert main(["densify", path, "--out", str(tmp_path / "same"), "--height-bound", "4"]) == 0
+        capsys.readouterr()
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fibdense.__file__)))
+
+        def fresh(*args):
+            cmd = [sys.executable, "-m", "fibdense.cli", *args]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
+
+        proc = fresh(*bad)
+        assert (proc.returncode, proc.stderr) == (2, bad_err)
+        proc = fresh("densify", path, "--out", str(tmp_path / "fresh"), "--height-bound", "4")
+        assert proc.returncode == 0
+        for name in ("report.json", "points.csv"):
+            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 class TestProbeCommand:

@@ -79,6 +79,16 @@ def test_division_by_a_rational_matches_the_field_inverse(cs, r):
         assert all(isinstance(c, Fraction) for c in got.coeffs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_small_rat, min_size=2, max_size=2), st.one_of(st.integers(-20, 20), _small_rat))
+def test_adding_a_rational_matches_the_embedded_element(cs, r):
+    for K in FIELDS:
+        a, e = K.element(cs), K.embed(r)
+        for got, want in ((a + r, a + e), (r + a, e + a), (a - r, a - e), (r - a, e - a)):
+            assert got == want and got.field == K
+            assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+
 def test_division_by_rational_zero_raises():
     a = FIELDS[0].element([1, 2])
     for zero in (0, Fraction(0)):
@@ -178,8 +188,10 @@ def test_field_sqrt():
 
 
 def test_elements_of_distinct_fields_do_not_mix():
-    with pytest.raises(DomainError):
-        FIELDS[0].gen + FIELDS[1].gen
+    a, b = FIELDS[0].gen, FIELDS[1].gen
+    for op in (lambda: a + b, lambda: a - b, lambda: b - a):
+        with pytest.raises(DomainError):
+            op()
 
 
 # -- rational functions --

@@ -401,3 +401,94 @@ def test_resultant_bivariate_is_over_q_only():
     root2 = NumField(poly([-2, 0, 1])).gen
     with pytest.raises(ZeroInput, match="over Q only"):
         resultant_bivariate([poly([1]), Poly([root2])], [poly([0, 1]), poly([1])])
+
+
+# -- the integer kernels behind resultant_bivariate, squarefree_decompose and
+# rational_roots, against sympy --
+
+# t(t - 1)(t + 1) * q: the leading coefficient vanishes at the first three
+# interpolation nodes 0, 1, -1, so each of them must be skipped
+_vanishing_at_first_nodes = st.builds(lambda q: Poly([0, -1, 0, 1]) * q, _nonzero_inner)
+
+
+def _bivariate_product(a: list[Poly], b: list[Poly]) -> list[Poly]:
+    out = [Poly()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+@st.composite
+def _z_polynomial(draw, max_degree):
+    degree = draw(st.integers(1, max_degree))
+    lower = draw(st.lists(_inner, min_size=degree, max_size=degree))
+    return lower + [draw(st.one_of(_nonzero_inner, _vanishing_at_first_nodes))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_z_polynomial(3), _z_polynomial(4), st.one_of(st.none(), _z_polynomial(1)))
+# n < m, both leading coefficients vanishing at 0, 1 and -1
+@example([Poly(), Poly([0, -1, 0, 1])], [Poly([1]), Poly([2]), Poly([0, -1, 0, 1])], None)
+# only the leading coefficient of g vanishes at the first nodes
+@example([Poly([1]), Poly([2]), Poly([1])], [Poly(), Poly([0, -1, 0, 1])], None)
+# n < m, both odd: the swap inside the kernel carries the sign (-1)^(nm)
+@example([Poly([0, 1]), Poly([1])], [Poly([1]), Poly([2]), Poly([0, 0, 1]), Poly([0, -1, 0, 1])], None)
+# an abnormal remainder sequence: a remainder degree drops by 2
+@example([Poly([c]) for c in (1, 2, 1, 0, -1)], [Poly([c]) for c in (0, 2, 1, -2, 1, 2)], None)
+def test_resultant_bivariate_matches_sympy_resultant(fc, gc, common):
+    s, z = sympy.symbols("s z")
+    if common is not None:  # a shared factor of positive z-degree: the resultant is 0
+        fc, gc = _bivariate_product(fc, common), _bivariate_product(gc, common)
+
+    def expr(cs):
+        return sum(_to_sympy(c).as_expr().subs(_x, s) * z**i for i, c in enumerate(cs))
+
+    # higher degree first, with the sign (-1)^(nm) applied here (see
+    # test_resultant_bivariate_matches_sympy_on_degree_drops)
+    n, m = len(fc) - 1, len(gc) - 1
+    if n >= m:
+        res = sympy.resultant(expr(fc), expr(gc), z)
+    else:
+        res = (-1) ** (n * m) * sympy.resultant(expr(gc), expr(fc), z)
+    theirs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(res, s, domain="QQ").all_coeffs())]
+    ours = resultant_bivariate(fc, gc)
+    assert (list(ours.coeffs) or [Fraction(0)]) == theirs
+    if common is not None:
+        assert ours.is_zero
+
+
+_int_factor = st.lists(st.integers(-4, 4), min_size=1, max_size=3).flatmap(
+    lambda low: st.integers(1, 3).map(lambda lead: Poly([*low, lead]))
+)
+# neither monic nor primitive: a rational multiplier whose numerator is not +-1
+_scale = st.builds(lambda k, d, sign: Fraction(sign * k, d), st.integers(2, 12), st.integers(1, 7), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scale, st.lists(st.tuples(_int_factor, st.integers(1, 3)), min_size=1, max_size=4))
+def test_squarefree_decompose_matches_sympy_sqf_list(scale, factors):
+    p = Poly([scale])
+    for f, m in factors:
+        p = p * f**m
+    _lead, expected = _to_sympy(p).sqf_list()
+    theirs = [(Poly([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())]), m) for q, m in expected]
+    assert squarefree_decompose(p) == sorted(theirs, key=lambda fm: fm[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _scale,
+    st.lists(st.tuples(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(_int_factor, st.integers(1, 2)), max_size=2),
+)
+def test_rational_root_multiplicities_match_sympy_roots(scale, lins, cofactors):
+    p = Poly([scale])
+    for r, m in lins:
+        p = p * Poly([-r, 1]) ** m
+    for f, m in cofactors:
+        p = p * f**m
+    theirs = {Fraction(int(r.p), int(r.q)): m for r, m in sympy.roots(_to_sympy(p), filter="Q").items()}
+    ours = rational_roots(p)
+    assert [r for r, _m in ours] == sorted(theirs)
+    assert dict(ours) == theirs

@@ -34,10 +34,12 @@ def _to_poly(expr) -> Poly:
     quads=st.lists(quadratics, max_size=2),
     cubs=st.lists(cubics, max_size=1),
 )
-# (x^2 + 1)^2 (x - 1): the remainder (x^2 + 1)^2 has degree 4 and goes to Yun
+# (x^2 + 1)^2 (x - 1): degree 5, so decomposed; x^2 + 1 keeps multiplicity 2
 @example(lead=F(1), lins=[(F(1), 1)], quads=[((0, 1), 2)], cubs=[])
 # x^3 - 2: an irreducible cubic remainder, left unresolved without Yun
 @example(lead=F(1), lins=[], quads=[], cubs=[((0, 0, -2), 1)])
+# 3(x - 1)^2 (x + 1/2): a cubic, not decomposed, with a double rational root
+@example(lead=F(3), lins=[(F(1), 2), (F(-1, 2), 1)], quads=[], cubs=[])
 def test_small_field_roots_match_sympy(lead, lins, quads, cubs):
     factors = [(X - sympy.Rational(r.numerator, r.denominator), m) for r, m in lins]
     for (b, c), m in quads:
