@@ -15,7 +15,7 @@ finds them by eliminating the tangency conditions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -126,9 +126,14 @@ class RamificationData:
     cone vertex) and deg f_i <= 8 - 2i, which is exactly the degree profile a
     homogeneous quartic restricts to.  The swapped chart at t = infinity is
     the degree-(8 - 2i) coefficient reversal, exposed as coeffs_infinity.
+
+    Each instance keeps the roots of the bitangent searches' parameter
+    discriminants (see _parameter_roots), so the searches of one command
+    share them; equality and hashing ignore that memo.
     """
 
     coeffs: tuple
+    _shared_roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cs = tuple(_as_poly(c) for c in self.coeffs)
@@ -146,6 +151,11 @@ class RamificationData:
     @property
     def lead_z(self) -> Fraction:
         return self.coeffs[4].coefficient(0)
+
+    @property
+    def even_in_t(self) -> bool:
+        """F(-t, z) = F(t, z): no coefficient has an odd power of t."""
+        return not any(any(c.coeffs[1::2]) for c in self.coeffs)
 
     @property
     def coeffs_infinity(self) -> tuple:
@@ -419,28 +429,26 @@ def _through_parameter(line: TangentLine, node):
     raise NoCandidates(f"no section on the tangent line passes through ({tr}, {zr})")
 
 
-def bitangent_sections(data: RamificationData, point, through=None) -> BitangentReport:
-    """Sections tangent to the branch curve at `point` and at a second point.
+def _parameter_roots(data: RamificationData, line: TangentLine):
+    """The degree <= 2 roots of the tangent line's parameter discriminant,
+    and the number of its roots in larger fields.
 
-    Parametrizes the tangent line at `point`, divides the base tangency out
-    of the intersection divisor, and extracts the parameters where the
-    quotient acquires a double root from its discriminant.  Rational and
-    quadratic parameters are constructed; higher-degree ones are counted.
-    Every returned candidate passes the gcd(G, G') double-root verification.
-    With `through`, the extra interpolation condition replaces the
-    discriminant search and pins down a single candidate.
+    The reduced pencil h(lam, t) is G(lam, t) with the base tangency
+    (t - t0)^2 divided out, and its discriminant in t is Res_t(h, h_t).
+    bitangent_sections keys the result by (t0^2, z0) when F is even in t,
+    so the base points (t0, z0) and (-t0, z0) share one discriminant:
+    F_t is odd in t, so the slope at (-t0, z0) is minus the slope at
+    (t0, z0), and the line there at lam is the mirror s(-t) of the line at
+    (t0, z0) at the same lam. Its pencil is G(lam, -t) = F(-t, s(-t)), its
+    reduced pencil h(lam, -t), whose t-derivative is -h_t(lam, -t). For p
+    of degree n and q of degree m, Res(p(-t), q(-t)) = (-1)^(nm) Res(p, q),
+    and negating q multiplies the resultant by (-1)^n. With m = n - 1 the
+    mirrored discriminant is (-1)^n Res_t(h, h_t): the same roots, and
+    small_field_roots, which works on the primitive polynomial, splits it
+    the same way. Otherwise the key is (t0, z0), so only a repeated point
+    shares.
     """
-    line = tangent_line(data, point)
     t0 = line.point[0]
-    if through is not None:
-        lam = _through_parameter(line, through)
-        if lam is not None:
-            cand = _verify_candidate(data, line, lam)
-            if cand is None:
-                raise NoCandidates(
-                    f"the section through ({through[0]}, {through[1]}) is not bitangent"
-                )
-            return BitangentReport((cand,), 0)
     pencil = _pencil_coefficients(data, line)
     divisor = Poly([t0 * t0, -2 * t0, Fraction(1)])
     reduced = [Poly() if g.is_zero else g.exact_div(divisor) for g in pencil]
@@ -456,7 +464,36 @@ def bitangent_sections(data: RamificationData, point, through=None) -> Bitangent
     if disc.is_zero:
         raise DegenerateDiscriminant("every section on the tangent line is doubly tangent")
     roots, unresolved = small_field_roots(disc, "l")
-    higher = sum(f.degree for f in unresolved)
+    return roots, sum(f.degree for f in unresolved)
+
+
+def bitangent_sections(data: RamificationData, point, through=None) -> BitangentReport:
+    """Sections tangent to the branch curve at `point` and at a second point.
+
+    Parametrizes the tangent line at `point`, divides the base tangency out
+    of the intersection divisor, and extracts the parameters where the
+    quotient acquires a double root from its discriminant.  Rational and
+    quadratic parameters are constructed; higher-degree ones are counted.
+    Every returned candidate passes the gcd(G, G') double-root verification.
+    With `through`, the extra interpolation condition replaces the
+    discriminant search and pins down a single candidate.
+    """
+    line = tangent_line(data, point)
+    t0, z0 = line.point
+    if through is not None:
+        lam = _through_parameter(line, through)
+        if lam is not None:
+            cand = _verify_candidate(data, line, lam)
+            if cand is None:
+                raise NoCandidates(
+                    f"the section through ({through[0]}, {through[1]}) is not bitangent"
+                )
+            return BitangentReport((cand,), 0)
+    key = (t0 * t0 if data.even_in_t else t0, z0)
+    shared = data._shared_roots
+    if key not in shared:
+        shared[key] = _parameter_roots(data, line)
+    roots, higher = shared[key]
     candidates = []
     for lam, _mult in roots:
         cand = _verify_candidate(data, line, lam)

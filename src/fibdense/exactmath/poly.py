@@ -9,6 +9,9 @@ finding) check for it.
 
 Design notes, kept here because they are easy to get wrong:
 
+* products over Q convolve integers: each operand's denominators are
+  cleared once, and each output coefficient is one reduced Fraction.
+  Coefficients outside Q keep the generic loop.
 * gcd over Q runs on primitive integer polynomials through the heuristic
   gcd: one big-integer gcd of values at a large integer, read back as
   digits and proved by exact division in Z[x]. No remainder sequence is
@@ -127,6 +130,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
+        if _is_rational_poly(self) and _is_rational_poly(other):
+            return _rational_product(a, b)
         out = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
@@ -267,6 +272,26 @@ def format_poly(p: Poly) -> str:
 
 def _is_rational_poly(p: Poly) -> bool:
     return all(isinstance(c, Fraction) for c in p.coeffs)
+
+
+def _rational_product(a: tuple, b: tuple) -> Poly:
+    """The product of two nonzero coefficient tuples over Q, on integers.
+
+    With da, db the lcm of the denominators of a and b, the cleared lists
+    da*a and db*b lie in Z[t]; their convolution is da*db times the product,
+    so each output coefficient is one Fraction(c, da*db) and one gcd, not a
+    Fraction product and sum per term."""
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    A = [c.numerator * (da // c.denominator) for c in a]
+    B = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * (len(A) + len(B) - 1)
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B):
+                out[i + j] += x * y
+    d = da * db
+    return Poly([Fraction(c, d) for c in out])
 
 
 # ---------------------------------------------------------------------------

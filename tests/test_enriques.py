@@ -9,7 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fibdense import enriques
 from fibdense.elliptic import (
     EllipticCurve,
     Point,
@@ -37,6 +40,7 @@ from fibdense.enriques import (
     tangent_line,
 )
 from fibdense.errors import (
+    DegenerateDiscriminant,
     DomainError,
     LeadingCoefficientNotSquare,
     NoCandidates,
@@ -301,6 +305,107 @@ class TestBitangent:
             for cand in report:
                 _assert_double_tangencies(data, cand)
             seen += 1
+
+
+def _search(data: RamificationData, point):
+    """bitangent_sections at one point, or the type and text of its refusal."""
+    try:
+        return bitangent_sections(data, point)
+    except (NoCandidates, DegenerateDiscriminant) as exc:
+        return type(exc), str(exc)
+
+
+def _fresh_search(coeffs, point):
+    return _search(RamificationData(coeffs), point)
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def _even_quartic_through_point(draw):
+    """Coefficients of an F(t, z) with z^4 lead and only even powers of t,
+    and a point (t0, z0) on it where F_z does not vanish. Half the draws are
+    the cone-bitangents family z^4 + f2 z^2 + f0; the others add z^3 and
+    z^1 terms, which are also even in t."""
+    t0 = draw(st.sampled_from([F(1), F(2)]))
+    z0 = draw(st.sampled_from([F(-1), F(1)]))
+    odd_z = draw(st.booleans())
+
+    def even(max_degree):
+        return Poly([draw(_small) if k % 2 == 0 else 0 for k in range(max_degree + 1)])
+
+    f3 = even(2) if odd_z else Poly()
+    f1 = even(6) if odd_z else Poly()
+    f2 = even(4)
+    f0 = Poly([0, *even(8).coeffs[1:]])
+    # solve the constant term so that (t0, z0) lies on F = 0
+    f0 = f0 - RamificationData((f0, f1, f2, f3, poly([1]))).evaluate(t0, z0)
+    coeffs = (f0, f1, f2, f3, poly([1]))
+    assume(RamificationData(coeffs).z_slice(t0).derivative()(z0) != 0)
+    return coeffs, t0, z0
+
+
+class TestMirroredBasePoints:
+    """For F even in t, the searches at (t0, z0) and (-t0, z0) share one
+    parameter discriminant, and every report equals a fresh search."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(_even_quartic_through_point())
+    def test_shared_searches_match_fresh_ones(self, drawn):
+        coeffs, t0, z0 = drawn
+        assert RamificationData(coeffs).even_in_t
+        plus, minus = (t0, z0), (-t0, z0)
+        fresh = {pt: _fresh_search(coeffs, pt) for pt in (plus, minus)}
+        for order in ((plus, minus), (minus, plus), (plus, plus)):
+            data = RamificationData(coeffs)
+            assert [_search(data, pt) for pt in order] == [fresh[pt] for pt in order]
+
+    @staticmethod
+    def _counted_resultants(monkeypatch):
+        calls = []
+        resultant = enriques.resultant_bivariate
+
+        def counted(f, g):
+            calls.append(1)
+            return resultant(f, g)
+
+        monkeypatch.setattr(enriques, "resultant_bivariate", counted)
+        return calls
+
+    def test_an_even_pair_takes_one_resultant(self, monkeypatch):
+        data = restrict_quartic_to_cone(CONE)
+        calls = self._counted_resultants(monkeypatch)
+        reports = [bitangent_sections(data, pt) for pt in ((1, 1), (-1, 1), (1, 1))]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert reports == [_fresh_search(data.coeffs, pt) for pt in ((1, 1), (-1, 1), (1, 1))]
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_an_odd_z2_monomial_takes_two(self, monkeypatch, c):
+        # F = z^4 + (t^3 - t) z^2 + t^4 + c (t^3 - t) - 2: both (1, 1) and
+        # (-1, 1) lie on it, but F(-t, z) != F(t, z), so their searches
+        # share nothing. For c = 1 the two discriminants have 18 and 17
+        # roots outside degree <= 2 fields; for c = -1 both searches find
+        # the conic z = (3 - t^2)/2.
+        odd = ConeQuartic(
+            {
+                (0, 0, 0, 4): 1,
+                (0, 1, 1, 2): 1,
+                (1, 0, 1, 2): -1,
+                (1, 1, 2, 0): 1,
+                (2, 1, 1, 0): c,
+                (3, 0, 1, 0): -c,
+                (4, 0, 0, 0): -2,
+            }
+        )
+        data = restrict_quartic_to_cone(odd)
+        assert not data.even_in_t
+        calls = self._counted_resultants(monkeypatch)
+        reports = [_search(data, pt) for pt in ((1, 1), (-1, 1))]
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert reports == [_fresh_search(data.coeffs, pt) for pt in ((1, 1), (-1, 1))]
 
 
 class TestSingularLocus:

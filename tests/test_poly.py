@@ -492,3 +492,61 @@ def test_rational_root_multiplicities_match_sympy_roots(scale, lins, cofactors):
     ours = rational_roots(p)
     assert [r for r, _m in ours] == sorted(theirs)
     assert dict(ours) == theirs
+
+
+def _schoolbook_product(a: Poly, b: Poly) -> Poly:
+    """The reference product: one field multiplication and addition per
+    pair of terms, the loop Poly.__mul__ keeps for coefficients outside Q."""
+    if a.is_zero or b.is_zero:
+        return Poly()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ca * cb
+    return Poly(out)
+
+
+# zeros at any position, numerators up to 2^70 and denominators of either
+# sign up to 2^64, so a product whose denominators do not cancel shows
+_product_coeff = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(-(2**64), 2**64).filter(bool)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(-6, 6).filter(bool)),
+)
+_product_poly = st.lists(_product_coeff, max_size=9).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_poly, _product_poly)
+@example(Poly([1, 0, 0, 2]), Poly([Fraction(1, 3), 0, Fraction(-5, 7)]))
+@example(Poly([Fraction(1, 2), 0, Fraction(1, 2)]), Poly([Fraction(-1, 3), Fraction(1, 3)]))
+def test_rational_product_matches_sympy_and_the_schoolbook_loop(a, b):
+    product = a * b
+    assert product == _schoolbook_product(a, b)
+    assert _to_sympy(product) == _to_sympy(a) * _to_sympy(b)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_product_coeff, max_size=4).map(Poly), st.integers(0, 5))
+def test_rational_power_matches_sympy_and_the_schoolbook_loop(p, n):
+    expected = Poly([1])
+    for _ in range(n):
+        expected = _schoolbook_product(expected, p)
+    assert p**n == expected
+    assert _to_sympy(p**n) == _to_sympy(p) ** n
+
+
+_ROOT2 = NumField(poly([-2, 0, 1]), "r")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _product_poly,
+    st.lists(st.tuples(_product_coeff, _product_coeff), min_size=1, max_size=6),
+)
+def test_products_with_quadratic_field_coefficients_take_the_generic_loop(a, pairs):
+    b = Poly([_ROOT2.element([u, v]) for u, v in pairs])
+    embedded = Poly([_ROOT2.embed(c) for c in a.coeffs])
+    assert a * b == embedded * b == _schoolbook_product(embedded, b)
+    assert b * a == a * b
