@@ -31,15 +31,12 @@ from .enriques import (
 from .errors import DomainError, NoCandidates, SpecError, SpecValidationError
 from .exactmath import NumFieldElement, enumerate_rationals, rat_to_string
 from .fibration import (
-    NoOrderUpTo,
     NonTorsion,
     Order,
-    SingularFiber,
     TorsionEvidence,
     ZeroSection,
     fiber_type,
     order_probe,
-    ramification_points,
     section_difference_order,
     specialize,
 )
@@ -93,7 +90,7 @@ def _cmd_analyze(spec: RunSpec) -> int:
         print(f"b={rat_to_string(b)}: ordΔ={ft.ord_delta}, {ft.label}, {irr}")
     if spec.multisection is None:
         return 0
-    report = ramification_points(model, spec.multisection)
+    report = spec.multisection.ramification(model)
     empty = not report.points and not report.unresolved
     print("ramification:" + (" none" if empty else ""))
     for rp in report.points:
@@ -137,8 +134,8 @@ def _cmd_probe(spec: RunSpec) -> int:
         print(f"Order({verdict.m}) (evidence on {len(samples)} sampled fibers)")
     else:
         print(
-            f"NoOrderUpTo({verdict.m_max}) (proof: a sampled fiber difference "
-            f"survives every m <= {verdict.m_max})"
+            f"NoOrderUpTo({verdict.m_max}) (proof: no m <= {verdict.m_max} kills "
+            f"every sampled fiber difference)"
         )
     return 0
 
@@ -209,11 +206,10 @@ def _default_difference_samples(model) -> list[Fraction]:
     samples = []
     for b in enumerate_rationals(5):
         try:
-            fiber = specialize(model, b)
+            specialize(model, b)
         except DomainError:
             continue
-        if not isinstance(fiber, SingularFiber):
-            samples.append(b)
+        samples.append(b)
         if len(samples) == 3:
             break
     return samples

@@ -27,15 +27,14 @@ from .elliptic import (
 )
 from .errors import (
     DomainError,
-    EmptyFamily,
     PoleAtParameter,
+    SingularFiberSkip,
     TraceFieldTooLarge,
     UnsupportedRepresentation,
 )
 from .exactmath import rat_to_string
 from .fibration import (
     FibrationModel,
-    SingularFiber,
     specialize,
     tau_map,
 )
@@ -73,11 +72,6 @@ class DensityReport:
     per_fiber: tuple  # of FiberOutcome, sorted by fiber parameter
 
 
-@dataclass(frozen=True)
-class Exhausted:
-    reports: tuple
-
-
 def enumerate_multisection_points(model: FibrationModel, m, height_bound: int):
     """(fiber parameter, point) pairs for every rational point of the
     multisection with parameter height up to the bound, in enumeration order."""
@@ -102,7 +96,7 @@ def certify_and_translate(model, m, b, p: Point, k_max: int):
         fiber = specialize(model, b)
     except PoleAtParameter:
         return CertificationResult(b, p, None, Skipped("pole")), []
-    if isinstance(fiber, SingularFiber):
+    except SingularFiberSkip:
         return CertificationResult(b, p, None, Skipped("singular")), []
     try:
         q = tau_map(model, m, p, b, fiber=fiber)
@@ -163,21 +157,6 @@ def densify(model, m, height_bound: int, k_max: int = 5):
         max_height_seen=max_height,
         per_fiber=tuple(outcomes),
     )
-
-
-def family_strategy(model, family, height_bound: int, k_max: int = 5):
-    """Run densify over candidate multisections in order; return the first
-    member that certifies a fiber, or Exhausted with every report."""
-    family = list(family)
-    if not family:
-        raise EmptyFamily("family strategy needs at least one multisection")
-    reports = []
-    for idx, m in enumerate(family):
-        report = densify(model, m, height_bound, k_max)
-        if report.fibers_certified >= 1:
-            return idx, report
-        reports.append(report)
-    return Exhausted(tuple(reports))
 
 
 # -- serialization --

@@ -104,12 +104,6 @@ class ConeQuartic:
                 clean[e] = v
         object.__setattr__(self, "coeffs", tuple(sorted(clean.items())))
 
-    def coefficient(self, e0: int, e1: int, e2: int, e3: int) -> Fraction:
-        for e, v in self.coeffs:
-            if e == (e0, e1, e2, e3):
-                return v
-        return Fraction(0)
-
     def evaluate(self, z0, z1, z2, z3):
         total = Fraction(0)
         for (e0, e1, e2, e3), v in self.coeffs:
@@ -263,24 +257,6 @@ class SectionCover:
     genus: int
     tangencies: tuple
     unresolved: tuple
-
-
-@dataclass(frozen=True)
-class SingularPoint:
-    t: object
-    z: object
-
-
-@dataclass(frozen=True)
-class SingularLocusReport:
-    points: tuple
-    unresolved: tuple  # (t-locus, z-factor) pairs in fields of degree > 2
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -505,46 +481,6 @@ def bitangent_sections(data: RamificationData, point, through=None) -> Bitangent
             f"({higher} roots in larger fields)"
         )
     return BitangentReport(tuple(candidates), higher)
-
-
-def singular_points(data: RamificationData) -> SingularLocusReport:
-    """Singular points of the branch curve in the finite chart.
-
-    Solves F = F_t = F_z = 0 by intersecting the z-discriminant locus with
-    the per-parameter gcd chain; points over Q and quadratic fields are
-    produced, anything needing a larger field is reported unresolved.  The
-    ruling line at t = infinity is not searched.
-    """
-    disc = branch_discriminant(data)
-    if disc.is_zero:
-        raise NonReducedRamification("the branch curve has a repeated component")
-    gate = squarefree_part(disc)
-    ft_columns = [c.derivative() for c in data.coeffs]
-    if any(not c.is_zero for c in ft_columns):
-        second = resultant_bivariate(list(data.coeffs), ft_columns)
-        if not second.is_zero:
-            # a singular parameter must kill Res_z(F, F_z) and Res_z(F, F_t)
-            gate = poly_gcd(gate, squarefree_part(second))
-    if gate.degree < 1:
-        return SingularLocusReport((), ())
-    points = []
-    unresolved = []
-    t_roots, t_unresolved = small_field_roots(gate, "t")
-    unresolved.extend((factor, None) for factor in t_unresolved)
-    for t0, _mult in t_roots:
-        slice_at = data.z_slice(t0)
-        locus = poly_gcd(slice_at, slice_at.derivative())
-        if locus.degree < 1:
-            continue
-        ft = Poly([c.derivative()(t0) for c in data.coeffs])
-        if not ft.is_zero:
-            locus = poly_gcd(locus, ft)
-        if locus.degree < 1:
-            continue
-        z_roots, z_unresolved = small_field_roots(locus, "z", extend=isinstance(t0, Fraction))
-        points.extend(SingularPoint(t0, z0) for z0, _mult in z_roots)
-        unresolved.extend((t0, factor) for factor in z_unresolved)
-    return SingularLocusReport(tuple(points), tuple(unresolved))
 
 
 # ---------------------------------------------------------------------------

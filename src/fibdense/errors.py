@@ -76,10 +76,6 @@ class NoGeneratorSupplied(DomainError):
     """Elliptic multisection enumeration without a generator point."""
 
 
-class EmptyFamily(DomainError):
-    pass
-
-
 # cone / quartic geometry
 
 class VertexOnQuartic(DomainError):

@@ -2,7 +2,6 @@
 
 from .poly import (
     Poly,
-    X,
     discriminant_resultant,
     divide_out_roots,
     format_poly,
@@ -15,7 +14,7 @@ from .poly import (
     squarefree_part,
 )
 from .numfield import NumField, NumFieldElement, quadratic_field
-from .ratfn import RATFN_T, RatFn, ratfn
+from .ratfn import RatFn, ratfn
 from .rationals import (
     Rat,
     enumerate_rationals,
@@ -28,7 +27,6 @@ from .rationals import (
 
 __all__ = [
     "Poly",
-    "X",
     "discriminant_resultant",
     "divide_out_roots",
     "format_poly",
@@ -42,7 +40,6 @@ __all__ = [
     "NumField",
     "NumFieldElement",
     "quadratic_field",
-    "RATFN_T",
     "RatFn",
     "ratfn",
     "Rat",

@@ -242,9 +242,6 @@ def poly(coeffs: Sequence) -> Poly:
     return Poly(coeffs)
 
 
-X = Poly([0, 1])
-
-
 def format_poly(p: Poly) -> str:
     if p.is_zero:
         return "0"

@@ -170,5 +170,3 @@ def ratfn(num, den=1) -> RatFn:
         den = Poly(den)
     return RatFn(num, den)
 
-
-RATFN_T = RatFn(Poly([0, 1]))

@@ -97,11 +97,6 @@ class FibrationModel:
     def c4(self) -> RatFn:
         return -48 * self.a
 
-    @property
-    def zero_section(self) -> Point:
-        """The point at infinity of every fiber."""
-        return INFINITY
-
     def singular_parameters(self) -> list[Rat]:
         """Rational parameters where the fiber is singular or undefined."""
         found = set()
@@ -114,27 +109,15 @@ class FibrationModel:
         return sorted(found)
 
 
-@dataclass(frozen=True)
-class SingularFiber:
-    b: Rat
-
-
-def specialize(model: FibrationModel, b: Rat):
-    """The fiber curve at t = b, or a SingularFiber marker."""
+def specialize(model: FibrationModel, b: Rat) -> EllipticCurve:
+    """The fiber curve at t = b; PoleAtParameter at a pole of a or b,
+    SingularFiberSkip when the fiber is singular."""
     if model.a.den(b) == 0 or model.b.den(b) == 0:
         raise PoleAtParameter(f"coefficient pole at t = {b}")
     try:
         return EllipticCurve(model.a(b), model.b(b))
     except DomainError:
-        return SingularFiber(b)
-
-
-def _smooth_fiber(model: FibrationModel, b: Rat) -> EllipticCurve:
-    """The fiber curve at t = b; SingularFiberSkip when it is singular."""
-    fiber = specialize(model, b)
-    if isinstance(fiber, SingularFiber):
-        raise SingularFiberSkip(f"fiber at t = {b} is singular")
-    return fiber
+        raise SingularFiberSkip(f"fiber at t = {b} is singular") from None
 
 
 def _order_at(fn: RatFn, b: Rat) -> int:
@@ -298,6 +281,9 @@ class UnresolvedRamification:
 
 @dataclass(frozen=True)
 class RamificationReport:
+    """Ramification of a multisection's projection to the t-line, resolved
+    over degree <= 2 parameter fields; salient means the fiber there is smooth."""
+
     points: tuple
     unresolved: tuple = ()
 
@@ -701,7 +687,7 @@ def trace_cycle(
     fiber, when given, is the smooth fiber at b that the caller already
     built; otherwise it is specialized here."""
     if fiber is None:
-        fiber = _smooth_fiber(model, b)
+        fiber = specialize(model, b)
     support = m.cycle(fiber, b)
     split = _pair_conjugates(support)
     if split is None:
@@ -727,16 +713,10 @@ def tau_map(
     fiber, when given, is the smooth fiber at b that the caller already
     built; otherwise it is specialized here."""
     if fiber is None:
-        fiber = _smooth_fiber(model, b)
+        fiber = specialize(model, b)
     _cycle, trace = trace_cycle(model, m, b, fiber=fiber)
     d = m.degree
     return ec_add(fiber, ec_mul(fiber, d, p), ec_neg(trace.value))
-
-
-def ramification_points(model: FibrationModel, m: Multisection) -> RamificationReport:
-    """Ramification of the multisection's projection to the t-line, resolved
-    over degree <= 2 parameter fields; salient means the fiber there is smooth."""
-    return m.ramification(model)
 
 
 # -- order probing --
@@ -751,8 +731,9 @@ class Order:
 
 @dataclass(frozen=True)
 class NoOrderUpTo:
-    """Proof: some sampled fiber has a pairwise difference not killed by any
-    m below the cap (the defining property quantifies over all fibers)."""
+    """Proof: no m <= m_max kills every pairwise difference on the sampled
+    fibers -- one has no killer <= m_max, or the killers' lcm exceeds m_max
+    (the defining property quantifies over all fibers)."""
 
     m_max: int
 
@@ -765,7 +746,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
         raise EmptySampleSet("order probe needs at least one fiber sample")
     overall = 1
     for b in samples:
-        fiber = _smooth_fiber(model, b)
+        fiber = specialize(model, b)
         cycle, _trace = trace_cycle(model, m, b, fiber=fiber)
         pts = [pt for pt, _mult in cycle.support]
         for i in range(len(pts)):
@@ -826,7 +807,7 @@ def section_difference_order(model: FibrationModel, s1, s2, samples):
         raise EmptySampleSet("section difference probe needs samples")
     orders = []
     for b in samples:
-        fiber = _smooth_fiber(model, b)
+        fiber = specialize(model, b)
         p1 = _section_point(s1, b)
         p2 = _section_point(s2, b)
         diff = ec_add(fiber, p1, ec_neg(p2))
@@ -835,35 +816,3 @@ def section_difference_order(model: FibrationModel, s1, s2, samples):
             return NonTorsion(witness=b)
         orders.append(res.order)
     return TorsionEvidence(math.lcm(*orders))
-
-
-# -- the chart at t = infinity --
-
-
-def chart_swap(model: FibrationModel) -> tuple[FibrationModel, int]:
-    """Model in the coordinate u = 1/t: a_new = u^(2e) a(1/u),
-    b_new = u^(3e) b(1/u) with e the minimal even rebalancing exponent.
-    The fiber over t = infinity is the new model's fiber at u = 0."""
-
-    def at_inv(fn: RatFn) -> tuple[RatFn, int]:
-        # fn(1/u) = u^(deg den - deg num) * rev(num)/rev(den)
-        rn = Poly(list(reversed(fn.num.coeffs)))
-        rd = Poly(list(reversed(fn.den.coeffs)))
-        return RatFn(rn, rd), fn.den.degree - fn.num.degree
-
-    u = RatFn(Poly([Fraction(0), Fraction(1)]))
-    a_inv, a_shift = at_inv(model.a)
-    b_inv, b_shift = at_inv(model.b)
-
-    # reversal leaves nonzero constant terms, so the order of fn(1/u) at
-    # u = 0 is exactly the degree shift
-    need = 0
-    if not model.a.is_zero:
-        need = max(need, -((a_shift) // 2) if a_shift < 0 else 0)
-    if not model.b.is_zero:
-        need = max(need, -((b_shift) // 3) if b_shift < 0 else 0)
-    e = need if need % 2 == 0 else need + 1
-
-    a_new = a_inv * u ** (2 * e + a_shift) if not model.a.is_zero else RatFn(0)
-    b_new = b_inv * u ** (3 * e + b_shift) if not model.b.is_zero else RatFn(0)
-    return FibrationModel(a_new, b_new), e

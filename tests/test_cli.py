@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 import fibdense
+import fibdense.fibration
 from fibdense.cli import main, run_command
 from fibdense.density import densify, report_to_csv, report_to_json
 from fibdense.enriques import ConeQuartic
@@ -21,9 +23,11 @@ from fibdense.fibration import (
     ConstantX,
     FibrationModel,
     GraphOnQuartic,
+    NoOrderUpTo,
     Parametrized,
     SplitList,
     ZeroSection,
+    order_probe,
 )
 from fibdense.specfile import RunSpec, parse_spec
 
@@ -147,6 +151,21 @@ class TestExitCodes:
         assert "singular fibers: none" in out
         assert "b=-2: point=(1, 0), salient" in out
 
+    def test_analyze_unresolved_factor_line(self, tmp_path, capsys):
+        # y^2 = x^3 + (t^3 + 2) meets x = 0 over the roots of t^3 + 2, a cubic
+        # factor whose fibers are all singular
+        path = write_spec(
+            tmp_path,
+            """{"fibration": {"a": {"num": ["0"]}, "b": {"num": ["2", "0", "0", "1"]}},
+                "multisection": {"kind": "constant_x", "x": "0"}}""",
+        )
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == (
+            "singular fibers: none\n"
+            "ramification:\n"
+            "unresolved factor t^3 + 2: all roots singular\n"
+        )
+
     def test_syntax_error_exit_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, '{"fibration": {')
         assert main(["analyze", path]) == 2
@@ -224,6 +243,19 @@ class TestProbeCommand:
         assert out.startswith("NoOrderUpTo(6)")
         assert "proof" in out
 
+    def test_no_order_when_the_killers_lcm_exceeds_the_cap(self, tmp_path, capsys, monkeypatch):
+        # every difference has a killer <= 5, but no single m <= 5 kills both
+        # a 2-torsion and a 3-torsion difference
+        killers = itertools.cycle([2, 3])
+        monkeypatch.setattr(fibdense.fibration, "smallest_order", lambda *_a: next(killers))
+        spec = parse_spec(PROBE_TEXT)
+        assert order_probe(spec.fibration, spec.multisection, spec.samples, 5) == NoOrderUpTo(5)
+        path = write_spec(tmp_path, PROBE_TEXT)
+        assert main(["probe", path, "--m-max", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "NoOrderUpTo(5) (proof: no m <= 5 kills every sampled fiber difference)\n"
+        )
+
 
 class TestDensifyCommand:
     def test_artifacts_match_in_memory_run(self, tmp_path, capsys):
@@ -290,6 +322,19 @@ class TestEnriquesCommands:
         assert "e2 = (0, 0)" in out
         assert "twist = 1" in out
         assert "e1 - e2: TorsionEvidence(order=2)" in out
+
+    def test_model_non_torsion_difference(self, tmp_path, capsys):
+        path = write_spec(
+            tmp_path, '{"cone_quartic": {"0004": "1", "1021": "-2", "1210": "2", "4000": "-1"}}'
+        )
+        assert main(["enriques-model", path]) == 0
+        assert capsys.readouterr().out == (
+            "a(t) = -8*t^5 + 4\n"
+            "b(t) = 4*t^4\n"
+            "e2 = (0, 2*t^2)\n"
+            "twist = 1\n"
+            "e1 - e2: NonTorsion(witness=-1) (samples 0, -1, 1)\n"
+        )
 
     def test_model_twist_opt_in(self, tmp_path, capsys):
         text = """{

@@ -1,5 +1,5 @@
-"""Density pipeline tests: enumeration, certification, translation sweeps,
-family strategy, and byte-stable reporting."""
+"""Density pipeline tests: enumeration, certification, translation sweeps
+and byte-stable reporting."""
 
 from __future__ import annotations
 
@@ -12,13 +12,11 @@ import fibdense.density as density
 from fibdense.density import (
     CertificationResult,
     DensityReport,
-    Exhausted,
     FiberOutcome,
     Skipped,
     certify_and_translate,
     densify,
     enumerate_multisection_points,
-    family_strategy,
     report_to_csv,
     report_to_json,
 )
@@ -33,7 +31,6 @@ from fibdense.elliptic import (
 )
 from fibdense.errors import (
     DomainError,
-    EmptyFamily,
     NoGeneratorSupplied,
     UnsupportedRepresentation,
 )
@@ -44,11 +41,9 @@ from fibdense.fibration import (
     GraphOnQuartic,
     NoOrderUpTo,
     Parametrized,
-    SingularFiber,
     SplitList,
     ZeroSection,
     order_probe,
-    ramification_points,
     specialize,
 )
 
@@ -253,27 +248,6 @@ class TestDensify:
         assert any(o.b == F(-2) for o in torsion_fibers)
 
 
-class TestFamilyStrategy:
-    def test_second_member_chosen(self):
-        idx, report = family_strategy(WORKED, [TRISECTION, ConstantX(F(1))], 6, 3)
-        assert idx == 1
-        assert report.fibers_certified >= 1
-
-    def test_first_member_chosen(self):
-        idx, report = family_strategy(WORKED, [ConstantX(F(1))], 6, 3)
-        assert idx == 0
-
-    def test_empty_family(self):
-        with pytest.raises(EmptyFamily):
-            family_strategy(WORKED, [], 6, 3)
-
-    def test_exhausted(self):
-        got = family_strategy(WORKED, [TRISECTION], 6, 3)
-        assert isinstance(got, Exhausted)
-        assert len(got.reports) == 1
-        assert got.reports[0].fibers_certified == 0
-
-
 class TestReports:
     def test_csv_shape(self):
         report = densify(WORKED, ConstantX(F(1)), 6, 3)
@@ -388,7 +362,7 @@ class TestCrossModuleConsistency:
     def test_salient_ramification_forces_no_order(self):
         """A multisection with salient ramification can have no finite order;
         the probe must agree at every cap."""
-        report = ramification_points(WORKED, ConstantX(F(1)))
+        report = ConstantX(F(1)).ramification(WORKED)
         assert any(e.salient for e in report)
         for m_max in (2, 6, 12, 18):
             got = order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)], m_max)

@@ -37,7 +37,7 @@ from fibdense.elliptic import (
     smallest_order,
     torsion_certify,
 )
-from fibdense.exactmath import RATFN_T, NumField, Poly, RatFn, poly, poly_gcd
+from fibdense.exactmath import NumField, Poly, RatFn, poly, poly_gcd, ratfn
 
 F = Fraction
 
@@ -213,7 +213,7 @@ def test_torsion_bound_policing():
     assert torsion_certify(E, P) == InfiniteOrder()
     assert smallest_order(E, P, 20) is None
     # no uniform constant over Q(t): y^2 = x^3 + t^6 with (2t^2, 3t^3) of order 6
-    t = RATFN_T
+    t = ratfn([0, 1])
     Et = EllipticCurve(RatFn(0), t**6)
     Pt = Point(2 * t**2, 3 * t**3)
     with pytest.raises(BoundTooSmall):
@@ -321,7 +321,7 @@ def test_quartic_model_rejects_repeated_roots_over_q():
 
 
 def test_quartic_model_rejects_repeated_roots_over_q_t():
-    t = RATFN_T
+    t = ratfn([0, 1])
     zero, one = RatFn(0), RatFn(1)
     for coeffs in [
         # (z - t)^2 (z^2 + t): a double root at z = t
@@ -447,7 +447,7 @@ def test_quartic_branches_map_to_distinct_curve_points():
     assert curve.contains(seedp) and curve.contains(seedm)
 
 
-_T = RATFN_T
+_T = ratfn([0, 1])
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -27,7 +27,6 @@ from fibdense.enriques import (
     K3Model,
     RamificationData,
     SectionConic,
-    SingularPoint,
     Tangency,
     bitangent_sections,
     branch_discriminant,
@@ -36,7 +35,6 @@ from fibdense.enriques import (
     multisection_from_section,
     restrict_quartic_to_cone,
     section_intersection_poly,
-    singular_points,
     tangent_line,
 )
 from fibdense.errors import (
@@ -56,7 +54,6 @@ from fibdense.fibration import (
     GraphOnQuartic,
     TorsionEvidence,
     ZeroSection,
-    ramification_points,
     section_difference_order,
     specialize,
 )
@@ -408,17 +405,6 @@ class TestMirroredBasePoints:
         assert reports == [_fresh_search(data.coeffs, pt) for pt in ((1, 1), (-1, 1))]
 
 
-class TestSingularLocus:
-    def test_smooth_curve_empty(self):
-        report = singular_points(FD)
-        assert report.points == () and report.unresolved == ()
-
-    def test_nodal_curve_finds_nodes(self):
-        report = singular_points(nodal_curve())
-        assert SingularPoint(F(0), F(0)) in report.points
-        assert SingularPoint(F(2), F(0)) in report.points
-
-
 class TestSectionCover:
     def test_squarefree_degree_eight(self):
         cover = multisection_from_section(fd_plus(poly([1, 1, 0, 0, 0, 0, 0, 0, 1])), SectionConic(0, 0, 0))
@@ -564,7 +550,7 @@ class TestEndToEnd:
         )
         graph = GraphOnQuartic(p=cand.section.as_poly, fiber_coeffs=k3.fiber_coeffs)
         assert graph.degree == 2
-        report = ramification_points(k3.fibration, graph)
+        report = graph.ramification(k3.fibration)
         params = {entry.b for entry in report}
         assert {F(1), F(-1)} <= params
         assert all(entry.salient for entry in report)

@@ -360,6 +360,50 @@ def test_no_runtime_check_relies_on_assert():
     assert not found, f"assert statements in fibdense: {found}"
 
 
+# top-level names kept although no code in fibdense reads them
+UNREFERENCED_ALLOWED = {
+    "ec_sub": "test oracle for the group law",
+    "j_invariant": "test oracle for isomorphic fibers",
+    "quartic_j_invariant": "test oracle for the quartic-to-Weierstrass conversion",
+    "poly": "test constructor",
+    "ratfn": "test constructor",
+    "discriminant_resultant": "tested against sympy's discriminant",
+    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 3",
+    "k3_fiber_chart": "the cone-to-points pipeline of ROADMAP item 3",
+}
+
+
+def test_every_top_level_name_is_referenced():
+    # a function, class or constant stays only if other code in fibdense
+    # reads it; imports and __all__ entries are not reads, and neither is a
+    # definition's reference to itself
+    root = pathlib.Path(fibdense.__file__).parent
+    defined, reads = [], []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            owner = {(path, name) for name in names}
+            defined.extend((path, name) for name in names if not name.startswith("__"))
+            reads.extend(
+                (sub.id, owner)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            )
+    unreferenced = sorted(
+        f"{path.relative_to(root)}:{name}"
+        for path, name in defined
+        if name not in UNREFERENCED_ALLOWED
+        and not any(read == name and (path, name) not in owner for read, owner in reads)
+    )
+    assert not unreferenced, f"top-level names nothing in fibdense reads: {unreferenced}"
+
+
 @pytest.mark.xfail(raises=AttributeError, strict=True, reason="known defect: a constant y(s) "
                    "evaluates to a Fraction at a quadratic s, and the Galois check reads .coeffs")
 def test_trisection_with_nonzero_constant_y():

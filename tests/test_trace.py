@@ -28,7 +28,6 @@ from fibdense.fibration import (
     FibrationModel,
     GraphOnQuartic,
     Parametrized,
-    SingularFiber,
     _pair_sum,
     specialize,
     trace_cycle,
@@ -181,9 +180,7 @@ def _check_against_reference(model: FibrationModel, m, b):
     and the reference succeeds; returns whether a comparison was made."""
     try:
         fiber = specialize(model, b)
-    except DomainError:  # a pole
-        return False
-    if isinstance(fiber, SingularFiber):
+    except DomainError:  # a pole or a singular fiber
         return False
     try:
         support = m.cycle(fiber, b)
