@@ -43,16 +43,10 @@ from .fibration import (
 from .specfile import RunSpec, parse_spec
 
 
-def _render(value) -> str:
-    if isinstance(value, Fraction):
-        return rat_to_string(value)
-    return str(value)
-
-
 def _render_point(p) -> str:
     if p.is_infinity:
         return "Infinity"
-    return f"({_render(p.x)}, {_render(p.y)})"
+    return f"({p.x}, {p.y})"
 
 
 def _scalar_json(value):
@@ -95,7 +89,7 @@ def _cmd_analyze(spec: RunSpec) -> int:
     print("ramification:" + (" none" if empty else ""))
     for rp in report.points:
         tag = "salient" if rp.salient else "not salient"
-        print(f"b={_render(rp.b)}: point={_render_point(rp.point)}, {tag}")
+        print(f"b={rp.b}: point={_render_point(rp.point)}, {tag}")
     for u in report.unresolved:
         tag = "all roots singular" if u.all_singular else "roots undecided"
         print(f"unresolved factor {u.factor}: {tag}")

@@ -9,7 +9,6 @@ byte-stable across runs.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,13 +187,10 @@ def _fiber_json(o: FiberOutcome):
     }
 
 
-def report_to_json(report: DensityReport, fh=None) -> str | None:
-    """The report as JSON, byte for byte json.dumps(doc, indent=2) + "\n".
-
-    With a text file fh the document is written to it one fiber at a time
-    and None is returned, so the whole string is never held; without one it
-    is returned as a string."""
-    out = io.StringIO() if fh is None else fh
+def report_to_json(report: DensityReport, out) -> None:
+    """Write the report as JSON to the text file out, byte for byte
+    json.dumps(doc, indent=2) + "\n", one fiber at a time, so the whole
+    string is never held."""
     out.write("{\n")
     for key in ("fibers_attempted", "fibers_certified", "points_emitted", "max_height_seen"):
         out.write(f'  "{key}": {getattr(report, key)},\n')
@@ -206,19 +202,14 @@ def report_to_json(report: DensityReport, fh=None) -> str | None:
         out.write(sep + json.dumps(_fiber_json(o), indent=2).replace("\n", "\n    "))
         sep = ",\n    "
     out.write("\n  ]\n}\n" if report.per_fiber else "]\n}\n")
-    return out.getvalue() if fh is None else None
 
 
-def report_to_csv(report: DensityReport, fh=None) -> str | None:
-    """The emitted points as CSV rows b,x,y,k under a header line.
-
-    With a text file fh the rows are written to it one fiber at a time and
-    None is returned; without one the text is returned as a string."""
-    out = io.StringIO() if fh is None else fh
+def report_to_csv(report: DensityReport, out) -> None:
+    """Write the emitted points as CSV rows b,x,y,k under a header line to
+    the text file out, one fiber at a time."""
     out.write("b,x,y,k\n")
     for o in report.per_fiber:
         b = rat_to_string(o.b)
         out.write(
             "".join(f"{b},{rat_to_string(pt.x)},{rat_to_string(pt.y)},{k}\n" for k, pt in o.points)
         )
-    return out.getvalue() if fh is None else None

@@ -308,10 +308,6 @@ class QuarticModel:
             if w0 * w0 != q(z0):
                 raise PointNotOnCurve(f"marked point ({z0}, {w0}) is not on w^2 = {q}")
 
-    @property
-    def rhs(self) -> Poly:
-        return Poly(self.coeffs)
-
 
 def _long_to_short(a1, a2, a3, a4, a6):
     """Complete the square and cube; returns the short coefficients (A, B)

@@ -24,7 +24,7 @@ from .elliptic import (
     Point,
     QuarticModel,
     infinity_branch_weierstrass,
-    quartic_to_weierstrass,
+    quartic_to_weierstrass,  # unused here; bench/tracing.py wraps this name
 )
 from .errors import (
     DegenerateDiscriminant,
@@ -52,7 +52,6 @@ from .exactmath import (
 )
 from .fibration import (
     FibrationModel,
-    fiber_quartic,
     odd_square_split,
     quartic_on_graph,
     small_field_roots,
@@ -275,10 +274,6 @@ class K3Model:
     fiber_coeffs: tuple
     twist: Fraction
 
-    @property
-    def twisted(self) -> bool:
-        return self.twist != 1
-
 
 # ---------------------------------------------------------------------------
 # restriction to the cone
@@ -388,7 +383,7 @@ def _verify_candidate(data: RamificationData, line: TangentLine, lam):
     if distinct(t0):
         return None
     others = distinct.exact_div(Poly([-t0, Fraction(1)]))
-    roots, unresolved = small_field_roots(others, "s", extend=isinstance(lam, Fraction))
+    roots, unresolved = small_field_roots(others, "s")
     second = tuple((t1, s.value(t1)) for t1, _mult in roots)
     return BitangentCandidate(s, lam, second, tuple(unresolved))
 
@@ -550,13 +545,3 @@ def k3_weierstrass_model(
     except DomainError:
         raise NonReducedRamification("the branch curve has a repeated component") from None
     return K3Model(fibration, e2, coeffs, twist)
-
-
-def k3_fiber_chart(model: K3Model, t0):
-    """Specialized conversion on the fiber at t = t0.
-
-    Returns (curve, fwd, inv): fwd maps quartic points (z, w) with
-    w^2 = F(t0, z) (after the recorded twist) onto the Weierstrass fiber,
-    inv goes back; the marked branch at infinity is the fiber's origin.
-    """
-    return quartic_to_weierstrass(fiber_quartic(model.fiber_coeffs, t0))

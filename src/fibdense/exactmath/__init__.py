@@ -2,13 +2,11 @@
 
 from .poly import (
     Poly,
-    discriminant_resultant,
     divide_out_roots,
     format_poly,
     poly,
     poly_gcd,
     rational_roots,
-    resultant,
     resultant_bivariate,
     squarefree_decompose,
     squarefree_part,
@@ -27,13 +25,11 @@ from .rationals import (
 
 __all__ = [
     "Poly",
-    "discriminant_resultant",
     "divide_out_roots",
     "format_poly",
     "poly",
     "poly_gcd",
     "rational_roots",
-    "resultant",
     "resultant_bivariate",
     "squarefree_decompose",
     "squarefree_part",

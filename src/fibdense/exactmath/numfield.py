@@ -61,10 +61,6 @@ class NumField:
         return self.element([Fraction(r)])
 
     @property
-    def zero(self) -> "NumFieldElement":
-        return self.embed(0)
-
-    @property
     def one(self) -> "NumFieldElement":
         return self.embed(1)
 

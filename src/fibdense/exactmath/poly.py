@@ -220,16 +220,6 @@ class Poly:
         l = self.lead
         return Poly([c / l for c in self.coeffs])
 
-    def root_multiplicity(self, r) -> int:
-        """Multiplicity of r as a root (0 when not a root)."""
-        p = self
-        m = 0
-        lin = Poly([-r, 1])
-        while not p.is_zero and p(r) == 0:
-            p = p.exact_div(lin)
-            m += 1
-        return m
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
@@ -455,22 +445,6 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
     return s * t * (B[0] ** d // h ** (d - 1))
 
 
-def resultant(p: Poly, q: Poly) -> Fraction:
-    """res(p, q) over Q: the bivariate resultant of p and q read as
-    polynomials with constant coefficients."""
-    res = resultant_bivariate([Poly([c]) for c in p.coeffs], [Poly([c]) for c in q.coeffs])
-    return res.coefficient(0)
-
-
-def discriminant_resultant(p: Poly) -> Fraction:
-    """disc(p) = (-1)^(d(d-1)/2) * res(p, p') / lead(p)."""
-    if p.is_zero or p.degree < 1:
-        raise ZeroInput("discriminant needs degree >= 1")
-    d = p.degree
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lead
-
-
 def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> Poly:
     """Resultant in the main variable of two polynomials whose coefficients
     are themselves rational polynomials in a second variable.
@@ -495,8 +469,7 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
     R in that basis are its divided differences. So each Newton step divides
     exactly, and only the expanded R is divided by cf^m * cg^n.
     """
-    f = [c if isinstance(c, Poly) else Poly([c]) for c in f_coeffs]
-    g = [c if isinstance(c, Poly) else Poly([c]) for c in g_coeffs]
+    f, g = list(f_coeffs), list(g_coeffs)
     while f and f[-1].is_zero:
         f.pop()
     while g and g[-1].is_zero:

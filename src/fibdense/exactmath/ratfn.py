@@ -59,11 +59,6 @@ class RatFn:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise ZeroInput(f"{self} is not a polynomial")
-        return self.num
-
     @property
     def is_constant(self) -> bool:
         return self.is_polynomial and self.num.degree <= 0
@@ -139,13 +134,7 @@ class RatFn:
             n >>= 1
         return result
 
-    # -- calculus and evaluation --
-
-    def derivative(self) -> "RatFn":
-        return RatFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+    # -- evaluation --
 
     def __call__(self, t0: Fraction) -> Fraction:
         d = self.den(t0)

@@ -123,9 +123,9 @@ def specialize(model: FibrationModel, b: Rat) -> EllipticCurve:
 def _order_at(fn: RatFn, b: Rat) -> int:
     if fn.is_zero:
         raise ZeroDivisionError("order of the zero function")
-    num_mult = fn.num.root_multiplicity(b)
-    den_mult = fn.den.root_multiplicity(b)
-    return num_mult - den_mult
+    num_found, _rest = divide_out_roots(fn.num, [b])
+    den_found, _rest = divide_out_roots(fn.den, [b])
+    return sum(k for _r, k in num_found) - sum(k for _r, k in den_found)
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,15 @@ def _descend_point(p: Point) -> Point:
     return p
 
 
-def small_field_roots(p: Poly, name: str, extend: bool = True):
+def small_field_roots(p: Poly, name: str):
     """Roots of a nonzero p over Q and quadratic fields.
 
     Returns (roots, unresolved). roots lists (root, multiplicity) pairs: the
     rational roots in ascending order, then the conjugate roots of each
     irreducible quadratic squarefree part, in a new field whose generator is
-    named `name` (only when extend is set). unresolved lists the monic
-    squarefree parts left over, whose roots need a larger field. For p over a
-    quadratic field only roots inside that same field are produced.
+    named `name`. unresolved lists the monic squarefree parts left over,
+    whose roots need a larger field. For p over a quadratic field only roots
+    inside that same field are produced.
 
     Over Q, rational_roots runs once. A p of degree <= 3 goes to it whole:
     once its rational roots are divided out, what is left has degree <= 3
@@ -213,7 +213,7 @@ def small_field_roots(p: Poly, name: str, extend: bool = True):
         for factor, mult in factors:
             found, rest = divide_out_roots(factor, candidates)
             rational += [(r, k * mult) for r, k in found]
-            if rest.degree == 2 and extend:
+            if rest.degree == 2:
                 _K, root, conj = quadratic_field(rest, name)
                 quadratic += [(root, mult), (conj, mult)]
             elif rest.degree > 0:
@@ -286,12 +286,6 @@ class RamificationReport:
 
     points: tuple
     unresolved: tuple = ()
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
 
 
 def _delta_nonzero_at(model: FibrationModel, b) -> bool:
@@ -459,8 +453,9 @@ class GraphOnQuartic:
 
     fiber_coeffs lists (f_0, ..., f_4) with f_4 a nonzero square constant;
     sign picks the branch at infinity used for the Weierstrass conversion.
-    generator optionally names a point (t0, w0) on w^2 = G(t), G = F(t, p(t)),
-    used by enumeration when the covering curve is elliptic.
+    generator optionally names a point (t0, w0) on the normalized covering
+    curve w~^2 = q(t), where G = F(t, p(t)) = q * r^2 with q squarefree; it is
+    used by enumeration when that curve is elliptic.
     """
 
     p: Poly
@@ -483,10 +478,6 @@ class GraphOnQuartic:
     @property
     def degree(self) -> int:
         return 2
-
-    def _fiber_chart(self, b):
-        """Weierstrass conversion (curve, fwd, inv) of w^2 = F(b, z)."""
-        return quartic_to_weierstrass(fiber_quartic(self.fiber_coeffs, b, self.sign))
 
     def points(self, model: FibrationModel, height_bound: int):
         """Multiples [+-k]g, k <= height_bound, of the generator g on the
@@ -520,13 +511,13 @@ class GraphOnQuartic:
                     b, wk = inv(pk)
                 except MapUndefined:
                     continue
-                _fiber, chart, _inv = self._fiber_chart(b)
+                _fiber, chart, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
                 out.append((b, chart(self.p(b), wk * r(b))))
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
         _K, roots = _square_roots(graph_cover_poly(self)(b))
-        chart_curve, fwd, _inv = self._fiber_chart(b)
+        chart_curve, fwd, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
         if chart_curve != fiber:
             raise DomainError("graph multisection is attached to a different fibration")
         z0 = self.p(b)
@@ -538,7 +529,7 @@ class GraphOnQuartic:
             raise DomainError("graph multisection lies on the branch locus")
 
         def locate(b):
-            _curve, fwd, _inv = self._fiber_chart(b)
+            _curve, fwd, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
             return b, fwd(self.p(b), b * 0)
 
         return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate)
@@ -608,10 +599,14 @@ def graph_cover_poly(m: GraphOnQuartic) -> Poly:
     return quartic_on_graph(m.fiber_coeffs, m.p)
 
 
-def fiber_quartic(coeffs, t0, sign: int = 1) -> QuarticModel:
-    """The fiber w^2 = F(t0, z) of F(t, z) = sum_i coeffs[i](t) z^i, marked
-    at its branch at z = infinity."""
-    return QuarticModel(tuple(c(t0) for c in coeffs), InfinityBranch(sign))
+def fiber_chart(coeffs, t0, sign: int = 1):
+    """Weierstrass conversion (curve, fwd, inv) of the fiber w^2 = F(t0, z)
+    of F(t, z) = sum_i coeffs[i](t) z^i, marked at its branch at z = infinity.
+
+    fwd maps quartic points (z, w) onto the Weierstrass fiber, inv goes back;
+    the marked branch is the fiber's origin."""
+    quartic = QuarticModel(tuple(c(t0) for c in coeffs), InfinityBranch(sign))
+    return quartic_to_weierstrass(quartic)
 
 
 def _check_support(curve: EllipticCurve, support) -> None:

@@ -134,7 +134,7 @@ def _multisection(obj, path: str):
         if not isinstance(coeffs, list) or len(coeffs) != 5:
             raise SpecValidationError(f"{path}.fiber_coeffs", "expected five coefficient lists")
         sign = obj.get("sign", 1)
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
             raise SpecValidationError(f"{path}.sign", "expected 1 or -1")
         generator = None
         if obj.get("generator") is not None:
@@ -174,7 +174,7 @@ def _cone_quartic(obj, path: str) -> ConeQuartic:
         raise SpecValidationError(path, 'expected coefficients keyed by exponents "e0e1e2e3"')
     coeffs = {}
     for key, value in obj.items():
-        if len(key) != 4 or not key.isdigit():
+        if len(key) != 4 or not (key.isascii() and key.isdigit()):
             raise SpecValidationError(f"{path}.{key}", 'keys must be four digits "e0e1e2e3"')
         exponents = tuple(int(ch) for ch in key)
         coeffs[exponents] = _rational(value, f"{path}.{key}")

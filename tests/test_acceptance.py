@@ -36,7 +36,6 @@ from fibdense.enriques import (
     RamificationData,
     SectionConic,
     bitangent_sections,
-    k3_fiber_chart,
     k3_weierstrass_model,
     multisection_from_section,
     restrict_quartic_to_cone,
@@ -52,6 +51,7 @@ from fibdense.fibration import (
     Order,
     Parametrized,
     ZeroSection,
+    fiber_chart,
     order_probe,
     specialize,
     tau_map,
@@ -252,14 +252,14 @@ def test_tau_difference_law_and_totality(capfd):
 def test_salience_and_order_probe_consistency(capfd):
     with criterion("salient ramification / order probe consistency", 10.0, capfd):
         report = ConstantX(F(1)).ramification(WORKED)
-        assert len(report) == 1
+        assert len(report.points) == 1
         entry = report.points[0]
         assert (entry.b, entry.point, entry.salient) == (F(-2), Point(F(1), F(0)), True)
         assert order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)], 18) == NoOrderUpTo(18)
 
         assert order_probe(WORKED, TRISECTION, _trisection_samples(10), 6) == Order(2)
         tri_report = TRISECTION.ramification(WORKED)
-        assert all(not e.salient for e in tri_report)
+        assert all(not e.salient for e in tri_report.points)
 
 
 def test_density_regression(capfd):
@@ -343,7 +343,7 @@ def test_quartic_weierstrass_charts(capfd):
 
         count = 0
         for t0 in (F(2), F(3), F(5), F(1, 2), F(5, 2), F(-2), F(-3), F(4), F(7), F(3, 2)):
-            curve, fwd, inv = k3_fiber_chart(k3, t0)
+            curve, fwd, inv = fiber_chart(k3.fiber_coeffs, t0)
             assert curve == specialize(k3.fibration, t0)
             base = Point(2 * t0 * t0, 4 * t0)
             slice_poly = Poly([c(t0) for c in k3.fiber_coeffs])

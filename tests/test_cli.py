@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import os
@@ -166,6 +167,42 @@ class TestExitCodes:
             "unresolved factor t^3 + 2: all roots singular\n"
         )
 
+    def test_analyze_parametrized_rational_critical_parameter(self, tmp_path, capsys):
+        # s -> (t, x, y) = (-s^2, s, 1) on y^2 = x^3 + t x + 1: t'(s) = -2s
+        # vanishes at s = 0 only, over the smooth fiber t = 0
+        path = write_spec(
+            tmp_path,
+            """{"fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
+                "multisection": {"kind": "parametrized", "t": {"num": ["0", "0", "-1"]},
+                                 "x": {"num": ["0", "1"]}, "y": {"num": ["1"]}}}""",
+        )
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == (
+            "singular fibers: none\n"
+            "ramification:\n"
+            "b=0: point=(0, 1), salient\n"
+        )
+
+    def test_analyze_parametrized_quadratic_critical_parameters(self, tmp_path, capsys):
+        # s -> (2 + s^2 - s^4, s^2, 1 + s^2) on y^2 = x^3 + t x + 1:
+        # t'(s) = -2s(2s^2 - 1), so besides s = 0 the critical parameters are
+        # s = +-sqrt(1/2), whose t-image 9/4 and point (1/2, 3/2) are rational;
+        # t, x and y are functions of s^2, so both conjugates give that point
+        path = write_spec(
+            tmp_path,
+            """{"fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
+                "multisection": {"kind": "parametrized", "t": {"num": ["2", "0", "1", "0", "-1"]},
+                                 "x": {"num": ["0", "0", "1"]}, "y": {"num": ["1", "0", "1"]}}}""",
+        )
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == (
+            "singular fibers: none\n"
+            "ramification:\n"
+            "b=2: point=(0, 1), salient\n"
+            "b=9/4: point=(1/2, 3/2), salient\n"
+            "b=9/4: point=(1/2, 3/2), salient\n"
+        )
+
     def test_syntax_error_exit_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, '{"fibration": {')
         assert main(["analyze", path]) == 2
@@ -266,8 +303,10 @@ class TestDensifyCommand:
         assert "fibers certified:" in stdout
 
         report = densify(FibrationModel(ratfn([0, 1]), ratfn([1])), ConstantX(F(1)), 4, 5)
-        assert (out_dir / "report.json").read_text(encoding="utf-8") == report_to_json(report)
-        assert (out_dir / "points.csv").read_text(encoding="utf-8") == report_to_csv(report)
+        for name, write in (("report.json", report_to_json), ("points.csv", report_to_csv)):
+            buf = io.StringIO()
+            write(report, buf)
+            assert (out_dir / name).read_text(encoding="utf-8") == buf.getvalue()
 
     def test_csv_reparses_to_emitted_points(self, tmp_path, capsys):
         path = write_spec(tmp_path, WORKED_TEXT)

@@ -3,6 +3,7 @@ and byte-stable reporting."""
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction as F
 
@@ -248,10 +249,17 @@ class TestDensify:
         assert any(o.b == F(-2) for o in torsion_fibers)
 
 
+def _written(write, report) -> str:
+    """What the report writer write puts into a text file."""
+    buf = io.StringIO()
+    write(report, buf)
+    return buf.getvalue()
+
+
 class TestReports:
     def test_csv_shape(self):
         report = densify(WORKED, ConstantX(F(1)), 6, 3)
-        csv = report_to_csv(report)
+        csv = _written(report_to_csv, report)
         lines = csv.strip().split("\n")
         assert lines[0] == "b,x,y,k"
         assert len(lines) - 1 == report.points_emitted
@@ -264,7 +272,7 @@ class TestReports:
 
     def test_json_round_trip(self):
         report = densify(WORKED, ConstantX(F(1)), 5, 3)
-        doc = json.loads(report_to_json(report))
+        doc = json.loads(_written(report_to_json, report))
         assert doc["fibers_attempted"] == report.fibers_attempted
         assert doc["fibers_certified"] == report.fibers_certified
         assert doc["points_emitted"] == report.points_emitted
@@ -273,8 +281,8 @@ class TestReports:
         assert emitted == report.points_emitted
 
     def test_byte_stability(self):
-        a = report_to_json(densify(WORKED, ConstantX(F(1)), 5, 3))
-        b = report_to_json(densify(WORKED, ConstantX(F(1)), 5, 3))
+        a = _written(report_to_json, densify(WORKED, ConstantX(F(1)), 5, 3))
+        b = _written(report_to_json, densify(WORKED, ConstantX(F(1)), 5, 3))
         assert a == b
 
 
@@ -348,14 +356,16 @@ class TestStreamedReports:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_streamed_files_equal_returned_strings(self, name, tmp_path):
+        # the writers stream one fiber at a time; the files must still be
+        # the documents dumped at once
         report = self.CASES[name]()
-        for render, reference in ((report_to_json, _reference_json), (report_to_csv, _reference_csv)):
-            text = render(report)
-            assert text == reference(report)
-            path = tmp_path / "out"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                assert render(report, fh) is None
-            assert path.read_text(encoding="utf-8") == text
+        for write, file_name in ((report_to_json, "report.json"), (report_to_csv, "points.csv")):
+            with open(tmp_path / file_name, "w", encoding="utf-8", newline="") as fh:
+                assert write(report, fh) is None
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert text == _reference_json(report)
+        assert (tmp_path / "points.csv").read_text(encoding="utf-8") == _reference_csv(report)
 
 
 class TestCrossModuleConsistency:
@@ -363,7 +373,7 @@ class TestCrossModuleConsistency:
         """A multisection with salient ramification can have no finite order;
         the probe must agree at every cap."""
         report = ConstantX(F(1)).ramification(WORKED)
-        assert any(e.salient for e in report)
+        assert any(e.salient for e in report.points)
         for m_max in (2, 6, 12, 18):
             got = order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)], m_max)
             assert got == NoOrderUpTo(m_max)

@@ -312,6 +312,33 @@ def test_spec_rationals_round_trip(pairs):
     assert spec.points == ((values[0], values[-1]),)
 
 
+@pytest.mark.parametrize("key", ["000\u00b2", "000\u0664"])
+def test_cone_quartic_keys_are_ascii_digits(tmp_path, capsys, key):
+    # a superscript two passes str.isdigit but not int(); an Arabic-Indic
+    # four passes both and would be read as the exponent 4
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"cone_quartic": {key: "1", "1120": "1", "4000": "-2"}}), encoding="utf-8")
+    assert main(["enriques-restrict", str(path)]) == 2
+    assert f"'cone_quartic.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+def test_graph_sign_is_the_int_one_or_minus_one(tmp_path, capsys, sign):
+    spec = {
+        "fibration": WORKED["fibration"],
+        "multisection": {
+            "kind": "graph_on_quartic",
+            "p": ["0", "0", "1"],
+            "fiber_coeffs": [["-1"], ["0"], ["0"], ["0"], ["1"]],
+            "sign": sign,
+        },
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert "'multisection.sign'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [
@@ -367,9 +394,7 @@ UNREFERENCED_ALLOWED = {
     "quartic_j_invariant": "test oracle for the quartic-to-Weierstrass conversion",
     "poly": "test constructor",
     "ratfn": "test constructor",
-    "discriminant_resultant": "tested against sympy's discriminant",
     "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 3",
-    "k3_fiber_chart": "the cone-to-points pipeline of ROADMAP item 3",
 }
 
 
@@ -402,6 +427,42 @@ def test_every_top_level_name_is_referenced():
         and not any(read == name and (path, name) not in owner for read, owner in reads)
     )
     assert not unreferenced, f"top-level names nothing in fibdense reads: {unreferenced}"
+
+
+# methods and properties kept although no attribute read in fibdense names them
+UNREFERENCED_METHODS_ALLOWED = {
+    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 3 and 7",
+    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 3",
+    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 7",
+}
+
+
+def test_every_method_is_referenced():
+    # a method or property of a fibdense class stays only if some attribute
+    # read in fibdense names it; dunders, __post_init__ among them, are exempt
+    root = pathlib.Path(fibdense.__file__).parent
+    methods, reads = [], set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        methods.extend(
+            (path, node.name, item.name)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))
+        )
+        reads.update(
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        )
+    unreferenced = sorted(
+        f"{path.relative_to(root)}:{cls}.{name}"
+        for path, cls, name in methods
+        if f"{cls}.{name}" not in UNREFERENCED_METHODS_ALLOWED and name not in reads
+    )
+    assert not unreferenced, f"methods and properties nothing in fibdense reads: {unreferenced}"
 
 
 @pytest.mark.xfail(raises=AttributeError, strict=True, reason="known defect: a constant y(s) "

@@ -15,11 +15,9 @@ from fibdense.errors import BothZero, ZeroInput
 from fibdense.exactmath import (
     NumField,
     Poly,
-    discriminant_resultant,
     poly,
     poly_gcd,
     rational_roots,
-    resultant,
     resultant_bivariate,
     squarefree_decompose,
     squarefree_part,
@@ -97,14 +95,23 @@ def test_gcd_fixed_values():
         poly_gcd(Poly(), Poly())
 
 
+def _constant_coefficients(p: Poly) -> list[Poly]:
+    """p read as a polynomial whose coefficients are constant polynomials."""
+    return [Poly([c]) for c in p.coeffs]
+
+
 def test_resultant_and_discriminant_fixed_values():
-    assert resultant(poly([-2, 1]), poly([1, 0, 1])) == 5
-    assert discriminant_resultant(poly([-1, 0, 1])) == 4
-    assert discriminant_resultant(poly([0, -1, 0, 1])) == 4
+    def res(p, q):
+        return resultant_bivariate(_constant_coefficients(p), _constant_coefficients(q))
+
+    assert res(poly([-2, 1]), poly([1, 0, 1])) == poly([5])
+    # res(p, p') = (-1)^(d(d-1)/2) * lead(p) * disc(p) for p of degree d
+    assert res(poly([-1, 0, 1]), poly([0, 2])) == poly([-4])  # disc(x^2 - 1) = 4
+    assert res(poly([0, -1, 0, 1]), poly([-1, 0, 3])) == poly([-4])  # disc(x^3 - x) = 4
     # y^2 = x^3 + 1 model polynomial x^3 + 1: disc = -27
-    assert discriminant_resultant(poly([1, 0, 0, 1])) == -27
+    assert res(poly([1, 0, 0, 1]), poly([0, 0, 3])) == poly([27])
     with pytest.raises(ZeroInput):
-        resultant(Poly(), poly([1, 1]))
+        res(Poly(), poly([1, 1]))
 
 
 def test_squarefree_decompose_fixed():
@@ -282,7 +289,7 @@ def test_resultant_matches_sympy_on_random_pairs():
         g = _rand_poly(rng, 5)
         if f.degree < 1 or g.degree < 1:
             continue
-        ours = resultant(f, g)
+        ours = resultant_bivariate(_constant_coefficients(f), _constant_coefficients(g)).coefficient(0)
         assert ours == _sylvester_det_sympy(f, g)
         theirs = sympy.resultant(_to_sympy(f).as_expr(), _to_sympy(g).as_expr(), _x)
         assert abs(ours) == abs(sympy.Rational(theirs))
@@ -290,20 +297,11 @@ def test_resultant_matches_sympy_on_random_pairs():
 
 def test_resultant_classical_convention_anchor():
     # res(x - 1, x^3 - 2) = value of x^3 - 2 at the root of x - 1
-    assert resultant(poly([-1, 1]), poly([-2, 0, 0, 1])) == -1
+    lin, cube = _constant_coefficients(poly([-1, 1])), _constant_coefficients(poly([-2, 0, 0, 1]))
+    assert resultant_bivariate(lin, cube) == poly([-1])
     # res(2x - 1, x^3 + 1) = 2^3 * ((1/2)^3 + 1) = 9
-    assert resultant(poly([-1, 2]), poly([1, 0, 0, 1])) == 9
-
-
-def test_discriminant_matches_sympy_on_random_polys():
-    rng = random.Random(303)
-    for _ in range(120):
-        f = _rand_poly(rng, 5)
-        if f.degree < 1:
-            continue
-        ours = discriminant_resultant(f)
-        theirs = sympy.discriminant(_to_sympy(f).as_expr(), _x)
-        assert ours == sympy.Rational(theirs)
+    lin, cube = _constant_coefficients(poly([-1, 2])), _constant_coefficients(poly([1, 0, 0, 1]))
+    assert resultant_bivariate(lin, cube) == poly([9])
 
 
 def test_rational_roots_match_sympy_on_random_polys():
