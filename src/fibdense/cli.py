@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .density import densify, report_to_csv, report_to_json
 from .enriques import (
+    BitangentReport,
     bitangent_sections,
     k3_weierstrass_model,
     restrict_quartic_to_cone,
@@ -49,18 +50,69 @@ def _render_point(p) -> str:
     return f"({p.x}, {p.y})"
 
 
-def _scalar_json(value):
-    """Exact JSON form: rationals as strings, quadratic elements as objects."""
-    if isinstance(value, Fraction):
-        return rat_to_string(value)
+def _json_list(items, indent: int) -> str:
+    """The rendered items as a JSON list laid out as json.dumps(indent=2)
+    lays it out at the given indentation."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _rationals_json(values, indent: int) -> str:
+    return _json_list([f'"{rat_to_string(c)}"' for c in values], indent)
+
+
+def _scalar_json(value, indent: int) -> str:
+    """Exact JSON form at the given indentation: rationals as strings,
+    quadratic elements as {coords, minpoly} objects."""
     if isinstance(value, NumFieldElement):
-        if value.is_rational:
-            return rat_to_string(value.coeffs[0])
-        return {
-            "coords": [rat_to_string(c) for c in value.coeffs],
-            "minpoly": [rat_to_string(c) for c in value.field.minimal_polynomial.coeffs],
-        }
+        if not value.is_rational:
+            coords = _rationals_json(value.coeffs, indent + 2)
+            minpoly = _rationals_json(value.field.minimal_polynomial.coeffs, indent + 2)
+            pad = " " * indent
+            return f'{{\n{pad}  "coords": {coords},\n{pad}  "minpoly": {minpoly}\n{pad}}}'
+        value = value.coeffs[0]
+    if isinstance(value, Fraction):
+        return f'"{rat_to_string(value)}"'
     raise DomainError(f"unrenderable scalar: {value!r}")
+
+
+def _bitangents_json(through, results) -> str:
+    """bitangents.json for the (base point, BitangentReport) pairs, byte for
+    byte json.dumps(doc, indent=2) + "\n": rationals need no JSON escape, and
+    the one free string, a field's name, goes through json.dumps, C-encoded."""
+    entries = []
+    for point, report in results:
+        candidates = []
+        for cand in report:
+            coords = (cand.section.c0, cand.section.c1, cand.section.c2)
+            field = '"Q"'
+            if not all(isinstance(c, Fraction) for c in coords):
+                gen = next(c for c in coords if isinstance(c, NumFieldElement)).field
+                minpoly = _rationals_json(gen.minimal_polynomial.coeffs, 12)
+                field = (
+                    f'{{\n            "minpoly": {minpoly},\n'
+                    f'            "name": {json.dumps(gen.name)}\n          }}'
+                )
+            c0, c1, c2 = (_scalar_json(c, 10) for c in coords)
+            tangencies = [
+                _json_list([_scalar_json(t, 14), _scalar_json(z, 14)], 12)
+                for t, z in cand.second_tangencies
+            ]
+            candidates.append(
+                f'{{\n          "parameter": {_scalar_json(cand.parameter, 10)},\n'
+                f'          "c0": {c0},\n          "c1": {c1},\n          "c2": {c2},\n'
+                f'          "field": {field},\n'
+                f'          "second_tangency": {_json_list(tangencies, 10)}\n        }}'
+            )
+        entries.append(
+            f'{{\n      "base_point": {_rationals_json(point, 6)},\n'
+            f'      "candidates": {_json_list(candidates, 6)},\n'
+            f'      "higher_degree_parameters": {report.higher_degree_parameters}\n    }}'
+        )
+    through = "null" if through is None else _rationals_json(through, 2)
+    return f'{{\n  "through": {through},\n  "results": {_json_list(entries, 2)}\n}}\n'
 
 
 def _need(spec: RunSpec, field: str, command: str):
@@ -142,27 +194,6 @@ def _cmd_enriques_restrict(spec: RunSpec) -> int:
     return 0
 
 
-def _candidate_json(cand) -> dict:
-    section = cand.section
-    rational = all(isinstance(c, Fraction) for c in (section.c0, section.c1, section.c2))
-    if rational:
-        field = "Q"
-    else:
-        gen = next(c for c in (section.c0, section.c1, section.c2) if isinstance(c, NumFieldElement))
-        field = {
-            "minpoly": [rat_to_string(c) for c in gen.field.minimal_polynomial.coeffs],
-            "name": gen.field.name,
-        }
-    return {
-        "parameter": _scalar_json(cand.parameter),
-        "c0": _scalar_json(section.c0),
-        "c1": _scalar_json(section.c1),
-        "c2": _scalar_json(section.c2),
-        "field": field,
-        "second_tangency": [[_scalar_json(t), _scalar_json(z)] for t, z in cand.second_tangencies],
-    }
-
-
 def _cmd_enriques_bitangents(spec: RunSpec) -> int:
     cone = _need(spec, "cone_quartic", "enriques-bitangents")
     points = _need(spec, "points", "enriques-bitangents")
@@ -172,26 +203,15 @@ def _cmd_enriques_bitangents(spec: RunSpec) -> int:
         try:
             report = bitangent_sections(data, point, through=spec.through)
         except NoCandidates:
-            report = None
-        entry = {
-            "base_point": [rat_to_string(point[0]), rat_to_string(point[1])],
-            "candidates": [] if report is None else [_candidate_json(c) for c in report],
-            "higher_degree_parameters": 0 if report is None else report.higher_degree_parameters,
-        }
-        results.append(entry)
-
-    payload = {
-        "through": None if spec.through is None else [rat_to_string(c) for c in spec.through],
-        "results": results,
-    }
+            report = BitangentReport((), 0)
+        results.append((point, report))
     out_dir = spec.out or "out"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "bitangents.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-    for entry in results:
-        base = "(" + ", ".join(entry["base_point"]) + ")"
-        print(f"base point {base}: {len(entry['candidates'])} candidate(s)")
+        fh.write(_bitangents_json(spec.through, results))
+    for (t, z), report in results:
+        print(f"base point ({rat_to_string(t)}, {rat_to_string(z)}): {len(report)} candidate(s)")
     print(f"wrote {path}")
     return 0
 

@@ -4,7 +4,9 @@ The pipeline: enumerate rational points of a multisection up to a parameter
 height bound, certify that the class-map image tau(p) has infinite order on
 its fiber, then translate p by multiples of tau(p) to flood the fiber with
 verified rational points. Reports aggregate per-fiber outcomes and stay
-byte-stable across runs.
+byte-stable across runs. The writers render each fiber entry's fixed shape
+directly, one fiber at a time; report.json is byte for byte
+json.dumps(doc, indent=2), whose pure-Python encoder they avoid.
 """
 
 from __future__ import annotations
@@ -161,46 +163,45 @@ def densify(model, m, height_bound: int, k_max: int = 5):
 # -- serialization --
 
 
-def _point_json(p: Point):
+def _point_text(p: Point) -> str:
+    """A fiber entry's base or tau, at the entry's indentation."""
     if p.is_infinity:
-        return "inf"
-    return [rat_to_string(p.x), rat_to_string(p.y)]
-
-
-def _verdict_json(v):
-    if isinstance(v, InfiniteOrder):
-        return {"verdict": "non_torsion"}
-    if isinstance(v, Torsion):
-        return {"verdict": "torsion", "order": v.order}
-    return {"verdict": "skipped", "reason": v.reason}
-
-
-def _fiber_json(o: FiberOutcome):
-    return {
-        "b": rat_to_string(o.b),
-        **_verdict_json(o.result.verdict),
-        "base": _point_json(o.result.base),
-        "tau": _point_json(o.result.tau) if o.result.tau is not None else None,
-        "points": [
-            {"k": k, "x": rat_to_string(pt.x), "y": rat_to_string(pt.y)} for k, pt in o.points
-        ],
-    }
+        return '"inf"'
+    return f'[\n        "{rat_to_string(p.x)}",\n        "{rat_to_string(p.y)}"\n      ]'
 
 
 def report_to_json(report: DensityReport, out) -> None:
     """Write the report as JSON to the text file out, byte for byte
     json.dumps(doc, indent=2) + "\n", one fiber at a time, so the whole
-    string is never held."""
+    string is never held. Rationals need no JSON escape, and the one free
+    string, a skip reason, goes through json.dumps, C-encoded."""
     out.write("{\n")
     for key in ("fibers_attempted", "fibers_certified", "points_emitted", "max_height_seen"):
         out.write(f'  "{key}": {getattr(report, key)},\n')
     out.write('  "per_fiber": [')
-    sep = "\n    "
+    sep = "\n"
     for o in report.per_fiber:
-        # json.dumps escapes newlines inside strings, so every newline in an
-        # entry is structural and takes the list's extra indentation
-        out.write(sep + json.dumps(_fiber_json(o), indent=2).replace("\n", "\n    "))
-        sep = ",\n    "
+        r = o.result
+        v = r.verdict
+        if isinstance(v, InfiniteOrder):
+            verdict = '"non_torsion"'
+        elif isinstance(v, Torsion):
+            verdict = f'"torsion",\n      "order": {v.order}'
+        else:
+            verdict = f'"skipped",\n      "reason": {json.dumps(v.reason)}'
+        tau = "null" if r.tau is None else _point_text(r.tau)
+        points = ",\n".join(
+            f'        {{\n          "k": {k},\n          "x": "{rat_to_string(pt.x)}",\n'
+            f'          "y": "{rat_to_string(pt.y)}"\n        }}'
+            for k, pt in o.points
+        )
+        points = f"[\n{points}\n      ]" if points else "[]"
+        out.write(
+            f'{sep}    {{\n      "b": "{rat_to_string(o.b)}",\n      "verdict": {verdict},\n'
+            f'      "base": {_point_text(r.base)},\n      "tau": {tau},\n'
+            f'      "points": {points}\n    }}'
+        )
+        sep = ",\n"
     out.write("\n  ]\n}\n" if report.per_fiber else "]\n}\n")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import json
@@ -12,14 +13,16 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fibdense
 import fibdense.fibration
-from fibdense.cli import main, run_command
+from fibdense.cli import _bitangents_json, _parser, main, run_command
 from fibdense.density import densify, report_to_csv, report_to_json
-from fibdense.enriques import ConeQuartic
+from fibdense.enriques import BitangentCandidate, BitangentReport, ConeQuartic, SectionConic
 from fibdense.errors import SpecSyntaxError, SpecValidationError
-from fibdense.exactmath import poly, ratfn
+from fibdense.exactmath import NumField, NumFieldElement, poly, rat_to_string, ratfn
 from fibdense.fibration import (
     ConstantX,
     FibrationModel,
@@ -383,3 +386,134 @@ class TestEnriquesCommands:
         path = write_spec(tmp_path, text)
         assert main(["enriques-model", path]) == 0
         assert "twist = 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("densify", WORKED_TEXT), ("enriques-bitangents", CONE_TEXT)],
+    ids=["densify", "enriques-bitangents"],
+)
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, command, text):
+    # a command frees what it made by reference counting alone: json's
+    # indent encoder leaves a reference cycle behind each document
+    path = write_spec(tmp_path, text)
+    _parser()  # built once per process; argparse's formatters hold cycles
+    gc.collect()
+    gc.disable()
+    try:
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def _reference_bitangents_json(through, results):
+    """bitangents.json as one document dumped at once."""
+
+    def scalar(value):
+        if isinstance(value, NumFieldElement) and not value.is_rational:
+            return {
+                "coords": [rat_to_string(c) for c in value.coeffs],
+                "minpoly": [rat_to_string(c) for c in value.field.minimal_polynomial.coeffs],
+            }
+        return rat_to_string(value.coeffs[0] if isinstance(value, NumFieldElement) else value)
+
+    def candidate(cand):
+        coords = (cand.section.c0, cand.section.c1, cand.section.c2)
+        if all(isinstance(c, F) for c in coords):
+            field = "Q"
+        else:
+            gen = next(c for c in coords if isinstance(c, NumFieldElement))
+            field = {
+                "minpoly": [rat_to_string(c) for c in gen.field.minimal_polynomial.coeffs],
+                "name": gen.field.name,
+            }
+        return {
+            "parameter": scalar(cand.parameter),
+            "c0": scalar(coords[0]),
+            "c1": scalar(coords[1]),
+            "c2": scalar(coords[2]),
+            "field": field,
+            "second_tangency": [[scalar(t), scalar(z)] for t, z in cand.second_tangencies],
+        }
+
+    doc = {
+        "through": None if through is None else [rat_to_string(c) for c in through],
+        "results": [
+            {
+                "base_point": [rat_to_string(point[0]), rat_to_string(point[1])],
+                "candidates": [candidate(c) for c in report],
+                "higher_degree_parameters": report.higher_degree_parameters,
+            }
+            for point, report in results
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+RATIONALS = st.fractions() | st.integers(-(10**40), 10**40).map(F)
+# field names with every character class json escapes
+FIELD_NAMES = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00\x7fé√€😀 az'))
+FIELDS = st.builds(
+    lambda d, name: NumField(poly([-d, 0, 1]), name),
+    st.sampled_from([F(2), F(-1), F(3), F(-7, 5)]),
+    FIELD_NAMES,
+)
+
+
+@st.composite
+def _candidates(draw):
+    """A candidate over Q or over one quadratic field; its scalars are
+    rationals, rational field elements or irrational field elements."""
+    field = draw(st.none() | FIELDS)
+    if field is None:
+        scalars = RATIONALS
+    else:
+        elements = st.builds(
+            lambda a, b: NumFieldElement(field, (a, b)), RATIONALS, RATIONALS | st.just(F(0))
+        )
+        scalars = RATIONALS | elements
+    coords = draw(st.lists(scalars, min_size=3, max_size=3))
+    if field is not None and not any(isinstance(c, NumFieldElement) for c in coords):
+        coords[draw(st.integers(0, 2))] = NumFieldElement(field, (draw(RATIONALS), F(1)))
+    return BitangentCandidate(
+        SectionConic(*coords),
+        draw(scalars),
+        tuple(draw(st.lists(st.tuples(scalars, scalars), max_size=2))),
+        (),
+    )
+
+
+RESULTS = st.tuples(
+    st.tuples(RATIONALS, RATIONALS),
+    st.builds(BitangentReport, st.lists(_candidates(), max_size=3).map(tuple), st.integers(0, 9)),
+)
+
+NAMED = NumField(poly([-2, 0, 1]), 'r"\\\n√')
+
+
+@given(st.none() | st.tuples(RATIONALS, RATIONALS), st.lists(RESULTS, max_size=3))
+@example(None, [((F(1), F(1)), BitangentReport((), 0))])
+@example(
+    (F(1), F(-1, 2)),
+    [
+        (
+            (F(1), F(1)),
+            BitangentReport(
+                (
+                    BitangentCandidate(
+                        SectionConic(F(1), NumFieldElement(NAMED, (F(0), F(1))), F(0)),
+                        NumFieldElement(NAMED, (F(3), F(0))),
+                        ((NumFieldElement(NAMED, (F(1), F(-1))), F(2)),),
+                        (),
+                    ),
+                ),
+                1,
+            ),
+        )
+    ],
+)
+@settings(max_examples=200, deadline=None)
+def test_bitangents_json_is_the_indent_2_dump(through, results):
+    assert _bitangents_json(through, results) == _reference_bitangents_json(through, results)

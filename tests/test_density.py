@@ -8,6 +8,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fibdense.density as density
 from fibdense.density import (
@@ -366,6 +368,40 @@ class TestStreamedReports:
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert text == _reference_json(report)
         assert (tmp_path / "points.csv").read_text(encoding="utf-8") == _reference_csv(report)
+
+
+# free strings with every character class json escapes: quotes,
+# backslashes, control characters and non-ASCII text
+AWKWARD_TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00\x7fé√€😀 az'))
+RATIONALS = st.fractions() | st.integers(-(10**40), 10**40).map(F)
+AFFINE = st.builds(Point, RATIONALS, RATIONALS)
+FIBER_ENTRIES = st.builds(
+    lambda b, base, tau, verdict, points: FiberOutcome(
+        b, CertificationResult(b, base, tau, verdict), tuple(points)
+    ),
+    RATIONALS,
+    st.just(INFINITY) | AFFINE,
+    st.none() | st.just(INFINITY) | AFFINE,
+    st.just(InfiniteOrder())
+    | st.builds(Torsion, st.integers(1, 16))
+    | st.builds(Skipped, AWKWARD_TEXT),
+    st.lists(st.tuples(st.integers(0, 40), AFFINE), max_size=3),
+)
+
+
+@given(
+    st.tuples(*[st.integers(0, 10**6)] * 4),
+    st.lists(FIBER_ENTRIES, max_size=4),
+)
+@example((0, 0, 0, 0), [])
+@example(
+    (1, 0, 0, 0),
+    [FiberOutcome(F(1), CertificationResult(F(1), INFINITY, None, Skipped('a "b"\\\n é√')), ())],
+)
+@settings(max_examples=200, deadline=None)
+def test_report_json_is_the_indent_2_dump(counts, entries):
+    report = DensityReport(*counts, per_fiber=tuple(entries))
+    assert _written(report_to_json, report) == _reference_json(report)
 
 
 class TestCrossModuleConsistency:

@@ -1,8 +1,8 @@
 """Contracts at the edges: the torsion order loop at its bound and against a
 plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
-behind the CLI, the pinned trisection defect, and the ban on assert in the
-package."""
+behind the CLI, the pinned trisection defect, and the bans on assert and on
+json's indent encoder in the package."""
 
 from __future__ import annotations
 
@@ -385,6 +385,25 @@ def test_no_runtime_check_relies_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in fibdense: {found}"
+
+
+def test_no_json_dump_with_indent():
+    # json's C encoder runs only when indent is None; with an indent every
+    # document goes through the pure-Python encoder, so the artifact writers
+    # render their fixed shapes directly
+    root = pathlib.Path(fibdense.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not found, f"json.dump/json.dumps with indent in fibdense: {found}"
 
 
 # top-level names kept although no code in fibdense reads them
