@@ -3,9 +3,9 @@
 Coefficients and coordinates are duck-typed: Fraction, NumFieldElement, and
 RatFn all work, and they mix, so the same group law and quartic-model
 reduction serve curves over Q, their points over quadratic fields (trace
-cycles), and curves over Q(t) (fibration generic fibers). The on-curve check
-of a point over Q on a curve over Q runs on integer numerators and
-denominators (see EllipticCurve.contains).
+cycles), and curves over Q(t) (fibration generic fibers). Over Q the group
+law, the on-curve check and the nonsingularity test run on integer
+numerators and denominators (see _add_unchecked and EllipticCurve).
 
 The quartic bridge turns w^2 = q4*z^4 + ... + q0 with a marked rational
 point into a short Weierstrass curve together with explicit mutually inverse
@@ -64,7 +64,15 @@ class EllipticCurve:
     b: object
 
     def __post_init__(self):
-        if not self.discriminant:
+        """Reject 4a^3 + 27b^2 = 0. Over Q the test runs on integers as
+        4 an^3 bd^2 + 27 bn^2 ad^3 = 0, the same sum times ad^3 bd^2 > 0."""
+        a, b = self.a, self.b
+        if isinstance(a, _RATIONAL) and isinstance(b, _RATIONAL):
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            nonsingular = 4 * an * an * an * bd * bd + 27 * bn * bn * ad * ad * ad
+        else:
+            nonsingular = self.discriminant
+        if not nonsingular:
             raise DomainError(f"singular curve: a={self.a}, b={self.b}")
 
     @property
@@ -131,18 +139,51 @@ def ec_neg(p: Point) -> Point:
 
 
 def _add_unchecked(curve: EllipticCurve, p: Point, q: Point) -> Point:
+    """p + q by chord and tangent; p and q are not checked on the curve.
+
+    When a and the coordinates are rationals (int or Fraction), x_i =
+    xn_i/xd_i, y_i = yn_i/yd_i and a = an/ad, the slope s = sn/sd (reduced) is
+
+        chord    (yn2 yd1 - yn1 yd2) xd1 xd2 / (yd1 yd2 (xn2 xd1 - xn1 xd2))
+        tangent  (3 xn1^2 ad + an xd1^2) yd1 / (2 yn1 xd1^2 ad)
+
+    and x3 = s^2 - x1 - x2, then y3 = s (x1 - x3) - y1 with x3 = x3n/x3d, are
+
+        x3 = (sn^2 xd1 xd2 - sd^2 (xn1 xd2 + xn2 xd1)) / (sd^2 xd1 xd2)
+        y3 = (sn (xn1 x3d - x3n xd1) yd1 - yn1 sd xd1 x3d) / (sd xd1 x3d yd1)
+
+    on integers: each coordinate is one Fraction, and no Fraction product or
+    sum is formed. Other coefficient rings use the field expression."""
     if p.is_infinity:
         return q
     if q.is_infinity:
         return p
-    if p.x == q.x:
-        if p.y == -q.y:
+    x1, y1, x2, y2, a = p.x, p.y, q.x, q.y, curve.a
+    rational = isinstance(x1, _RATIONAL) and isinstance(y1, _RATIONAL) and isinstance(a, _RATIONAL)
+    if not (rational and isinstance(x2, _RATIONAL) and isinstance(y2, _RATIONAL)):
+        if x1 == x2:
+            if y1 == -y2:
+                return INFINITY
+            slope = (3 * x1 * x1 + a) / (2 * y1)
+        else:
+            slope = (y2 - y1) / (x2 - x1)
+        x3 = slope * slope - x1 - x2
+        return Point(x3, slope * (x1 - x3) - y1)
+    xn1, xd1, yn1, yd1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+    xn2, xd2, yn2, yd2 = x2.numerator, x2.denominator, y2.numerator, y2.denominator
+    if xn1 == xn2 and xd1 == xd2:  # x1 == x2, both being reduced
+        if yn1 == -yn2 and yd1 == yd2:
             return INFINITY
-        slope = (3 * p.x * p.x + curve.a) / (2 * p.y)
+        ad, xd1_2 = a.denominator, xd1 * xd1
+        sn, sd = (3 * xn1 * xn1 * ad + a.numerator * xd1_2) * yd1, 2 * yn1 * xd1_2 * ad
     else:
-        slope = (q.y - p.y) / (q.x - p.x)
-    x3 = slope * slope - p.x - q.x
-    y3 = slope * (p.x - x3) - p.y
+        sn, sd = (yn2 * yd1 - yn1 * yd2) * xd1 * xd2, yd1 * yd2 * (xn2 * xd1 - xn1 * xd2)
+    g = math.gcd(sn, sd)
+    sn, sd = sn // g, sd // g
+    sd2 = sd * sd
+    x3 = Fraction(sn * sn * xd1 * xd2 - sd2 * (xn1 * xd2 + xn2 * xd1), sd2 * xd1 * xd2)
+    x3n, x3d = x3.numerator, x3.denominator
+    y3 = Fraction(sn * (xn1 * x3d - x3n * xd1) * yd1 - yn1 * sd * xd1 * x3d, sd * xd1 * x3d * yd1)
     return Point(x3, y3)
 
 

@@ -361,15 +361,17 @@ class ConstantX:
             raise UnsupportedRepresentation(
                 "constant-x enumeration needs a degree-1 fiber-parameter equation"
             )
-        n0, n1 = n.coefficient(0), n.coefficient(1)
-        d0, d1 = d.coefficient(0), d.coefficient(1)
+        # n(t) = y^2 d(t) at y = p/q, times q^2 L with n0, n1, d0, d1 cleared by
+        # L, their denominators' lcm: t = (p^2 d0 - q^2 n0) / (q^2 n1 - p^2 d1)
+        coeffs = [f.coefficient(k) for f in (n, d) for k in (0, 1)]
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        n0, n1, d0, d1 = (c.numerator * (lcm // c.denominator) for c in coeffs)
         out = []
         for y in enumerate_rationals(height_bound):
-            v = y * y
-            # solve n(t) - v d(t) = 0
-            lead = n1 - v * d1
+            p2, q2 = y.numerator**2, y.denominator**2
+            lead = q2 * n1 - p2 * d1
             if lead:
-                out.append(((v * d0 - n0) / lead, Point(self.c, y)))
+                out.append((Fraction(p2 * d0 - q2 * n0, lead), Point(self.c, y)))
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):

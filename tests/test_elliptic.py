@@ -61,6 +61,11 @@ def test_singular_curves_rejected():
         EllipticCurve(F(0), F(0))
     with pytest.raises(DomainError):
         EllipticCurve(F(-3), F(2))  # 4*(-27) + 27*4 = 0
+    # (-3k^2, 2k^3) over Q(t) and over Q(sqrt 2); the discriminant decides
+    for k in (ratfn([0, 1]), NumField(poly([-2, 0, 1]), "s").gen + F(1, 3)):
+        with pytest.raises(DomainError):
+            EllipticCurve(-3 * k * k, 2 * k * k * k)
+        assert EllipticCurve(-3 * k * k, 2 * k * k * k + 1).a == -3 * k * k
 
 
 def test_group_law_fixed_examples():
@@ -147,6 +152,83 @@ def test_integer_contains_fixed_examples():
     E3 = EllipticCurve(F(-1, 4), F(1, 9))
     assert E3.contains(Point(0, F(-1, 3)))
     assert not E3.contains(Point(0, F(1, 9)))
+
+
+def _field_sum(a, p, q):
+    """The chord-and-tangent law on field elements, as the oracle."""
+    if p.is_infinity or q.is_infinity:
+        return q if p.is_infinity else p
+    if p.x == q.x:
+        if p.y == -q.y:
+            return INFINITY
+        slope = F(3 * p.x * p.x + a) / (2 * p.y)
+    else:
+        slope = F(q.y - p.y) / (q.x - p.x)
+    x3 = slope * slope - p.x - q.x
+    return Point(x3, slope * (p.x - x3) - p.y)
+
+
+def _mixed(value, as_int):
+    """value as an int when it is whole and as_int is set, else a Fraction."""
+    return int(value) if as_int and value.denominator == 1 else F(value)
+
+
+def _assert_exact(p):
+    assert p.is_infinity or (type(p.x) is F and type(p.y) is F), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT, st.booleans())
+def test_integer_group_law_agrees_with_field_expression(x1, y1, x2, y2, t, as_int):
+    """_add_unchecked over Q agrees with the field expression on chord sums,
+    doublings, P + (-P) and doubling a 2-torsion point, on curves whose
+    coefficients and points have denominators, with int and Fraction mixed;
+    every coordinate it returns is a Fraction."""
+    for other in (Point(x2, y2), Point(t, 0)):  # the second is 2-torsion
+        assume(x1 != other.x)
+        # the curve through (x1, y1) and the other point
+        a = F(other.y**2 - y1 * y1 - other.x**3 + x1**3) / (other.x - x1)
+        b = y1 * y1 - x1**3 - a * x1
+        assume(4 * a**3 + 27 * b * b != 0)
+        E = EllipticCurve(_mixed(a, as_int), _mixed(b, not as_int))
+        P, Q = Point(x1, y1), Point(_mixed(F(other.x), as_int), other.y)
+        assert E.contains(P) and E.contains(Q)
+        for u, v in ((P, Q), (Q, P), (P, P), (Q, Q), (P, ec_neg(P)), (ec_neg(Q), P)):
+            got = elliptic._add_unchecked(E, u, v)
+            assert got == _field_sum(a, u, v)
+            assert E.contains(got)
+            _assert_exact(got)
+        assert elliptic._add_unchecked(E, P, ec_neg(P)) == INFINITY
+    assert elliptic._add_unchecked(E, Q, Q) == INFINITY
+
+
+def test_group_law_on_int_coordinates_is_exact():
+    """int coordinates give Fractions, not the floats of int / int."""
+    E = EllipticCurve(0, 1)
+    for got, want in (
+        (ec_add(E, Point(0, 1), Point(2, 3)), Point(F(-1), F(0))),
+        (ec_mul(E, 2, Point(2, 3)), Point(F(0), F(1))),
+        (ec_mul(E, 3, Point(2, 3)), Point(F(-1), F(0))),
+        (ec_add(E, Point(2, 3), Point(F(2), F(3))), Point(F(0), F(1))),
+    ):
+        assert got == want
+        _assert_exact(got)
+    assert ec_mul(E, 6, Point(2, 3)) == INFINITY
+    assert ec_add(E, Point(-1, 0), Point(-1, 0)) == INFINITY
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT_OR_RAT, _INT_OR_RAT, _INT_OR_RAT)
+def test_integer_nonsingularity_agrees_with_field_expression(a, b, k):
+    """EllipticCurve over Q rejects exactly 4a^3 + 27b^2 = 0, on random
+    rationals and on the singular family (-3k^2, 2k^3)."""
+    for a_val, b_val in ((a, b), (-3 * k * k, 2 * k**3), (-3 * F(k) ** 2, 2 * k**3)):
+        singular = 4 * F(a_val) ** 3 + 27 * F(b_val) ** 2 == 0
+        if singular:
+            with pytest.raises(DomainError):
+                EllipticCurve(a_val, b_val)
+        else:
+            assert EllipticCurve(a_val, b_val).b == b_val
 
 
 def test_off_curve_points_rejected():

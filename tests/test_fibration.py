@@ -25,6 +25,7 @@ from fibdense.errors import (
     PoleAtParameter,
     SingularFiberSkip,
     TraceFieldTooLarge,
+    UnsupportedRepresentation,
 )
 from fibdense.exactmath import RatFn, divide_out_roots, enumerate_rationals, poly, ratfn
 from fibdense.exactmath.numfield import NumFieldElement
@@ -163,6 +164,44 @@ class TestMultisectionShapes:
         assert ConstantX(F(1)).degree == 2
         assert TRISECTION.degree == 3
         assert SplitList(((ratfn([0]), ratfn([1])), (ratfn([0]), ratfn([-1])))).degree == 2
+
+    def test_constant_x_points_match_a_fraction_solve(self):
+        """ConstantX.points, which clears denominators once, equals solving
+        n(t) - y^2 d(t) = 0 on Fractions for each y, for degree-1 a(t), b(t)
+        whose coefficients have denominators; y with n1 = y^2 d1 is skipped."""
+        rng = random.Random(19)
+
+        def rat(lo=-9, hi=9):
+            return F(rng.randint(lo, hi), rng.randint(1, 6))
+
+        height, checked, skipped = 7, 0, 0
+        for trial in range(80):
+            c, a0, a1, b0, y0 = rat(), rat(), rat(), rat(), rat(-6, 6)
+            e = rat() if trial % 4 else F(0)  # a common pole at t = -1/e, or none
+            # with a pole, n1 = y0^2 d1 for the cleared t-equation of x = c
+            b1 = y0 * y0 * e - c * a1 - c**3 * e if e else rat()
+            try:
+                model = FibrationModel(ratfn([a0, a1], [1, e]), ratfn([b0, b1], [1, e]))
+                got = ConstantX(c).points(model, height)
+            except (DomainError, UnsupportedRepresentation):
+                continue  # a zero discriminant, or a t-equation of degree != 1
+            h = model.a * c + model.b + c**3
+            n0, n1 = h.num.coefficient(0), h.num.coefficient(1)
+            d0, d1 = h.den.coefficient(0), h.den.coefficient(1)
+            want = []
+            for y in enumerate_rationals(height):
+                lead = n1 - y * y * d1
+                if lead:
+                    want.append(((y * y * d0 - n0) / lead, Point(c, y)))
+                else:
+                    skipped += 1
+            assert got == want
+            for t, pt in got:
+                assert type(t) is F
+                if model.a.den(t) and model.b.den(t):
+                    assert c**3 + model.a(t) * c + model.b(t) == pt.y * pt.y
+            checked += 1
+        assert checked >= 60 and skipped >= 10
 
     def test_graph_degree_and_validation(self):
         gq = GraphOnQuartic(
