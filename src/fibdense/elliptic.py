@@ -120,11 +120,18 @@ class EllipticCurve:
         return f"EllipticCurve(a={self.a}, b={self.b})"
 
 
+def _exact_quotient(num, den):
+    """num / den, as a Fraction when both are ints (where / gives a float)."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
+
+
 def j_invariant(curve: EllipticCurve):
     a, b = curve.a, curve.b
     num = 1728 * 4 * a * a * a
     den = 4 * a * a * a + 27 * b * b
-    return num / den
+    return _exact_quotient(num, den)
 
 
 def _require_on_curve(curve: EllipticCurve, p: Point) -> None:
@@ -510,4 +517,4 @@ def quartic_j_invariant(coeffs):
     den = 4 * i_inv * i_inv * i_inv - j_inv * j_inv
     if not den:
         raise NotSquarefree("degenerate quartic: vanishing discriminant combination")
-    return 1728 * 4 * i_inv * i_inv * i_inv / den
+    return _exact_quotient(1728 * 4 * i_inv * i_inv * i_inv, den)

@@ -3,12 +3,19 @@
 A FibrationModel is y^2 = x^3 + a(t)x + b(t) with RatFn coefficients.
 Multisections come in five shapes (zero section, constant-x, parametrized,
 graph on a quartic-model fibration, split list). Each shape is one class
-with the same three methods, so the pipeline never asks which shape it has:
+with the same four methods, so the pipeline never asks which shape it has:
 points(model, height_bound) lists its rational points by parameter height,
-cycle(fiber, b) cuts out its zero-cycle on the smooth fiber at t = b, and
+cycle(fiber, b) cuts out its zero-cycle on the smooth fiber at t = b,
+trace(fiber, b) gives that cycle's group-law sum over Q, and
 ramification(model) locates the branch points of its projection to the
-t-line. Each fiber cycle is Galois-stable, so its group-law sum (the trace)
-is rational, and tau(p) = [d]p - trace is the workhorse class map.
+t-line. Each fiber cycle is Galois-stable, so its sum (the trace) is
+rational, and tau(p) = [d]p - trace is the workhorse class map.
+
+Every trace but a parametrized curve's is a closed form that takes no root:
+O for the zero section and for x = c, the sum of the section points for a
+split list, and the image of the unmarked branch at infinity for a graph
+(see each trace method for its divisor). A parametrized curve's trace sums
+its checked support (fiber_cycle) over Q, each conjugate pair by its chord.
 
 Fiber points are only ever constructed over Q or quadratic fields. Anything
 needing a larger field raises TraceFieldTooLarge instead of approximating;
@@ -36,6 +43,7 @@ from .elliptic import (
     ec_add,
     ec_mul,
     ec_neg,
+    infinity_branch_weierstrass,
     quartic_to_weierstrass,
     smallest_order,
     torsion_certify,
@@ -338,6 +346,10 @@ class ZeroSection:
     def cycle(self, fiber: EllipticCurve, b: Rat):
         return [(INFINITY, 1)]
 
+    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+        """O: the cycle is O itself."""
+        return INFINITY
+
     def ramification(self, model: FibrationModel) -> RamificationReport:
         return RamificationReport(points=())
 
@@ -378,6 +390,17 @@ class ConstantX:
         K, roots = _square_roots(self.c**3 + fiber.a * self.c + fiber.b)
         x = self.c if K is None else K.embed(self.c)
         return [(Point(x, w), mult) for w, mult in roots]
+
+    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+        """O, with no root taken.
+
+        x - c is a function on the fiber with a double pole at O and zeros
+        at the points over x = c: div(x - c) = (c, w) + (c, -w) - 2O for
+        w^2 = c^3 + a c + b, so the cycle (c, w) + (c, -w) sums to O. When
+        w = 0, (c, 0) is a 2-torsion point and the cycle is 2(c, 0), which
+        sums to O as well. Either way the cycle is principal, whether w is
+        rational or lies in Q(w)."""
+        return INFINITY
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
         h = self._rhs(model)
@@ -425,6 +448,16 @@ class Parametrized:
             )
         support += [(_descend_point(_eval_point(self.x, self.y, s)), mult) for s, mult in roots]
         return support
+
+    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+        """The sum of the checked support (see _checked_support) over Q:
+        the rational points with their multiplicities, and each conjugate
+        pair by its chord (_pair_sum)."""
+        _cycle, rational, pairs = _checked_support(self, fiber, b)
+        trace = INFINITY
+        for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
+            trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
+        return trace
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
         n, d = self.t.num, self.t.den
@@ -525,6 +558,21 @@ class GraphOnQuartic:
         z0 = self.p(b)
         return [(fwd(z0, w), mult) for w, mult in roots]
 
+    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+        """e2, the image of the branch at infinity that is not marked, with
+        no root of the cover taken.
+
+        On the fiber w^2 = F(b, z), the function z - z0 has its zeros at the
+        points over z0 = p(b) and its poles at the two branches over
+        z = infinity: div(z - z0) = (z0, w) + (z0, -w) - inf+ - inf-. The
+        marked branch inf+ is the origin, so the cycle sums to inf-, which
+        the chart sends to e2; with w = 0 the cycle is 2(z0, 0) and the
+        identity is the same. The trace does not depend on p."""
+        a, b_coeff, e2 = infinity_branch_weierstrass([c(b) for c in self.fiber_coeffs], self.sign)
+        if (a, b_coeff) != (fiber.a, fiber.b):
+            raise DomainError("graph multisection is attached to a different fibration")
+        return e2
+
     def ramification(self, model: FibrationModel) -> RamificationReport:
         g = graph_cover_poly(self)
         if g.is_zero:
@@ -564,6 +612,16 @@ class SplitList:
     def cycle(self, fiber: EllipticCurve, b: Rat):
         return [(_eval_point(x_fn, y_fn, b), 1) for x_fn, y_fn in self.sections]
 
+    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+        """The sum over Q of the section points, each checked on the fiber
+        first, so a section off the fibration is refused."""
+        support = self.cycle(fiber, b)
+        _check_support(fiber, support)
+        trace = INFINITY
+        for pt, _mult in support:
+            trace = _add_unchecked(fiber, trace, pt)
+        return trace
+
     def ramification(self, model: FibrationModel) -> RamificationReport:
         return RamificationReport(points=())
 
@@ -579,12 +637,6 @@ class ZeroCycle:
     @property
     def total_degree(self) -> int:
         return sum(m for _, m in self.support)
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    b: Rat
-    value: Point
 
 
 def quartic_on_graph(coeffs, p: Poly) -> Poly:
@@ -671,20 +723,14 @@ def _pair_sum(p: Point) -> Point:
     return Point(x3, slope * (ax - x3) - ay)
 
 
-def trace_cycle(
-    model: FibrationModel, m: Multisection, b: Rat, *, fiber: EllipticCurve | None = None
-) -> tuple[ZeroCycle, TracePoint]:
-    """The fiber zero-cycle of the multisection at t = b and its group sum.
+def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
+    """(cycle, rational, pairs) for m's zero-cycle on the smooth fiber at
+    t = b, as _pair_conjugates splits it.
 
-    The trace is summed over Q: the rational points with their
-    multiplicities, and each conjugate pair by its chord (_pair_sum). The
-    fiber is defined over Q, so conjugation maps its points to its points,
-    and one point of each pair is checked on it.
-
-    fiber, when given, is the smooth fiber at b that the caller already
-    built; otherwise it is specialized here."""
-    if fiber is None:
-        fiber = specialize(model, b)
+    The cycle must be Galois-stable, on the fiber and of degree m.degree
+    (DomainError otherwise). The fiber is defined over Q, so conjugation
+    maps its points to its points, and one point of each pair is checked
+    on it."""
     support = m.cycle(fiber, b)
     split = _pair_conjugates(support)
     if split is None:
@@ -696,10 +742,33 @@ def trace_cycle(
         raise DomainError(
             f"cycle at t = {b} has degree {cycle.total_degree}, expected {m.degree}"
         )
-    trace = INFINITY
-    for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
-        trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
-    return cycle, TracePoint(b, trace)
+    return cycle, rational, pairs
+
+
+def fiber_cycle(
+    model: FibrationModel, m: Multisection, b: Rat, *, fiber: EllipticCurve | None = None
+) -> ZeroCycle:
+    """The checked zero-cycle of the multisection on the fiber at t = b
+    (see _checked_support).
+
+    fiber, when given, is the smooth fiber at b that the caller already
+    built; otherwise it is specialized here."""
+    if fiber is None:
+        fiber = specialize(model, b)
+    return _checked_support(m, fiber, b)[0]
+
+
+def trace_cycle(
+    model: FibrationModel, m: Multisection, b: Rat, *, fiber: EllipticCurve | None = None
+) -> Point:
+    """The group sum over Q of the multisection's fiber cycle at t = b,
+    m.trace(fiber, b).
+
+    fiber, when given, is the smooth fiber at b that the caller already
+    built; otherwise it is specialized here."""
+    if fiber is None:
+        fiber = specialize(model, b)
+    return m.trace(fiber, b)
 
 
 def tau_map(
@@ -711,9 +780,8 @@ def tau_map(
     built; otherwise it is specialized here."""
     if fiber is None:
         fiber = specialize(model, b)
-    _cycle, trace = trace_cycle(model, m, b, fiber=fiber)
-    d = m.degree
-    return ec_add(fiber, ec_mul(fiber, d, p), ec_neg(trace.value))
+    trace = trace_cycle(model, m, b, fiber=fiber)
+    return ec_add(fiber, ec_mul(fiber, m.degree, p), ec_neg(trace))
 
 
 # -- order probing --
@@ -744,8 +812,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
     overall = 1
     for b in samples:
         fiber = specialize(model, b)
-        cycle, _trace = trace_cycle(model, m, b, fiber=fiber)
-        pts = [pt for pt, _mult in cycle.support]
+        pts = [pt for pt, _mult in fiber_cycle(model, m, b, fiber=fiber).support]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 diff = _difference_on_fiber(fiber, pts[i], pts[j])

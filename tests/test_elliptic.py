@@ -460,6 +460,20 @@ def test_quartic_spec_example_j_1728():
     assert fwd(F(0), F(1)) == INFINITY
 
 
+def test_j_invariants_on_int_coefficients_are_exact():
+    """int coefficients give Fractions, not the floats of int / int."""
+    for got, want in (
+        (j_invariant(EllipticCurve(1, 1)), F(6912, 31)),
+        (j_invariant(EllipticCurve(0, 1)), F(0)),
+        (j_invariant(EllipticCurve(-4, 0)), F(1728)),
+        (j_invariant(EllipticCurve(F(1), 1)), F(6912, 31)),
+        (quartic_j_invariant((1, 0, 0, 0, 1)), F(1728)),
+        (quartic_j_invariant((1, 1, 1, 1, 1)), quartic_j_invariant(tuple(F(1) for _ in range(5)))),
+    ):
+        assert type(got) is F
+        assert got == want
+
+
 MODELS = [
     # (model, seed quartic point) — one per reduction route
     (QuarticModel((F(1), F(1), F(1), F(1), F(1)), (F(3), F(11))), (F(0), F(1))),

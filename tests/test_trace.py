@@ -1,8 +1,11 @@
-"""The trace of a fiber cycle summed over Q: each conjugate pair by its
-chord, checked against the sum taken point by point over each field."""
+"""The trace of a fiber cycle summed over Q, checked against the sum taken
+point by point over each field: the closed forms of every multisection kind
+but a parametrized curve, and the support path of a parametrized curve,
+which sums each conjugate pair by its chord."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fibdense.fibration as fibration
+from fibdense.cli import main
 from fibdense.elliptic import (
     INFINITY,
     EllipticCurve,
@@ -28,7 +33,10 @@ from fibdense.fibration import (
     FibrationModel,
     GraphOnQuartic,
     Parametrized,
+    SplitList,
+    ZeroSection,
     _pair_sum,
+    fiber_cycle,
     specialize,
     trace_cycle,
 )
@@ -68,7 +76,8 @@ def _support_sum(curve: EllipticCurve, support) -> Point:
 
 @dataclass(frozen=True)
 class FixedCycle:
-    """A multisection whose cycle on every fiber is the given support."""
+    """A multisection whose cycle on every fiber is the given support,
+    traced by the support path that a parametrized curve takes."""
 
     support: tuple
 
@@ -78,6 +87,8 @@ class FixedCycle:
 
     def cycle(self, fiber, b):
         return list(self.support)
+
+    trace = Parametrized.trace
 
 
 @st.composite
@@ -118,8 +129,7 @@ def test_chord_pair_sum_matches_the_field_group_law(curve_point, mult):
     assert _pair_sum(p) == expected
     # with multiplicity m the pair contributes [m](P + conj P), summed over Q
     cycle = FixedCycle(((p, mult), (_conjugate(p), mult)))
-    _cycle, trace = trace_cycle(None, cycle, F(0), fiber=curve)
-    assert trace.value == _mul_unchecked(curve, mult, expected)
+    assert trace_cycle(None, cycle, F(0), fiber=curve) == _mul_unchecked(curve, mult, expected)
 
 
 def test_pair_sum_with_rational_x_is_the_point_at_infinity():
@@ -128,8 +138,7 @@ def test_pair_sum_with_rational_x_is_the_point_at_infinity():
     p = Point(K.embed(2), K.gen)
     assert curve.contains(p)
     assert _pair_sum(p) is INFINITY
-    _cycle, trace = trace_cycle(None, FixedCycle(((p, 3), (_conjugate(p), 3))), F(0), fiber=curve)
-    assert trace.value is INFINITY
+    assert trace_cycle(None, FixedCycle(((p, 3), (_conjugate(p), 3))), F(0), fiber=curve) is INFINITY
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,8 +151,7 @@ def test_pairing_sums_multiplicities_in_any_order(curve_point, splits, rng):
     support = [(p, m) for m in splits] + [(conj, sum(splits))]
     rng.shuffle(support)
     cycle = FixedCycle(tuple(support))
-    _cycle, trace = trace_cycle(None, cycle, F(0), fiber=curve)
-    assert trace.value == _support_sum(curve, support)
+    assert trace_cycle(None, cycle, F(0), fiber=curve) == _support_sum(curve, support)
     unbalanced = FixedCycle(tuple(support) + ((p, 1),))
     with pytest.raises(DomainError, match="is not Galois-stable"):
         trace_cycle(None, unbalanced, F(0), fiber=curve)
@@ -177,18 +185,16 @@ def test_off_curve_conjugate_pair_is_off_the_fiber():
 
 def _check_against_reference(model: FibrationModel, m, b):
     """Compare the trace with the reference sum wherever the fiber is smooth
-    and the reference succeeds; returns whether a comparison was made."""
+    and the support path succeeds; returns whether a comparison was made."""
     try:
         fiber = specialize(model, b)
     except DomainError:  # a pole or a singular fiber
         return False
     try:
-        support = m.cycle(fiber, b)
-        expected = _support_sum(fiber, support)
+        expected = _support_sum(fiber, fiber_cycle(model, m, b, fiber=fiber).support)
     except DomainError:  # TraceFieldTooLarge among them
         return False
-    _cycle, trace = trace_cycle(model, m, b)
-    assert trace.value == expected
+    assert trace_cycle(model, m, b) == expected
     return True
 
 
@@ -209,31 +215,77 @@ def test_parametrized_trace_matches_reference(y_coeffs, const, params):
     assume(any(compared))
 
 
+def _model(a, b):
+    try:
+        return FibrationModel(ratfn(list(a)), ratfn(list(b)))
+    except DomainError:  # 4a^3 + 27b^2 = 0 identically
+        assume(False)
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=st.tuples(small, small), b=st.tuples(small, small), c=rationals, params=st.lists(rationals, min_size=4, max_size=4))
 def test_constant_x_trace_matches_reference(a, b, c, params):
-    try:
-        model = FibrationModel(ratfn(list(a)), ratfn(list(b)))
-    except DomainError:  # 4a^3 + 27b^2 = 0 identically
-        assume(False)
+    model = _model(a, b)
     m = ConstantX(c)
-    compared = []
-    for t0 in params:
-        value = c**3 + model.a(t0) * c + model.b(t0)
-        assume(not is_square(value))  # w = sqrt(value) is irrational
-        compared.append(_check_against_reference(model, m, t0))
+    compared = [_check_against_reference(model, m, t0) for t0 in params]
     assume(any(compared))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    f=st.lists(st.lists(small, min_size=1, max_size=3), min_size=4, max_size=4),
-    lead=st.sampled_from([1, 4]),
-    p=st.lists(small, min_size=1, max_size=2),
-    sign=st.sampled_from([1, -1]),
-    params=st.lists(rationals, min_size=4, max_size=4),
-)
-def test_graph_on_quartic_trace_matches_reference(f, lead, p, sign, params):
+def test_constant_x_square_non_square_and_zero_fiber_values():
+    # on y^2 = x^3 + t x + 1 the line x = 1 meets the fiber where w^2 = t + 2
+    model = FibrationModel(ratfn([0, 1]), ratfn([1]))
+    m = ConstantX(F(1))
+    for b, value in ((F(2), 4), (F(1, 4), F(9, 4)), (F(1), 3), (F(-1, 3), F(5, 3)), (F(-2), 0)):
+        fiber = specialize(model, b)
+        assert F(1) + fiber.a + fiber.b == value
+        assert _check_against_reference(model, m, b)
+        assert trace_cycle(model, m, b, fiber=fiber) is INFINITY
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.tuples(small, small), b=st.tuples(small, small), params=st.lists(rationals, min_size=4, max_size=4))
+def test_zero_section_trace_matches_reference(a, b, params):
+    model = _model(a, b)
+    compared = [_check_against_reference(model, ZeroSection(), t0) for t0 in params]
+    assume(any(compared))
+
+
+# y^2 = x^3 + 2x + t^2 carries the section (1/t^2, (1 + t^4)/t^3), which
+# meets the zero section over t = 0, and the sections (0, t) and (0, -t)
+POLE_MODEL = FibrationModel(ratfn([2]), ratfn([0, 0, 1]))
+POLE_SECTION = (ratfn([1], [0, 0, 1]), ratfn([1, 0, 0, 0, 1], [0, 0, 0, 1]))
+POLE_SPLIT = SplitList(((ratfn([0]), ratfn([0, 1])), POLE_SECTION, (ratfn([0]), ratfn([0, -1]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.lists(rationals, min_size=4, max_size=4))
+@example(params=[F(0), F(1), F(-1), F(1, 2)])
+def test_split_list_trace_matches_reference(params):
+    compared = [_check_against_reference(POLE_MODEL, POLE_SPLIT, t0) for t0 in params]
+    assert all(compared)  # the fiber is smooth and the sections lie on it at every t
+
+
+def test_split_list_with_a_pole_sums_infinity():
+    # over t = 0 the pole section is O, between two copies of the 2-torsion point (0, 0)
+    fiber = specialize(POLE_MODEL, F(0))
+    two_torsion = Point(F(0), F(0))
+    assert POLE_SPLIT.cycle(fiber, F(0)) == [(two_torsion, 1), (INFINITY, 1), (two_torsion, 1)]
+    assert trace_cycle(POLE_MODEL, POLE_SPLIT, F(0)) is INFINITY
+    for sections in ((POLE_SECTION, POLE_SPLIT.sections[0]), (POLE_SPLIT.sections[0], POLE_SECTION)):
+        assert trace_cycle(POLE_MODEL, SplitList(sections), F(0)) == two_torsion
+
+
+def test_split_list_off_the_fibration_is_refused():
+    worked = FibrationModel(ratfn([0, 1]), ratfn([1]))
+    on, off = (ratfn([0]), ratfn([1])), (ratfn([0]), ratfn([2]))  # (0, 2) is on no fiber
+    for split in (SplitList((off,)), SplitList((on, off)), SplitList((off, on))):
+        with pytest.raises(DomainError, match="off the fiber"):
+            trace_cycle(worked, split, F(3))
+        with pytest.raises(DomainError, match="off the fiber"):
+            fiber_cycle(worked, split, F(3))
+
+
+def _graph_case(f, lead, p, sign):
     coeffs = tuple(poly(c) for c in f) + (poly([lead]),)
     try:
         quartic = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(sign))
@@ -241,9 +293,33 @@ def test_graph_on_quartic_trace_matches_reference(f, lead, p, sign, params):
         model = FibrationModel(curve.a, curve.b)
     except DomainError:
         assume(False)
-    m = GraphOnQuartic(poly(p), coeffs, sign)
+    return model, GraphOnQuartic(poly(p), coeffs, sign)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=st.lists(st.lists(small, min_size=1, max_size=3), min_size=4, max_size=4),
+    lead=st.sampled_from([1, 4, 9]),
+    p=st.lists(small, min_size=1, max_size=2),
+    sign=st.sampled_from([1, -1]),
+    params=st.lists(rationals, min_size=4, max_size=4),
+)
+def test_graph_on_quartic_trace_matches_reference(f, lead, p, sign, params):
+    model, m = _graph_case(f, lead, p, sign)
     compared = [_check_against_reference(model, m, t0) for t0 in params]
     assume(any(compared))
+
+
+def test_graph_on_another_fibration_is_refused():
+    model, m = _graph_case(([1], [0, 1], [2], [1, 0, 1]), 4, [0, 1], 1)
+    other, _m = _graph_case(([1], [0, 1], [3], [1, 0, 1]), 4, [0, 1], 1)
+    worked = FibrationModel(ratfn([0, 1]), ratfn([1]))
+    assert _check_against_reference(model, m, F(1))
+    for fib in (other, worked):
+        with pytest.raises(DomainError, match="different fibration"):
+            trace_cycle(fib, m, F(1))
+        with pytest.raises(DomainError, match="different fibration"):
+            fiber_cycle(fib, m, F(1))
 
 
 def test_reference_agrees_on_fixed_fibers():
@@ -257,3 +333,33 @@ def test_reference_agrees_on_fixed_fibers():
         compared += _check_against_reference(worked, trisection, b)
         compared += _check_against_reference(worked, ConstantX(F(rng.randint(-3, 3))), b)
     assert compared == 22
+
+
+# -- tau takes no root on a constant-x multisection --
+
+
+def _raise(*_args, **_kwargs):
+    raise AssertionError("a fiber root was taken")
+
+
+def test_densify_on_constant_x_takes_no_root(tmp_path, monkeypatch, capsys):
+    """densify on the worked example writes the same report when the
+    constant-x cycle and the square-root helper raise."""
+    spec = {
+        "fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
+        "multisection": {"kind": "constant_x", "x": "1"},
+        "params": {"height_bound": 6, "k_max": 2},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    files = {}
+    for patched in (False, True):
+        with monkeypatch.context() as mp:
+            if patched:
+                mp.setattr(ConstantX, "cycle", _raise)
+                mp.setattr(fibration, "_square_roots", _raise)
+            out = tmp_path / f"out-{patched}"
+            assert main(["densify", str(path), "--out", str(out)]) == 0
+        files[patched] = [(out / name).read_bytes() for name in ("report.json", "points.csv")]
+    assert files[True] == files[False]
+    assert b'"non_torsion"' in files[True][0]
