@@ -11,11 +11,12 @@ ramification(model) locates the branch points of its projection to the
 t-line. Each fiber cycle is Galois-stable, so its sum (the trace) is
 rational, and tau(p) = [d]p - trace is the workhorse class map.
 
-Every trace but a parametrized curve's is a closed form that takes no root:
-O for the zero section and for x = c, the sum of the section points for a
-split list, and the image of the unmarked branch at infinity for a graph
-(see each trace method for its divisor). A parametrized curve's trace sums
-its checked support (fiber_cycle) over Q, each conjugate pair by its chord.
+No trace but a parametrized curve's takes a root. The zero section and
+x = c trace to O, and a graph to the image of the unmarked branch at
+infinity, in closed form (see each trace method for its divisor). A
+parametrized curve and a split list sum their checked support (fiber_cycle)
+over Q, each conjugate pair by its chord; a split list's points are all
+rational or O, so it has no pair to form.
 
 Fiber points are only ever constructed over Q or quadratic fields. Anything
 needing a larger field raises TraceFieldTooLarge instead of approximating;
@@ -450,14 +451,7 @@ class Parametrized:
         return support
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
-        """The sum of the checked support (see _checked_support) over Q:
-        the rational points with their multiplicities, and each conjugate
-        pair by its chord (_pair_sum)."""
-        _cycle, rational, pairs = _checked_support(self, fiber, b)
-        trace = INFINITY
-        for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
-            trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
-        return trace
+        return _support_trace(self, fiber, b)
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
         n, d = self.t.num, self.t.den
@@ -613,14 +607,10 @@ class SplitList:
         return [(_eval_point(x_fn, y_fn, b), 1) for x_fn, y_fn in self.sections]
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
-        """The sum over Q of the section points, each checked on the fiber
-        first, so a section off the fibration is refused."""
-        support = self.cycle(fiber, b)
-        _check_support(fiber, support)
-        trace = INFINITY
-        for pt, _mult in support:
-            trace = _add_unchecked(fiber, trace, pt)
-        return trace
+        """The section points are rational or O, so the support path takes
+        no root; each point is checked on the fiber, and a section off the
+        fibration is refused."""
+        return _support_trace(self, fiber, b)
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
         return RamificationReport(points=())
@@ -745,16 +735,20 @@ def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
     return cycle, rational, pairs
 
 
-def fiber_cycle(
-    model: FibrationModel, m: Multisection, b: Rat, *, fiber: EllipticCurve | None = None
-) -> ZeroCycle:
-    """The checked zero-cycle of the multisection on the fiber at t = b
-    (see _checked_support).
+def _support_trace(m: Multisection, fiber: EllipticCurve, b: Rat) -> Point:
+    """The sum of the checked support (see _checked_support) over Q: the
+    rational points with their multiplicities, and each conjugate pair by
+    its chord (_pair_sum)."""
+    _cycle, rational, pairs = _checked_support(m, fiber, b)
+    trace = INFINITY
+    for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
+        trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
+    return trace
 
-    fiber, when given, is the smooth fiber at b that the caller already
-    built; otherwise it is specialized here."""
-    if fiber is None:
-        fiber = specialize(model, b)
+
+def fiber_cycle(m: Multisection, fiber: EllipticCurve, b: Rat) -> ZeroCycle:
+    """The checked zero-cycle of the multisection on the smooth fiber at
+    t = b (see _checked_support)."""
     return _checked_support(m, fiber, b)[0]
 
 
@@ -812,7 +806,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
     overall = 1
     for b in samples:
         fiber = specialize(model, b)
-        pts = [pt for pt, _mult in fiber_cycle(model, m, b, fiber=fiber).support]
+        pts = [pt for pt, _mult in fiber_cycle(m, fiber, b).support]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 diff = _difference_on_fiber(fiber, pts[i], pts[j])

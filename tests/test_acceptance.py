@@ -194,7 +194,7 @@ def test_tau_difference_law_and_totality(capfd):
         m = ConstantX(F(1))
         for b in [F(2), F(7), F(14), F(23), F(34), F(47), F(9, 4) - 2]:
             e = specialize(WORKED, b)
-            cycle = fiber_cycle(WORKED, m, b)
+            cycle = fiber_cycle(m, e, b)
             pts = [pt for pt, _k in cycle.support]
             if len(pts) < 2 or any(not isinstance(p.x, F) for p in pts):
                 continue
@@ -217,7 +217,7 @@ def test_tau_difference_law_and_totality(capfd):
 
         for b in _trisection_samples(40):
             e = specialize(WORKED, b)
-            cycle = fiber_cycle(WORKED, TRISECTION, b)
+            cycle = fiber_cycle(TRISECTION, e, b)
             rational = [pt for pt, _k in cycle.support if pt.is_infinity or isinstance(pt.x, F)]
             others = [pt for pt, _k in cycle.support if not pt.is_infinity and not isinstance(pt.x, F)]
             p = rational[0]
@@ -243,7 +243,7 @@ def test_tau_difference_law_and_totality(capfd):
                 continue
             for multi in (ZeroSection(), ConstantX(F(1)), TRISECTION):
                 try:
-                    cycle = fiber_cycle(WORKED, multi, b)
+                    cycle = fiber_cycle(multi, specialize(WORKED, b), b)
                 except (TraceFieldTooLarge, SingularFiberSkip):
                     continue
                 assert tau_map(WORKED, multi, cycle.support[0][0], b) is not None

@@ -223,21 +223,21 @@ class TestMultisectionShapes:
 
 class TestTraceCycle:
     def test_constant_x_split_fiber(self):
-        cycle = fiber_cycle(WORKED, ConstantX(F(1)), F(2))
+        cycle = fiber_cycle(ConstantX(F(1)), specialize(WORKED, F(2)), F(2))
         trace = trace_cycle(WORKED, ConstantX(F(1)), F(2))
         assert set(cycle.support) == {(Point(F(1), F(2)), 1), (Point(F(1), F(-2)), 1)}
         assert cycle.total_degree == 2
         assert trace is INFINITY
 
     def test_constant_x_tangent_fiber(self):
-        cycle = fiber_cycle(WORKED, ConstantX(F(1)), F(-2))
+        cycle = fiber_cycle(ConstantX(F(1)), specialize(WORKED, F(-2)), F(-2))
         trace = trace_cycle(WORKED, ConstantX(F(1)), F(-2))
         assert cycle.support == ((Point(F(1), F(0)), 2),)
         assert trace is INFINITY
 
     def test_constant_x_quadratic_fiber(self):
         # at b = 1 the vertical line x = 1 meets the fiber in conjugate points
-        cycle = fiber_cycle(WORKED, ConstantX(F(1)), F(1))
+        cycle = fiber_cycle(ConstantX(F(1)), specialize(WORKED, F(1)), F(1))
         trace = trace_cycle(WORKED, ConstantX(F(1)), F(1))
         assert trace is INFINITY
         ys = [pt.y for pt, _ in cycle.support]
@@ -245,13 +245,13 @@ class TestTraceCycle:
         assert ys[0] == -ys[1]
 
     def test_zero_section(self):
-        cycle = fiber_cycle(WORKED, ZeroSection(), F(5))
+        cycle = fiber_cycle(ZeroSection(), specialize(WORKED, F(5)), F(5))
         trace = trace_cycle(WORKED, ZeroSection(), F(5))
         assert cycle.support == ((INFINITY, 1),)
         assert trace is INFINITY
 
     def test_trisection_mixed_field_cycle(self):
-        cycle = fiber_cycle(WORKED, TRISECTION, F(-2))
+        cycle = fiber_cycle(TRISECTION, specialize(WORKED, F(-2)), F(-2))
         trace = trace_cycle(WORKED, TRISECTION, F(-2))
         assert cycle.total_degree == 3
         assert trace is INFINITY
@@ -272,7 +272,7 @@ class TestTraceCycle:
 
     def test_split_list(self):
         split = SplitList(((ratfn([0]), ratfn([1])), (ratfn([0]), ratfn([-1]))))
-        cycle = fiber_cycle(WORKED, split, F(3))
+        cycle = fiber_cycle(split, specialize(WORKED, F(3)), F(3))
         trace = trace_cycle(WORKED, split, F(3))
         assert set(cycle.support) == {(Point(F(0), F(1)), 1), (Point(F(0), F(-1)), 1)}
         assert trace is INFINITY
@@ -282,7 +282,7 @@ class TestTraceCycle:
         # preimage sits at s = infinity
         sec = Parametrized(ratfn([1], [0, 1]), ratfn([0]), ratfn([1]))
         assert sec.degree == 1
-        cycle = fiber_cycle(WORKED, sec, F(0))
+        cycle = fiber_cycle(sec, specialize(WORKED, F(0)), F(0))
         trace = trace_cycle(WORKED, sec, F(0))
         assert cycle.support == ((Point(F(0), F(1)), 1),)
         assert trace == Point(F(0), F(1))
@@ -307,7 +307,7 @@ class TestGraphOnQuartic:
         assert graph_cover_poly(K3_GRAPH) == poly([-2, 0, 0, 0, 1])
 
     def test_cycle_and_trace(self):
-        cycle = fiber_cycle(K3_FIB, K3_GRAPH, F(2))
+        cycle = fiber_cycle(K3_GRAPH, specialize(K3_FIB, F(2)), F(2))
         trace = trace_cycle(K3_FIB, K3_GRAPH, F(2))
         assert cycle.total_degree == 2
         # the two points are conjugate 2-torsion over Q(sqrt 14); their sum is
@@ -320,7 +320,7 @@ class TestGraphOnQuartic:
         with pytest.raises(DomainError, match="different fibration"):
             trace_cycle(WORKED, K3_GRAPH, F(2))
         with pytest.raises(DomainError, match="different fibration"):
-            fiber_cycle(WORKED, K3_GRAPH, F(2))
+            fiber_cycle(K3_GRAPH, specialize(WORKED, F(2)), F(2))
 
     def test_cover_normalization(self):
         # engineered double cover with square factors
@@ -449,7 +449,7 @@ class TestTauMap:
         m = ConstantX(F(1))
         for b in [F(2), F(7), F(14), F(23), F(34), F(47), F(2) + F(1, 4)]:
             e = specialize(WORKED, b)
-            cycle = fiber_cycle(WORKED, m, b)
+            cycle = fiber_cycle(m, e, b)
             pts = [pt for pt, _k in cycle.support]
             if len(pts) < 2 or any(not isinstance(p.x, F) for p in pts):
                 continue
@@ -477,7 +477,7 @@ class TestTauMap:
         # TRISECTION (d = 3) on fibers with a marked rational 2-torsion point
         for b in trisection_samples(40):
             e = specialize(WORKED, b)
-            cycle = fiber_cycle(WORKED, TRISECTION, b)
+            cycle = fiber_cycle(TRISECTION, e, b)
             rational = [pt for pt, _k in cycle.support if pt.is_infinity or isinstance(pt.x, F)]
             others = [pt for pt, _k in cycle.support if not pt.is_infinity and not isinstance(pt.x, F)]
             p = rational[0]
@@ -510,7 +510,7 @@ class TestTauMap:
         for b in enumerate_rationals(20):
             if b in singular:
                 continue
-            cycle = fiber_cycle(WORKED, m, b)
+            cycle = fiber_cycle(m, specialize(WORKED, b), b)
             pt = cycle.support[0][0]
             got = tau_map(WORKED, m, pt, b)
             assert got is not None
@@ -535,7 +535,7 @@ class TestOrderProbe:
         # sampled cycles pointwise
         m = ConstantX(F(1))
         for b in [F(2), F(7), F(14)]:
-            cycle = fiber_cycle(WORKED, m, b)
+            cycle = fiber_cycle(m, specialize(WORKED, b), b)
             pts = [pt for pt, _k in cycle.support]
             images = [tau_map(WORKED, m, p, b) for p in pts]
             assert len(set(images)) == len(pts)

@@ -535,5 +535,5 @@ def test_constant_x_at_quadratic_parameters_traces_to_the_origin():
     # y^2 = x^3 + t - 1 with s -> (s^2, 1, s): at t = 2 the points are (1, +-sqrt 2)
     model = FibrationModel(ratfn([0]), ratfn([-1, 1]))
     m = Parametrized(ratfn([0, 0, 1]), ratfn([1]), ratfn([0, 1]))
-    cycle = fiber_cycle(model, m, F(2))
+    cycle = fiber_cycle(m, specialize(model, F(2)), F(2))
     assert len(cycle.support) == 2 and trace_cycle(model, m, F(2)).is_infinity
