@@ -123,6 +123,17 @@ def _need(spec: RunSpec, field: str, command: str):
     return value
 
 
+def _out_dir(spec: RunSpec) -> str:
+    """The output directory, made if missing; a path that cannot be a
+    directory is a bad out field."""
+    out_dir = spec.out or "out"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SpecValidationError("out", str(exc)) from None
+    return out_dir
+
+
 # -- commands --
 
 
@@ -152,9 +163,9 @@ def _cmd_densify(spec: RunSpec) -> int:
     model = _need(spec, "fibration", "densify")
     m = _need(spec, "multisection", "densify")
     height_bound = _need(spec, "height_bound", "densify")
-    report = densify(model, m, height_bound, spec.k_max if spec.k_max is not None else 5)
-    out_dir = spec.out or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    given = {} if spec.k_max is None else {"k_max": spec.k_max}  # unset: densify's default
+    report = densify(model, m, height_bound, **given)
+    out_dir = _out_dir(spec)
     report_path = os.path.join(out_dir, "report.json")
     points_path = os.path.join(out_dir, "points.csv")
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
@@ -205,8 +216,7 @@ def _cmd_enriques_bitangents(spec: RunSpec) -> int:
         except NoCandidates:
             report = BitangentReport((), 0)
         results.append((point, report))
-    out_dir = spec.out or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(spec)
     path = os.path.join(out_dir, "bitangents.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_bitangents_json(spec.through, results))
@@ -295,7 +305,7 @@ def main(argv=None) -> int:
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SpecValidationError("spec", str(exc)) from None
         spec = parse_spec(text, overrides)
         return run_command(args.command, spec)

@@ -23,7 +23,6 @@ from .elliptic import (
     _add_unchecked,
     ec_add,  # unused here; bench/tracing.py wraps this name
     ec_mul,  # unused here; bench/tracing.py wraps this name
-    naive_height,
     torsion_certify,
 )
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     TraceFieldTooLarge,
     UnsupportedRepresentation,
 )
-from .exactmath import rat_to_string
+from .exactmath import rat_height, rat_to_string
 from .fibration import (
     FibrationModel,
     specialize,
@@ -100,7 +99,7 @@ def certify_and_translate(model, m, b, p: Point, k_max: int):
     except SingularFiberSkip:
         return CertificationResult(b, p, None, Skipped("singular")), []
     try:
-        q = tau_map(model, m, p, b, fiber=fiber)
+        q = tau_map(fiber, m, p, b)
     except TraceFieldTooLarge:
         return CertificationResult(b, p, None, Skipped("trace field too large"), fiber), []
     cert = torsion_certify(fiber, q)
@@ -149,7 +148,8 @@ def densify(model, m, height_bound: int, k_max: int = 5):
 
     outcomes.sort(key=lambda o: o.b)
     certified = sum(1 for o in outcomes if isinstance(o.result.verdict, InfiniteOrder))
-    max_height = max((naive_height(pt) for o in outcomes for _k, pt in o.points), default=0)
+    # every emitted point is rational and not O (see _fiber_work)
+    max_height = max((rat_height(pt.x) for o in outcomes for _k, pt in o.points), default=0)
     return DensityReport(
         fibers_attempted=len(outcomes),
         fibers_certified=certified,

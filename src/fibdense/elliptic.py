@@ -296,15 +296,6 @@ def _integral_scale(curve: EllipticCurve, p: Point) -> int | None:
     return math.lcm(curve.a.denominator, curve.b.denominator) ** 2
 
 
-def naive_height(p: Point) -> int:
-    if p.is_infinity:
-        return 0
-    x = p.x
-    if not isinstance(x, Fraction):
-        raise DomainError("naive height is defined for points over Q")
-    return max(abs(x.numerator), x.denominator)
-
-
 # -- quartic models --
 
 

@@ -44,7 +44,6 @@ from .exactmath import (
     is_square,
     poly_gcd,
     quadratic_field,  # unused here; bench/tracing.py wraps this name
-    rat_from_string,
     rational_roots,  # unused here; bench/tracing.py wraps this name
     resultant_bivariate,
     squarefree_decompose,  # unused here; bench/tracing.py wraps this name
@@ -59,19 +58,9 @@ from .fibration import (
 
 
 def _rat(x):
-    if isinstance(x, str):
-        return rat_from_string(x)
     if isinstance(x, int):
         return Fraction(x)
     return x
-
-
-def _as_poly(c) -> Poly:
-    if isinstance(c, Poly):
-        return c
-    if isinstance(c, (list, tuple)):
-        return Poly(c)
-    return Poly([c])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +118,7 @@ class RamificationData:
     _shared_roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cs = tuple(_as_poly(c) for c in self.coeffs)
+        cs = tuple(self.coeffs)
         if len(cs) != 5:
             raise DomainError("a branch quartic takes exactly five z-coefficients")
         if cs[4].is_zero:

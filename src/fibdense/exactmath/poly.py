@@ -41,9 +41,6 @@ from ..errors import BothZero, ZeroInput
 def _as_coeff(c):
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, str):
-        from .rationals import rat_from_string
-        return rat_from_string(c)
     return c
 
 
@@ -120,9 +117,6 @@ class Poly:
             other = Poly([other])
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _as_coeff(other)
@@ -179,9 +173,6 @@ class Poly:
                 rem[i + k - dd] = rem[i + k - dd] - factor * oc
         return Poly(q), Poly(rem[:dd])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -228,7 +219,7 @@ class Poly:
 
 
 def poly(coeffs: Sequence) -> Poly:
-    """Convenience constructor accepting ints, strings, and Fractions."""
+    """Convenience constructor accepting ints and Fractions."""
     return Poly(coeffs)
 
 

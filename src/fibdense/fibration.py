@@ -9,7 +9,10 @@ cycle(fiber, b) cuts out its zero-cycle on the smooth fiber at t = b,
 trace(fiber, b) gives that cycle's group-law sum over Q, and
 ramification(model) locates the branch points of its projection to the
 t-line. Each fiber cycle is Galois-stable, so its sum (the trace) is
-rational, and tau(p) = [d]p - trace is the workhorse class map.
+rational, and tau(p) = [d]p - trace is the workhorse class map. The
+functions on one fiber take the smooth fiber the caller specialized:
+fiber_cycle(m, fiber, b), trace_cycle(fiber, m, b) and
+tau_map(fiber, m, p, b).
 
 No trace but a parametrized curve's takes a root. The zero section and
 x = c trace to O, and a graph to the image of the unmarked branch at
@@ -18,10 +21,11 @@ parametrized curve and a split list sum their checked support (fiber_cycle)
 over Q, each conjugate pair by its chord; a split list's points are all
 rational or O, so it has no pair to form.
 
-Fiber points are only ever constructed over Q or quadratic fields. Anything
-needing a larger field raises TraceFieldTooLarge instead of approximating;
-ramification analysis reports higher-degree parameter factors unresolved,
-with an exact all-singular divisibility certificate.
+Fiber points are only ever constructed over Q or quadratic fields, by one
+evaluation (_eval_ratfn) and one root splitter (small_field_roots).
+Anything needing a larger field raises TraceFieldTooLarge instead of
+approximating; ramification analysis reports higher-degree parameter
+factors unresolved, with an exact all-singular divisibility certificate.
 """
 
 from __future__ import annotations
@@ -68,19 +72,12 @@ from .exactmath import (
     is_square,
     poly_gcd,
     quadratic_field,
-    rat_sqrt,
     rational_roots,
     squarefree_decompose,
 )
-from .exactmath.numfield import NumField, NumFieldElement
+from .exactmath.numfield import NumFieldElement
 
 Rat = Fraction
-
-
-def _as_ratfn(x) -> RatFn:
-    if isinstance(x, RatFn):
-        return x
-    return RatFn(x)
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,7 @@ class FibrationModel:
     b: RatFn
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_ratfn(self.a))
-        object.__setattr__(self, "b", _as_ratfn(self.b))
-        disc = self.discriminant
-        if disc.is_zero:
+        if self.discriminant.is_zero:
             raise DomainError("fibration has identically zero discriminant")
 
     @property
@@ -121,10 +115,11 @@ class FibrationModel:
 def specialize(model: FibrationModel, b: Rat) -> EllipticCurve:
     """The fiber curve at t = b; PoleAtParameter at a pole of a or b,
     SingularFiberSkip when the fiber is singular."""
-    if model.a.den(b) == 0 or model.b.den(b) == 0:
+    a, c = _eval_ratfn(model.a, b), _eval_ratfn(model.b, b)
+    if a is None or c is None:
         raise PoleAtParameter(f"coefficient pole at t = {b}")
     try:
-        return EllipticCurve(model.a(b), model.b(b))
+        return EllipticCurve(a, c)
     except DomainError:
         raise SingularFiberSkip(f"fiber at t = {b} is singular") from None
 
@@ -147,12 +142,19 @@ class FiberType:
 
 def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
     """Minimal I0/I1/II classifier; anything else is Other with
-    irreducibility left undecided."""
-    if model.a.den(b) == 0 or model.b.den(b) == 0:
-        raise PoleAtParameter(f"coefficient pole at t = {b}")
-    ord_delta = _order_at(model.discriminant, b)
+    irreducibility left undecided.
+
+    At a pole of a or b the model is first made regular at b. With
+    u = (t - b)^n, the model with u^4 a and u^6 b is isomorphic over Q(t),
+    and its discriminant and c4 are u^12 and u^4 times the old ones. n is
+    the least integer >= 0 that leaves neither nonzero coefficient a pole."""
+    n = 0
+    for fn, weight in ((model.a, 4), (model.b, 6)):
+        if not fn.is_zero:
+            n = max(n, -(_order_at(fn, b) // weight))
+    ord_delta = _order_at(model.discriminant, b) + 12 * n
     c4 = model.c4
-    ord_c4 = None if c4.is_zero else _order_at(c4, b)
+    ord_c4 = None if c4.is_zero else _order_at(c4, b) + 4 * n
     if ord_delta == 0:
         return FiberType(0, ord_c4, "I0", True)
     if ord_delta == 1 and ord_c4 == 0:
@@ -257,18 +259,6 @@ def odd_square_split(g: Poly) -> tuple[Poly, Poly]:
     return q, r
 
 
-def _square_roots(value: Rat):
-    """(field, [(w, multiplicity)]) for the square roots w of a rational
-    value: a double root 0, a rational pair, or a conjugate pair in Q(w)."""
-    if value == 0:
-        return None, [(Fraction(0), 2)]
-    if is_square(value):
-        w = rat_sqrt(value)
-        return None, [(w, 1), (-w, 1)]
-    K = NumField(Poly([-value, Fraction(0), Fraction(1)]), "w")
-    return K, [(K.gen, 1), (-K.gen, 1)]
-
-
 # -- ramification reports --
 
 
@@ -297,39 +287,24 @@ class RamificationReport:
     unresolved: tuple = ()
 
 
-def _delta_nonzero_at(model: FibrationModel, b) -> bool:
-    disc = model.discriminant
-    den = disc.den(b)
-    if not den:
-        return False
-    return bool(disc.num(b))
-
-
-def _all_roots_singular(model: FibrationModel, factor: Poly, through=None) -> bool:
-    """Every root of factor, monic and squarefree, is a zero of the
-    discriminant numerator, or of through when given (exactly).
-
-    factor is squarefree, so that holds exactly when factor divides the
-    target, that is when gcd(factor, target) has the degree of factor. The
-    target is never zero: FibrationModel rejects a zero discriminant, and
-    through is its numerator pulled back along a nonconstant t(s)."""
-    disc = model.discriminant
-    target = disc.num if through is None else through
-    return poly_gcd(factor, target).degree == factor.degree
-
-
-def _branch_report(model, branch_poly: Poly, name: str, locate, through=None):
+def _branch_report(model, branch_poly: Poly, name: str, locate, target: Poly):
     """Ramification report over the roots of branch_poly in degree <= 2
-    fields; locate(root) gives the fiber parameter and the point there."""
+    fields; locate(root) gives the fiber parameter and the point there.
+
+    A point is salient when the discriminant is finite and nonzero at its
+    parameter. An unresolved factor, monic and squarefree, has only singular
+    roots exactly when it divides target, the discriminant's numerator in
+    the factor's variable, that is when gcd(factor, target) has the degree
+    of factor. The target is never zero: FibrationModel rejects a zero
+    discriminant, and a pullback is along a nonconstant t(s)."""
     roots, unresolved = small_field_roots(branch_poly, name)
+    disc = model.discriminant
     points = []
     for root, _mult in roots:
         b, pt = locate(root)
-        points.append(RamificationPoint(b, pt, b is not None and _delta_nonzero_at(model, b)))
-    return RamificationReport(
-        tuple(points),
-        tuple(UnresolvedRamification(f, _all_roots_singular(model, f, through)) for f in unresolved),
-    )
+        points.append(RamificationPoint(b, pt, b is not None and bool(_eval_ratfn(disc, b))))
+    singular = (UnresolvedRamification(f, poly_gcd(f, target).degree == f.degree) for f in unresolved)
+    return RamificationReport(tuple(points), tuple(singular))
 
 
 # -- multisections --
@@ -388,9 +363,9 @@ class ConstantX:
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
-        K, roots = _square_roots(self.c**3 + fiber.a * self.c + fiber.b)
-        x = self.c if K is None else K.embed(self.c)
-        return [(Point(x, w), mult) for w, mult in roots]
+        w2 = self.c**3 + fiber.a * self.c + fiber.b
+        roots, _none = small_field_roots(Poly([-w2, 0, 1]), "w")
+        return [(Point(w * 0 + self.c, w), mult) for w, mult in roots]
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
         """O, with no root taken.
@@ -412,7 +387,7 @@ class ConstantX:
             zero = b * 0  # zero in the field of b
             return b, Point(zero + self.c, zero)
 
-        return _branch_report(model, h.num, "b", locate)
+        return _branch_report(model, h.num, "b", locate, model.discriminant.num)
 
 
 @dataclass(frozen=True)
@@ -429,9 +404,9 @@ class Parametrized:
 
     def points(self, model: FibrationModel, height_bound: int):
         return [
-            (self.t(s), _eval_point(self.x, self.y, s))
+            (tv, _eval_point(self.x, self.y, s))
             for s in enumerate_rationals(height_bound)
-            if self.t.den(s) != 0
+            if (tv := _eval_ratfn(self.t, s)) is not None
         ]
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
@@ -473,7 +448,7 @@ class Parametrized:
                 tv = tv.as_fraction()
             return tv, _descend_point(_eval_point(self.x, self.y, s))
 
-        return _branch_report(model, crit, "s", locate, through=disc_pullback)
+        return _branch_report(model, crit, "s", locate, disc_pullback)
 
 
 @dataclass(frozen=True)
@@ -545,7 +520,7 @@ class GraphOnQuartic:
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
-        _K, roots = _square_roots(graph_cover_poly(self)(b))
+        roots, _none = small_field_roots(Poly([-graph_cover_poly(self)(b), 0, 1]), "w")
         chart_curve, fwd, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
         if chart_curve != fiber:
             raise DomainError("graph multisection is attached to a different fibration")
@@ -576,7 +551,8 @@ class GraphOnQuartic:
             _curve, fwd, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
             return b, fwd(self.p(b), b * 0)
 
-        return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate)
+        target = model.discriminant.num
+        return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate, target)
 
 
 @dataclass(frozen=True)
@@ -584,13 +560,6 @@ class SplitList:
     """Finitely many sections (x_i(t), y_i(t))."""
 
     sections: tuple  # of (RatFn, RatFn) pairs
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "sections",
-            tuple((_as_ratfn(x), _as_ratfn(y)) for x, y in self.sections),
-        )
 
     @property
     def degree(self) -> int:
@@ -617,16 +586,6 @@ class SplitList:
 
 
 Multisection = ZeroSection | ConstantX | Parametrized | GraphOnQuartic | SplitList
-
-
-@dataclass(frozen=True)
-class ZeroCycle:
-    b: Rat
-    support: tuple  # of (Point, multiplicity)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(m for _, m in self.support)
 
 
 def quartic_on_graph(coeffs, p: Poly) -> Poly:
@@ -714,8 +673,8 @@ def _pair_sum(p: Point) -> Point:
 
 
 def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
-    """(cycle, rational, pairs) for m's zero-cycle on the smooth fiber at
-    t = b, as _pair_conjugates splits it.
+    """(support, rational, pairs) for m's zero-cycle on the smooth fiber at
+    t = b: its support as m.cycle lists it, split by _pair_conjugates.
 
     The cycle must be Galois-stable, on the fiber and of degree m.degree
     (DomainError otherwise). The fiber is defined over Q, so conjugation
@@ -727,54 +686,40 @@ def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
         raise DomainError(f"cycle at t = {b} is not Galois-stable")
     rational, pairs = split
     _check_support(fiber, rational + pairs)
-    cycle = ZeroCycle(b, tuple(support))
-    if cycle.total_degree != m.degree:
-        raise DomainError(
-            f"cycle at t = {b} has degree {cycle.total_degree}, expected {m.degree}"
-        )
-    return cycle, rational, pairs
+    degree = sum(mult for _pt, mult in support)
+    if degree != m.degree:
+        raise DomainError(f"cycle at t = {b} has degree {degree}, expected {m.degree}")
+    return support, rational, pairs
 
 
 def _support_trace(m: Multisection, fiber: EllipticCurve, b: Rat) -> Point:
     """The sum of the checked support (see _checked_support) over Q: the
     rational points with their multiplicities, and each conjugate pair by
     its chord (_pair_sum)."""
-    _cycle, rational, pairs = _checked_support(m, fiber, b)
+    _support, rational, pairs = _checked_support(m, fiber, b)
     trace = INFINITY
     for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
         trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
     return trace
 
 
-def fiber_cycle(m: Multisection, fiber: EllipticCurve, b: Rat) -> ZeroCycle:
-    """The checked zero-cycle of the multisection on the smooth fiber at
-    t = b (see _checked_support)."""
-    return _checked_support(m, fiber, b)[0]
+def fiber_cycle(m: Multisection, fiber: EllipticCurve, b: Rat) -> tuple:
+    """The checked support, (point, multiplicity) pairs, of the
+    multisection's zero-cycle on the smooth fiber at t = b (see
+    _checked_support)."""
+    return tuple(_checked_support(m, fiber, b)[0])
 
 
-def trace_cycle(
-    model: FibrationModel, m: Multisection, b: Rat, *, fiber: EllipticCurve | None = None
-) -> Point:
-    """The group sum over Q of the multisection's fiber cycle at t = b,
-    m.trace(fiber, b).
-
-    fiber, when given, is the smooth fiber at b that the caller already
-    built; otherwise it is specialized here."""
-    if fiber is None:
-        fiber = specialize(model, b)
+def trace_cycle(fiber: EllipticCurve, m: Multisection, b: Rat) -> Point:
+    """The group sum over Q of the multisection's cycle on fiber, the
+    smooth fiber at t = b: m.trace(fiber, b)."""
     return m.trace(fiber, b)
 
 
-def tau_map(
-    model: FibrationModel, m: Multisection, p: Point, b: Rat, *, fiber: EllipticCurve | None = None
-) -> Point:
-    """tau(p) = [d]p - trace of the fiber cycle, on the smooth fiber at b.
-
-    fiber, when given, is the smooth fiber at b that the caller already
-    built; otherwise it is specialized here."""
-    if fiber is None:
-        fiber = specialize(model, b)
-    trace = trace_cycle(model, m, b, fiber=fiber)
+def tau_map(fiber: EllipticCurve, m: Multisection, p: Point, b: Rat) -> Point:
+    """tau(p) = [d]p - trace of the fiber cycle, on fiber, the smooth fiber
+    at t = b."""
+    trace = trace_cycle(fiber, m, b)
     return ec_add(fiber, ec_mul(fiber, m.degree, p), ec_neg(trace))
 
 
@@ -806,7 +751,7 @@ def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: in
     overall = 1
     for b in samples:
         fiber = specialize(model, b)
-        pts = [pt for pt, _mult in fiber_cycle(m, fiber, b).support]
+        pts = [pt for pt, _mult in fiber_cycle(m, fiber, b)]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 diff = _difference_on_fiber(fiber, pts[i], pts[j])
@@ -855,7 +800,7 @@ def _section_point(section, b: Rat) -> Point:
     if isinstance(section, ZeroSection):
         return INFINITY
     x_fn, y_fn = section
-    return _eval_point(_as_ratfn(x_fn), _as_ratfn(y_fn), b)
+    return _eval_point(x_fn, y_fn, b)
 
 
 def section_difference_order(model: FibrationModel, s1, s2, samples):

@@ -208,6 +208,8 @@ def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise SpecValidationError("spec", "nested too deeply") from None
     if not isinstance(raw, dict):
         raise SpecValidationError("", "top level must be an object")
     _check_keys(raw, _TOP_KEYS, "")

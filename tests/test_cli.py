@@ -148,6 +148,23 @@ class TestExitCodes:
         assert main(["analyze", path]) == 0
         assert "b=0: ordΔ=2, II, irreducible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "a, b, row",
+        [
+            ({"num": ["1"], "den": ["0", "1"]}, {"num": ["1"]}, "b=0: ordΔ=9, Other, undecided"),
+            (
+                {"num": ["1"], "den": ["0", "0", "0", "0", "1"]},
+                {"num": ["1"], "den": ["0", "0", "0", "0", "0", "0", "1"]},
+                "b=0: ordΔ=0, I0, irreducible",
+            ),
+        ],
+        ids=["a=1/t", "a=t^-4,b=t^-6"],
+    )
+    def test_analyze_classifies_a_coefficient_pole(self, tmp_path, capsys, a, b, row):
+        path = write_spec(tmp_path, json.dumps({"fibration": {"a": a, "b": b}}))
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == f"singular fibers:\n{row}\n"
+
     def test_analyze_ramification_table(self, tmp_path, capsys):
         path = write_spec(tmp_path, WORKED_TEXT)
         assert main(["analyze", path]) == 0
@@ -219,6 +236,21 @@ class TestExitCodes:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", ["nested too deeply", "not UTF-8", "out under a file"])
+    def test_unusable_spec_or_out_exit_2(self, tmp_path, capsys, case):
+        path, argv = tmp_path / "run.json", ["densify", str(tmp_path / "run.json")]
+        field = "out" if case == "out under a file" else "spec"
+        if case == "nested too deeply":
+            path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+        elif case == "not UTF-8":
+            path.write_bytes(WORKED_TEXT.replace('"1"', '"\xff"').encode("latin-1"))
+        else:
+            path.write_text(WORKED_TEXT.replace('"height_bound": 10', '"height_bound": 2'), encoding="utf-8")
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            argv += ["--out", str(tmp_path / "file" / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid spec field '{field}': ")
 
     def test_command_spec_mismatch_exit_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, CONE_TEXT)
