@@ -134,6 +134,15 @@ def _out_dir(spec: RunSpec) -> str:
     return out_dir
 
 
+def _open_artifact(path: str):
+    """path opened for writing; a path that cannot be a file, such as a
+    directory, is a bad out field."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise SpecValidationError("out", str(exc)) from None
+
+
 # -- commands --
 
 
@@ -168,9 +177,9 @@ def _cmd_densify(spec: RunSpec) -> int:
     out_dir = _out_dir(spec)
     report_path = os.path.join(out_dir, "report.json")
     points_path = os.path.join(out_dir, "points.csv")
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_artifact(report_path) as fh:
         report_to_json(report, fh)
-    with open(points_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_artifact(points_path) as fh:
         report_to_csv(report, fh)
     print(f"fibers attempted: {report.fibers_attempted}")
     print(f"fibers certified: {report.fibers_certified}")
@@ -218,7 +227,7 @@ def _cmd_enriques_bitangents(spec: RunSpec) -> int:
         results.append((point, report))
     out_dir = _out_dir(spec)
     path = os.path.join(out_dir, "bitangents.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_artifact(path) as fh:
         fh.write(_bitangents_json(spec.through, results))
     for (t, z), report in results:
         print(f"base point ({rat_to_string(t)}, {rat_to_string(z)}): {len(report)} candidate(s)")

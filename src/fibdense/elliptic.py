@@ -7,12 +7,14 @@ cycles), and curves over Q(t) (fibration generic fibers). Over Q the group
 law, the on-curve check and the nonsingularity test run on integer
 numerators and denominators (see _add_unchecked and EllipticCurve).
 
-The quartic bridge turns w^2 = q4*z^4 + ... + q0 with a marked rational
-point into a short Weierstrass curve together with explicit mutually inverse
-point maps. Three classical routes are used: a square leading coefficient
-gives a branch at infinity directly; a finite marked point with w0 != 0 is
-shifted to z = 0 and inverted into that case; a finite marked point with
-w0 = 0 reduces to a cubic. Exceptional parameters raise MapUndefined.
+The quartic bridge (quartic_to_weierstrass) turns w^2 = q4*z^4 + ... + q0
+with q4 a nonzero square into short Weierstrass coefficients, marked at one
+of the two branches over z = infinity, together with explicit mutually
+inverse point maps and the image e2 of the other branch. It is the only
+reduction, because every quartic the package converts is marked there: the
+fibers w^2 = F(t, z) of the double cover of the quadratic cone, whose z^4
+coefficient is a nonzero constant, and a graph's covering curve, which needs
+a square lead. Exceptional parameters raise MapUndefined.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     NotSquarefree,
     PointNotOnCurve,
 )
-from .exactmath import Poly, RatFn, rat_sqrt
+from .exactmath import RatFn, rat_sqrt
 from .exactmath.numfield import NumFieldElement
 
 TORSION_BOUND_Q = 12
@@ -299,14 +301,6 @@ def _integral_scale(curve: EllipticCurve, p: Point) -> int | None:
 # -- quartic models --
 
 
-@dataclass(frozen=True)
-class InfinityBranch:
-    """Marks one of the two branches over z = infinity; requires the z^4
-    coefficient to be a nonzero square, whose chosen root is sign * sqrt."""
-
-    sign: int = 1
-
-
 def _sqrt_element(x):
     """Exact square root of a field element; NoSquareRoot when none exists."""
     if isinstance(x, _RATIONAL):
@@ -318,34 +312,6 @@ def _sqrt_element(x):
             return RatFn(rat_sqrt(x.as_fraction()))
         raise NoSquareRoot("square roots of non-constant rational functions are not taken")
     raise NoSquareRoot(f"no square root rule for {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class QuarticModel:
-    """w^2 = q4 z^4 + q3 z^3 + q2 z^2 + q1 z + q0 with a marked rational point."""
-
-    coeffs: tuple  # (q0, q1, q2, q3, q4) ascending
-    marked: object  # (z0, w0) pair or InfinityBranch
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != 5:
-            raise DomainError("a quartic model takes exactly five coefficients")
-        q = Poly(self.coeffs)
-        if q.degree < 3:
-            raise DomainError("the right-hand side must have degree 3 or 4")
-        i_inv, j_inv = _quartic_invariants(self.coeffs)
-        if not 4 * i_inv * i_inv * i_inv - j_inv * j_inv:
-            raise NotSquarefree(f"right-hand side {q} is not squarefree")
-        if isinstance(self.marked, InfinityBranch):
-            lead = self.coeffs[4]
-            if not lead:
-                raise NoSquareRoot("no branch at infinity: the z^4 coefficient is zero")
-            _sqrt_element(lead)  # raises NoSquareRoot when not a square
-        else:
-            z0, w0 = self.marked
-            if w0 * w0 != q(z0):
-                raise PointNotOnCurve(f"marked point ({z0}, {w0}) is not on w^2 = {q}")
 
 
 def _long_to_short(a1, a2, a3, a4, a6):
@@ -368,20 +334,33 @@ def _long_to_short(a1, a2, a3, a4, a6):
     return (A, B), to_short, from_short
 
 
-def _reduce_infinity_branch(coeffs, alpha):
-    """Quartic with branch w ~ alpha*z^2 at infinity; that branch goes to
-    Infinity, the opposite branch to the distinguished affine point e2.
-    Returns the short coefficients (A, B), the point maps and e2."""
-    q0, q1, q2, q3, _q4 = coeffs
+def quartic_to_weierstrass(coeffs, sign: int = 1):
+    """(a, b, forward, inverse, e2) for w^2 = q(z), q = q4 z^4 + ... + q0
+    with coeffs = (q0, ..., q4), marked at the branch w ~ alpha z^2 over
+    z = infinity, alpha = sign * sqrt(q4); q4 must be a nonzero square
+    (NoSquareRoot otherwise).
+
+    y^2 = x^3 + a x + b is the Weierstrass model. forward: (z, w) -> Point
+    sends the marked branch to Infinity and the opposite branch to the affine
+    point e2; inverse: Point -> (z, w). Both raise MapUndefined on their
+    finite exceptional sets; they are mutually inverse everywhere else.
+
+    Nothing is validated and no curve is built: for this reduction
+    Delta(y^2 = x^3 + a x + b) = 16 * disc_z(q) for either sign, so the
+    discriminant check of EllipticCurve(a, b), or of whatever model the caller
+    builds, is the squarefreeness check of q."""
+    q0, q1, q2, q3, q4 = coeffs
+    if not q4:
+        raise NoSquareRoot("no branch at infinity: the z^4 coefficient is zero")
+    alpha = sign * _sqrt_element(q4)
     beta = q3 / (2 * alpha)
     gamma = (q2 - beta * beta) / (2 * alpha)
     dt = q1 - 2 * beta * gamma
     et = q0 - gamma * gamma
     zero = alpha * 0
-    coeffs_ab, to_short, from_short = _long_to_short(
+    (a, b), to_short, from_short = _long_to_short(
         2 * beta, -4 * alpha * gamma, 2 * alpha * dt, -4 * alpha * alpha * et, zero
     )
-    e2 = to_short(zero, -2 * alpha * dt)
 
     def forward(z, w) -> Point:
         big_p = alpha * z * z + beta * z + gamma
@@ -398,91 +377,7 @@ def _reduce_infinity_branch(coeffs, alpha):
         w = u / (2 * alpha) - (alpha * z * z + beta * z + gamma)
         return z, w
 
-    return coeffs_ab, forward, inverse, e2
-
-
-def quartic_to_weierstrass(model: QuarticModel):
-    """Short Weierstrass model with forward/inverse point maps.
-
-    forward: (z, w) -> Point, sending the marked point to Infinity.
-    inverse: Point -> (z, w). Both raise MapUndefined on their finite
-    exceptional sets; they are mutually inverse everywhere else.
-    """
-    coeffs = model.coeffs
-    if isinstance(model.marked, InfinityBranch):
-        alpha = model.marked.sign * _sqrt_element(coeffs[4])
-        coeffs_ab, forward, inverse, _e2 = _reduce_infinity_branch(coeffs, alpha)
-        return EllipticCurve(*coeffs_ab), forward, inverse
-
-    z0, w0 = model.marked
-    shifted = Poly(coeffs).shift(z0)  # p(h) = q(z0 + h)
-    p = [shifted.coefficient(k) for k in range(5)]
-
-    if w0:
-        # invert: s = 1/(z - z0), W = w/(z - z0)^2 gives lead p0 = w0^2
-        rev = (p[4], p[3], p[2], p[1], p[0])
-        coeffs_ab, fwd_inf, inv_inf, e2 = _reduce_infinity_branch(rev, w0)
-
-        def forward(z, w) -> Point:
-            if z == z0:
-                if w == w0:
-                    return INFINITY
-                return e2
-            s = 1 / (z - z0)
-            return fwd_inf(s, w * s * s)
-
-        def inverse(pt: Point):
-            if pt.is_infinity:
-                return z0, w0
-            if pt == e2:
-                return z0, -w0
-            s, big_w = inv_inf(pt)
-            if not s:
-                raise MapUndefined(f"{pt} lies over z = infinity")
-            h = 1 / s
-            return z0 + h, big_w * h * h
-
-        return EllipticCurve(*coeffs_ab), forward, inverse
-
-    # marked point with w0 = 0: the shifted quartic has p0 = 0, p1 != 0,
-    # and W^2 = p1 s^3 + p2 s^2 + p3 s + p4 monicizes to a cubic model
-    p1, p2, p3, p4 = p[1], p[2], p[3], p[4]
-    zero = p1 * 0
-    coeffs_ab, to_short, from_short = _long_to_short(zero, p2, zero, p1 * p3, p1 * p1 * p4)
-
-    def forward(z, w) -> Point:
-        if z == z0:
-            return INFINITY
-        s = 1 / (z - z0)
-        return to_short(p1 * s, p1 * w * s * s)
-
-    def inverse(pt: Point):
-        if pt.is_infinity:
-            return z0, w0
-        u, v = from_short(pt)
-        if not u:
-            raise MapUndefined(f"{pt} lies over z = infinity")
-        h = p1 / u
-        return z0 + h, (v / p1) * h * h
-
-    return EllipticCurve(*coeffs_ab), forward, inverse
-
-
-def infinity_branch_weierstrass(coeffs, sign: int = 1) -> tuple[object, object, Point]:
-    """Weierstrass coefficients (a, b) of w^2 = q(z), q = q4 z^4 + ... + q0
-    with coeffs = (q0, ..., q4), and the image e2 of the branch over
-    z = infinity that is not marked, from one reduction.
-
-    The marked branch is w ~ sign * sqrt(q4) z^2, which goes to Infinity; q4
-    must be a nonzero square (NoSquareRoot otherwise). y^2 = x^3 + a x + b is
-    the curve quartic_to_weierstrass gives for QuarticModel(coeffs,
-    InfinityBranch(sign)), but the coefficients are not validated and no
-    curve is built: for this reduction Delta(y^2 = x^3 + a x + b) =
-    16 * disc_z(q) for either sign, so the discriminant of whatever model the
-    caller builds from (a, b) is the squarefreeness check of q."""
-    alpha = sign * _sqrt_element(coeffs[4])
-    (a, b), _fwd, _inv, e2 = _reduce_infinity_branch(coeffs, alpha)
-    return a, b, e2
+    return a, b, forward, inverse, to_short(zero, -2 * alpha * dt)
 
 
 def _quartic_invariants(coeffs):

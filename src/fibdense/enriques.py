@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .elliptic import (
-    InfinityBranch,
-    Point,
-    QuarticModel,
-    infinity_branch_weierstrass,
-    quartic_to_weierstrass,  # unused here; bench/tracing.py wraps this name
-)
+from .elliptic import Point, quartic_to_weierstrass
 from .errors import (
     DegenerateDiscriminant,
     DomainError,
@@ -234,9 +228,9 @@ class SectionCover:
     """Normalized double cover w^2 = odd_part(t) cut out by a section.
 
     The raw cover is w^2 = G(t) with G = odd_part * square_part^2; genus -1
-    marks a cover that splits into two copies of the base.  model is a
-    QuarticModel of the cover when the odd part is an admissible quartic
-    (degree 4, square leading coefficient), else None.
+    marks a cover that splits into two copies of the base.  model is the
+    coefficient tuple (q0, ..., q4) of the odd part when it is an admissible
+    quartic (degree 4, square leading coefficient), else None.
     """
 
     model: object
@@ -494,9 +488,7 @@ def multisection_from_section(data: RamificationData, s: SectionConic) -> Sectio
     )
     model = None
     if k == 4 and q.degree == 4 and isinstance(q.lead, Fraction) and is_square(q.lead):
-        model = QuarticModel(
-            tuple(q.coefficient(i) for i in range(5)), InfinityBranch(1)
-        )
+        model = tuple(q.coefficient(i) for i in range(5))
     return SectionCover(model, q, r, genus, tangencies, tuple(unresolved))
 
 
@@ -528,7 +520,7 @@ def k3_weierstrass_model(
             )
         twist = lead
         coeffs = tuple(twist * c for c in coeffs)
-    a, b, e2 = infinity_branch_weierstrass(tuple(RatFn(c) for c in coeffs))
+    a, b, _fwd, _inv, e2 = quartic_to_weierstrass(tuple(RatFn(c) for c in coeffs))
     try:
         fibration = FibrationModel(a, b)
     except DomainError:

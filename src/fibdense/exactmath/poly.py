@@ -195,16 +195,6 @@ class Poly:
             return Fraction(0) if isinstance(x, (int, Fraction)) else x - x
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
-
-    def shift(self, c) -> "Poly":
-        """p(t + c)."""
-        return self.compose(Poly([c, 1]))
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self

@@ -40,15 +40,12 @@ from .elliptic import (
     INFINITY,
     EllipticCurve,
     InfiniteOrder,
-    InfinityBranch,
     Point,
-    QuarticModel,
     _add_unchecked,
     _mul_unchecked,
     ec_add,
     ec_mul,
     ec_neg,
-    infinity_branch_weierstrass,
     quartic_to_weierstrass,
     smallest_order,
     torsion_certify,
@@ -144,14 +141,12 @@ def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
     """Minimal I0/I1/II classifier; anything else is Other with
     irreducibility left undecided.
 
-    At a pole of a or b the model is first made regular at b. With
-    u = (t - b)^n, the model with u^4 a and u^6 b is isomorphic over Q(t),
-    and its discriminant and c4 are u^12 and u^4 times the old ones. n is
-    the least integer >= 0 that leaves neither nonzero coefficient a pole."""
-    n = 0
-    for fn, weight in ((model.a, 4), (model.b, 6)):
-        if not fn.is_zero:
-            n = max(n, -(_order_at(fn, b) // weight))
+    The model is first made minimal at b. With u = (t - b)^n, the model with
+    u^4 a and u^6 b is isomorphic over Q(t), and its discriminant and c4 are
+    u^12 and u^4 times the old ones. n is the least integer that leaves
+    neither nonzero coefficient a pole; it is negative where the given model
+    is not minimal, and positive at a pole."""
+    n = max(-(_order_at(fn, b) // w) for fn, w in ((model.a, 4), (model.b, 6)) if not fn.is_zero)
     ord_delta = _order_at(model.discriminant, b) + 12 * n
     c4 = model.c4
     ord_c4 = None if c4.is_zero else _order_at(c4, b) + 4 * n
@@ -500,8 +495,8 @@ class GraphOnQuartic:
         t0, w0 = self.generator
         if w0 * w0 != q(t0):
             raise DomainError(f"generator ({t0}, {w0}) is not on the covering curve")
-        cover = QuarticModel(tuple(q.coefficient(i) for i in range(5)), InfinityBranch(1))
-        curve, fwd, inv = quartic_to_weierstrass(cover)
+        a, c, fwd, inv, _e2 = quartic_to_weierstrass(tuple(q.coefficient(i) for i in range(5)))
+        curve = EllipticCurve(a, c)
         g = fwd(t0, w0)
         if g.is_infinity:
             raise UnsupportedRepresentation("generator maps to the group origin")
@@ -515,14 +510,16 @@ class GraphOnQuartic:
                     b, wk = inv(pk)
                 except MapUndefined:
                     continue
-                _fiber, chart, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
+                _a, _c, chart, _inv, _e2 = quartic_to_weierstrass(
+                    [f(b) for f in self.fiber_coeffs], self.sign
+                )
                 out.append((b, chart(self.p(b), wk * r(b))))
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
         roots, _none = small_field_roots(Poly([-graph_cover_poly(self)(b), 0, 1]), "w")
-        chart_curve, fwd, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
-        if chart_curve != fiber:
+        a, c, fwd, _inv, _e2 = quartic_to_weierstrass([f(b) for f in self.fiber_coeffs], self.sign)
+        if (a, c) != (fiber.a, fiber.b):
             raise DomainError("graph multisection is attached to a different fibration")
         z0 = self.p(b)
         return [(fwd(z0, w), mult) for w, mult in roots]
@@ -537,8 +534,8 @@ class GraphOnQuartic:
         marked branch inf+ is the origin, so the cycle sums to inf-, which
         the chart sends to e2; with w = 0 the cycle is 2(z0, 0) and the
         identity is the same. The trace does not depend on p."""
-        a, b_coeff, e2 = infinity_branch_weierstrass([c(b) for c in self.fiber_coeffs], self.sign)
-        if (a, b_coeff) != (fiber.a, fiber.b):
+        a, c, _fwd, _inv, e2 = quartic_to_weierstrass([f(b) for f in self.fiber_coeffs], self.sign)
+        if (a, c) != (fiber.a, fiber.b):
             raise DomainError("graph multisection is attached to a different fibration")
         return e2
 
@@ -548,7 +545,8 @@ class GraphOnQuartic:
             raise DomainError("graph multisection lies on the branch locus")
 
         def locate(b):
-            _curve, fwd, _inv = fiber_chart(self.fiber_coeffs, b, self.sign)
+            fiber = [f(b) for f in self.fiber_coeffs]
+            _a, _c, fwd, _inv, _e2 = quartic_to_weierstrass(fiber, self.sign)
             return b, fwd(self.p(b), b * 0)
 
         target = model.discriminant.num
@@ -600,16 +598,6 @@ def graph_cover_poly(m: GraphOnQuartic) -> Poly:
     """G(t) = F(t, p(t)): the polynomial whose square roots give the fiber
     points of the graph multisection."""
     return quartic_on_graph(m.fiber_coeffs, m.p)
-
-
-def fiber_chart(coeffs, t0, sign: int = 1):
-    """Weierstrass conversion (curve, fwd, inv) of the fiber w^2 = F(t0, z)
-    of F(t, z) = sum_i coeffs[i](t) z^i, marked at its branch at z = infinity.
-
-    fwd maps quartic points (z, w) onto the Weierstrass fiber, inv goes back;
-    the marked branch is the fiber's origin."""
-    quartic = QuarticModel(tuple(c(t0) for c in coeffs), InfinityBranch(sign))
-    return quartic_to_weierstrass(quartic)
 
 
 def _check_support(curve: EllipticCurve, support) -> None:

@@ -157,8 +157,13 @@ class TestExitCodes:
                 {"num": ["1"], "den": ["0", "0", "0", "0", "0", "0", "1"]},
                 "b=0: ordΔ=0, I0, irreducible",
             ),
+            (
+                {"num": ["0", "0", "0", "0", "1"]},
+                {"num": ["0", "0", "0", "0", "0", "0", "1"]},
+                "b=0: ordΔ=0, I0, irreducible",
+            ),
         ],
-        ids=["a=1/t", "a=t^-4,b=t^-6"],
+        ids=["a=1/t", "a=t^-4,b=t^-6", "a=t^4,b=t^6"],
     )
     def test_analyze_classifies_a_coefficient_pole(self, tmp_path, capsys, a, b, row):
         path = write_spec(tmp_path, json.dumps({"fibration": {"a": a, "b": b}}))
@@ -171,6 +176,34 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "singular fibers: none" in out
         assert "b=-2: point=(1, 0), salient" in out
+
+    def test_analyze_graph_branch_point_on_a_singular_fiber(self, tmp_path, capsys):
+        # F = z^4 + z^2 + t^2 and z = 0: G = t^2 branches at t = 0, where the
+        # fiber quartic z^4 + z^2 has a double root; the chart still maps it
+        path = write_spec(
+            tmp_path,
+            """{"fibration": {"a": {"num": ["-1/3", "0", "-4"]}, "b": {"num": ["2/27", "0", "-8/3"]}},
+                "multisection": {"kind": "graph_on_quartic", "p": ["0"],
+                                 "fiber_coeffs": [["0", "0", "1"], ["0"], ["1"], ["0"], ["1"]]}}""",
+        )
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out.endswith("ramification:\nb=0: point=(1/3, 0), not salient\n")
+
+    def test_densify_graph_skips_points_on_singular_fibers(self, tmp_path, capsys):
+        # the same F with z = t + 1: multiples of the generator (-1, 1) on the
+        # covering curve land on the singular fibers t = -1/2 and t = 1/2
+        path = write_spec(
+            tmp_path,
+            """{"fibration": {"a": {"num": ["-1/3", "0", "-4"]}, "b": {"num": ["2/27", "0", "-8/3"]}},
+                "multisection": {"kind": "graph_on_quartic", "p": ["1", "1"], "generator": ["-1", "1"],
+                                 "fiber_coeffs": [["0", "0", "1"], ["0"], ["1"], ["0"], ["1"]]},
+                "params": {"height_bound": 2}}""",
+        )
+        assert main(["densify", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("fibers attempted: 4\nfibers certified: 1\n")
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        skipped = [(f["b"], f["reason"]) for f in report["per_fiber"] if f["verdict"] == "skipped"]
+        assert skipped == [("-1/2", "singular"), ("1/2", "singular")]
 
     def test_analyze_unresolved_factor_line(self, tmp_path, capsys):
         # y^2 = x^3 + (t^3 + 2) meets x = 0 over the roots of t^3 + 2, a cubic
@@ -237,18 +270,36 @@ class TestExitCodes:
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("case", ["nested too deeply", "not UTF-8", "out under a file"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "nested too deeply",
+            "not UTF-8",
+            "out under a file",
+            "report.json is a directory",
+            "points.csv is a directory",
+            "bitangents.json is a directory",
+        ],
+    )
     def test_unusable_spec_or_out_exit_2(self, tmp_path, capsys, case):
         path, argv = tmp_path / "run.json", ["densify", str(tmp_path / "run.json")]
-        field = "out" if case == "out under a file" else "spec"
+        field = "spec" if case in ("nested too deeply", "not UTF-8") else "out"
         if case == "nested too deeply":
             path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
         elif case == "not UTF-8":
             path.write_bytes(WORKED_TEXT.replace('"1"', '"\xff"').encode("latin-1"))
+        elif case == "bitangents.json is a directory":
+            path.write_text(CONE_TEXT, encoding="utf-8")
+            argv = ["enriques-bitangents", str(path), "--out", str(tmp_path / "out")]
+            (tmp_path / "out" / "bitangents.json").mkdir(parents=True)
         else:
             path.write_text(WORKED_TEXT.replace('"height_bound": 10', '"height_bound": 2'), encoding="utf-8")
-            (tmp_path / "file").write_text("", encoding="utf-8")
-            argv += ["--out", str(tmp_path / "file" / "out")]
+            if case == "out under a file":
+                (tmp_path / "file").write_text("", encoding="utf-8")
+                argv += ["--out", str(tmp_path / "file" / "out")]
+            else:
+                (tmp_path / "out" / case.split()[0]).mkdir(parents=True)
+                argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid spec field '{field}': ")
 

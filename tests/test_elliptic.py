@@ -13,7 +13,6 @@ from fibdense.errors import (
     DomainError,
     MapUndefined,
     NoSquareRoot,
-    NotSquarefree,
     PointNotOnCurve,
 )
 from fibdense.elliptic import (
@@ -21,15 +20,12 @@ from fibdense.elliptic import (
     MAZUR_ORDERS,
     EllipticCurve,
     InfiniteOrder,
-    InfinityBranch,
     Point,
-    QuarticModel,
     Torsion,
     ec_add,
     ec_mul,
     ec_neg,
     ec_sub,
-    infinity_branch_weierstrass,
     j_invariant,
     quartic_j_invariant,
     quartic_to_weierstrass,
@@ -366,17 +362,20 @@ def test_conjugate_pair_addition_lands_in_q():
 # -- quartic models --
 
 
+def _quartic_curve(coeffs, sign=1):
+    a, b, _fwd, _inv, _e2 = quartic_to_weierstrass(coeffs, sign)
+    return EllipticCurve(a, b)
+
+
 def test_quartic_model_validation():
-    with pytest.raises(NotSquarefree):
-        QuarticModel((F(1), F(0), F(2), F(0), F(1)), InfinityBranch(1))  # (z^2+1)^2
-    with pytest.raises(PointNotOnCurve):
-        QuarticModel((F(1), F(0), F(0), F(0), F(1)), (F(1), F(1)))
-    with pytest.raises(NoSquareRoot):
-        QuarticModel((F(1), F(1), F(0), F(0), F(3)), InfinityBranch(1))
-    with pytest.raises(NoSquareRoot):
-        QuarticModel((F(0), F(9), F(0), F(1), F(0)), InfinityBranch(1))
     with pytest.raises(DomainError):
-        QuarticModel((F(1), F(1), F(1), F(0), F(0)), (F(0), F(1)))  # degree 2
+        _quartic_curve((F(1), F(0), F(2), F(0), F(1)))  # (z^2+1)^2
+    with pytest.raises(NoSquareRoot):
+        quartic_to_weierstrass((F(1), F(1), F(0), F(0), F(3)))
+    with pytest.raises(NoSquareRoot):
+        quartic_to_weierstrass((F(0), F(9), F(0), F(1), F(0)))  # no branch at infinity
+    with pytest.raises(NoSquareRoot):
+        quartic_to_weierstrass((F(1), F(1), F(1), F(0), F(0)))  # degree 2
 
 
 def _expand(*factors) -> tuple:
@@ -388,16 +387,16 @@ def _expand(*factors) -> tuple:
 
 def test_quartic_model_rejects_repeated_roots_over_q():
     z = poly([0, 1])
-    for coeffs, marked in [
-        (_expand(z - 1, z - 1, z * z + 1), (F(1), F(0))),
-        (_expand(z - 2, z - 2, z - 3, z + 5), (F(2), F(0))),
-        (_expand(z - 1, z - 1, z + 2), (F(1), F(0))),  # a cubic: q4 = 0
-        (_expand(2 * z + 1, 2 * z + 1, z), (F(0), F(0))),
+    for coeffs in [
+        _expand(z - 1, z - 1, z * z + 1),
+        _expand(z - 2, z - 2, z - 3, z + 5),
+        _expand(2 * z + 1, 2 * z + 1, z, z - 1),
+        _expand(z * z + 2, z * z + 2),
     ]:
-        with pytest.raises(NotSquarefree):
-            QuarticModel(coeffs, marked)
-    # the cubic with simple roots is a valid model
-    QuarticModel(_expand(z - 1, z + 1, z + 2), (F(1), F(0)))
+        with pytest.raises(DomainError):
+            _quartic_curve(coeffs)
+    # simple roots give a curve
+    _quartic_curve(_expand(z - 1, z + 1, z + 2, 4 * z - 1))
 
 
 def test_quartic_model_rejects_repeated_roots_over_q_t():
@@ -406,56 +405,53 @@ def test_quartic_model_rejects_repeated_roots_over_q_t():
     for coeffs in [
         # (z - t)^2 (z^2 + t): a double root at z = t
         (t**3, -2 * t * t, t * t + t, -2 * t, one),
-        # (z - t)^2 (z + 1): a cubic over Q(t) with a double root
-        (t * t, t * t - 2 * t, 1 - 2 * t, one, zero),
+        # (z - t)^2 (z^2 - 1): a double root at z = t
+        (-t * t, 2 * t, t * t - 1, -2 * t, one),
     ]:
-        with pytest.raises(NotSquarefree):
-            QuarticModel(coeffs, (t, zero))
+        with pytest.raises(DomainError):
+            _quartic_curve(coeffs)
     # (z - t)(z + t)(z^2 + 1) has distinct roots over Q(t)
-    QuarticModel((-t * t, zero, 1 - t * t, zero, one), InfinityBranch(1))
+    _quartic_curve((-t * t, zero, 1 - t * t, zero, one))
 
 
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @st.composite
-def _quartic_with_point(draw):
-    """(q0, ..., q4) of degree 3 or 4 with a marked point on w^2 = q(z);
-    half of them have a planted double root."""
+def _square_lead_quartic(draw):
+    """(q0, ..., q4) with q4 a nonzero square; half of them have a planted
+    double root."""
+    lead = draw(st.sampled_from([F(1), F(4), F(9, 4)]))
     if draw(st.booleans()):
         r = draw(_small)
-        rest = Poly([draw(_small), draw(_small), draw(_small)])
-        coeffs = _expand(Poly([-r, 1]), Poly([-r, 1]), rest)
-        marked = (r, F(0))
-    else:
-        w0 = draw(_small)
-        coeffs = (w0 * w0, draw(_small), draw(_small), draw(_small), draw(_small))
-        marked = (F(0), w0)
-    assume(coeffs[3] or coeffs[4])
-    return coeffs, marked
+        return _expand(Poly([-r, 1]), Poly([-r, 1]), Poly([draw(_small), draw(_small), lead]))
+    return (draw(_small), draw(_small), draw(_small), draw(_small), lead)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_quartic_with_point())
-def test_quartic_squarefree_check_agrees_with_gcd(case):
-    coeffs, marked = case
+@given(_square_lead_quartic(), st.sampled_from([1, -1]))
+def test_quartic_squarefree_check_agrees_with_gcd(coeffs, sign):
+    """EllipticCurve(a, b) is the squarefree check: it raises exactly when
+    gcd(q, q') is nonconstant."""
     q = Poly(coeffs)
     repeated = poly_gcd(q, q.derivative()).degree > 0
     try:
-        QuarticModel(coeffs, marked)
-    except NotSquarefree:
+        _quartic_curve(coeffs, sign)
+    except DomainError:
         assert repeated
     else:
         assert not repeated
 
 
 def test_quartic_spec_example_j_1728():
-    M = QuarticModel((F(1), F(0), F(0), F(0), F(1)), (F(0), F(1)))
-    curve, fwd, _ = quartic_to_weierstrass(M)
+    coeffs = (F(1), F(0), F(0), F(0), F(1))
+    a, b, fwd, _inv, e2 = quartic_to_weierstrass(coeffs)
+    curve = EllipticCurve(a, b)
     assert curve == EllipticCurve(F(-4), F(0))
     assert j_invariant(curve) == 1728
-    assert quartic_j_invariant(M.coeffs) == 1728
-    assert fwd(F(0), F(1)) == INFINITY
+    assert quartic_j_invariant(coeffs) == 1728
+    assert fwd(F(0), F(1)) == Point(F(2), F(0))
+    assert e2 == Point(F(0), F(0))
 
 
 def test_j_invariants_on_int_coefficients_are_exact():
@@ -473,18 +469,17 @@ def test_j_invariants_on_int_coefficients_are_exact():
 
 
 MODELS = [
-    # (model, seed quartic point) — one per reduction route
-    (QuarticModel((F(1), F(1), F(1), F(1), F(1)), (F(3), F(11))), (F(0), F(1))),
-    (QuarticModel((F(1), F(1), F(1), F(1), F(1)), InfinityBranch(1)), (F(0), F(1))),
-    (QuarticModel((F(1), F(1), F(1), F(1), F(1)), InfinityBranch(-1)), (F(0), F(-1))),
-    (QuarticModel((F(0), F(9), F(0), F(1), F(0)), (F(0), F(0))), (F(4), F(10))),
+    # (coefficients, sign, seed quartic point): the two branches at infinity
+    ((F(1), F(1), F(1), F(1), F(1)), 1, (F(0), F(1))),
+    ((F(1), F(1), F(1), F(1), F(1)), -1, (F(0), F(-1))),
 ]
 
 
-@pytest.mark.parametrize("model,seed", MODELS, ids=["finite", "inf+", "inf-", "cubic"])
-def test_quartic_roundtrip_on_100_points(model, seed):
-    curve, fwd, inv = quartic_to_weierstrass(model)
-    rhs = Poly(model.coeffs)
+@pytest.mark.parametrize("coeffs,sign,seed", MODELS, ids=["inf+", "inf-"])
+def test_quartic_roundtrip_on_100_points(coeffs, sign, seed):
+    a, b, fwd, inv, e2 = quartic_to_weierstrass(coeffs, sign)
+    curve = EllipticCurve(a, b)
+    rhs = Poly(coeffs)
     g = fwd(*seed)
     assert curve.contains(g)
     assert torsion_certify(curve, g) == InfiniteOrder()
@@ -500,19 +495,15 @@ def test_quartic_roundtrip_on_100_points(model, seed):
         assert w * w == rhs(z)
         assert fwd(z, w) == pt
         checked += 1
-    # marked point goes to Infinity and, when finite, comes back exactly
-    if not isinstance(model.marked, InfinityBranch):
-        assert fwd(*model.marked) == INFINITY
-        assert inv(INFINITY) == model.marked
-    else:
+    # the two branches at infinity have no finite preimage
+    for pt in (INFINITY, e2):
         with pytest.raises(MapUndefined):
-            inv(INFINITY)
+            inv(pt)
 
 
-@pytest.mark.parametrize("model,seed", MODELS, ids=["finite", "inf+", "inf-", "cubic"])
-def test_quartic_j_preserved(model, seed):
-    curve, _, _ = quartic_to_weierstrass(model)
-    assert quartic_j_invariant(model.coeffs) == j_invariant(curve)
+@pytest.mark.parametrize("coeffs,sign,seed", MODELS, ids=["inf+", "inf-"])
+def test_quartic_j_preserved(coeffs, sign, seed):
+    assert quartic_j_invariant(coeffs) == j_invariant(_quartic_curve(coeffs, sign))
 
 
 def test_quartic_j_preserved_on_random_models():
@@ -521,20 +512,16 @@ def test_quartic_j_preserved_on_random_models():
     while built < 50:
         coeffs = tuple(F(rng.randint(-6, 6)) for _ in range(4)) + (F(rng.choice([1, 4, 9])),)
         try:
-            model = QuarticModel(coeffs, InfinityBranch(rng.choice([1, -1])))
-        except (NotSquarefree, DomainError):
+            curve = _quartic_curve(coeffs, rng.choice([1, -1]))
+        except DomainError:
             continue
-        curve, _, _ = quartic_to_weierstrass(model)
         assert quartic_j_invariant(coeffs) == j_invariant(curve)
         built += 1
 
 
 def test_quartic_branches_map_to_distinct_curve_points():
-    # the two infinity branches give Infinity and a 2-torsion-like point e2
-    model_plus = QuarticModel((F(1), F(1), F(1), F(1), F(1)), InfinityBranch(1))
-    curve, fwd, inv = quartic_to_weierstrass(model_plus)
-    # a point with w = -P(z) collapses forward to the e2 fiber; its x must be b2/12-shifted 0
-    # sanity: inverse is undefined exactly there
+    a, b, fwd, _inv, _e2 = quartic_to_weierstrass((F(1), F(1), F(1), F(1), F(1)))
+    curve = EllipticCurve(a, b)
     seedp = fwd(F(0), F(1))
     seedm = fwd(F(0), F(-1))
     assert seedp != seedm
@@ -555,18 +542,15 @@ _T = ratfn([0, 1])
     ids=["q", "q-lead-4", "q(t)"],
 )
 def test_infinity_branch_weierstrass_matches_quartic_model(coeffs, sign):
-    curve, _, _ = quartic_to_weierstrass(QuarticModel(coeffs, InfinityBranch(sign)))
-    a, b, e2 = infinity_branch_weierstrass(coeffs, sign)
-    assert (a, b) == (curve.a, curve.b)
+    """The Weierstrass model marked at a branch at infinity matches the
+    quartic w^2 = q(z): the same j-invariant, Delta = 16 disc_z(q), and the
+    unmarked branch's image e2 on the curve."""
+    a, b, _fwd, inv, e2 = quartic_to_weierstrass(coeffs, sign)
+    curve = EllipticCurve(a, b)
     assert curve.contains(e2)
-    # the unmarked branch is the point (0, -root) of the reversed chart
-    # W^2 = q4 + q3 s + ... + q0 s^4, s = 1/z, whose model marked at (0, root)
-    # reduces through the same branch
-    zero, root = coeffs[0] * 0, sign * elliptic._sqrt_element(coeffs[4])
-    reversed_model = QuarticModel(tuple(reversed(coeffs)), (zero, root))
-    reversed_curve, reversed_fwd, _ = quartic_to_weierstrass(reversed_model)
-    assert reversed_curve == curve
-    assert reversed_fwd(zero, -root) == e2
+    with pytest.raises(MapUndefined):
+        inv(e2)
+    assert j_invariant(curve) == quartic_j_invariant(coeffs)
     # Delta = 16 disc_z(q), and 4I^3 - J^2 = 27 disc_z(q)
     i_inv, j_inv = elliptic._quartic_invariants(coeffs)
     assert 27 * curve.discriminant == 16 * (4 * i_inv**3 - j_inv**2)

@@ -16,10 +16,10 @@ from fibdense import enriques
 from fibdense.elliptic import (
     EllipticCurve,
     Point,
-    QuarticModel,
     ec_mul,
     j_invariant,
     quartic_j_invariant,
+    quartic_to_weierstrass,
 )
 from fibdense.enriques import (
     BitangentReport,
@@ -53,7 +53,6 @@ from fibdense.fibration import (
     GraphOnQuartic,
     TorsionEvidence,
     ZeroSection,
-    fiber_chart,
     section_difference_order,
     specialize,
 )
@@ -417,7 +416,7 @@ class TestSectionCover:
         assert cover.genus == 1
         assert cover.odd_part == quartic
         assert cover.square_part == poly([-1, 0, 1])
-        assert isinstance(cover.model, QuarticModel)
+        assert cover.model == (F(2), F(0), F(0), F(0), F(1))
         assert [(t.t, t.z) for t in cover.tangencies] == [(F(-1), F(0)), (F(1), F(0))]
 
     def test_one_double_root_sextic(self):
@@ -484,15 +483,6 @@ class TestK3Model:
         k3_weierstrass_model(FD)
         assert calls == [FibrationModel]
 
-    def test_builds_no_quartic_model(self, monkeypatch):
-        built = []
-        check = QuarticModel.__post_init__
-        monkeypatch.setattr(QuarticModel, "__post_init__", lambda self: built.append(self) or check(self))
-        cone = ConeQuartic({(0, 0, 0, 4): 2, (1, 1, 2, 0): 1, (4, 0, 0, 0): -2})
-        k3_weierstrass_model(FD)
-        k3_weierstrass_model(restrict_quartic_to_cone(cone), allow_quadratic_twist_extension=True)
-        assert built == []
-
     def test_non_square_lead_needs_flag(self):
         cone = ConeQuartic({(0, 0, 0, 4): 2, (1, 1, 2, 0): 1, (4, 0, 0, 0): -2})
         data = restrict_quartic_to_cone(cone)
@@ -525,7 +515,8 @@ class TestK3Model:
         k3 = k3_weierstrass_model(FD)
         checked = 0
         for t0 in (F(2), F(3), F(1, 2)):
-            curve, fwd, inv = fiber_chart(k3.fiber_coeffs, t0)
+            a, b, fwd, inv, _e2 = quartic_to_weierstrass(tuple(c(t0) for c in k3.fiber_coeffs))
+            curve = EllipticCurve(a, b)
             assert curve == specialize(k3.fibration, t0)
             base = Point(2 * t0 * t0, 4 * t0)
             assert curve.contains(base)

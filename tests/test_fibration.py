@@ -11,9 +11,7 @@ import pytest
 from fibdense.elliptic import (
     INFINITY,
     EllipticCurve,
-    InfinityBranch,
     Point,
-    QuarticModel,
     ec_mul,
     ec_sub,
     j_invariant,
@@ -353,12 +351,8 @@ def engineered_bitangent_pair():
         p=poly([0, 0, 1]),
         fiber_coeffs=(f0, poly([0]), f2, poly([0]), poly([1])),
     )
-    model = QuarticModel(
-        (RatFn(f0), RatFn(0), RatFn(f2), RatFn(0), RatFn(1)),
-        InfinityBranch(1),
-    )
-    curve, _fwd, _inv = quartic_to_weierstrass(model)
-    fib = FibrationModel(curve.a, curve.b)
+    a, b, _fwd, _inv, _e2 = quartic_to_weierstrass((RatFn(f0), RatFn(0), RatFn(f2), RatFn(0), RatFn(1)))
+    fib = FibrationModel(a, b)
     return fib, gq
 
 

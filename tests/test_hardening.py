@@ -1,8 +1,8 @@
 """Contracts at the edges: the torsion order loop at its bound and against a
 plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
-behind the CLI, the pinned trisection defect, and the bans on assert and on
-json's indent encoder in the package."""
+behind the CLI, the pinned trisection defect, the bans on assert and on
+json's indent encoder in the package, and the tracer-only imports."""
 
 from __future__ import annotations
 
@@ -483,6 +483,39 @@ def test_every_method_is_referenced():
         if f"{cls}.{name}" not in UNREFERENCED_METHODS_ALLOWED and name not in reads
     )
     assert not unreferenced, f"methods and properties nothing in fibdense reads: {unreferenced}"
+
+
+TRACER_ONLY = "# unused here; bench/tracing.py wraps this name"
+
+
+def test_tracer_only_imports_are_unread_and_wrapped():
+    # an import kept only for the bench's tracer must be unread in its module,
+    # or the comment is stale, and must have a PATCHES entry for that module,
+    # or nothing wraps it and the import is dead
+    root = pathlib.Path(fibdense.__file__).parent
+    tracing = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    (patches,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PATCHES"
+    )
+    wrapped = {(module, attr) for module, attr, _span in patches}
+    stale = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text, filename=str(path))
+        parts = path.relative_to(root).with_suffix("").parts
+        module = ".".join(("fibdense",) + (parts[:-1] if parts[-1] == "__init__" else parts))
+        reads = {
+            sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            for alias in node.names if isinstance(node, ast.ImportFrom) else ():
+                name = alias.asname or alias.name
+                marked = lines[alias.lineno - 1].rstrip().endswith(TRACER_ONLY)
+                if marked and (name in reads or (module, name) not in wrapped):
+                    stale.append(f"{module}.{name}")
+    assert not stale, f"tracer-only imports that are read or that nothing wraps: {stale}"
 
 
 _MULTISECTIONS = "ZeroSection ConstantX Parametrized GraphOnQuartic SplitList"

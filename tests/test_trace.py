@@ -19,9 +19,7 @@ from fibdense.cli import main
 from fibdense.elliptic import (
     INFINITY,
     EllipticCurve,
-    InfinityBranch,
     Point,
-    QuarticModel,
     _add_unchecked,
     _mul_unchecked,
     quartic_to_weierstrass,
@@ -292,9 +290,8 @@ def test_split_list_off_the_fibration_is_refused():
 def _graph_case(f, lead, p, sign):
     coeffs = tuple(poly(c) for c in f) + (poly([lead]),)
     try:
-        quartic = QuarticModel(tuple(RatFn(c) for c in coeffs), InfinityBranch(sign))
-        curve, _fwd, _inv = quartic_to_weierstrass(quartic)
-        model = FibrationModel(curve.a, curve.b)
+        a, b, _fwd, _inv, _e2 = quartic_to_weierstrass(tuple(RatFn(c) for c in coeffs), sign)
+        model = FibrationModel(a, b)
     except DomainError:
         assume(False)
     return model, GraphOnQuartic(poly(p), coeffs, sign)
