@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .density import densify, report_to_csv, report_to_json
+from .density import _json_list, _rationals_json, densify, report_to_csv, report_to_json
 from .enriques import (
     BitangentReport,
     bitangent_sections,
@@ -34,6 +34,7 @@ from .exactmath import NumFieldElement, enumerate_rationals, rat_to_string
 from .fibration import (
     NonTorsion,
     Order,
+    SplitList,
     TorsionEvidence,
     ZeroSection,
     fiber_type,
@@ -42,25 +43,6 @@ from .fibration import (
     specialize,
 )
 from .specfile import RunSpec, parse_spec
-
-
-def _render_point(p) -> str:
-    if p.is_infinity:
-        return "Infinity"
-    return f"({p.x}, {p.y})"
-
-
-def _json_list(items, indent: int) -> str:
-    """The rendered items as a JSON list laid out as json.dumps(indent=2)
-    lays it out at the given indentation."""
-    if not items:
-        return "[]"
-    pad = " " * indent
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
-
-
-def _rationals_json(values, indent: int) -> str:
-    return _json_list([f'"{rat_to_string(c)}"' for c in values], indent)
 
 
 def _scalar_json(value, indent: int) -> str:
@@ -161,7 +143,7 @@ def _cmd_analyze(spec: RunSpec) -> int:
     print("ramification:" + (" none" if empty else ""))
     for rp in report.points:
         tag = "salient" if rp.salient else "not salient"
-        print(f"b={rp.b}: point={_render_point(rp.point)}, {tag}")
+        print(f"b={rp.b}: point={rp.point}, {tag}")
     for u in report.unresolved:
         tag = "all roots singular" if u.all_singular else "roots undecided"
         print(f"unresolved factor {u.factor}: {tag}")
@@ -254,10 +236,11 @@ def _cmd_enriques_model(spec: RunSpec) -> int:
     k3 = k3_weierstrass_model(data, spec.allow_quadratic_twist_extension)
     print(f"a(t) = {k3.fibration.a}")
     print(f"b(t) = {k3.fibration.b}")
-    print(f"e2 = ({k3.e2.x}, {k3.e2.y})")
+    print(f"e2 = {k3.e2}")
     print(f"twist = {rat_to_string(k3.twist)}")
     samples = list(spec.samples) if spec.samples else _default_difference_samples(k3.fibration)
-    verdict = section_difference_order(k3.fibration, ZeroSection(), (k3.e2.x, k3.e2.y), samples)
+    e2 = SplitList(((k3.e2.x, k3.e2.y),))
+    verdict = section_difference_order(k3.fibration, ZeroSection(), e2, samples)
     rendered = ", ".join(rat_to_string(b) for b in samples)
     if isinstance(verdict, TorsionEvidence):
         print(f"e1 - e2: TorsionEvidence(order={verdict.order}) (samples {rendered})")

@@ -163,11 +163,22 @@ def densify(model, m, height_bound: int, k_max: int = 5):
 # -- serialization --
 
 
+def _json_list(items, indent: int) -> str:
+    """The rendered items as a JSON list laid out as json.dumps(indent=2)
+    lays it out at the given indentation."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _rationals_json(values, indent: int) -> str:
+    return _json_list([f'"{rat_to_string(c)}"' for c in values], indent)
+
+
 def _point_text(p: Point) -> str:
     """A fiber entry's base or tau, at the entry's indentation."""
-    if p.is_infinity:
-        return '"inf"'
-    return f'[\n        "{rat_to_string(p.x)}",\n        "{rat_to_string(p.y)}"\n      ]'
+    return '"inf"' if p.is_infinity else _rationals_json((p.x, p.y), 6)
 
 
 def report_to_json(report: DensityReport, out) -> None:
@@ -190,16 +201,15 @@ def report_to_json(report: DensityReport, out) -> None:
         else:
             verdict = f'"skipped",\n      "reason": {json.dumps(v.reason)}'
         tau = "null" if r.tau is None else _point_text(r.tau)
-        points = ",\n".join(
-            f'        {{\n          "k": {k},\n          "x": "{rat_to_string(pt.x)}",\n'
+        points = [
+            f'{{\n          "k": {k},\n          "x": "{rat_to_string(pt.x)}",\n'
             f'          "y": "{rat_to_string(pt.y)}"\n        }}'
             for k, pt in o.points
-        )
-        points = f"[\n{points}\n      ]" if points else "[]"
+        ]
         out.write(
             f'{sep}    {{\n      "b": "{rat_to_string(o.b)}",\n      "verdict": {verdict},\n'
             f'      "base": {_point_text(r.base)},\n      "tau": {tau},\n'
-            f'      "points": {points}\n    }}'
+            f'      "points": {_json_list(points, 6)}\n    }}'
         )
         sep = ",\n"
     out.write("\n  ]\n}\n" if report.per_fiber else "]\n}\n")

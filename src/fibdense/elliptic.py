@@ -53,7 +53,7 @@ class Point:
 
     def __repr__(self):
         if self.is_infinity:
-            return "inf"
+            return "Infinity"
         return f"({self.x}, {self.y})"
 
 
@@ -302,11 +302,9 @@ def _integral_scale(curve: EllipticCurve, p: Point) -> int | None:
 
 
 def _sqrt_element(x):
-    """Exact square root of a field element; NoSquareRoot when none exists."""
+    """Exact square root of a rational or a constant RatFn; NoSquareRoot otherwise."""
     if isinstance(x, _RATIONAL):
         return rat_sqrt(Fraction(x))
-    if isinstance(x, NumFieldElement):
-        return x.field.sqrt(x)
     if isinstance(x, RatFn):
         if x.is_constant:
             return RatFn(rat_sqrt(x.as_fraction()))

@@ -43,18 +43,13 @@ from .exactmath import (
     squarefree_decompose,  # unused here; bench/tracing.py wraps this name
     squarefree_part,
 )
+from .exactmath.poly import _as_coeff
 from .fibration import (
     FibrationModel,
     odd_square_split,
     quartic_on_graph,
     small_field_roots,
 )
-
-
-def _rat(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +74,7 @@ class ConeQuartic:
             e = tuple(int(x) for x in key)
             if len(e) != 4 or min(e) < 0 or sum(e) != 4:
                 raise DomainError(f"{key!r} is not a degree-4 monomial exponent")
-            v = _rat(value)
+            v = _as_coeff(value)
             if not isinstance(v, Fraction):
                 raise DomainError("cone quartic coefficients must be rational")
             if v:
@@ -159,16 +154,13 @@ class SectionConic:
     c2: object
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", _rat(self.c0))
-        object.__setattr__(self, "c1", _rat(self.c1))
-        object.__setattr__(self, "c2", _rat(self.c2))
+        object.__setattr__(self, "c0", _as_coeff(self.c0))
+        object.__setattr__(self, "c1", _as_coeff(self.c1))
+        object.__setattr__(self, "c2", _as_coeff(self.c2))
 
     @property
     def as_poly(self) -> Poly:
         return Poly([self.c0, self.c1, self.c2])
-
-    def value(self, t0):
-        return self.as_poly(t0)
 
 
 @dataclass(frozen=True)
@@ -198,7 +190,6 @@ class BitangentCandidate:
     section: SectionConic
     parameter: object  # position on the tangent line
     second_tangencies: tuple  # (t1, z1) pairs over Q or a quadratic field
-    unresolved: tuple  # tangency factors needing fields of degree > 2
 
 
 @dataclass(frozen=True)
@@ -304,13 +295,6 @@ def branch_discriminant(data: RamificationData) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def section_intersection_poly(data: RamificationData, s: SectionConic) -> Poly:
-    """G_s(t) = F(t, s(t)): the degree <= 8 intersection divisor of a section
-    with the branch curve; degree deficits account for intersections in the
-    swapped chart at t = infinity."""
-    return quartic_on_graph(data.coeffs, s.as_poly)
-
-
 def tangent_line(data: RamificationData, point) -> TangentLine:
     """The one-parameter family of sections tangent to the branch curve at a
     smooth, non-vertical point.
@@ -318,7 +302,7 @@ def tangent_line(data: RamificationData, point) -> TangentLine:
     The two linear conditions p(t0) = z0 and p'(t0) = -F_t/F_z cut the
     3-space of conic sections down to an affine line.
     """
-    t0, z0 = _rat(point[0]), _rat(point[1])
+    t0, z0 = _as_coeff(point[0]), _as_coeff(point[1])
     slice_at = data.z_slice(t0)
     if slice_at(z0) != 0:
         raise NotOnR(f"({t0}, {z0}) is not on the branch curve")
@@ -353,7 +337,7 @@ def _verify_candidate(data: RamificationData, line: TangentLine, lam):
     """Independent double-root check: gcd(G, G') must witness two distinct
     tangency points.  Returns a verified candidate or None."""
     s = line.at(lam)
-    g = section_intersection_poly(data, s)
+    g = quartic_on_graph(data.coeffs, s.as_poly)
     if g.is_zero:
         return None
     doubled = poly_gcd(g, g.derivative())
@@ -366,16 +350,16 @@ def _verify_candidate(data: RamificationData, line: TangentLine, lam):
     if distinct(t0):
         return None
     others = distinct.exact_div(Poly([-t0, Fraction(1)]))
-    roots, unresolved = small_field_roots(others, "s")
-    second = tuple((t1, s.value(t1)) for t1, _mult in roots)
-    return BitangentCandidate(s, lam, second, tuple(unresolved))
+    roots, _unresolved = small_field_roots(others, "s")
+    second = tuple((t1, s.as_poly(t1)) for t1, _mult in roots)
+    return BitangentCandidate(s, lam, second)
 
 
 def _through_parameter(line: TangentLine, node):
-    tr, zr = _rat(node[0]), _rat(node[1])
+    tr, zr = _as_coeff(node[0]), _as_coeff(node[1])
     d0, d1, d2 = line.direction
     dir_val = d0 + d1 * tr + d2 * tr * tr
-    base_val = line.base.value(tr)
+    base_val = line.base.as_poly(tr)
     if dir_val:
         return (zr - base_val) / dir_val
     if base_val == zr:
@@ -475,7 +459,7 @@ def multisection_from_section(data: RamificationData, s: SectionConic) -> Sectio
     tangency points of the section, flagged salient when the surface fiber
     over them is smooth.
     """
-    g = section_intersection_poly(data, s)
+    g = quartic_on_graph(data.coeffs, s.as_poly)
     if g.is_zero:
         raise ZeroIntersection("the section lies inside the branch curve")
     q, r = odd_square_split(g)
@@ -484,7 +468,7 @@ def multisection_from_section(data: RamificationData, s: SectionConic) -> Sectio
     disc = branch_discriminant(data)
     roots, unresolved = small_field_roots(r, "c")
     tangencies = tuple(
-        Tangency(t0, s.value(t0), salient=bool(disc(t0) != 0)) for t0, _mult in roots
+        Tangency(t0, s.as_poly(t0), salient=bool(disc(t0) != 0)) for t0, _mult in roots
     )
     model = None
     if k == 4 and q.degree == 4 and isinstance(q.lead, Fraction) and is_square(q.lead):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import PoleAtParameter, ZeroInput
+from ..errors import ZeroInput
 from .poly import Poly, format_poly, poly_gcd
 
 _ONE = Poly([Fraction(1)])
@@ -136,11 +136,18 @@ class RatFn:
 
     # -- evaluation --
 
-    def __call__(self, t0: Fraction) -> Fraction:
-        d = self.den(t0)
-        if d == 0:
-            raise PoleAtParameter(f"pole at parameter {t0}")
-        return self.num(t0) / d
+    def __call__(self, s):
+        """The value at s over Q or a number field, s = None meaning s = infinity;
+        None at a pole. A constant gives a Fraction even at a number-field s."""
+        if s is None:
+            n, d = self.num.degree, self.den.degree
+            if n > d:
+                return None
+            return self.num.lead / self.den.lead if n == d else Fraction(0)
+        den = self.den(s)
+        if not den:
+            return None
+        return self.num(s) / den
 
     def __repr__(self):
         return str(self)

@@ -12,7 +12,9 @@ t-line. Each fiber cycle is Galois-stable, so its sum (the trace) is
 rational, and tau(p) = [d]p - trace is the workhorse class map. The
 functions on one fiber take the smooth fiber the caller specialized:
 fiber_cycle(m, fiber, b), trace_cycle(fiber, m, b) and
-tau_map(fiber, m, p, b).
+tau_map(fiber, m, p, b). A section is the degree-1 case: a section
+difference takes two multisections of degree 1 and reads each one's point
+on a fiber as its trace.
 
 No trace but a parametrized curve's takes a root. The zero section and
 x = c trace to O, and a graph to the image of the unmarked branch at
@@ -22,7 +24,7 @@ over Q, each conjugate pair by its chord; a split list's points are all
 rational or O, so it has no pair to form.
 
 Fiber points are only ever constructed over Q or quadratic fields, by one
-evaluation (_eval_ratfn) and one root splitter (small_field_roots).
+evaluation (RatFn.__call__) and one root splitter (small_field_roots).
 Anything needing a larger field raises TraceFieldTooLarge instead of
 approximating; ramification analysis reports higher-degree parameter
 factors unresolved, with an exact all-singular divisibility certificate.
@@ -112,7 +114,7 @@ class FibrationModel:
 def specialize(model: FibrationModel, b: Rat) -> EllipticCurve:
     """The fiber curve at t = b; PoleAtParameter at a pole of a or b,
     SingularFiberSkip when the fiber is singular."""
-    a, c = _eval_ratfn(model.a, b), _eval_ratfn(model.b, b)
+    a, c = model.a(b), model.b(b)
     if a is None or c is None:
         raise PoleAtParameter(f"coefficient pole at t = {b}")
     try:
@@ -159,29 +161,12 @@ def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
     return FiberType(ord_delta, ord_c4, "Other", None)
 
 
-# -- evaluation and roots over Q and quadratic fields --
-
-
-def _eval_ratfn(fn: RatFn, s):
-    """fn at s, over Q or a number field; s = None means s = infinity.
-
-    Returns None at a pole. A constant fn evaluates to a Fraction even at a
-    number-field s."""
-    if s is None:
-        n, d = fn.num.degree, fn.den.degree
-        if n > d:
-            return None
-        return fn.num.lead / fn.den.lead if n == d else Fraction(0)
-    den = fn.den(s)
-    if not den:
-        return None
-    return fn.num(s) / den
+# -- points and roots over Q and quadratic fields --
 
 
 def _eval_point(x_fn: RatFn, y_fn: RatFn, s) -> Point:
     """The point (x(s), y(s)), or INFINITY at a pole of either coordinate."""
-    xv = _eval_ratfn(x_fn, s)
-    yv = _eval_ratfn(y_fn, s)
+    xv, yv = x_fn(s), y_fn(s)
     return INFINITY if xv is None or yv is None else Point(xv, yv)
 
 
@@ -297,7 +282,7 @@ def _branch_report(model, branch_poly: Poly, name: str, locate, target: Poly):
     points = []
     for root, _mult in roots:
         b, pt = locate(root)
-        points.append(RamificationPoint(b, pt, b is not None and bool(_eval_ratfn(disc, b))))
+        points.append(RamificationPoint(b, pt, b is not None and bool(disc(b))))
     singular = (UnresolvedRamification(f, poly_gcd(f, target).degree == f.degree) for f in unresolved)
     return RamificationReport(tuple(points), tuple(singular))
 
@@ -401,7 +386,7 @@ class Parametrized:
         return [
             (tv, _eval_point(self.x, self.y, s))
             for s in enumerate_rationals(height_bound)
-            if (tv := _eval_ratfn(self.t, s)) is not None
+            if (tv := self.t(s)) is not None
         ]
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
@@ -438,7 +423,7 @@ class Parametrized:
 
         def locate(s):
             # ramification parameters are s-values; the report carries t-images
-            tv = _eval_ratfn(self.t, s)
+            tv = self.t(s)
             if isinstance(tv, NumFieldElement) and tv.is_rational:
                 tv = tv.as_fraction()
             return tv, _descend_point(_eval_point(self.x, self.y, s))
@@ -478,6 +463,14 @@ class GraphOnQuartic:
     def degree(self) -> int:
         return 2
 
+    def _chart(self, b, fiber: EllipticCurve | None = None):
+        """(forward, e2) of the fiber quartic's Weierstrass chart at t = b;
+        with the fiber, DomainError unless the chart's curve is that fiber."""
+        a, c, forward, _inv, e2 = quartic_to_weierstrass([f(b) for f in self.fiber_coeffs], self.sign)
+        if fiber is not None and (a, c) != (fiber.a, fiber.b):
+            raise DomainError("graph multisection is attached to a different fibration")
+        return forward, e2
+
     def points(self, model: FibrationModel, height_bound: int):
         """Multiples [+-k]g, k <= height_bound, of the generator g on the
         covering curve, lifted to the surface."""
@@ -487,7 +480,7 @@ class GraphOnQuartic:
             )
         # G = q * r^2 with q squarefree; points of the normalized covering
         # curve w~^2 = q(t) lift to the surface via w = w~ * r(t)
-        q, r = odd_square_split(graph_cover_poly(self))
+        q, r = odd_square_split(quartic_on_graph(self.fiber_coeffs, self.p))
         if q.degree != 4:
             raise UnsupportedRepresentation(
                 "covering curve enumeration needs a degree-4 squarefree cover"
@@ -510,17 +503,13 @@ class GraphOnQuartic:
                     b, wk = inv(pk)
                 except MapUndefined:
                     continue
-                _a, _c, chart, _inv, _e2 = quartic_to_weierstrass(
-                    [f(b) for f in self.fiber_coeffs], self.sign
-                )
-                out.append((b, chart(self.p(b), wk * r(b))))
+                out.append((b, self._chart(b)[0](self.p(b), wk * r(b))))
         return out
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
-        roots, _none = small_field_roots(Poly([-graph_cover_poly(self)(b), 0, 1]), "w")
-        a, c, fwd, _inv, _e2 = quartic_to_weierstrass([f(b) for f in self.fiber_coeffs], self.sign)
-        if (a, c) != (fiber.a, fiber.b):
-            raise DomainError("graph multisection is attached to a different fibration")
+        g = quartic_on_graph(self.fiber_coeffs, self.p)
+        roots, _none = small_field_roots(Poly([-g(b), 0, 1]), "w")
+        fwd, _e2 = self._chart(b, fiber)
         z0 = self.p(b)
         return [(fwd(z0, w), mult) for w, mult in roots]
 
@@ -534,20 +523,15 @@ class GraphOnQuartic:
         marked branch inf+ is the origin, so the cycle sums to inf-, which
         the chart sends to e2; with w = 0 the cycle is 2(z0, 0) and the
         identity is the same. The trace does not depend on p."""
-        a, c, _fwd, _inv, e2 = quartic_to_weierstrass([f(b) for f in self.fiber_coeffs], self.sign)
-        if (a, c) != (fiber.a, fiber.b):
-            raise DomainError("graph multisection is attached to a different fibration")
-        return e2
+        return self._chart(b, fiber)[1]
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
-        g = graph_cover_poly(self)
+        g = quartic_on_graph(self.fiber_coeffs, self.p)
         if g.is_zero:
             raise DomainError("graph multisection lies on the branch locus")
 
         def locate(b):
-            fiber = [f(b) for f in self.fiber_coeffs]
-            _a, _c, fwd, _inv, _e2 = quartic_to_weierstrass(fiber, self.sign)
-            return b, fwd(self.p(b), b * 0)
+            return b, self._chart(b)[0](self.p(b), b * 0)
 
         target = model.discriminant.num
         return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate, target)
@@ -587,17 +571,15 @@ Multisection = ZeroSection | ConstantX | Parametrized | GraphOnQuartic | SplitLi
 
 
 def quartic_on_graph(coeffs, p: Poly) -> Poly:
-    """F(t, p(t)) for F(t, z) = sum_i coeffs[i](t) z^i, by Horner in z."""
+    """F(t, p(t)) for F(t, z) = sum_i coeffs[i](t) z^i, by Horner in z: the
+    polynomial whose square roots give the fiber points of the graph z = p(t).
+    On the cone (deg coeffs[i] <= 8 - 2i, deg p <= 2) it has degree <= 8, and
+    a deficit counts the graph's meetings with F = 0 in the swapped chart at
+    t = infinity."""
     total = Poly()
     for c in reversed(coeffs):
         total = total * p + c
     return total
-
-
-def graph_cover_poly(m: GraphOnQuartic) -> Poly:
-    """G(t) = F(t, p(t)): the polynomial whose square roots give the fiber
-    points of the graph multisection."""
-    return quartic_on_graph(m.fiber_coeffs, m.p)
 
 
 def _check_support(curve: EllipticCurve, support) -> None:
@@ -610,21 +592,17 @@ def _pair_conjugates(support):
     """(rational, pairs) for a cycle's support, or None when it is not
     Galois-stable.
 
-    rational lists the points over Q with their multiplicities; a point over
-    a quadratic field whose coordinates are both rational is listed here over
-    Q. pairs lists one point P of each conjugate pair {P, conj(P)} with the
-    multiplicity the two must share. One pass over the support keeps, for
-    each pair met so far, the multiplicity of P minus that of conj(P); the
-    support is Galois-stable when every difference ends at zero."""
+    rational lists the points over Q with their multiplicities; pairs lists
+    one point P of each conjugate pair {P, conj(P)} with the multiplicity the
+    two must share. One pass over the support keeps, for each pair met so
+    far, the multiplicity of P minus that of conj(P); the support is
+    Galois-stable when every difference ends at zero."""
     rational, pending = [], []  # pending entries: [key, point, multiplicity, difference]
     for pt, mult in support:
         if not isinstance(pt.x, NumFieldElement):
             rational.append((pt, mult))
             continue
         yc, xc = pt.y.coeffs, pt.x.coeffs
-        if not (xc[1] or yc[1]):
-            rational.append((Point(xc[0], yc[0]), mult))
-            continue
         field = pt.x.field
         key = (field, xc, yc)
         conj = (field, pt.x.conjugate().coeffs, pt.y.conjugate().coeffs)
@@ -784,24 +762,20 @@ class TorsionEvidence:
     order: int
 
 
-def _section_point(section, b: Rat) -> Point:
-    if isinstance(section, ZeroSection):
-        return INFINITY
-    x_fn, y_fn = section
-    return _eval_point(x_fn, y_fn, b)
+def section_difference_order(model: FibrationModel, s1: Multisection, s2: Multisection, samples):
+    """NonTorsion proof or per-sample torsion evidence for s1 - s2.
 
-
-def section_difference_order(model: FibrationModel, s1, s2, samples):
-    """NonTorsion proof or per-sample torsion evidence for s1 - s2."""
+    A section is a multisection of degree 1 (DomainError for any other
+    degree), and its point on a fiber is its trace there."""
+    if (s1.degree, s2.degree) != (1, 1):
+        raise DomainError("a section difference takes two multisections of degree 1")
     samples = list(samples)
     if not samples:
         raise EmptySampleSet("section difference probe needs samples")
     orders = []
     for b in samples:
         fiber = specialize(model, b)
-        p1 = _section_point(s1, b)
-        p2 = _section_point(s2, b)
-        diff = ec_add(fiber, p1, ec_neg(p2))
+        diff = ec_add(fiber, trace_cycle(fiber, s1, b), ec_neg(trace_cycle(fiber, s2, b)))
         res = torsion_certify(fiber, diff)
         if isinstance(res, InfiniteOrder):
             return NonTorsion(witness=b)

@@ -40,7 +40,6 @@ from fibdense.enriques import (
     k3_weierstrass_model,
     multisection_from_section,
     restrict_quartic_to_cone,
-    section_intersection_poly,
     tangent_line,
 )
 from fibdense.errors import SingularFiberSkip, TraceFieldTooLarge
@@ -54,6 +53,7 @@ from fibdense.fibration import (
     ZeroSection,
     fiber_cycle,
     order_probe,
+    quartic_on_graph,
     specialize,
     tau_map,
 )
@@ -305,7 +305,7 @@ def test_cone_quartic_pipeline(capfd):
         )
         for quartic, base in ((data, (1, 1)), (pair, (1, 1))):
             for cand in bitangent_sections(quartic, base):
-                g = section_intersection_poly(quartic, cand.section)
+                g = quartic_on_graph(quartic.coeffs, cand.section.as_poly)
                 t0 = F(base[0])
                 assert g(t0) == 0 and g.derivative()(t0) == 0
                 for t1, _z1 in cand.second_tangencies:
@@ -325,7 +325,7 @@ def test_cone_quartic_pipeline(capfd):
                     F(rng.randint(-9, 9), rng.randint(1, 4)),
                     F(rng.randint(-9, 9), rng.randint(1, 4)),
                 )
-                g = section_intersection_poly(quartic, s)
+                g = quartic_on_graph(quartic.coeffs, s.as_poly)
                 if g.is_zero:
                     continue
                 assert multisection_from_section(quartic, s).genus == _branch_count_genus(g)

@@ -236,6 +236,23 @@ class TestExitCodes:
             "b=0: point=(0, 1), salient\n"
         )
 
+    def test_analyze_ramification_point_at_infinity(self, tmp_path, capsys):
+        # s -> (-s^2, 1/s^2, 1/s^3) on y^2 = x^3 + t x + 1: the critical
+        # parameter s = 0 is a pole of x and y, so its point is the origin
+        path = write_spec(
+            tmp_path,
+            """{"fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
+                "multisection": {"kind": "parametrized", "t": {"num": ["0", "0", "-1"]},
+                                 "x": {"num": ["1"], "den": ["0", "0", "1"]},
+                                 "y": {"num": ["1"], "den": ["0", "0", "0", "1"]}}}""",
+        )
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == (
+            "singular fibers: none\n"
+            "ramification:\n"
+            "b=0: point=Infinity, salient\n"
+        )
+
     def test_analyze_parametrized_quadratic_critical_parameters(self, tmp_path, capsys):
         # s -> (2 + s^2 - s^4, s^2, 1 + s^2) on y^2 = x^3 + t x + 1:
         # t'(s) = -2s(2s^2 - 1), so besides s = 0 the critical parameters are
@@ -265,6 +282,91 @@ class TestExitCodes:
         path = write_spec(tmp_path, '{"fibration": {"a": {"num": ["0"]}, "b": {"num": ["0"]}}}')
         assert main(["analyze", path]) == 2
         assert "singular generic fiber" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, field, reason",
+        [
+            ({"fibration": {"a": {"num": ["0", "1"]}}}, "fibration.b", "missing field"),
+            (
+                {"fibration": {"a": {"num": "1"}, "b": {"num": ["1"]}}},
+                "fibration.a.num",
+                "expected a list of rationals",
+            ),
+            (
+                {"fibration": {"a": "t", "b": {"num": ["1"]}}},
+                "fibration.a",
+                'expected an object {"num": [...], "den": [...]}',
+            ),
+            ({"point": ["1"]}, "point", "expected a pair [t, z] of rationals"),
+            ({"fibration": []}, "fibration", "expected an object with a and b"),
+            ({"multisection": "x"}, "multisection", "expected an object with a kind tag"),
+            (
+                {"multisection": {"kind": "graph_on_quartic", "p": ["0"], "fiber_coeffs": []}},
+                "multisection.fiber_coeffs",
+                "expected five coefficient lists",
+            ),
+            (
+                {
+                    "multisection": {
+                        "kind": "graph_on_quartic",
+                        "p": ["0", "0", "0", "1"],
+                        "fiber_coeffs": [["-1"], ["0"], ["0"], ["0"], ["1"]],
+                    }
+                },
+                "multisection",
+                "graph sections have degree at most 2 in t",
+            ),
+            (
+                {"multisection": {"kind": "split", "sections": []}},
+                "multisection.sections",
+                "expected a nonempty list",
+            ),
+            (
+                {"multisection": {"kind": "split", "sections": [{"num": ["1"]}]}},
+                "multisection.sections[0]",
+                "expected an [x, y] pair",
+            ),
+            ({"cone_quartic": []}, "cone_quartic", 'expected coefficients keyed by exponents "e0e1e2e3"'),
+            (
+                {"cone_quartic": {"0003": "1"}},
+                "cone_quartic",
+                "(0, 0, 0, 3) is not a degree-4 monomial exponent",
+            ),
+            ([], "", "top level must be an object"),
+            ({"points": "x"}, "points", "expected a list of [t, z] pairs"),
+            (
+                {"allow_quadratic_twist_extension": "yes"},
+                "allow_quadratic_twist_extension",
+                "expected true or false",
+            ),
+            ({"params": []}, "params", "expected an object"),
+            ({"out": 3}, "out", "expected a path string"),
+        ],
+        ids=[
+            "missing field",
+            "num not a list",
+            "ratfn not an object",
+            "pair of one",
+            "fibration not an object",
+            "multisection not an object",
+            "four fiber_coeffs",
+            "graph of degree 3",
+            "no split sections",
+            "split section not a pair",
+            "cone_quartic not an object",
+            "cone exponent sum 3",
+            "top level a list",
+            "points not a list",
+            "twist flag not a bool",
+            "params not an object",
+            "out not a string",
+        ],
+    )
+    def test_each_spec_validation_error_exit_2(self, tmp_path, capsys, spec, field, reason):
+        # every value the validator rejects exits 2 and names its field path
+        path = write_spec(tmp_path, json.dumps(spec))
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == f"error: invalid spec field '{field}': {reason}\n"
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
@@ -564,7 +666,6 @@ def _candidates(draw):
         SectionConic(*coords),
         draw(scalars),
         tuple(draw(st.lists(st.tuples(scalars, scalars), max_size=2))),
-        (),
     )
 
 
@@ -589,7 +690,6 @@ NAMED = NumField(poly([-2, 0, 1]), 'r"\\\n√')
                         SectionConic(F(1), NumFieldElement(NAMED, (F(0), F(1))), F(0)),
                         NumFieldElement(NAMED, (F(3), F(0))),
                         ((NumFieldElement(NAMED, (F(1), F(-1))), F(2)),),
-                        (),
                     ),
                 ),
                 1,

@@ -14,7 +14,6 @@ from fibdense.elliptic import (
     Point,
     ec_mul,
     ec_sub,
-    j_invariant,
     quartic_to_weierstrass,
 )
 from fibdense.errors import (
@@ -41,9 +40,9 @@ from fibdense.fibration import (
     ZeroSection,
     fiber_cycle,
     fiber_type,
-    graph_cover_poly,
     odd_square_split,
     order_probe,
+    quartic_on_graph,
     section_difference_order,
     specialize,
     tau_map,
@@ -309,7 +308,7 @@ K3_FIB = FibrationModel(ratfn([8, 0, 0, 0, -4]), ratfn([0]))
 
 class TestGraphOnQuartic:
     def test_cover_poly(self):
-        assert graph_cover_poly(K3_GRAPH) == poly([-2, 0, 0, 0, 1])
+        assert quartic_on_graph(K3_GRAPH.fiber_coeffs, K3_GRAPH.p) == poly([-2, 0, 0, 0, 1])
 
     def test_cycle_and_trace(self):
         cycle, trace = cycle_and_trace(K3_FIB, K3_GRAPH, F(2))
@@ -333,7 +332,7 @@ class TestGraphOnQuartic:
             p=poly([0, 1]),  # z = t
             fiber_coeffs=(poly([0]), poly([0]), poly([0]), poly([0]), poly([1])),
         )
-        g = graph_cover_poly(gq)
+        g = quartic_on_graph(gq.fiber_coeffs, gq.p)
         assert g == poly([0, 0, 0, 0, 1])  # t^4
         q, r = odd_square_split(g)
         assert q * r * r == g
@@ -397,7 +396,7 @@ class TestRamification:
 
     def test_bitangent_graph_salient_at_both_tangencies(self):
         fib, gq = engineered_bitangent_pair()
-        g = graph_cover_poly(gq)
+        g = quartic_on_graph(gq.fiber_coeffs, gq.p)
         # G = (t-1)^2 (t+1)^2 (t^2+t+1) (t^2+7)
         assert g == poly([-1, 0, 1]) ** 2 * poly([1, 1, 1]) * poly([7, 0, 1])
         assert divide_out_roots(g, [F(1), F(-1)])[0] == [(F(1), 2), (F(-1), 2)]
@@ -554,12 +553,12 @@ class TestSectionDifference:
 
     def test_worked_section_non_torsion(self):
         sec = (ratfn([0]), ratfn([1]))
-        got = section_difference_order(WORKED, ZeroSection(), sec, [F(1), F(2), F(5)])
+        got = section_difference_order(WORKED, ZeroSection(), SplitList((sec,)), [F(1), F(2), F(5)])
         assert isinstance(got, NonTorsion)
 
     def test_split_family_two_torsion(self):
         fib, sec = split_family()
-        got = section_difference_order(fib, ZeroSection(), sec, [F(2), F(3), F(5)])
+        got = section_difference_order(fib, ZeroSection(), SplitList((sec,)), [F(2), F(3), F(5)])
         assert got == TorsionEvidence(2)
 
     def test_empty_samples(self):
@@ -569,5 +568,11 @@ class TestSectionDifference:
     def test_singular_sample_refused(self):
         fib, sec = split_family()
         with pytest.raises(SingularFiberSkip):
-            section_difference_order(fib, ZeroSection(), sec, [F(1)])
+            section_difference_order(fib, ZeroSection(), SplitList((sec,)), [F(1)])
 
+    def test_two_section_refused(self):
+        # a section is a multisection of degree 1; x = 1 meets each fiber twice
+        with pytest.raises(DomainError, match="degree 1"):
+            section_difference_order(WORKED, ZeroSection(), ConstantX(F(1)), [F(1)])
+        with pytest.raises(DomainError, match="degree 1"):
+            section_difference_order(WORKED, ConstantX(F(1)), ZeroSection(), [F(1)])

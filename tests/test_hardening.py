@@ -2,7 +2,8 @@
 plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
 behind the CLI, the pinned trisection defect, the bans on assert and on
-json's indent encoder in the package, and the tracer-only imports."""
+json's indent encoder in the package, the tracer-only imports, and the
+unread imports of the test modules."""
 
 from __future__ import annotations
 
@@ -414,7 +415,7 @@ UNREFERENCED_ALLOWED = {
     "quartic_j_invariant": "test oracle for the quartic-to-Weierstrass conversion",
     "poly": "test constructor",
     "ratfn": "test constructor",
-    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 3",
+    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 4",
 }
 
 
@@ -451,9 +452,9 @@ def test_every_top_level_name_is_referenced():
 
 # methods and properties kept although no attribute read in fibdense names them
 UNREFERENCED_METHODS_ALLOWED = {
-    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 3 and 7",
-    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 3",
-    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 7",
+    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 4 and 5",
+    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 4",
+    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 5",
 }
 
 
@@ -483,6 +484,23 @@ def test_every_method_is_referenced():
         if f"{cls}.{name}" not in UNREFERENCED_METHODS_ALLOWED and name not in reads
     )
     assert not unreferenced, f"methods and properties nothing in fibdense reads: {unreferenced}"
+
+
+def test_test_modules_read_every_name_they_import():
+    # a test module loads every name it imports (a module by its first
+    # component); an unread import is dead, and it hides what a test exercises
+    unread = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loads = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unread += [
+                    f"{path.name}:{name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in loads
+                ]
+    assert not unread, f"test imports that nothing in their module loads: {unread}"
 
 
 TRACER_ONLY = "# unused here; bench/tracing.py wraps this name"
@@ -529,7 +547,7 @@ SHARED_METHOD_NAMES = {
     "cycle": (_MULTISECTIONS, "the multisection protocol: the checked support of fiber_cycle"),
     "degree": (f"NumField Poly {_MULTISECTIONS}", "field degree, polynomial degree, multisection degree"),
     "discriminant": ("EllipticCurve FibrationModel", "over the base field and over Q(t)"),
-    "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 3 and 7, see above"),
+    "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 4 and 5, see above"),
     "is_zero": ("Poly RatFn", "zero tests of the two coefficient rings"),
     "points": (_MULTISECTIONS, "the multisection protocol: enumeration by height"),
     "ramification": (_MULTISECTIONS, "the multisection protocol: ramification reports"),

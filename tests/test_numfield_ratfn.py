@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibdense.errors import DomainError, NoSquareRoot, PoleAtParameter, ZeroInput
+from fibdense.errors import DomainError, NoSquareRoot, ZeroInput
 from fibdense.exactmath import (
     NumField,
     Poly,
@@ -237,8 +237,9 @@ def test_ratfn_evaluation_and_poles():
     t = ratfn([0, 1])
     r = (t + 1) / (t - 1)
     assert r(Fraction(3)) == 2
-    with pytest.raises(PoleAtParameter):
-        r(Fraction(1))
+    assert r(Fraction(1)) is None
+    # s = None is s = infinity: the ratio of the leads, 0 or a pole by degree
+    assert r(None) == 1 and (1 / t)(None) == 0 and t(None) is None
     with pytest.raises(ZeroInput):
         RatFn(1, 0)
     with pytest.raises(ZeroInput):
