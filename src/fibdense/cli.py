@@ -35,7 +35,6 @@ from .fibration import (
     NonTorsion,
     Order,
     SplitList,
-    TorsionEvidence,
     ZeroSection,
     fiber_type,
     order_probe,
@@ -242,8 +241,8 @@ def _cmd_enriques_model(spec: RunSpec) -> int:
     e2 = SplitList(((k3.e2.x, k3.e2.y),))
     verdict = section_difference_order(k3.fibration, ZeroSection(), e2, samples)
     rendered = ", ".join(rat_to_string(b) for b in samples)
-    if isinstance(verdict, TorsionEvidence):
-        print(f"e1 - e2: TorsionEvidence(order={verdict.order}) (samples {rendered})")
+    if isinstance(verdict, Order):
+        print(f"e1 - e2: TorsionEvidence(order={verdict.m}) (samples {rendered})")
     elif isinstance(verdict, NonTorsion):
         print(f"e1 - e2: NonTorsion(witness={rat_to_string(verdict.witness)}) (samples {rendered})")
     return 0

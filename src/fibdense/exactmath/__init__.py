@@ -2,7 +2,6 @@
 
 from .poly import (
     Poly,
-    divide_out_roots,
     format_poly,
     poly,
     poly_gcd,
@@ -25,7 +24,6 @@ from .rationals import (
 
 __all__ = [
     "Poly",
-    "divide_out_roots",
     "format_poly",
     "poly",
     "poly_gcd",

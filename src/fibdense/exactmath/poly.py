@@ -22,11 +22,13 @@ Design notes, kept here because they are easy to get wrong:
 * squarefree decomposition and rational roots over Q run on the primitive
   integer polynomial: Yun's algorithm in Z[x] divides only by primitive
   polynomials, so every quotient is exact. Rational roots come from each
-  Yun factor, with that factor's multiplicity. Closed forms handle factors
-  of degree <= 2. Squarefree factors of higher degree avoid factoring huge
-  leading/trailing coefficients: their roots are found modulo a small prime
-  by trying every residue, Hensel-lifted, and recovered by rational
-  reconstruction, then every candidate is verified by exact evaluation.
+  Yun factor, with that factor's multiplicity, and are divided out of it;
+  what is left of each factor comes back with the roots, so one Yun run
+  splits p over Q. Closed forms handle factors of degree <= 2. Squarefree
+  factors of higher degree avoid factoring huge leading/trailing
+  coefficients: their roots are found modulo a small prime by trying every
+  residue, Hensel-lifted, and recovered by rational reconstruction, then
+  every candidate is verified by exact evaluation.
 """
 
 from __future__ import annotations
@@ -591,43 +593,30 @@ def squarefree_part(p: Poly) -> Poly:
 # rational roots: closed forms for degree <= 2, modular lifting beyond
 # ---------------------------------------------------------------------------
 
-def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of a nonzero p over Q with exact multiplicities,
-    ascending by value.
+def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], list[tuple[Poly, int]]]:
+    """(roots, rest) for a nonzero p over Q.
 
-    The roots of each factor of Yun's decomposition in Z[x] carry that
-    factor's multiplicity; the factors are squarefree and pairwise coprime,
-    so no root is found twice and none needs its multiplicity counted."""
+    roots lists the rational roots of p with exact multiplicities, ascending
+    by value. rest lists, in Yun order, each factor of Yun's decomposition
+    in Z[x] with its rational roots divided out, monic and with that
+    factor's multiplicity, when the quotient has degree >= 2.
+
+    The factors are squarefree and pairwise coprime, so each root is found
+    once, carries its factor's multiplicity, and divides that factor exactly
+    once, as the primitive v*x - u for u/v in lowest terms (Gauss's lemma)."""
     if p.is_zero:
         raise ZeroInput("rational roots of 0")
+    found, rest = [], []
     if p.degree < 1:
-        return []
-    found = []
+        return found, rest
     for P, mult in _int_yun(_to_int_primitive(p)):
-        found.extend((r, mult) for r in _int_rational_roots(P))
-    found.sort(key=lambda rm: rm[0])
-    return found
-
-
-def divide_out_roots(f: Poly, roots: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """Divide every listed rational root out of a nonzero f over Q, as often
-    as it divides f.
-
-    Returns the (root, multiplicity in f) of the listed roots of f, in list
-    order, and the monic quotient. Runs on the primitive integer polynomial:
-    r = u/v in lowest terms is a root exactly when the primitive v*x - u
-    divides it in Z[x] (Gauss's lemma)."""
-    A = _to_int_primitive(f)
-    found = []
-    for r in roots:
-        linear = [-r.numerator, r.denominator]
-        mult = 0
-        while (Q := _int_divide(A, linear)) is not None:
-            A = Q
-            mult += 1
-        if mult:
+        for r in _int_rational_roots(P):
             found.append((r, mult))
-    return found, _int_to_monic(A)
+            P = _int_divide(P, [-r.numerator, r.denominator])
+        if len(P) > 2:
+            rest.append((_int_to_monic(P), mult))
+    found.sort(key=lambda rm: rm[0])
+    return found, rest
 
 
 def _int_rational_roots(g: list[int]) -> list[Fraction]:

@@ -1,6 +1,8 @@
 """Elliptic fibrations over the t-line as Weierstrass models over Q(t).
 
-A FibrationModel is y^2 = x^3 + a(t)x + b(t) with RatFn coefficients.
+A FibrationModel is the generic fiber y^2 = x^3 + a(t)x + b(t): an
+EllipticCurve with RatFn coefficients, so its discriminant and the refusal
+of a zero one are the curve's.
 Multisections come in five shapes (zero section, constant-x, parametrized,
 graph on a quartic-model fibration, split list). Each shape is one class
 with the same four methods, so the pipeline never asks which shape it has:
@@ -24,7 +26,10 @@ over Q, each conjugate pair by its chord; a split list's points are all
 rational or O, so it has no pair to form.
 
 Fiber points are only ever constructed over Q or quadratic fields, by one
-evaluation (RatFn.__call__) and one root splitter (small_field_roots).
+evaluation (RatFn.__call__) and one root splitter (small_field_roots). Over
+Q the splitter is one rational_roots call: its one Yun run gives the
+rational roots and the factors they leave, and a quadratic factor becomes a
+field.
 Anything needing a larger field raises TraceFieldTooLarge instead of
 approximating; ramification analysis reports higher-degree parameter
 factors unresolved, with an exact all-singular divisibility certificate.
@@ -35,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .elliptic import (
     INFINITY,
@@ -66,7 +69,6 @@ from .errors import (
 from .exactmath import (
     Poly,
     RatFn,
-    divide_out_roots,
     enumerate_rationals,
     is_square,
     poly_gcd,
@@ -80,33 +82,15 @@ Rat = Fraction
 
 
 @dataclass(frozen=True)
-class FibrationModel:
-    """Generic fiber y^2 = x^3 + a(t)x + b(t) over Q(t)."""
-
-    a: RatFn
-    b: RatFn
-
-    def __post_init__(self):
-        if self.discriminant.is_zero:
-            raise DomainError("fibration has identically zero discriminant")
-
-    @property
-    def discriminant(self) -> RatFn:
-        a, b = self.a, self.b
-        return -16 * (4 * a * a * a + 27 * b * b)
-
-    @property
-    def c4(self) -> RatFn:
-        return -48 * self.a
+class FibrationModel(EllipticCurve):
+    """Generic fiber y^2 = x^3 + a(t)x + b(t): the elliptic curve over Q(t)
+    with RatFn coefficients, so a zero discriminant is refused."""
 
     def singular_parameters(self) -> list[Rat]:
         """Rational parameters where the fiber is singular or undefined."""
         found = set()
-        disc = self.discriminant
-        for r, _ in rational_roots(disc.num):
-            found.add(r)
-        for fn in (self.a, self.b):
-            for r, _ in rational_roots(fn.den):
+        for fn in (self.discriminant.num, self.a.den, self.b.den):
+            for r, _ in rational_roots(fn)[0]:
                 found.add(r)
         return sorted(found)
 
@@ -126,9 +110,7 @@ def specialize(model: FibrationModel, b: Rat) -> EllipticCurve:
 def _order_at(fn: RatFn, b: Rat) -> int:
     if fn.is_zero:
         raise ZeroDivisionError("order of the zero function")
-    num_found, _rest = divide_out_roots(fn.num, [b])
-    den_found, _rest = divide_out_roots(fn.den, [b])
-    return sum(k for _r, k in num_found) - sum(k for _r, k in den_found)
+    return dict(rational_roots(fn.num)[0]).get(b, 0) - dict(rational_roots(fn.den)[0]).get(b, 0)
 
 
 @dataclass(frozen=True)
@@ -150,7 +132,7 @@ def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
     is not minimal, and positive at a pole."""
     n = max(-(_order_at(fn, b) // w) for fn, w in ((model.a, 4), (model.b, 6)) if not fn.is_zero)
     ord_delta = _order_at(model.discriminant, b) + 12 * n
-    c4 = model.c4
+    c4 = -48 * model.a
     ord_c4 = None if c4.is_zero else _order_at(c4, b) + 4 * n
     if ord_delta == 0:
         return FiberType(0, ord_c4, "I0", True)
@@ -188,28 +170,19 @@ def small_field_roots(p: Poly, name: str):
     whose roots need a larger field. For p over a quadratic field only roots
     inside that same field are produced.
 
-    Over Q, rational_roots runs once. A p of degree <= 3 goes to it whole:
-    once its rational roots are divided out, what is left has degree <= 3
-    and no rational root, so it is irreducible (and squarefree). A p of
-    degree >= 4 is decomposed once, rational_roots runs on the product of
-    its squarefree factors, and each factor has its roots divided out; what
-    is left of it keeps that factor's multiplicity.
+    Over Q, rational_roots splits p with one Yun run, and each factor it
+    leaves keeps its multiplicity.
     """
     field = next((c.field for c in p.coeffs if isinstance(c, NumFieldElement)), None)
     quadratic, unresolved = [], []
     if field is None:
-        factors = squarefree_decompose(p) if p.degree >= 4 else [(p, 1)]
-        candidates = [r for r, _m in rational_roots(reduce(mul, (f for f, _m in factors)))]
-        rational = []
-        for factor, mult in factors:
-            found, rest = divide_out_roots(factor, candidates)
-            rational += [(r, k * mult) for r, k in found]
-            if rest.degree == 2:
-                _K, root, conj = quadratic_field(rest, name)
+        rational, rest = rational_roots(p)
+        for factor, mult in rest:
+            if factor.degree == 2:
+                _K, root, conj = quadratic_field(factor, name)
                 quadratic += [(root, mult), (conj, mult)]
-            elif rest.degree > 0:
-                unresolved.append(rest)
-        rational.sort(key=lambda rm: rm[0])
+            else:
+                unresolved.append(factor)
         return rational + quadratic, unresolved
     for factor, mult in squarefree_decompose(p):
         if factor.degree == 1:
@@ -694,7 +667,8 @@ def tau_map(fiber: EllipticCurve, m: Multisection, p: Point, b: Rat) -> Point:
 
 @dataclass(frozen=True)
 class Order:
-    """Sample-level evidence: every pairwise cycle difference is killed by m."""
+    """Sample-level evidence: m kills every sampled difference (each pairwise
+    cycle difference in order_probe, s1 - s2 in section_difference_order)."""
 
     m: int
 
@@ -757,16 +731,14 @@ class NonTorsion:
     witness: Rat
 
 
-@dataclass(frozen=True)
-class TorsionEvidence:
-    order: int
-
-
 def section_difference_order(model: FibrationModel, s1: Multisection, s2: Multisection, samples):
-    """NonTorsion proof or per-sample torsion evidence for s1 - s2.
+    """NonTorsion proof, or Order(m) with m the lcm of the orders of s1 - s2
+    on the samples.
 
     A section is a multisection of degree 1 (DomainError for any other
-    degree), and its point on a fiber is its trace there."""
+    degree), and its point on a fiber is its trace there: O, or a point
+    the trace has checked on the fiber, so only the difference is checked,
+    by torsion_certify."""
     if (s1.degree, s2.degree) != (1, 1):
         raise DomainError("a section difference takes two multisections of degree 1")
     samples = list(samples)
@@ -775,9 +747,9 @@ def section_difference_order(model: FibrationModel, s1: Multisection, s2: Multis
     orders = []
     for b in samples:
         fiber = specialize(model, b)
-        diff = ec_add(fiber, trace_cycle(fiber, s1, b), ec_neg(trace_cycle(fiber, s2, b)))
+        diff = _add_unchecked(fiber, trace_cycle(fiber, s1, b), ec_neg(trace_cycle(fiber, s2, b)))
         res = torsion_certify(fiber, diff)
         if isinstance(res, InfiniteOrder):
             return NonTorsion(witness=b)
         orders.append(res.order)
-    return TorsionEvidence(math.lcm(*orders))
+    return Order(math.lcm(*orders))

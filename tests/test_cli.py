@@ -20,6 +20,7 @@ import fibdense
 import fibdense.fibration
 from fibdense.cli import _bitangents_json, _parser, main, run_command
 from fibdense.density import densify, report_to_csv, report_to_json
+from fibdense.elliptic import EllipticCurve
 from fibdense.enriques import BitangentCandidate, BitangentReport, ConeQuartic, SectionConic
 from fibdense.errors import SpecSyntaxError, SpecValidationError
 from fibdense.exactmath import NumField, NumFieldElement, poly, rat_to_string, ratfn
@@ -549,6 +550,22 @@ class TestEnriquesCommands:
         assert "e2 = (0, 0)" in out
         assert "twist = 1" in out
         assert "e1 - e2: TorsionEvidence(order=2)" in out
+
+    def test_model_checks_each_section_point_once(self, tmp_path, capsys, monkeypatch):
+        # per sample: the trace of e2 checks its point, and torsion_certify
+        # checks e1 - e2; the difference itself adds no check
+        calls = []
+        contains = EllipticCurve.contains
+        monkeypatch.setattr(EllipticCurve, "contains", lambda self, p: calls.append(p) or contains(self, p))
+        assert main(["enriques-model", write_spec(tmp_path, CONE_TEXT)]) == 0
+        assert capsys.readouterr().out == (
+            "a(t) = -4*t^4 + 8\n"
+            "b(t) = 0\n"
+            "e2 = (0, 0)\n"
+            "twist = 1\n"
+            "e1 - e2: TorsionEvidence(order=2) (samples 0, -1, 1)\n"
+        )
+        assert len(calls) == 6
 
     def test_model_non_torsion_difference(self, tmp_path, capsys):
         path = write_spec(

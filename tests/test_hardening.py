@@ -536,6 +536,26 @@ def test_tracer_only_imports_are_unread_and_wrapped():
     assert not stale, f"tracer-only imports that are read or that nothing wraps: {stale}"
 
 
+def test_exactmath_exports_exactly_what_it_imports():
+    # test_every_top_level_name_is_referenced does not count __all__ entries
+    # as reads, so an export string must not outlive the kernel it names
+    path = pathlib.Path(fibdense.__file__).parent / "exactmath" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (exported,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+    )
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported
+
+
 _MULTISECTIONS = "ZeroSection ConstantX Parametrized GraphOnQuartic SplitList"
 
 # method and property names defined on more than one fibdense class, with the
@@ -546,7 +566,6 @@ SHARED_METHOD_NAMES = {
     "as_fraction": ("NumFieldElement RatFn", "descent of a rational value; read for both rings"),
     "cycle": (_MULTISECTIONS, "the multisection protocol: the checked support of fiber_cycle"),
     "degree": (f"NumField Poly {_MULTISECTIONS}", "field degree, polynomial degree, multisection degree"),
-    "discriminant": ("EllipticCurve FibrationModel", "over the base field and over Q(t)"),
     "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 4 and 5, see above"),
     "is_zero": ("Poly RatFn", "zero tests of the two coefficient rings"),
     "points": (_MULTISECTIONS, "the multisection protocol: enumeration by height"),

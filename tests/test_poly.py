@@ -124,19 +124,19 @@ def test_squarefree_decompose_fixed():
 
 
 def test_rational_roots_fixed():
-    assert rational_roots(poly([-1, -1, 2])) == [(Fraction(-1, 2), 1), (Fraction(1), 1)]
-    assert rational_roots(poly([1, 0, 1])) == []
-    assert rational_roots(poly([0, 0, 1])) == [(Fraction(0), 2)]
+    assert rational_roots(poly([-1, -1, 2]))[0] == [(Fraction(-1, 2), 1), (Fraction(1), 1)]
+    assert rational_roots(poly([1, 0, 1]))[0] == []
+    assert rational_roots(poly([0, 0, 1]))[0] == [(Fraction(0), 2)]
     # multiplicities through a composite: (t-1)^3 (2t+3)
     f = poly([-1, 1]) ** 3 * poly([3, 2])
-    assert rational_roots(f) == [(Fraction(-3, 2), 1), (Fraction(1), 3)]
+    assert rational_roots(f)[0] == [(Fraction(-3, 2), 1), (Fraction(1), 3)]
 
 
 def test_rational_roots_survives_large_coefficients():
     # product with a huge irreducible cofactor exercises the modular path
     big = poly([10**40 + 1, 0, 3, 0, 1])
     f = poly([-7, 3]) * poly([5, 2]) * big
-    assert rational_roots(f) == [(Fraction(-5, 2), 1), (Fraction(7, 3), 1)]
+    assert rational_roots(f)[0] == [(Fraction(-5, 2), 1), (Fraction(7, 3), 1)]
 
 
 @pytest.mark.parametrize(
@@ -153,7 +153,7 @@ def test_rational_roots_skip_primes_with_repeated_roots(roots, prime):
         f = f * poly([-Fraction(r).numerator, Fraction(r).denominator])
     g = _to_int_primitive(f)
     assert _simple_roots_mod_small_prime(g, [i * c for i, c in enumerate(g)][1:])[0] == prime
-    assert rational_roots(f) == [(Fraction(r), 1) for r in sorted(roots)]
+    assert rational_roots(f)[0] == [(Fraction(r), 1) for r in sorted(roots)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +186,7 @@ def test_rational_roots_match_sympy_factor_list(lins, cofactor):
         if sympy.degree(factor, _x) == 1:
             a, b = sympy.Poly(factor, _x).all_coeffs()
             expected.append((Fraction(-int(b), int(a)), mult))
-    assert rational_roots(f) == sorted(expected)
+    assert rational_roots(f)[0] == sorted(expected)
 
 
 def test_resultant_bivariate_eliminates_main_variable():
@@ -310,7 +310,7 @@ def test_rational_roots_match_sympy_on_random_polys():
         f = _rand_poly(rng, 6)
         if f.is_zero:
             continue
-        ours = dict(rational_roots(f))
+        ours = dict(rational_roots(f)[0])
         sym_roots = sympy.roots(_to_sympy(f))
         theirs = {
             Fraction(int(r.p), int(r.q)): m
@@ -486,9 +486,50 @@ def test_rational_root_multiplicities_match_sympy_roots(scale, lins, cofactors):
     for f, m in cofactors:
         p = p * f**m
     theirs = {Fraction(int(r.p), int(r.q)): m for r, m in sympy.roots(_to_sympy(p), filter="Q").items()}
-    ours = rational_roots(p)
+    ours = rational_roots(p)[0]
     assert [r for r, _m in ours] == sorted(theirs)
     assert dict(ours) == theirs
+
+
+def _from_sympy(q) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _scale,
+    st.lists(st.tuples(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), st.integers(1, 3)), max_size=3),
+    st.lists(st.tuples(_int_factor, st.integers(1, 3)), max_size=3),
+)
+# 2 (x - 1/2) (x^2 + 1)^2 (x^3 - 2)^2: one root; a quadratic and a cubic share
+# multiplicity 2, so they come back as one quintic factor
+@example(Fraction(2), [(Fraction(1, 2), 1)], [(Poly([1, 0, 1]), 2), (Poly([-2, 0, 0, 1]), 2)])
+# (x^2 + 1)(x^2 - 2)^3: no rational root, two rest factors in Yun order
+@example(Fraction(1), [], [(Poly([-2, 0, 1]), 3), (Poly([1, 0, 1]), 1)])
+def test_rational_roots_rest_matches_sympy_factor_list(scale, lins, cofactors):
+    p = Poly([scale])
+    for r, m in lins:
+        p = p * Poly([-r, 1]) ** m
+    for f, m in cofactors:
+        p = p * f**m
+    _content, factors = _to_sympy(p).factor_list()
+    expected_roots, nonlinear = [], {}
+    for q, m in factors:
+        if q.degree() == 1:
+            expected_roots.append((-_from_sympy(q).monic().coefficient(0), m))
+        else:
+            nonlinear[m] = nonlinear.get(m, Poly([1])) * _from_sympy(q).monic()
+    roots, rest = rational_roots(p)
+    assert roots == sorted(expected_roots)
+    assert [m for _f, m in rest] == sorted(nonlinear)
+    product = Poly([p.lead])
+    for r, m in roots:
+        product = product * Poly([-r, 1]) ** m
+    for f, m in rest:
+        assert f.lead == 1 and f.degree >= 2
+        assert f == nonlinear[m]
+        product = product * f**m
+    assert product == p
 
 
 def _schoolbook_product(a: Poly, b: Poly) -> Poly:

@@ -3,6 +3,7 @@ with sympy's factorization as the oracle."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as F
 
 import sympy
@@ -90,3 +91,18 @@ def test_small_field_roots_over_a_quadratic_field():
     # the discriminant -12 of x^2 + 3 has no square root in Q(r)
     p = Poly([K.embed(3), 0, 1])
     assert small_field_roots(p, "s") == ([], [p])
+
+
+def test_small_field_roots_over_q_runs_yun_once(monkeypatch):
+    # (x - 1)^2 (x^2 + 1)^2 (x^3 - 2): degree 9 with repeated factors; one
+    # Yun run yields both the root and the leftover factors
+    calls = []
+    kernel = sys.modules["fibdense.exactmath.poly"]
+    yun = kernel._int_yun
+    monkeypatch.setattr(kernel, "_int_yun", lambda A: calls.append(A) or yun(A))
+    x = Poly([0, 1])
+    p = (x - 1) ** 2 * (x * x + 1) ** 2 * (x**3 - 2)
+    roots, unresolved = small_field_roots(p, "r")
+    assert len(calls) == 1
+    assert roots[0] == (F(1), 2) and [m for _r, m in roots[1:]] == [2, 2]
+    assert unresolved == [x**3 - 2]
