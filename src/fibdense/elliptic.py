@@ -3,9 +3,12 @@
 Coefficients and coordinates are duck-typed: Fraction, NumFieldElement, and
 RatFn all work, and they mix, so the same group law and quartic-model
 reduction serve curves over Q, their points over quadratic fields (trace
-cycles), and curves over Q(t) (fibration generic fibers). Over Q the group
-law, the on-curve check and the nonsingularity test run on integer
-numerators and denominators (see _add_unchecked and EllipticCurve).
+cycles), and curves over Q(t) (fibration generic fibers). The quartic
+reduction also takes Poly coefficients over a rational q4, because it
+divides only by integers and multiples of sqrt(q4): the cone's K3 model
+runs it in Q[t]. Over Q the group law, the on-curve check and the
+nonsingularity test run on integer numerators and denominators (see
+_add_unchecked and EllipticCurve).
 
 The quartic bridge (quartic_to_weierstrass) turns w^2 = q4*z^4 + ... + q0
 with q4 a nonzero square into short Weierstrass coefficients, marked at one

@@ -40,6 +40,7 @@ from .exactmath import (
     quadratic_field,  # unused here; bench/tracing.py wraps this name
     rational_roots,  # unused here; bench/tracing.py wraps this name
     resultant_bivariate,
+    resultant_is_zero,
     squarefree_decompose,  # unused here; bench/tracing.py wraps this name
     squarefree_part,
 )
@@ -258,7 +259,8 @@ def restrict_quartic_to_cone(quartic: ConeQuartic) -> RamificationData:
     """Branch curve data F(t, z) = B(1, t^2, t, z) of a cone quartic.
 
     Raises VertexOnQuartic when B(0,0,0,1) = 0 and NonReducedRamification
-    when the restriction has a repeated component.
+    when the restriction has a repeated component: Res_z(F, F_z) = 0, which
+    resultant_is_zero decides at its first nonzero node, not interpolating.
     """
     rows: list[dict[int, Fraction]] = [{} for _ in range(5)]
     for (e0, e1, e2, e3), v in quartic.coeffs:
@@ -272,7 +274,7 @@ def restrict_quartic_to_cone(quartic: ConeQuartic) -> RamificationData:
     if coeffs[4].is_zero:
         raise VertexOnQuartic("the form vanishes at the cone vertex (0:0:0:1)")
     data = RamificationData(tuple(coeffs))
-    if branch_discriminant(data).is_zero:
+    if resultant_is_zero(*_with_z_derivative(data)):
         raise NonReducedRamification("the restricted curve has a repeated component")
     return data
 
@@ -285,9 +287,12 @@ def branch_discriminant(data: RamificationData) -> Poly:
     means the branch curve itself is non-reduced (the z^4 coefficient being a
     nonzero constant rules out content in t).
     """
-    f = list(data.coeffs)
-    fz = [i * data.coeffs[i] for i in range(1, 5)]
-    return resultant_bivariate(f, fz)
+    return resultant_bivariate(*_with_z_derivative(data))
+
+
+def _with_z_derivative(data: RamificationData) -> tuple:
+    """F and F_z as coefficient lists in z."""
+    return data.coeffs, [i * data.coeffs[i] for i in range(1, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +497,10 @@ def k3_weierstrass_model(
     (twisted) quartic q, and branch_discriminant(data) = Res_z(F, F_z) =
     f4 * disc_z(F) with f4 a nonzero constant, so the discriminant check of
     FibrationModel is the repeated-component check.
+
+    As f4 is a constant, the reduction runs in Q[t]: it gets f0..f3 as Polys
+    and f4 as a Fraction, so sqrt(f4) is rational and every intermediate a
+    polynomial. Only a, b and e2 become RatFns, for the model and section.
     """
     lead = data.lead_z
     twist = Fraction(1)
@@ -504,9 +513,9 @@ def k3_weierstrass_model(
             )
         twist = lead
         coeffs = tuple(twist * c for c in coeffs)
-    a, b, _fwd, _inv, e2 = quartic_to_weierstrass(tuple(RatFn(c) for c in coeffs))
+    a, b, _fwd, _inv, e2 = quartic_to_weierstrass((*coeffs[:4], coeffs[4].coefficient(0)))
     try:
-        fibration = FibrationModel(a, b)
+        fibration = FibrationModel(RatFn(a), RatFn(b))
     except DomainError:
         raise NonReducedRamification("the branch curve has a repeated component") from None
-    return K3Model(fibration, e2, coeffs, twist)
+    return K3Model(fibration, Point(RatFn(e2.x), RatFn(e2.y)), coeffs, twist)

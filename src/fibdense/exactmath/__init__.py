@@ -7,6 +7,7 @@ from .poly import (
     poly_gcd,
     rational_roots,
     resultant_bivariate,
+    resultant_is_zero,
     squarefree_decompose,
     squarefree_part,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "poly_gcd",
     "rational_roots",
     "resultant_bivariate",
+    "resultant_is_zero",
     "squarefree_decompose",
     "squarefree_part",
     "NumField",

@@ -19,6 +19,8 @@ Design notes, kept here because they are easy to get wrong:
 * bivariate resultants are interpolated from integer nodes; at each node
   the resultant of the two integer polynomials comes from the subresultant
   remainder sequence, whose divisions are exact. No floating point anywhere.
+  A resultant that is only tested for zero (resultant_is_zero) is not
+  interpolated: it stops at its first nonzero node.
 * squarefree decomposition and rational roots over Q run on the primitive
   integer polynomial: Yun's algorithm in Z[x] divides only by primitive
   polynomials, so every quotient is exact. Rational roots come from each
@@ -152,6 +154,17 @@ class Poly:
             base = base * base
             n >>= 1
         return result
+
+    def __truediv__(self, other):
+        """Division by a nonzero int, Fraction or NumFieldElement; any other
+        operand gets its reflected division, so Poly / RatFn is a RatFn."""
+        from .numfield import NumFieldElement
+
+        if not isinstance(other, (int, Fraction, NumFieldElement)):
+            return NotImplemented
+        if not other:
+            raise ZeroInput("polynomial division by zero")
+        return Poly([c / other for c in self.coeffs])
 
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
@@ -398,7 +411,7 @@ def _int_prem(A: list[int], B: list[int]) -> list[int]:
 
 
 def _int_resultant(A: list[int], B: list[int]) -> int:
-    """res(A, B) of integer polynomials of degree >= 1 (trimmed lists) by the
+    """res(A, B) of nonzero integer polynomials (trimmed lists) by the
     subresultant remainder sequence (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 3.3.7; Collins, J. ACM 14, 1967; Brown and
     Traub, J. ACM 18, 1971): contents come out first, then each
@@ -425,32 +438,24 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
         g = A[-1]
         h = g ** delta // h ** (delta - 1) if delta else h
     d = len(A) - 1
-    return s * t * (B[0] ** d // h ** (d - 1))
+    return s * t * (B[0] ** d // h ** max(d - 1, 0))
 
 
-def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> Poly:
-    """Resultant in the main variable of two polynomials whose coefficients
-    are themselves rational polynomials in a second variable.
+def _resultant_nodes(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
+    """The resultant in the main variable of f and g, node by node, on
+    integers: yields (count, cf^m * cg^n) first, then (x, R(x)) at count
+    integer nodes x, where R = res(cf*f, cg*g) = cf^m * cg^n * res(f, g) in
+    Z[t] and deg R < count.
 
-    The structural degrees n, m are fixed by the trimmed coefficient lists.
-    The resultant is evaluated at enough integer nodes and recovered by
-    Newton interpolation (Collins, J. ACM 18, 1971). The nodes come from
-    the sequence 0, 1, -1, 2, -2, ..., skipping every node where the leading
-    coefficient of f or of g vanishes: at the other nodes the specialized
-    polynomials keep degrees n and m, so their Sylvester matrix is the
-    specialized Sylvester matrix and their resultant is the value there.
-    At most deg lc(f) + deg lc(g) nodes are skipped. Each value is the
-    subresultant resultant of two integer polynomials (_int_resultant).
-
-    All of it runs on integers. With cf, cg the lcm of the coefficient
-    denominators of f and g, res(cf*f, cg*g) = cf^m * cg^n * res(f, g) is a
-    polynomial R in Z[t], since its Sylvester matrix has entries in Z[t].
-    Its divided differences at distinct integer nodes, in any order and with
-    any gaps, are integers on every sub-range: the Newton basis
-    (t - x0)...(t - x(i-1)) of any run of nodes is monic in Z[t], so
-    dividing R by it step by step never leaves Z[t], and the coefficients of
-    R in that basis are its divided differences. So each Newton step divides
-    exactly, and only the expanded R is divided by cf^m * cg^n.
+    The coefficient lists are trimmed, and cf, cg are the lcm of the
+    coefficient denominators of f and g, so R has integer coefficients: its
+    Sylvester matrix has entries in Z[t]. The nodes come from the sequence
+    0, 1, -1, 2, -2, ..., skipping every node where the leading coefficient
+    of f or of g vanishes: at the other nodes the specialized polynomials
+    keep degrees n and m, so their Sylvester matrix is the specialized
+    Sylvester matrix and their resultant is the value there. At most
+    deg lc(f) + deg lc(g) nodes are skipped. Each value is the subresultant
+    resultant of two integer polynomials (_int_resultant).
     """
     f, g = list(f_coeffs), list(g_coeffs)
     while f and f[-1].is_zero:
@@ -462,25 +467,43 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
     if not all(_is_rational_poly(c) for c in f + g):
         raise ZeroInput("resultant_bivariate is implemented over Q only")
     n, m = len(f) - 1, len(g) - 1
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
     cf = math.lcm(*(c.denominator for p in f for c in p.coeffs))
     cg = math.lcm(*(c.denominator for p in g for c in p.coeffs))
     fi = [[c.numerator * (cf // c.denominator) for c in p.coeffs] for p in f]
     gi = [[c.numerator * (cg // c.denominator) for c in p.coeffs] for p in g]
     # a degree bound for R, plus one; each list ends in a nonzero polynomial
     count = m * max(p.degree for p in f) + n * max(p.degree for p in g) + 1
-    xs, coef = [], []
+    yield count, cf ** m * cg ** n
     step = 0
-    while len(xs) < count:
+    while count:
         x = (step + 1) // 2 if step % 2 else -(step // 2)
         step += 1
         F, G = _int_horner_all(fi, x), _int_horner_all(gi, x)
         if F[-1] and G[-1]:
-            xs.append(x)
-            coef.append(_int_resultant(F, G))
+            count -= 1
+            yield x, _int_resultant(F, G)
+
+
+def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> Poly:
+    """Resultant in the main variable of two polynomials whose coefficients
+    are themselves rational polynomials in a second variable.
+
+    The structural degrees n, m are fixed by the trimmed coefficient lists.
+    The resultant is evaluated at enough integer nodes (_resultant_nodes)
+    and recovered by Newton interpolation (Collins, J. ACM 18, 1971).
+
+    All of it runs on integers. The values are those of R = cf^m * cg^n *
+    res(f, g) in Z[t]. Its divided differences at distinct integer nodes,
+    in any order and with any gaps, are integers on every sub-range: the
+    Newton basis (t - x0)...(t - x(i-1)) of any run of nodes is monic in
+    Z[t], so dividing R by it step by step never leaves Z[t], and the
+    coefficients of R in that basis are its divided differences. So each
+    Newton step divides exactly, and only the expanded R is divided by
+    cf^m * cg^n.
+    """
+    nodes = _resultant_nodes(f_coeffs, g_coeffs)
+    count, scale = next(nodes)
+    xs, coef = map(list, zip(*nodes))
     for j in range(1, count):
         for i in range(count - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) // (xs[i] - xs[i - j])
@@ -492,8 +515,16 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
             shifted[k] -= xs[i] * c
         shifted[0] += coef[i]
         expanded = shifted
-    scale = cf ** m * cg ** n
     return Poly([Fraction(v, scale) for v in expanded])
+
+
+def resultant_is_zero(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> bool:
+    """resultant_bivariate(f_coeffs, g_coeffs).is_zero, decided at the first
+    node where the resultant is nonzero: deg R < count, so one nonzero value
+    proves R != 0 and count zero values prove R = 0."""
+    nodes = _resultant_nodes(f_coeffs, g_coeffs)
+    next(nodes)
+    return not any(v for _x, v in nodes)
 
 
 def _int_horner_all(polys: list[list[int]], x: int) -> list[int]:

@@ -5,6 +5,7 @@ double cover."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -43,7 +44,7 @@ from fibdense.errors import (
     VertexOnQuartic,
     ZeroIntersection,
 )
-from fibdense.exactmath import Poly, poly, ratfn, rational_roots
+from fibdense.exactmath import Poly, RatFn, is_square, poly, ratfn, rational_roots
 from fibdense.fibration import (
     FibrationModel,
     GraphOnQuartic,
@@ -117,6 +118,16 @@ class TestConeQuartic:
     def test_non_reduced_error(self):
         with pytest.raises(NonReducedRamification):
             restrict_quartic_to_cone(ConeQuartic({(0, 0, 0, 4): 1}))
+
+    def test_restriction_stops_at_the_first_nonzero_node(self, monkeypatch):
+        # Res_z(F, F_z) is only tested for zero: its value at the node t = 0,
+        # res(z^4 - 2, 4z^3), is nonzero, so one of its 13 nodes decides
+        calls = []
+        module = sys.modules["fibdense.exactmath.poly"]
+        kernel = module._int_resultant
+        monkeypatch.setattr(module, "_int_resultant", lambda A, B: calls.append(1) or kernel(A, B))
+        assert restrict_quartic_to_cone(CONE) == FD
+        assert len(calls) == 1
 
     def test_bad_exponents(self):
         with pytest.raises(DomainError):
@@ -339,6 +350,19 @@ def _even_quartic_through_point(draw):
     return coeffs, t0, z0
 
 
+@st.composite
+def _even_cone_quartic(draw):
+    """Coefficients of an F(t, z) with only even powers of t and a constant
+    z^4 lead, a square or not (then k3_weierstrass_model twists)."""
+
+    def even(max_degree):
+        return Poly([draw(_small) if k % 2 == 0 else 0 for k in range(max_degree + 1)])
+
+    lead = draw(st.sampled_from([F(1), F(4), F(1, 9), F(2), F(-3), F(5, 2)]))
+    odd_z = draw(st.booleans())
+    return (even(8), even(6) if odd_z else Poly(), even(4), even(2) if odd_z else Poly(), Poly([lead]))
+
+
 class TestMirroredBasePoints:
     """For F even in t, the searches at (t0, z0) and (-t0, z0) share one
     parameter discriminant, and every report equals a fresh search."""
@@ -500,6 +524,22 @@ class TestK3Model:
         doubled = RamificationData(tuple(2 * c for c in data.coeffs))
         with pytest.raises(NonReducedRamification):
             k3_weierstrass_model(doubled, allow_quadratic_twist_extension=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_even_cone_quartic())
+    def test_polynomial_route_matches_the_ratfn_route(self, coeffs):
+        # the reduction over Q[t] gives what the same reduction gives over Q(t)
+        data = RamificationData(coeffs)
+        lead = data.lead_z
+        twisted = coeffs if is_square(lead) else tuple(lead * c for c in coeffs)
+        a, b, _fwd, _inv, e2 = quartic_to_weierstrass(tuple(RatFn(c) for c in twisted))
+        if 4 * a * a * a + 27 * b * b == 0:
+            with pytest.raises(NonReducedRamification):
+                k3_weierstrass_model(data, allow_quadratic_twist_extension=True)
+            return
+        k3 = k3_weierstrass_model(data, allow_quadratic_twist_extension=True)
+        assert k3.fiber_coeffs == twisted
+        assert (k3.fibration.a, k3.fibration.b, k3.e2) == (a, b, e2)
 
     def test_section_difference_has_definite_verdict(self):
         k3 = k3_weierstrass_model(FD)

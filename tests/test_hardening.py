@@ -408,6 +408,23 @@ def test_no_json_dump_with_indent():
     assert not found, f"json.dump/json.dumps with indent in fibdense: {found}"
 
 
+def test_no_resultant_is_interpolated_only_to_be_tested_for_zero():
+    # resultant_is_zero decides R = 0 at the first node where R is nonzero;
+    # .is_zero on an interpolated resultant evaluates every node first
+    root = pathlib.Path(fibdense.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "is_zero"
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
+        in ("resultant_bivariate", "branch_discriminant")
+    ]
+    assert not found, f".is_zero read on a full resultant in fibdense: {found}"
+
+
 # top-level names kept although no code in fibdense reads them
 UNREFERENCED_ALLOWED = {
     "ec_sub": "test oracle for the group law",

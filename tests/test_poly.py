@@ -15,10 +15,13 @@ from fibdense.errors import BothZero, ZeroInput
 from fibdense.exactmath import (
     NumField,
     Poly,
+    RatFn,
     poly,
     poly_gcd,
     rational_roots,
+    ratfn,
     resultant_bivariate,
+    resultant_is_zero,
     squarefree_decompose,
     squarefree_part,
 )
@@ -453,6 +456,43 @@ def test_resultant_bivariate_matches_sympy_resultant(fc, gc, common):
     assert (list(ours.coeffs) or [Fraction(0)]) == theirs
     if common is not None:
         assert ours.is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(_z_polynomial(3), _z_polynomial(3), st.one_of(st.none(), _z_polynomial(1)))
+# R = t(t - 1)(t + 1) vanishes at the first three nodes and not at the fourth
+@example([Poly([0, 1, 0, -1]), Poly([1])], [Poly(), Poly([1])], None)
+# a common factor (R = 0) whose product's leading coefficients vanish at 0, 1, -1
+@example([Poly([1]), Poly([0, -1, 0, 1])], [Poly([2]), Poly([1])], [Poly([1]), Poly([0, -1, 0, 1])])
+def test_resultant_is_zero_matches_the_interpolated_resultant(fc, gc, common):
+    if common is not None:  # a shared factor of positive z-degree: R = 0
+        fc, gc = _bivariate_product(fc, common), _bivariate_product(gc, common)
+    assert resultant_is_zero(fc, gc) == resultant_bivariate(fc, gc).is_zero
+
+
+def test_resultant_with_a_constant_in_the_main_variable():
+    # res(c, g) = c^deg g and res(f, c) = c^deg f, and 1 for two constants
+    c, g = [Poly([1, 2])], [Poly([3]), Poly([0, 1]), Poly([1, 0, 1])]
+    assert resultant_bivariate(c, g) == Poly([1, 2]) ** 2
+    assert resultant_bivariate(g, c) == Poly([1, 2]) ** 2
+    assert resultant_bivariate(c, [Poly([0, 5])]) == poly([1])
+    assert not resultant_is_zero(c, g)
+
+
+def test_poly_divides_by_a_nonzero_scalar():
+    p = poly([2, -3, 4])
+    root2 = NumField(poly([-2, 0, 1])).gen
+    assert p / 2 == poly([1, Fraction(-3, 2), 2])
+    assert p / Fraction(2, 3) == poly([3, Fraction(-9, 2), 6])
+    assert (p / root2).coeffs == tuple(c / root2 for c in p.coeffs)
+    for zero in (0, Fraction(0), root2 - root2):
+        with pytest.raises(ZeroInput):
+            p / zero
+    # any other operand is left to its reflected division
+    t_inverse = ratfn([1], [0, 1])
+    assert isinstance(p / t_inverse, RatFn) and p / t_inverse == RatFn(p * poly([0, 1]))
+    with pytest.raises(TypeError):
+        p / p
 
 
 _int_factor = st.lists(st.integers(-4, 4), min_size=1, max_size=3).flatmap(
