@@ -67,7 +67,7 @@ def _bitangents_json(through, results) -> str:
     for point, report in results:
         candidates = []
         for cand in report:
-            coords = (cand.section.c0, cand.section.c1, cand.section.c2)
+            coords = [cand.section.coefficient(k) for k in range(3)]
             field = '"Q"'
             if not all(isinstance(c, Fraction) for c in coords):
                 gen = next(c for c in coords if isinstance(c, NumFieldElement)).field

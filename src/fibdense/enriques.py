@@ -7,17 +7,17 @@ ruling lines.  Everything here works in the affine chart
 (z0, z1, z2, z3) = (1, t^2, t, z), so R becomes F(t, z) = B(1, t^2, t, z) = 0
 with deg_z F = 4; the swapped chart (u^2, 1, u, z) covers t = infinity.
 
-Conic sections z = c0 + c1*t + c2*t^2 of the ruling pull back to double
-covers w^2 = F(t, c(t)) of the base.  Sections that are bitangent to R give
-covers of genus 1 -- elliptic multisections of the surface -- and this module
-finds them by eliminating the tangency conditions exactly.
+Conic sections z = c(t) = c0 + c1*t + c2*t^2 of the ruling are Polys; they
+pull back to double covers w^2 = F(t, c(t)) of the base, quartic_on_graph
+being the one evaluation of F(t, c(t)).  Sections that are bitangent to R
+give covers of genus 1 -- elliptic multisections of the surface -- and this
+module finds them by eliminating the tangency conditions exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .elliptic import Point, quartic_to_weierstrass
 from .errors import (
@@ -147,48 +147,20 @@ class RamificationData:
 
 
 @dataclass(frozen=True)
-class SectionConic:
-    """Section z = c0 + c1*t + c2*t^2 of the ruling."""
-
-    c0: object
-    c1: object
-    c2: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "c0", _as_coeff(self.c0))
-        object.__setattr__(self, "c1", _as_coeff(self.c1))
-        object.__setattr__(self, "c2", _as_coeff(self.c2))
-
-    @property
-    def as_poly(self) -> Poly:
-        return Poly([self.c0, self.c1, self.c2])
-
-
-@dataclass(frozen=True)
 class TangentLine:
-    """Affine line of section conics tangent to the branch curve at a point.
-
-    Sections on the line are base + lam * direction over the parameter lam.
-    """
+    """Affine line of section conics tangent to the branch curve at a point
+    (t0, z0): the sections base + lam * direction, direction = (t - t0)^2."""
 
     point: tuple
-    base: SectionConic
-    direction: tuple
-
-    def at(self, lam) -> SectionConic:
-        d0, d1, d2 = self.direction
-        return SectionConic(
-            self.base.c0 + lam * d0,
-            self.base.c1 + lam * d1,
-            self.base.c2 + lam * d2,
-        )
+    base: Poly
+    direction: Poly
 
 
 @dataclass(frozen=True)
 class BitangentCandidate:
     """A section tangent to the branch curve at two distinct points."""
 
-    section: SectionConic
+    section: Poly  # z = c0 + c1*t + c2*t^2
     parameter: object  # position on the tangent line
     second_tangencies: tuple  # (t1, z1) pairs over Q or a quadratic field
 
@@ -274,25 +246,9 @@ def restrict_quartic_to_cone(quartic: ConeQuartic) -> RamificationData:
     if coeffs[4].is_zero:
         raise VertexOnQuartic("the form vanishes at the cone vertex (0:0:0:1)")
     data = RamificationData(tuple(coeffs))
-    if resultant_is_zero(*_with_z_derivative(data)):
+    if resultant_is_zero(coeffs, [i * coeffs[i] for i in range(1, 5)]):
         raise NonReducedRamification("the restricted curve has a repeated component")
     return data
-
-
-def branch_discriminant(data: RamificationData) -> Poly:
-    """Resultant in z of (F, dF/dz) as a polynomial in t.
-
-    Vanishes at exactly the parameters whose fiber quartic has a repeated
-    root, i.e. where the double cover's fiber degenerates; identically zero
-    means the branch curve itself is non-reduced (the z^4 coefficient being a
-    nonzero constant rules out content in t).
-    """
-    return resultant_bivariate(*_with_z_derivative(data))
-
-
-def _with_z_derivative(data: RamificationData) -> tuple:
-    """F and F_z as coefficient lists in z."""
-    return data.coeffs, [i * data.coeffs[i] for i in range(1, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,33 +272,14 @@ def tangent_line(data: RamificationData, point) -> TangentLine:
         raise NotInR0(f"the branch curve is vertical or singular at ({t0}, {z0})")
     ft = Poly([c.derivative()(t0) for c in data.coeffs])(z0)
     slope = -ft / fz
-    base = SectionConic(z0 - slope * t0, slope, Fraction(0))
-    return TangentLine((t0, z0), base, (t0 * t0, -2 * t0, Fraction(1)))
-
-
-def _pencil_coefficients(data: RamificationData, line: TangentLine) -> list[Poly]:
-    """G(lam, t) along the tangent line, as t-polynomials per power of lam."""
-    base = line.base.as_poly
-    direction = Poly(list(line.direction))
-    base_pow = [Poly([Fraction(1)])]
-    dir_pow = [Poly([Fraction(1)])]
-    for _ in range(4):
-        base_pow.append(base_pow[-1] * base)
-        dir_pow.append(dir_pow[-1] * direction)
-    out = [Poly() for _ in range(5)]
-    for i, f in enumerate(data.coeffs):
-        if f.is_zero:
-            continue
-        for j in range(i + 1):
-            out[j] = out[j] + comb(i, j) * f * base_pow[i - j] * dir_pow[j]
-    return out
+    return TangentLine((t0, z0), Poly([z0 - slope * t0, slope]), Poly([t0 * t0, -2 * t0, 1]))
 
 
 def _verify_candidate(data: RamificationData, line: TangentLine, lam):
     """Independent double-root check: gcd(G, G') must witness two distinct
     tangency points.  Returns a verified candidate or None."""
-    s = line.at(lam)
-    g = quartic_on_graph(data.coeffs, s.as_poly)
+    s = line.base + line.direction * lam
+    g = quartic_on_graph(data.coeffs, s)
     if g.is_zero:
         return None
     doubled = poly_gcd(g, g.derivative())
@@ -356,15 +293,13 @@ def _verify_candidate(data: RamificationData, line: TangentLine, lam):
         return None
     others = distinct.exact_div(Poly([-t0, Fraction(1)]))
     roots, _unresolved = small_field_roots(others, "s")
-    second = tuple((t1, s.as_poly(t1)) for t1, _mult in roots)
+    second = tuple((t1, s(t1)) for t1, _mult in roots)
     return BitangentCandidate(s, lam, second)
 
 
 def _through_parameter(line: TangentLine, node):
     tr, zr = _as_coeff(node[0]), _as_coeff(node[1])
-    d0, d1, d2 = line.direction
-    dir_val = d0 + d1 * tr + d2 * tr * tr
-    base_val = line.base.as_poly(tr)
+    dir_val, base_val = line.direction(tr), line.base(tr)
     if dir_val:
         return (zr - base_val) / dir_val
     if base_val == zr:
@@ -376,8 +311,9 @@ def _parameter_roots(data: RamificationData, line: TangentLine):
     """The degree <= 2 roots of the tangent line's parameter discriminant,
     and the number of its roots in larger fields.
 
-    The reduced pencil h(lam, t) is G(lam, t) with the base tangency
-    (t - t0)^2 divided out, and its discriminant in t is Res_t(h, h_t).
+    The pencil G(lam, t) = F(t, base + lam * direction) is quartic_on_graph
+    over Q[t][lam], each f_i a constant in lam. The reduced pencil h(lam, t)
+    is G over direction = (t - t0)^2, and its discriminant in t is Res_t(h, h_t).
     bitangent_sections keys the result by (t0^2, z0) when F is even in t,
     so the base points (t0, z0) and (-t0, z0) share one discriminant:
     F_t is odd in t, so the slope at (-t0, z0) is minus the slope at
@@ -391,10 +327,9 @@ def _parameter_roots(data: RamificationData, line: TangentLine):
     the same way. Otherwise the key is (t0, z0), so only a repeated point
     shares.
     """
-    t0 = line.point[0]
-    pencil = _pencil_coefficients(data, line)
-    divisor = Poly([t0 * t0, -2 * t0, Fraction(1)])
-    reduced = [Poly() if g.is_zero else g.exact_div(divisor) for g in pencil]
+    lam_line = Poly([line.base, line.direction])
+    pencil = quartic_on_graph([Poly([f]) for f in data.coeffs], lam_line).coeffs
+    reduced = [g.exact_div(line.direction) for g in pencil]
     t_degree = max((h.degree for h in reduced), default=-1)
     if t_degree < 1:
         raise DegenerateDiscriminant("the reduced pencil is constant along the base")
@@ -455,25 +390,27 @@ def bitangent_sections(data: RamificationData, point, through=None) -> Bitangent
 # ---------------------------------------------------------------------------
 
 
-def multisection_from_section(data: RamificationData, s: SectionConic) -> SectionCover:
-    """The double cover w^2 = G_s(t) a section cuts out, normalized.
+def multisection_from_section(data: RamificationData, s: Poly) -> SectionCover:
+    """The double cover w^2 = G_s(t) the section z = s(t) cuts out, normalized.
 
     Square factors of G_s are stripped (w = w~ * square_part lifts points
     back); the genus is ceil(k/2) - 1 for k branch points, counting the one
     at t = infinity when deg G_s is odd.  Stripped double roots are the
     tangency points of the section, flagged salient when the surface fiber
-    over them is smooth.
+    over them is smooth: when the fiber quartic F(t0, z) is squarefree.  As
+    f4 is a nonzero constant, that is Res_z(F, F_z)(t0) != 0, and the gcd
+    works over the quadratic field of t0 as well.
     """
-    g = quartic_on_graph(data.coeffs, s.as_poly)
+    g = quartic_on_graph(data.coeffs, s)
     if g.is_zero:
         raise ZeroIntersection("the section lies inside the branch curve")
     q, r = odd_square_split(g)
     k = q.degree + (g.degree % 2)
     genus = k // 2 - 1
-    disc = branch_discriminant(data)
     roots, unresolved = small_field_roots(r, "c")
+    fibers = ((t0, data.z_slice(t0)) for t0, _mult in roots)
     tangencies = tuple(
-        Tangency(t0, s.as_poly(t0), salient=bool(disc(t0) != 0)) for t0, _mult in roots
+        Tangency(t0, s(t0), poly_gcd(f, f.derivative()).degree == 0) for t0, f in fibers
     )
     model = None
     if k == 4 and q.degree == 4 and isinstance(q.lead, Fraction) and is_square(q.lead):
@@ -494,9 +431,9 @@ def k3_weierstrass_model(
 
     A repeated component of the branch curve is a repeated root of the
     quartic over Q(t). The reduction gives Delta = 16 * disc_z(q) for the
-    (twisted) quartic q, and branch_discriminant(data) = Res_z(F, F_z) =
-    f4 * disc_z(F) with f4 a nonzero constant, so the discriminant check of
-    FibrationModel is the repeated-component check.
+    (twisted) quartic q, and Res_z(F, F_z) = f4 * disc_z(F) with f4 a
+    nonzero constant, so the discriminant check of FibrationModel is the
+    repeated-component check.
 
     As f4 is a constant, the reduction runs in Q[t]: it gets f0..f3 as Polys
     and f4 as a Fraction, so sqrt(f4) is rational and every intermediate a

@@ -139,7 +139,9 @@ class NumFieldElement:
     def __bool__(self):
         return any(c != 0 for c in self.coeffs)
 
-    # -- arithmetic --
+    # -- arithmetic: an operand that is no int, Fraction or NumFieldElement
+    # gets NotImplemented, so Python tries its reflected method (K.gen * p is
+    # p * K.gen for a Poly p) --
 
     def _binop(self, other):
         return self.field._coerce(other)
@@ -148,6 +150,8 @@ class NumFieldElement:
         a, b = self.coeffs
         if isinstance(other, (int, Fraction)):
             return NumFieldElement(self.field, (a + other, b))
+        if not isinstance(other, NumFieldElement):
+            return NotImplemented
         c, d = self._binop(other).coeffs
         return NumFieldElement(self.field, (a + c, b + d))
 
@@ -161,6 +165,8 @@ class NumFieldElement:
         a, b = self.coeffs
         if isinstance(other, (int, Fraction)):
             return NumFieldElement(self.field, (a - other, b))
+        if not isinstance(other, NumFieldElement):
+            return NotImplemented
         c, d = self._binop(other).coeffs
         return NumFieldElement(self.field, (a - c, b - d))
 
@@ -170,6 +176,8 @@ class NumFieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return NumFieldElement(self.field, tuple(a * other for a in self.coeffs))
+        if not isinstance(other, NumFieldElement):
+            return NotImplemented
         (a, b), (c, d) = self.coeffs, self._binop(other).coeffs
         bd = b * d
         K = self.field
@@ -192,9 +200,13 @@ class NumFieldElement:
                 raise ZeroInput("division of a field element by zero")
             a, b = self.coeffs
             return NumFieldElement(self.field, (a / other, b / other))
+        if not isinstance(other, NumFieldElement):
+            return NotImplemented
         return self * self._binop(other).inverse()
 
     def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction, NumFieldElement)):
+            return NotImplemented
         return self._binop(other) * self.inverse()
 
     def __pow__(self, n: int):

@@ -108,9 +108,14 @@ def specialize(model: FibrationModel, b: Rat) -> EllipticCurve:
 
 
 def _order_at(fn: RatFn, b: Rat) -> int:
+    """The order of fn at t = b, by exact division of num and den by t - b."""
     if fn.is_zero:
         raise ZeroDivisionError("order of the zero function")
-    return dict(rational_roots(fn.num)[0]).get(b, 0) - dict(rational_roots(fn.den)[0]).get(b, 0)
+    order, linear = 0, Poly([-b, Fraction(1)])
+    for p, sign in ((fn.num, 1), (fn.den, -1)):
+        while not p(b):
+            p, order = p.exact_div(linear), order + sign
+    return order
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import fibdense.fibration
 from fibdense.cli import _bitangents_json, _parser, main, run_command
 from fibdense.density import densify, report_to_csv, report_to_json
 from fibdense.elliptic import EllipticCurve
-from fibdense.enriques import BitangentCandidate, BitangentReport, ConeQuartic, SectionConic
+from fibdense.enriques import BitangentCandidate, BitangentReport, ConeQuartic
 from fibdense.errors import SpecSyntaxError, SpecValidationError
 from fibdense.exactmath import NumField, NumFieldElement, poly, rat_to_string, ratfn
 from fibdense.fibration import (
@@ -622,7 +622,7 @@ def _reference_bitangents_json(through, results):
         return rat_to_string(value.coeffs[0] if isinstance(value, NumFieldElement) else value)
 
     def candidate(cand):
-        coords = (cand.section.c0, cand.section.c1, cand.section.c2)
+        coords = [cand.section.coefficient(k) for k in range(3)]
         if all(isinstance(c, F) for c in coords):
             field = "Q"
         else:
@@ -680,7 +680,7 @@ def _candidates(draw):
     if field is not None and not any(isinstance(c, NumFieldElement) for c in coords):
         coords[draw(st.integers(0, 2))] = NumFieldElement(field, (draw(RATIONALS), F(1)))
     return BitangentCandidate(
-        SectionConic(*coords),
+        poly(coords),
         draw(scalars),
         tuple(draw(st.lists(st.tuples(scalars, scalars), max_size=2))),
     )
@@ -704,7 +704,7 @@ NAMED = NumField(poly([-2, 0, 1]), 'r"\\\n√')
             BitangentReport(
                 (
                     BitangentCandidate(
-                        SectionConic(F(1), NumFieldElement(NAMED, (F(0), F(1))), F(0)),
+                        poly([F(1), NumFieldElement(NAMED, (F(0), F(1))), F(0)]),
                         NumFieldElement(NAMED, (F(3), F(0))),
                         ((NumFieldElement(NAMED, (F(1), F(-1))), F(2)),),
                     ),

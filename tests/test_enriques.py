@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 import sympy
@@ -25,9 +26,7 @@ from fibdense.elliptic import (
 from fibdense.enriques import (
     ConeQuartic,
     RamificationData,
-    SectionConic,
     bitangent_sections,
-    branch_discriminant,
     k3_weierstrass_model,
     multisection_from_section,
     restrict_quartic_to_cone,
@@ -44,7 +43,16 @@ from fibdense.errors import (
     VertexOnQuartic,
     ZeroIntersection,
 )
-from fibdense.exactmath import Poly, RatFn, is_square, poly, ratfn, rational_roots
+from fibdense.exactmath import (
+    NumFieldElement,
+    Poly,
+    RatFn,
+    is_square,
+    poly,
+    ratfn,
+    rational_roots,
+    resultant_bivariate,
+)
 from fibdense.fibration import (
     FibrationModel,
     GraphOnQuartic,
@@ -80,9 +88,22 @@ def nodal_curve() -> RamificationData:
     return RamificationData((poly([0]), poly([0, -2, 1]), poly([-1]), poly([0]), poly([1])))
 
 
-def random_section(rng: random.Random) -> SectionConic:
+def random_section(rng: random.Random) -> Poly:
     pick = lambda: F(rng.randint(-9, 9), rng.randint(1, 4))
-    return SectionConic(pick(), pick(), pick())
+    return poly([pick(), pick(), pick()])
+
+
+def _z_discriminant(data: RamificationData) -> Poly:
+    """Res_z(F, F_z) as a polynomial in t, interpolated: the test oracle for
+    a repeated root of the fiber quartic F(t0, z)."""
+    return resultant_bivariate(data.coeffs, [i * data.coeffs[i] for i in range(1, 5)])
+
+
+def sqrt2_tangencies(f1: Poly) -> RamificationData:
+    """F = z^4 + f1 z + (t^2 - 2)^2 (t^4 + t + 1): the section z = 0 is
+    tangent to it at t = +-sqrt(2), over Q(sqrt 2)."""
+    f0 = poly([-2, 0, 1]) ** 2 * poly([1, 1, 0, 0, 1])
+    return RamificationData((f0, f1, poly([0]), poly([0]), poly([1])))
 
 
 def branch_count_genus(g: Poly) -> int:
@@ -144,8 +165,8 @@ class TestConeQuartic:
 
 class TestIntersectionPoly:
     def test_worked_sections(self):
-        assert quartic_on_graph(FD.coeffs, SectionConic(0, 0, 0).as_poly) == poly([-2, 0, 0, 0, 1])
-        assert quartic_on_graph(FD.coeffs, SectionConic(1, 0, 0).as_poly) == poly([-1, 0, 0, 0, 1])
+        assert quartic_on_graph(FD.coeffs, poly([0, 0, 0])) == poly([-2, 0, 0, 0, 1])
+        assert quartic_on_graph(FD.coeffs, poly([1, 0, 0])) == poly([-1, 0, 0, 0, 1])
 
     def test_degree_at_most_eight(self):
         rng = random.Random(11)
@@ -156,7 +177,7 @@ class TestIntersectionPoly:
                 coeffs.append(Poly([F(rng.randint(-5, 5)) for _ in range(width + 1)]))
             coeffs.append(poly([rng.randint(1, 5)]))
             data = RamificationData(tuple(coeffs))
-            g = quartic_on_graph(data.coeffs, random_section(rng).as_poly)
+            g = quartic_on_graph(data.coeffs, random_section(rng))
             assert g.degree <= 8
 
     def test_degree_eight_generically(self):
@@ -164,9 +185,9 @@ class TestIntersectionPoly:
         hits = 0
         for _ in range(50):
             s = random_section(rng)
-            g = quartic_on_graph(FD.coeffs, s.as_poly)
+            g = quartic_on_graph(FD.coeffs, s)
             assert g.degree <= 8
-            if s.c2:
+            if s.coefficient(2):
                 assert g.degree == 8
                 hits += 1
         assert hits > 30
@@ -175,10 +196,10 @@ class TestIntersectionPoly:
 class TestTangentLine:
     def test_worked_line(self):
         line = tangent_line(FD, (1, 1))
-        assert line.base == SectionConic(2, -1, 0)
-        assert line.direction == (F(1), F(-2), F(1))
-        s = line.at(F(5))
-        assert (s.c0, s.c1, s.c2) == (F(7), F(-11), F(5))
+        assert line.base == poly([2, -1, 0])
+        assert line.direction == poly([1, -2, 1])
+        s = line.base + line.direction * F(5)
+        assert s.coeffs == (F(7), F(-11), F(5))
 
     def test_not_on_curve(self):
         with pytest.raises(NotOnR):
@@ -205,26 +226,26 @@ class TestTangentLine:
                 continue
             line = tangent_line(data, (t0, z0))
             for lam in (F(0), F(1), F(-3), F(7, 2)):
-                g = quartic_on_graph(data.coeffs, line.at(lam).as_poly)
+                g = quartic_on_graph(data.coeffs, line.base + line.direction * lam)
                 assert g(t0) == 0 and g.derivative()(t0) == 0
             # any conic satisfying both conditions lies on the line
             mu = F(rng.randint(-5, 5), rng.randint(1, 3))
-            slope = line.base.c1
+            slope = line.base.coefficient(1)
             c1 = slope - 2 * t0 * mu
             c0 = z0 - c1 * t0 - mu * t0 * t0
-            assert SectionConic(c0, c1, mu) == line.at(mu)
+            assert poly([c0, c1, mu]) == line.base + line.direction * mu
             checked += 1
 
 
 def _assert_double_tangencies(data: RamificationData, candidate):
     """Direct oracle: the base point and every reported second tangency are
     double roots of the candidate's intersection divisor."""
-    g = quartic_on_graph(data.coeffs, candidate.section.as_poly)
+    g = quartic_on_graph(data.coeffs, candidate.section)
     assert not g.is_zero
     for t1, z1 in candidate.second_tangencies:
         assert g(t1) == 0 and g.derivative()(t1) == 0
         assert data.evaluate(t1, z1) == 0
-        assert candidate.section.as_poly(t1) == z1
+        assert candidate.section(t1) == z1
 
 
 def _sympy_double_root_degrees(g: Poly) -> tuple[int, int]:
@@ -243,26 +264,26 @@ class TestBitangent:
         assert len(report) == 1
         cand = report.candidates[0]
         # the conic z = (3 - t^2)/2 through (1,1) and (-1,1)
-        assert cand.section == SectionConic(F(3, 2), 0, F(-1, 2))
+        assert cand.section == poly([F(3, 2), 0, F(-1, 2)])
         assert cand.parameter == F(-1, 2)
         assert cand.second_tangencies == ((F(-1), F(1)),)
         assert report.higher_degree_parameters == 12  # regression value
-        g = quartic_on_graph(FD.coeffs, cand.section.as_poly)
+        g = quartic_on_graph(FD.coeffs, cand.section)
         assert rational_roots(g)[0] == [(F(-1), 2), (F(1), 2)]
 
     def test_candidates_pass_independent_gcd_oracle(self):
         report = bitangent_sections(FD, (1, 1))
         for cand in report:
             _assert_double_tangencies(FD, cand)
-            if all(isinstance(c, F) for c in (cand.section.c0, cand.section.c1, cand.section.c2)):
-                g = quartic_on_graph(FD.coeffs, cand.section.as_poly)
+            if all(isinstance(c, F) for c in cand.section.coeffs):
+                g = quartic_on_graph(FD.coeffs, cand.section)
                 gcd_degree, distinct = _sympy_double_root_degrees(g)
                 assert gcd_degree >= 2 and distinct >= 2
 
     def test_engineered_bitangent_found(self):
         data = engineered_pair()
         report = bitangent_sections(data, (1, 1))
-        hits = [c for c in report if c.section == SectionConic(0, 0, 1)]
+        hits = [c for c in report if c.section == poly([0, 0, 1])]
         assert len(hits) == 1
         cand = hits[0]
         assert cand.parameter == F(1)
@@ -275,7 +296,7 @@ class TestBitangent:
         report = bitangent_sections(data, (0, 1), through=(2, 0))
         assert len(report) == 1
         cand = report.candidates[0]
-        assert cand.section == SectionConic(1, 1, F(-3, 4))
+        assert cand.section == poly([1, 1, F(-3, 4)])
         assert (F(2), F(0)) in cand.second_tangencies
         _assert_double_tangencies(data, cand)
 
@@ -297,7 +318,7 @@ class TestBitangent:
             data = RamificationData(tuple(coeffs))
             shift = data.evaluate(t0, z0)
             data = RamificationData((coeffs[0] - shift,) + tuple(coeffs[1:]))
-            if branch_discriminant(data).is_zero:
+            if _z_discriminant(data).is_zero:
                 continue
             if not data.z_slice(t0).derivative()(z0):
                 continue
@@ -361,6 +382,55 @@ def _even_cone_quartic(draw):
     lead = draw(st.sampled_from([F(1), F(4), F(1, 9), F(2), F(-3), F(5, 2)]))
     odd_z = draw(st.booleans())
     return (even(8), even(6) if odd_z else Poly(), even(4), even(2) if odd_z else Poly(), Poly([lead]))
+
+
+@st.composite
+def _cone_quartic_through_point(draw):
+    """Coefficients of a general F(t, z), deg f_i <= 8 - 2i and f4 a nonzero
+    constant, and a point (t0, z0) on it where F_z does not vanish."""
+    t0 = draw(st.fractions(-3, 3, max_denominator=3))
+    z0 = draw(st.fractions(-3, 3, max_denominator=3))
+    coeffs = [Poly([draw(_small) for _ in range(9 - 2 * i)]) for i in range(4)]
+    coeffs.append(poly([draw(st.sampled_from([F(1), F(-2), F(1, 3)]))]))
+    coeffs[0] = coeffs[0] - RamificationData(tuple(coeffs)).evaluate(t0, z0)
+    assume(RamificationData(tuple(coeffs)).z_slice(t0).derivative()(z0) != 0)
+    return tuple(coeffs), t0, z0
+
+
+def _binomial_pencil(data: RamificationData, line) -> list[Poly]:
+    """F(t, base + lam * direction) per power of lam, by the binomial
+    expansion: f_i (base + lam d)^i = sum_j C(i, j) f_i base^(i-j) d^j lam^j."""
+    out = [Poly() for _ in range(5)]
+    for i, f in enumerate(data.coeffs):
+        for j in range(i + 1):
+            out[j] = out[j] + comb(i, j) * f * line.base ** (i - j) * line.direction**j
+    return out
+
+
+class _Eliminated(Exception):
+    """Carries the first operand _parameter_roots hands to the resultant."""
+
+
+class TestPencil:
+    @settings(max_examples=60, deadline=None)
+    @given(_cone_quartic_through_point())
+    def test_lambda_pencil_is_the_binomial_expansion(self, drawn):
+        coeffs, t0, z0 = drawn
+        data = RamificationData(coeffs)
+        line = tangent_line(data, (t0, z0))
+        # the t^k columns of the reduced pencil G / (t - t0)^2, as polynomials in lam
+        reduced = [g.exact_div(line.direction) for g in _binomial_pencil(data, line)]
+        width = max(h.degree for h in reduced) + 1
+        expected = [Poly([h.coefficient(k) for h in reduced]) for k in range(width)]
+
+        def eliminated(columns, _derivative_columns):
+            raise _Eliminated(columns)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enriques, "resultant_bivariate", eliminated)
+            with pytest.raises(_Eliminated) as caught:
+                enriques._parameter_roots(data, line)
+        assert caught.value.args[0] == expected
 
 
 class TestMirroredBasePoints:
@@ -427,14 +497,14 @@ class TestMirroredBasePoints:
 
 class TestSectionCover:
     def test_squarefree_degree_eight(self):
-        cover = multisection_from_section(fd_plus(poly([1, 1, 0, 0, 0, 0, 0, 0, 1])), SectionConic(0, 0, 0))
+        cover = multisection_from_section(fd_plus(poly([1, 1, 0, 0, 0, 0, 0, 0, 1])), poly([0, 0, 0]))
         assert cover.genus == 3
         assert cover.model is None
 
     def test_two_double_roots_leave_a_quartic(self):
         quartic = poly([2, 0, 0, 0, 1])  # t^4 + 2, nonzero at +-1
         g = poly([-1, 0, 1]) ** 2 * quartic
-        cover = multisection_from_section(fd_plus(g), SectionConic(0, 0, 0))
+        cover = multisection_from_section(fd_plus(g), poly([0, 0, 0]))
         assert cover.genus == 1
         assert cover.odd_part == quartic
         assert cover.square_part == poly([-1, 0, 1])
@@ -443,18 +513,18 @@ class TestSectionCover:
 
     def test_one_double_root_sextic(self):
         g = poly([-1, 1]) ** 2 * poly([2, 1, 0, 0, 0, 0, 1])
-        cover = multisection_from_section(fd_plus(g), SectionConic(0, 0, 0))
+        cover = multisection_from_section(fd_plus(g), poly([0, 0, 0]))
         assert cover.genus == 2
         assert cover.model is None
 
     def test_square_divisor_splits(self):
-        cover = multisection_from_section(fd_plus(poly([-1, 0, 1]) ** 2), SectionConic(0, 0, 0))
+        cover = multisection_from_section(fd_plus(poly([-1, 0, 1]) ** 2), poly([0, 0, 0]))
         assert cover.genus == -1
 
     def test_zero_intersection(self):
         data = RamificationData((poly([0]), poly([0, 1]), poly([0]), poly([0]), poly([1])))
         with pytest.raises(ZeroIntersection):
-            multisection_from_section(data, SectionConic(0, 0, 0))
+            multisection_from_section(data, poly([0, 0, 0]))
 
     def test_genus_matches_branch_count_oracle(self):
         rng = random.Random(19)
@@ -463,7 +533,7 @@ class TestSectionCover:
         for data in quartics:
             for _ in range(34):
                 s = random_section(rng)
-                g = quartic_on_graph(data.coeffs, s.as_poly)
+                g = quartic_on_graph(data.coeffs, s)
                 if g.is_zero:
                     continue
                 cover = multisection_from_section(data, s)
@@ -473,12 +543,65 @@ class TestSectionCover:
 
     def test_bitangent_cover_is_elliptic_with_salient_tangencies(self):
         data = engineered_pair()
-        cover = multisection_from_section(data, SectionConic(0, 0, 1))
+        cover = multisection_from_section(data, poly([0, 0, 1]))
         assert cover.genus == 1
         assert cover.odd_part == poly([1, 1, 1]) * poly([7, 0, 1])
         assert cover.model is not None
         assert {(t.t, t.z) for t in cover.tangencies} == {(F(1), F(1)), (F(-1), F(1))}
         assert all(t.salient for t in cover.tangencies)
+
+
+class TestSalience:
+    """A tangency is salient when the fiber quartic F(t0, z) is squarefree;
+    the oracle is Res_z(F, F_z), interpolated and evaluated at t0."""
+
+    def test_salience_is_the_discriminant_at_the_tangency(self):
+        cases = [
+            (FD, poly([F(3, 2), 0, F(-1, 2)])),
+            (engineered_pair(), poly([0, 0, 1])),
+            (fd_plus(poly([-1, 0, 1]) ** 2 * poly([2, 0, 0, 0, 1])), poly([0])),
+            # F(+-1, z) = z^2 (z^2 + 1): one double root, gcd of degree 1
+            (
+                RamificationData(
+                    (poly([-1, 0, 1]) ** 2 * poly([2, 0, 0, 0, 1]), poly([0]), poly([1]), poly([0]), poly([1]))
+                ),
+                poly([0]),
+            ),
+            (sqrt2_tangencies(poly([0])), poly([0])),
+            (sqrt2_tangencies(poly([1, 0, 1])), poly([0])),
+        ]
+        for data, point in ((FD, (1, 1)), (engineered_pair(), (1, 1)), (engineered_pair(), (-1, 1))):
+            cases += [(data, cand.section) for cand in bitangent_sections(data, point)]
+        flags = []
+        for data, section in cases:
+            disc = _z_discriminant(data)
+            for tangency in multisection_from_section(data, section).tangencies:
+                assert tangency.salient == (disc(tangency.t) != 0)
+                flags.append(tangency.salient)
+        assert True in flags and False in flags
+
+    @pytest.mark.parametrize("f1, salient", [(poly([0]), False), (poly([1, 0, 1]), True)])
+    def test_salience_over_a_quadratic_field(self, f1, salient):
+        # F(+-sqrt 2, z) is z^4 for f1 = 0 and z^4 + 3z for f1 = 1 + t^2
+        data = sqrt2_tangencies(f1)
+        tangencies = multisection_from_section(data, poly([0])).tangencies
+        assert len(tangencies) == 2
+        assert all(isinstance(tangency.t, NumFieldElement) for tangency in tangencies)
+        disc = _z_discriminant(data)
+        assert [disc(tangency.t) != 0 for tangency in tangencies] == [salient, salient]
+        assert [tangency.salient for tangency in tangencies] == [salient, salient]
+
+    def test_salience_takes_no_resultant(self, monkeypatch):
+        calls = []
+        module = sys.modules["fibdense.exactmath.poly"]
+        kernel = module._int_resultant
+        monkeypatch.setattr(module, "_int_resultant", lambda A, B: calls.append(1) or kernel(A, B))
+        cover = multisection_from_section(FD, poly([F(3, 2), 0, F(-1, 2)]))
+        assert [(t.t, t.z, t.salient) for t in cover.tangencies] == [
+            (F(-1), F(1), True),
+            (F(1), F(1), True),
+        ]
+        assert calls == []
 
 
 class TestK3Model:
@@ -573,9 +696,9 @@ class TestEndToEnd:
         data = engineered_pair()
         k3 = k3_weierstrass_model(data)
         cand = next(
-            c for c in bitangent_sections(data, (1, 1)) if c.section == SectionConic(0, 0, 1)
+            c for c in bitangent_sections(data, (1, 1)) if c.section == poly([0, 0, 1])
         )
-        graph = GraphOnQuartic(p=cand.section.as_poly, fiber_coeffs=k3.fiber_coeffs)
+        graph = GraphOnQuartic(p=cand.section, fiber_coeffs=k3.fiber_coeffs)
         assert graph.degree == 2
         report = graph.ramification(k3.fibration)
         params = {entry.b for entry in report.points}

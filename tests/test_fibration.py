@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fibdense import fibration
 from fibdense.elliptic import (
     INFINITY,
     EllipticCurve,
@@ -161,6 +162,16 @@ class TestFiberType:
         # a zero coefficient sets no bound: b = 1/t alone gives n = 1
         ft = fiber_type(FibrationModel(ratfn([0]), ratfn([1], [0, 1])), F(0))
         assert (ft.ord_delta, ft.ord_c4, ft.label) == (10, None, "Other")
+
+    def test_orders_take_no_root_split(self, monkeypatch):
+        # singular_parameters splits its three polynomials once each; the
+        # orders at each parameter come from exact division by t - b
+        calls = []
+        split = fibration.rational_roots
+        monkeypatch.setattr(fibration, "rational_roots", lambda p: calls.append(p) or split(p))
+        types = [fiber_type(NODAL, b) for b in NODAL.singular_parameters()]
+        assert [(ft.ord_delta, ft.ord_c4, ft.label) for ft in types] == [(1, 0, "I1")] * 2
+        assert len(calls) == 3
 
 
 class TestMultisectionShapes:

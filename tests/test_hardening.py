@@ -432,7 +432,7 @@ UNREFERENCED_ALLOWED = {
     "quartic_j_invariant": "test oracle for the quartic-to-Weierstrass conversion",
     "poly": "test constructor",
     "ratfn": "test constructor",
-    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 4",
+    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 5",
 }
 
 
@@ -469,9 +469,9 @@ def test_every_top_level_name_is_referenced():
 
 # methods and properties kept although no attribute read in fibdense names them
 UNREFERENCED_METHODS_ALLOWED = {
-    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 4 and 5",
-    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 4",
-    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 5",
+    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 5 and 6",
+    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 5",
+    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 6",
 }
 
 

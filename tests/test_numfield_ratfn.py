@@ -88,6 +88,19 @@ def test_adding_a_rational_matches_the_embedded_element(cs, r):
             assert all(isinstance(c, Fraction) for c in got.coeffs)
 
 
+def test_a_poly_operand_gets_the_reflected_method():
+    K = FIELDS[0]
+    p = poly([1, Fraction(-2, 3), 5])
+    assert K.gen * p == p * K.gen == Poly([c * K.gen for c in p.coeffs])
+    assert K.gen + p == p + K.gen == Poly([1 + K.gen, Fraction(-2, 3), 5])
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__rtruediv__"):
+        assert getattr(K.gen, op)(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        K.gen * object()
+    with pytest.raises(DomainError):
+        K.gen * FIELDS[1].gen
+
+
 def test_division_by_rational_zero_raises():
     a = FIELDS[0].element([1, 2])
     for zero in (0, Fraction(0)):
