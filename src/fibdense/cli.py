@@ -174,16 +174,14 @@ def _cmd_densify(spec: RunSpec) -> int:
 def _cmd_probe(spec: RunSpec) -> int:
     model = _need(spec, "fibration", "probe")
     m = _need(spec, "multisection", "probe")
-    m_max = _need(spec, "m_max", "probe")
     samples = list(_need(spec, "samples", "probe"))
-    verdict = order_probe(model, m, samples, m_max)
+    verdict = order_probe(model, m, samples)
     if isinstance(verdict, Order):
         print(f"Order({verdict.m}) (evidence on {len(samples)} sampled fibers)")
     else:
-        print(
-            f"NoOrderUpTo({verdict.m_max}) (proof: no m <= {verdict.m_max} kills "
-            f"every sampled fiber difference)"
-        )
+        b = rat_to_string(verdict.witness)
+        print(f"NonTorsion(witness={b}) (proof: the sampled difference at t = {b} "
+              "has infinite order)")
     return 0
 
 
@@ -282,11 +280,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--height-bound", type=int, dest="height_bound")
         p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--m-max", type=int, dest="m_max")
     return parser
 
 
-_FLAG_FIELDS = ("out", "height_bound", "k_max", "m_max")
+_FLAG_FIELDS = ("out", "height_bound", "k_max")
 
 
 def main(argv=None) -> int:

@@ -238,7 +238,10 @@ class InfiniteOrder:
     pass
 
 
-def _uniform_bound(curve: EllipticCurve) -> int:
+def _uniform_bound(curve: EllipticCurve, p: Point) -> int:
+    """The uniform torsion bound of the field of p, else of the curve."""
+    if isinstance(p.x, NumFieldElement):
+        return TORSION_BOUND_QUADRATIC
     sample = curve.a if curve.a else curve.b
     if isinstance(sample, _RATIONAL):
         return TORSION_BOUND_Q
@@ -248,18 +251,19 @@ def _uniform_bound(curve: EllipticCurve) -> int:
 
 
 def torsion_certify(curve: EllipticCurve, p: Point):
-    """Exact order if it is at most the field's uniform torsion bound (12
-    over Q by Mazur, 18 over a quadratic field), otherwise a proof of
-    infinite order. Other fields raise BoundTooSmall.
+    """Exact order if it is at most the uniform torsion bound of the field
+    of p, else of the curve (12 over Q by Mazur, 18 over a quadratic field
+    by Kamienny and Kenku-Momose), otherwise a proof of infinite order.
+    Other fields raise BoundTooSmall.
 
-    Over Q a non-integral multiple of p on the integral model proves
-    infinite order outright (Nagell-Lutz; Silverman, The Arithmetic of
-    Elliptic Curves, VII.3; see smallest_order), so most non-torsion points
-    are decided after a few additions."""
+    When the curve and p are both over Q, a non-integral multiple of p on
+    the integral model proves infinite order outright (Nagell-Lutz; see
+    smallest_order), so most non-torsion points are decided after a few
+    additions."""
     _require_on_curve(curve, p)
     if p.is_infinity:
         return Torsion(1)
-    bound = _uniform_bound(curve)
+    bound = _uniform_bound(curve, p)
     order = smallest_order(curve, p, bound)
     if order is None:
         return InfiniteOrder()
@@ -278,7 +282,7 @@ def smallest_order(curve: EllipticCurve, p: Point, bound: int) -> int | None:
     multiple of one, has integral coordinates (Nagell-Lutz; Silverman, The
     Arithmetic of Elliptic Curves, VII.3). A non-integral multiple therefore
     proves that p has infinite order, and None is the answer for any bound.
-    Curves over number fields always run to the bound.
+    Curves and points over number fields always run to the bound.
 
     p must lie on the curve; it is not checked again here."""
     scale = _integral_scale(curve, p)

@@ -33,6 +33,9 @@ field.
 Anything needing a larger field raises TraceFieldTooLarge instead of
 approximating; ramification analysis reports higher-degree parameter
 factors unresolved, with an exact all-singular divisibility certificate.
+Both order probes (order_probe, section_difference_order) hand each sampled
+difference to torsion_certify, which decides its order exactly, so a probe
+returns a NonTorsion proof or Order evidence.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .elliptic import (
     ec_mul,
     ec_neg,
     quartic_to_weierstrass,
-    smallest_order,
     torsion_certify,
 )
 from .errors import (
@@ -672,73 +674,62 @@ def tau_map(fiber: EllipticCurve, m: Multisection, p: Point, b: Rat) -> Point:
 
 @dataclass(frozen=True)
 class Order:
-    """Sample-level evidence: m kills every sampled difference (each pairwise
-    cycle difference in order_probe, s1 - s2 in section_difference_order)."""
+    """Sample-level evidence: m is the lcm of the exact orders of the
+    sampled differences (each pairwise cycle difference in order_probe,
+    s1 - s2 in section_difference_order), so every m' that kills them all
+    is a multiple of m."""
 
     m: int
 
 
 @dataclass(frozen=True)
-class NoOrderUpTo:
-    """Proof: no m <= m_max kills every pairwise difference on the sampled
-    fibers -- one has no killer <= m_max, or the killers' lcm exceeds m_max
-    (the defining property quantifies over all fibers)."""
+class NonTorsion:
+    """Proof: a sampled difference on the smooth fiber at t = witness has
+    infinite order, so no multiple of the generic difference vanishes."""
 
-    m_max: int
+    witness: Rat
 
 
-def order_probe(model: FibrationModel, m: Multisection, fiber_samples, m_max: int):
-    """Smallest m killing all pairwise cycle differences over the samples
-    (evidence), or a proof that no order <= m_max works."""
-    samples = list(fiber_samples)
+def _sample_verdict(model: FibrationModel, samples, differences):
+    """NonTorsion at the first sample b where a point of differences(fiber, b)
+    has infinite order on the fiber at t = b, otherwise Order(m) with m the
+    lcm of the exact orders torsion_certify gives every sampled difference."""
+    samples = list(samples)
     if not samples:
-        raise EmptySampleSet("order probe needs at least one fiber sample")
+        raise EmptySampleSet("an order probe needs at least one fiber sample")
     overall = 1
     for b in samples:
         fiber = specialize(model, b)
-        pts = [pt for pt, _mult in fiber_cycle(m, fiber, b)]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                diff = _difference_on_fiber(fiber, pts[i], pts[j])
-                if diff is None:
-                    raise TraceFieldTooLarge(
-                        f"difference at t = {b} mixes incompatible fields"
-                    )
-                killer = smallest_order(fiber, diff, m_max)
-                if killer is None:
-                    return NoOrderUpTo(m_max)
-                overall = math.lcm(overall, killer)
-    if overall > m_max:
-        return NoOrderUpTo(m_max)
+        for diff in differences(fiber, b):
+            res = torsion_certify(fiber, diff)
+            if isinstance(res, InfiniteOrder):
+                return NonTorsion(witness=b)
+            overall = math.lcm(overall, res.order)
     return Order(overall)
 
 
-def _difference_on_fiber(curve: EllipticCurve, p: Point, q: Point) -> Point | None:
-    """p - q on the fiber over Q, or None when p and q lie over two
-    different quadratic fields.
+def order_probe(model: FibrationModel, m: Multisection, fiber_samples):
+    """The sample verdict (see _sample_verdict) on the pairwise differences
+    of m's fiber cycle: tau(p_i) - tau(p_j) = [d](p_i - p_j), so one of
+    infinite order proves m non-torsion. TraceFieldTooLarge when two points
+    lie over different quadratic fields."""
 
-    The difference may lie over a quadratic field K while the curve stays
-    over Q, so it goes only to smallest_order. torsion_certify reads its
-    uniform bound from the curve's coefficients and would apply the bound
-    for Q to a point over K."""
-    if len({pt.x.field for pt in (p, q) if isinstance(pt.x, NumFieldElement)}) > 1:
-        return None
-    return ec_add(curve, p, ec_neg(q))
+    def differences(fiber, b):
+        pts = [pt for pt, _mult in fiber_cycle(m, fiber, b)]
+        for i, p in enumerate(pts):
+            for q in pts[i + 1 :]:
+                if len({pt.x.field for pt in (p, q) if isinstance(pt.x, NumFieldElement)}) > 1:
+                    raise TraceFieldTooLarge(f"difference at t = {b} mixes incompatible fields")
+                yield ec_add(fiber, p, ec_neg(q))
+
+    return _sample_verdict(model, fiber_samples, differences)
 
 
 # -- section differences --
 
 
-@dataclass(frozen=True)
-class NonTorsion:
-    """Proof: some smooth specialization of s1 - s2 has infinite order."""
-
-    witness: Rat
-
-
 def section_difference_order(model: FibrationModel, s1: Multisection, s2: Multisection, samples):
-    """NonTorsion proof, or Order(m) with m the lcm of the orders of s1 - s2
-    on the samples.
+    """The sample verdict (see _sample_verdict) on s1 - s2.
 
     A section is a multisection of degree 1 (DomainError for any other
     degree), and its point on a fiber is its trace there: O, or a point
@@ -746,15 +737,8 @@ def section_difference_order(model: FibrationModel, s1: Multisection, s2: Multis
     by torsion_certify."""
     if (s1.degree, s2.degree) != (1, 1):
         raise DomainError("a section difference takes two multisections of degree 1")
-    samples = list(samples)
-    if not samples:
-        raise EmptySampleSet("section difference probe needs samples")
-    orders = []
-    for b in samples:
-        fiber = specialize(model, b)
-        diff = _add_unchecked(fiber, trace_cycle(fiber, s1, b), ec_neg(trace_cycle(fiber, s2, b)))
-        res = torsion_certify(fiber, diff)
-        if isinstance(res, InfiniteOrder):
-            return NonTorsion(witness=b)
-        orders.append(res.order)
-    return Order(math.lcm(*orders))
+
+    def differences(fiber, b):
+        return [_add_unchecked(fiber, trace_cycle(fiber, s1, b), ec_neg(trace_cycle(fiber, s2, b)))]
+
+    return _sample_verdict(model, samples, differences)

@@ -38,7 +38,6 @@ class RunSpec:
     allow_quadratic_twist_extension: bool = False
     height_bound: int | None = None
     k_max: int | None = None
-    m_max: int | None = None
     samples: tuple = ()
     out: str | None = None
 
@@ -93,9 +92,9 @@ def _pair(value, path: str) -> tuple[Fraction, Fraction]:
     return (_rational(value[0], f"{path}[0]"), _rational(value[1], f"{path}[1]"))
 
 
-def _count(value, path: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise SpecValidationError(path, f"expected an integer >= {minimum}")
+def _count(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SpecValidationError(path, "expected an integer >= 0")
     return value
 
 
@@ -195,7 +194,7 @@ _TOP_KEYS = {
     "params",
     "out",
 }
-_PARAM_KEYS = {"height_bound", "k_max", "m_max", "samples"}
+_PARAM_KEYS = {"height_bound", "k_max", "samples"}
 
 
 def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
@@ -254,7 +253,6 @@ def parse_spec(text: str, overrides: dict | None = None) -> RunSpec:
             _count(params["height_bound"], "params.height_bound") if "height_bound" in params else None
         ),
         k_max=_count(params["k_max"], "params.k_max") if "k_max" in params else None,
-        m_max=_count(params["m_max"], "params.m_max", 1) if "m_max" in params else None,
         samples=samples,
         out=out,
     )

@@ -46,7 +46,7 @@ from fibdense.exactmath import Poly, enumerate_rationals, poly, ratfn
 from fibdense.fibration import (
     ConstantX,
     FibrationModel,
-    NoOrderUpTo,
+    NonTorsion,
     Order,
     Parametrized,
     ZeroSection,
@@ -254,9 +254,9 @@ def test_salience_and_order_probe_consistency(capfd):
         assert len(report.points) == 1
         entry = report.points[0]
         assert (entry.b, entry.point, entry.salient) == (F(-2), Point(F(1), F(0)), True)
-        assert order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)], 18) == NoOrderUpTo(18)
+        assert order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)]) == NonTorsion(witness=F(2))
 
-        assert order_probe(WORKED, TRISECTION, _trisection_samples(10), 6) == Order(2)
+        assert order_probe(WORKED, TRISECTION, _trisection_samples(10)) == Order(2)
         tri_report = TRISECTION.ramification(WORKED)
         assert all(not e.salient for e in tri_report.points)
 

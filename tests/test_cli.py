@@ -20,7 +20,7 @@ import fibdense
 import fibdense.fibration
 from fibdense.cli import _bitangents_json, _parser, main, run_command
 from fibdense.density import densify, report_to_csv, report_to_json
-from fibdense.elliptic import EllipticCurve
+from fibdense.elliptic import EllipticCurve, Torsion
 from fibdense.enriques import BitangentCandidate, BitangentReport, ConeQuartic
 from fibdense.errors import SpecSyntaxError, SpecValidationError
 from fibdense.exactmath import NumField, NumFieldElement, poly, rat_to_string, ratfn
@@ -28,7 +28,7 @@ from fibdense.fibration import (
     ConstantX,
     FibrationModel,
     GraphOnQuartic,
-    NoOrderUpTo,
+    Order,
     Parametrized,
     SplitList,
     ZeroSection,
@@ -48,7 +48,7 @@ PROBE_TEXT = """{
                    "t": {"num": ["-1", "0", "0", "-1"], "den": ["0", "1"]},
                    "x": {"num": ["0", "1"]},
                    "y": {"num": ["0"]}},
-  "params": {"m_max": 4, "samples": ["-2", "-9/2", "-28/3", "-65/4"]}
+  "params": {"samples": ["-2", "-9/2", "-28/3", "-65/4"]}
 }"""
 
 CONE_TEXT = """{
@@ -461,26 +461,24 @@ class TestProbeCommand:
             """{
             "fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
             "multisection": {"kind": "constant_x", "x": "1"},
-            "params": {"m_max": 6, "samples": ["2", "7", "14"]}
+            "params": {"samples": ["2", "7", "14"]}
             }""",
         )
         assert main(["probe", path]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("NoOrderUpTo(6)")
-        assert "proof" in out
-
-    def test_no_order_when_the_killers_lcm_exceeds_the_cap(self, tmp_path, capsys, monkeypatch):
-        # every difference has a killer <= 5, but no single m <= 5 kills both
-        # a 2-torsion and a 3-torsion difference
-        killers = itertools.cycle([2, 3])
-        monkeypatch.setattr(fibdense.fibration, "smallest_order", lambda *_a: next(killers))
-        spec = parse_spec(PROBE_TEXT)
-        assert order_probe(spec.fibration, spec.multisection, spec.samples, 5) == NoOrderUpTo(5)
-        path = write_spec(tmp_path, PROBE_TEXT)
-        assert main(["probe", path, "--m-max", "5"]) == 0
         assert capsys.readouterr().out == (
-            "NoOrderUpTo(5) (proof: no m <= 5 kills every sampled fiber difference)\n"
+            "NonTorsion(witness=2) (proof: the sampled difference at t = 2 has infinite order)\n"
         )
+
+    def test_order_is_the_lcm_of_the_exact_orders(self, tmp_path, capsys, monkeypatch):
+        # a 2-torsion and a 3-torsion difference are killed together by 6
+        # and its multiples only
+        orders = itertools.cycle([Torsion(2), Torsion(3)])
+        monkeypatch.setattr(fibdense.fibration, "torsion_certify", lambda *_a: next(orders))
+        spec = parse_spec(PROBE_TEXT)
+        assert order_probe(spec.fibration, spec.multisection, spec.samples) == Order(6)
+        path = write_spec(tmp_path, PROBE_TEXT)
+        assert main(["probe", path]) == 0
+        assert capsys.readouterr().out == "Order(6) (evidence on 4 sampled fibers)\n"
 
 
 class TestDensifyCommand:

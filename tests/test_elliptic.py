@@ -311,6 +311,19 @@ def test_torsion_over_quadratic_field_uses_bound_18(monkeypatch):
     assert len(additions) == 17
 
 
+def test_point_over_a_quadratic_field_uses_bound_18_on_a_curve_over_q():
+    # a short model of a conductor-50 curve: (51, 216) has order 5 over Q and
+    # (15, 108 sqrt 5) order 3, so their sum has order 15; 15 is no order
+    # over Q (MAZUR_ORDERS), and the bound for Q(sqrt 5) must decide it
+    K = NumField(poly([-5, 0, 1]), "s")
+    s = K.gen
+    E = EllipticCurve(F(-3915), F(113670))
+    P = Point(15 - 36 * s, -540 + 108 * s)
+    assert 15 not in MAZUR_ORDERS
+    assert torsion_certify(E, P) == Torsion(15)
+    assert torsion_certify(EllipticCurve(K.embed(E.a), K.embed(E.b)), P) == Torsion(15)
+
+
 def test_naive_height():
     # the naive height of a point over Q is rat_height of its x-coordinate
     assert rat_height(F(-7, 16)) == 16

@@ -16,6 +16,7 @@ from fibdense.elliptic import (
     ec_mul,
     ec_sub,
     quartic_to_weierstrass,
+    torsion_certify,
 )
 from fibdense.errors import (
     DomainError,
@@ -32,7 +33,6 @@ from fibdense.fibration import (
     FibrationModel,
     GraphOnQuartic,
     NonTorsion,
-    NoOrderUpTo,
     Order,
     Parametrized,
     SplitList,
@@ -516,19 +516,19 @@ class TestTauMap:
 
 class TestOrderProbe:
     def test_zero_section_order_one(self):
-        assert order_probe(WORKED, ZeroSection(), [F(1), F(2), F(3)], 5) == Order(1)
+        assert order_probe(WORKED, ZeroSection(), [F(1), F(2), F(3)]) == Order(1)
 
     def test_trisection_order_two(self):
         samples = trisection_samples(10)
-        assert order_probe(WORKED, TRISECTION, samples, 6) == Order(2)
+        assert order_probe(WORKED, TRISECTION, samples) == Order(2)
 
     def test_constant_x_no_order(self):
-        got = order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)], 18)
-        assert got == NoOrderUpTo(18)
+        got = order_probe(WORKED, ConstantX(F(1)), [F(2), F(7), F(14)])
+        assert got == NonTorsion(witness=F(2))
 
     def test_no_order_implies_tau_injective_on_cycles(self):
-        # divisors of d = 2 are all below the cap, so tau separates the
-        # sampled cycles pointwise
+        # tau(p) - tau(q) = [2](p - q), and a difference of infinite order
+        # is not 2-torsion, so tau separates the sampled cycles pointwise
         m = ConstantX(F(1))
         for b in [F(2), F(7), F(14)]:
             e = specialize(WORKED, b)
@@ -536,13 +536,32 @@ class TestOrderProbe:
             images = [tau_map(e, m, p, b) for p in pts]
             assert len(set(images)) == len(pts)
 
+    def test_the_torsion_bound_follows_the_point(self):
+        # a cycle difference over Q(sqrt d) on a fiber over Q gets the verdict
+        # it gets on the fiber embedded in Q(sqrt d): the point's field sets
+        # the uniform bound, 18 and not Q's 12
+        checked = 0
+        for c in (F(-1), F(0), F(1), F(2)):
+            for b in enumerate_rationals(5):
+                fiber = specialize(WORKED, b)
+                pts = [pt for pt, _k in fiber_cycle(ConstantX(c), fiber, b)]
+                if not isinstance(pts[0].x, NumFieldElement):
+                    continue
+                embedded = embed_curve(pts[0].x.field, fiber)
+                for i, p in enumerate(pts):
+                    for q in pts[i + 1 :]:
+                        diff = ec_sub(fiber, p, q)
+                        assert torsion_certify(fiber, diff) == torsion_certify(embedded, diff)
+                        checked += 1
+        assert checked >= 100
+
     def test_empty_samples(self):
         with pytest.raises(EmptySampleSet):
-            order_probe(WORKED, ZeroSection(), [], 5)
+            order_probe(WORKED, ZeroSection(), [])
 
     def test_singular_sample_refused(self):
         with pytest.raises(SingularFiberSkip):
-            order_probe(CUSPFIB, ZeroSection(), [F(0)], 5)
+            order_probe(CUSPFIB, ZeroSection(), [F(0)])
 
 
 def split_family():

@@ -1,9 +1,9 @@
 """Contracts at the edges: the torsion order loop at its bound and against a
 plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
-behind the CLI, the pinned trisection defect, the bans on assert and on
-json's indent encoder in the package, the tracer-only imports, and the
-unread imports of the test modules."""
+behind the CLI, the spec fields the CLI must read, the pinned trisection
+defect, the bans on assert and on json's indent encoder in the package, the
+tracer-only imports, and the unread imports of the test modules."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import fibdense
 import fibdense.density as density
 import fibdense.elliptic as elliptic
-from fibdense.cli import main
+from fibdense.cli import _FLAG_FIELDS, main
 from fibdense.density import densify
 from fibdense.elliptic import (
     INFINITY,
@@ -48,7 +48,7 @@ from fibdense.fibration import (
     tau_map,
     trace_cycle,
 )
-from fibdense.specfile import parse_spec
+from fibdense.specfile import RunSpec, parse_spec
 
 # 11a3 in short form: (-12, 108) has order 5
 E11 = EllipticCurve(F(-432), F(8208))
@@ -346,7 +346,6 @@ def test_graph_sign_is_the_int_one_or_minus_one(tmp_path, capsys, sign):
     [
         ("--k-max", "-1", "k_max"),
         ("--height-bound", "-1", "height_bound"),
-        ("--m-max", "0", "m_max"),
     ],
 )
 def test_flags_pass_the_spec_validator(tmp_path, capsys, flag, value, field):
@@ -354,14 +353,39 @@ def test_flags_pass_the_spec_validator(tmp_path, capsys, flag, value, field):
     assert f"'params.{field}'" in capsys.readouterr().err
 
 
-def test_threads_is_not_an_option(tmp_path, capsys):
+@pytest.mark.parametrize("field", ["threads", "m_max"])
+def test_threads_is_not_an_option(tmp_path, capsys, field):
+    # threads gave no speedup under the GIL; m_max capped orders that the
+    # uniform torsion bound already decides exactly
     with pytest.raises(SystemExit) as exc:
-        _run(tmp_path, WORKED, "--threads", "2")
+        _run(tmp_path, WORKED, "--" + field.replace("_", "-"), "2")
     assert exc.value.code == 2
     spec = json.loads(json.dumps(WORKED))
-    spec["params"]["threads"] = 2
+    spec["params"][field] = 2
     assert _run(tmp_path, spec) == 2
-    assert "'params.threads': unknown field" in capsys.readouterr().err
+    assert f"'params.{field}': unknown field" in capsys.readouterr().err
+
+
+def test_every_spec_field_is_read_by_the_cli():
+    # no knob does nothing: every RunSpec field is read in cli.py, as
+    # spec.<field> or as _need(spec, "<field>", ...), and every flag sets one
+    root = pathlib.Path(fibdense.__file__).parent
+    fields = set(RunSpec.__dataclass_fields__)
+    tree = ast.parse((root / "cli.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "spec"
+    } | {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_need"
+        and isinstance(node.args[1], ast.Constant)
+    }
+    assert sorted(fields - read) == []
+    assert set(_FLAG_FIELDS) <= fields
 
 
 def test_torsion_bound_is_not_an_option(tmp_path, capsys):
