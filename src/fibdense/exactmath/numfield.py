@@ -1,16 +1,29 @@
 """Quadratic number fields Q[x]/(x^2 + p1*x + p0).
 
-Elements are pairs (a, b) of Fractions standing for a + b*gen. The minimal
-polynomial is irreducible exactly when its discriminant p1^2 - 4*p0 is not a
-rational square, which construction checks. Products reduce
-gen^2 = -p1*gen - p0 in closed form, an inverse is the conjugate over the
-norm, and the field has an exact in-field square root. Fiber points are only
-ever built over Q or a quadratic field, so nothing larger is needed.
+A field keeps its minimal polynomial cleared to integers once:
+E*x^2 + P1*x + P0 with E > 0 and gcd(E, P1, P0) = 1, so p1 = P1/E and
+p0 = P0/E. The minimal polynomial is irreducible exactly when its
+discriminant P1^2 - 4*P0*E is not an integer square, which construction
+checks.
+
+An element (n0 + n1*gen)/d has two integer numerators over one positive
+denominator, in lowest terms: gcd(n0, n1, d) = 1 (H. Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, 4.2). Each element has one
+such form, so equality and hashing compare integers. Every operation is a
+few integer products and one reducing gcd, and no Fraction is built:
+- a sum reduces by a gcd with the gcd of the two denominators;
+- a product with a rational p/q reduces by gcd(p, d) and gcd(q, n0, n1);
+- other products reduce E*gen^2 = -P1*gen - P0;
+- a quotient is the product with the conjugate over the integer norm
+  E*n0^2 - n0*n1*P1 + n1^2*P0.
+The field has an exact in-field square root. Fiber points are only ever
+built over Q or a quadratic field, so nothing larger is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from ..errors import DomainError, NoSquareRoot, ZeroInput
 from .poly import Poly
@@ -20,59 +33,67 @@ from .rationals import is_square, rat_sqrt
 class NumField:
     """Quadratic field presented by a monic irreducible x^2 + p1*x + p0."""
 
-    __slots__ = ("minimal_polynomial", "name", "_p1", "_p0")
+    __slots__ = ("name", "E", "P1", "P0")
 
     def __init__(self, minimal_polynomial: Poly, name: str = "a"):
         m = minimal_polynomial
         if m.is_zero or m.degree != 2:
             raise DomainError("minimal polynomial must have degree 2")
-        m = m.monic()
         if not all(isinstance(cc, Fraction) for cc in m.coeffs):
             raise DomainError("minimal polynomial must have rational coefficients")
-        p0, p1 = m.coeffs[0], m.coeffs[1]
-        if is_square(p1 * p1 - 4 * p0):
+        den = lcm(*(c.denominator for c in m.coeffs))
+        P0, P1, E = (c.numerator * (den // c.denominator) for c in m.coeffs)
+        g = gcd(E, P1, P0) if E > 0 else -gcd(E, P1, P0)
+        E, P1, P0 = E // g, P1 // g, P0 // g
+        disc = P1 * P1 - 4 * P0 * E
+        if disc >= 0 and isqrt(disc) ** 2 == disc:
             raise DomainError("minimal polynomial has a rational root")
-        self.minimal_polynomial = m
         self.name = name
-        self._p1 = p1
-        self._p0 = p0
+        self.E, self.P1, self.P0 = E, P1, P0
+
+    @property
+    def minimal_polynomial(self) -> Poly:
+        """The monic x^2 + p1*x + p0."""
+        return Poly([Fraction(self.P0, self.E), Fraction(self.P1, self.E), Fraction(1)])
 
     @property
     def degree(self) -> int:
         return 2
 
     def __eq__(self, other):
-        return isinstance(other, NumField) and self.minimal_polynomial == other.minimal_polynomial
+        return self is other or (
+            isinstance(other, NumField) and (self.E, self.P1, self.P0) == (other.E, other.P1, other.P0)
+        )
 
     def __hash__(self):
-        return hash(self.minimal_polynomial)
+        return hash((self.E, self.P1, self.P0))
 
     def __repr__(self):
         return f"NumField({self.minimal_polynomial!s}, gen={self.name!r})"
 
     def element(self, coeffs) -> "NumFieldElement":
         """a + b*gen from the coefficient list [a, b] (or [a], or [])."""
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-        if len(cs) > 2:
+        if len(coeffs) > 2:
             raise DomainError("a quadratic field element has at most two coefficients")
-        return NumFieldElement(self, tuple(cs + [Fraction(0)] * (2 - len(cs))))
+        return NumFieldElement(self, tuple(coeffs) + (0,) * (2 - len(coeffs)))
 
     def embed(self, r) -> "NumFieldElement":
-        return self.element([Fraction(r)])
+        r = Fraction(r)
+        return _make(self, r.numerator, 0, r.denominator)
 
     @property
     def one(self) -> "NumFieldElement":
-        return self.embed(1)
+        return _make(self, 1, 0, 1)
 
     @property
     def gen(self) -> "NumFieldElement":
-        return self.element([0, 1])
+        return _make(self, 0, 1, 1)
 
     def sqrt(self, el: "NumFieldElement") -> "NumFieldElement":
         """Exact square root inside the field; NoSquareRoot when none exists."""
         # solve (u + v*gen)^2 = A + B*gen with gen^2 = -p1*gen - p0
         A, B = self._coerce(el).coeffs
-        p1, p0 = self._p1, self._p0
+        p0, p1, _one = self.minimal_polynomial.coeffs
         lead = p1 * p1 - 4 * p0  # nonzero: the minimal polynomial is irreducible
         if B == 0:
             if is_square(A):
@@ -98,7 +119,7 @@ class NumField:
 
     def _coerce(self, x) -> "NumFieldElement":
         if isinstance(x, NumFieldElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise DomainError("element of a different number field")
             return x
         if isinstance(x, (int, Fraction)):
@@ -106,38 +127,73 @@ class NumField:
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
 
+_new = object.__new__
+
+
+def _make(field: NumField, n0: int, n1: int, d: int) -> "NumFieldElement":
+    """(n0 + n1*gen)/d, already in lowest terms with d > 0."""
+    el = _new(NumFieldElement)
+    el.field, el.n0, el.n1, el.d = field, n0, n1, d
+    return el
+
+
+def _element(field: NumField, n0: int, n1: int, d: int) -> "NumFieldElement":
+    """(n0 + n1*gen)/d in lowest terms with a positive denominator; d != 0."""
+    g = gcd(n0, n1, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n0, n1, d = n0 // g, n1 // g, d // g
+    return _make(field, n0, n1, d)
+
+
 class NumFieldElement:
-    __slots__ = ("field", "coeffs")
+    """(n0 + n1*gen)/d over a quadratic field, d > 0 and gcd(n0, n1, d) = 1.
+
+    NumFieldElement(field, (a, b)) builds a + b*gen from two ints or
+    Fractions."""
+
+    __slots__ = ("field", "n0", "n1", "d")
 
     def __init__(self, field: NumField, coeffs: tuple[Fraction, Fraction]):
+        a, b = (Fraction(c) for c in coeffs)
+        qa, qb = a.denominator, b.denominator
+        # d = lcm(qa, qb) is in lowest terms: the full power of a prime in d
+        # divides qa or qb, and that Fraction's numerator is prime to it
+        d = lcm(qa, qb)
         self.field = field
-        self.coeffs = coeffs
+        self.n0, self.n1, self.d = a.numerator * (d // qa), b.numerator * (d // qb), d
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction]:
+        """(a, b) with the element a + b*gen."""
+        return Fraction(self.n0, self.d), Fraction(self.n1, self.d)
 
     # -- predicates --
 
     @property
     def is_rational(self) -> bool:
-        return self.coeffs[1] == 0
+        return not self.n1
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.n1:
             raise DomainError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.n0, self.d)
 
     def __eq__(self, other):
         if isinstance(other, NumFieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (self.n0, self.n1, self.d) == (other.n0, other.n1, other.d) and self.field == other.field
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
+            return not self.n1 and self.n0 == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.coeffs[0])
-        return hash((self.field, self.coeffs))
+        if not self.n1:
+            return hash(Fraction(self.n0, self.d))
+        return hash((self.field, self.n0, self.n1, self.d))
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return bool(self.n0 or self.n1)
 
     # -- arithmetic: an operand that is no int, Fraction or NumFieldElement
     # gets NotImplemented, so Python tries its reflected method (K.gen * p is
@@ -147,67 +203,98 @@ class NumFieldElement:
         return self.field._coerce(other)
 
     def __add__(self, other):
-        a, b = self.coeffs
+        """With g = gcd(d, e) for the denominators d and e, the sum over
+        lcm(d, e) = (d/g)*e shares with its numerators only a factor of g:
+        modulo a prime that divides d more often than e, the numerators are
+        n0*(e/g) and n1*(e/g), not both zero as gcd(n0, n1, d) = 1. So the
+        reducing gcd is taken with g."""
         if isinstance(other, (int, Fraction)):
-            return NumFieldElement(self.field, (a + other, b))
-        if not isinstance(other, NumFieldElement):
+            m0, m1, e = other.numerator, 0, other.denominator
+        elif isinstance(other, NumFieldElement):
+            o = self._binop(other)
+            m0, m1, e = o.n0, o.n1, o.d
+        else:
             return NotImplemented
-        c, d = self._binop(other).coeffs
-        return NumFieldElement(self.field, (a + c, b + d))
+        n0, n1, d = self.n0, self.n1, self.d
+        g = gcd(d, e)
+        if g == 1:
+            return _make(self.field, n0 * e + m0 * d, n1 * e + m1 * d, d * e)
+        s, t = d // g, e // g
+        a0, a1 = n0 * t + m0 * s, n1 * t + m1 * s
+        h = gcd(g, a0, a1)
+        return _make(self.field, a0 // h, a1 // h, s * e // h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a, b = self.coeffs
-        return NumFieldElement(self.field, (-a, -b))
+        return _make(self.field, -self.n0, -self.n1, self.d)
 
     def __sub__(self, other):
-        a, b = self.coeffs
         if isinstance(other, (int, Fraction)):
-            return NumFieldElement(self.field, (a - other, b))
+            return self + (-other)
         if not isinstance(other, NumFieldElement):
             return NotImplemented
-        c, d = self._binop(other).coeffs
-        return NumFieldElement(self.field, (a - c, b - d))
+        return self + (-self._binop(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "NumFieldElement":
+        """self*p/q for coprime p and q > 0. A prime that divides d and the
+        product's numerators divides p, as gcd(n0, n1, d) = 1, and one that
+        divides q and them divides n0 and n1, so the product reduces by
+        gcd(p, d) and gcd(q, n0, n1), two gcds with the small operand."""
+        n0, n1, d = self.n0, self.n1, self.d
+        g, h = gcd(p, d), gcd(q, n0, n1)
+        p //= g
+        return _make(self.field, n0 // h * p, n1 // h * p, d // g * (q // h))
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NumFieldElement(self.field, tuple(a * other for a in self.coeffs))
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, NumFieldElement):
             return NotImplemented
-        (a, b), (c, d) = self.coeffs, self._binop(other).coeffs
-        bd = b * d
-        K = self.field
-        return NumFieldElement(K, (a * c - bd * K._p0, a * d + b * c - bd * K._p1))
+        o = self._binop(other)
+        if not o.n1:
+            return self._scaled(o.n0, o.d)
+        if not self.n1:
+            return o._scaled(self.n0, self.d)
+        K, n0, n1, m0, m1 = self.field, self.n0, self.n1, o.n0, o.n1
+        E, t = K.E, n1 * m1
+        return _element(K, E * n0 * m0 - K.P0 * t, E * (n0 * m1 + n1 * m0) - K.P1 * t, E * self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumFieldElement":
-        """Conjugate over norm."""
-        if not self:
-            raise ZeroInput("inverse of zero field element")
-        a, b = self.coeffs
-        K = self.field
-        norm = a * a - a * b * K._p1 + b * b * K._p0
-        return NumFieldElement(K, ((a - b * K._p1) / norm, -b / norm))
+        """The conjugate over the integer norm, as in __truediv__."""
+        return _make(self.field, 1, 0, 1) / self
 
     def __truediv__(self, other):
+        """The product with the conjugate over the integer norm: for a divisor
+        (m0 + m1*gen)/e with N = E*m0^2 - m0*m1*P1 + m1^2*P0, the inverse is
+        e*(c0 - E*m1*gen)/N with c0 = E*m0 - m1*P1, and E*gen^2 = -P1*gen - P0
+        cancels E from the product, so (n0 + n1*gen)/d divided by it is
+        e*(n0*c0 + P0*n1*m1 + (n1*c0 - E*n0*m1 + P1*n1*m1)*gen)/(d*N)."""
         if isinstance(other, (int, Fraction)):
-            if not other:
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroInput("division of a field element by zero")
-            a, b = self.coeffs
-            return NumFieldElement(self.field, (a / other, b / other))
+            return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
         if not isinstance(other, NumFieldElement):
             return NotImplemented
-        return self * self._binop(other).inverse()
+        o = self._binop(other)
+        if not o:
+            raise ZeroInput("division by the zero field element")
+        K, n0, n1, m0, m1 = self.field, self.n0, self.n1, o.n0, o.n1
+        E, P1, P0 = K.E, K.P1, K.P0
+        c0, t = E * m0 - m1 * P1, n1 * m1
+        norm = E * m0 * m0 - m0 * m1 * P1 + m1 * m1 * P0
+        return _element(K, o.d * (n0 * c0 + P0 * t), o.d * (n1 * c0 - E * n0 * m1 + P1 * t), self.d * norm)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction, NumFieldElement)):
             return NotImplemented
-        return self._binop(other) * self.inverse()
+        return self.field._coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -222,9 +309,11 @@ class NumFieldElement:
         return result
 
     def conjugate(self) -> "NumFieldElement":
-        """Galois conjugate: gen goes to the other root -p1 - gen."""
-        a, b = self.coeffs
-        return NumFieldElement(self.field, (a - b * self.field._p1, -b))
+        """Galois conjugate: gen goes to the other root -p1 - gen, so
+        (n0 + n1*gen)/d goes to (E*n0 - n1*P1 - E*n1*gen)/(E*d)."""
+        n1, K = self.n1, self.field
+        E = K.E
+        return _element(K, E * self.n0 - n1 * K.P1, -E * n1, E * self.d)
 
     def __repr__(self):
         return str(self)

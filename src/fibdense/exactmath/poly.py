@@ -121,6 +121,9 @@ class Poly:
             other = Poly([other])
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _as_coeff(other)

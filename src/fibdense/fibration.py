@@ -579,13 +579,14 @@ def _pair_conjugates(support):
     Galois-stable when every difference ends at zero."""
     rational, pending = [], []  # pending entries: [key, point, multiplicity, difference]
     for pt, mult in support:
-        if not isinstance(pt.x, NumFieldElement):
+        x, y = pt.x, pt.y
+        if not isinstance(x, NumFieldElement):
             rational.append((pt, mult))
             continue
-        yc, xc = pt.y.coeffs, pt.x.coeffs
-        field = pt.x.field
-        key = (field, xc, yc)
-        conj = (field, pt.x.conjugate().coeffs, pt.y.conjugate().coeffs)
+        y.coeffs  # a rational y beside a quadratic x (the trisection defect, ROADMAP item 2) fails here
+        xc, yc = x.conjugate(), y.conjugate()
+        key = (x.field, x.n0, x.n1, x.d, y.n0, y.n1, y.d)
+        conj = (x.field, xc.n0, xc.n1, xc.d, yc.n0, yc.n1, yc.d)
         for entry in pending:
             if entry[0] == conj:
                 entry[3] -= mult
@@ -603,19 +604,23 @@ def _pair_conjugates(support):
 
 def _pair_sum(p: Point) -> Point:
     """P + conj(P) over Q for P = (ax + bx*g, ay + by*g) on a curve over Q,
-    with g^2 + p1*g + p0 = 0.
+    with E*g^2 + P1*g + P0 = 0.
 
     The chord through P and conj(P) has slope l = by/bx; its third point is
-    rational, x3 = l^2 - (2ax - bx*p1) and y3 = l*(ax - x3) - ay. When
+    rational, x3 = l^2 - (2ax - bx*P1/E) and y3 = l*(ax - x3) - ay. When
     bx = 0 and by != 0, conj(P) = -P on the curve and the sum is the origin.
     This is Cantor's reduction of a degree-2 divisor (D. G. Cantor, Math.
-    Comp. 48, 1987)."""
-    (ax, bx), (ay, by) = p.x.coeffs, p.y.coeffs
-    if not bx:
+    Comp. 48, 1987). With x = (xn0 + xn1*g)/xd and y = (yn0 + yn1*g)/yd, the
+    slope is yn1*xd/(yd*xn1) and the trace 2ax - bx*P1/E is
+    (2*E*xn0 - P1*xn1)/(E*xd)."""
+    x, y = p.x, p.y
+    if not x.n1:
         return INFINITY
-    slope = by / bx
-    x3 = slope * slope - ax - p.x.conjugate().coeffs[0]
-    return Point(x3, slope * (ax - x3) - ay)
+    K = x.field
+    slope = Fraction(y.n1 * x.d, y.d * x.n1)
+    ax = Fraction(x.n0, x.d)
+    x3 = slope * slope - Fraction(2 * K.E * x.n0 - K.P1 * x.n1, K.E * x.d)
+    return Point(x3, slope * (ax - x3) - Fraction(y.n0, y.d))
 
 
 def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):

@@ -2,8 +2,9 @@
 plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
 behind the CLI, the spec fields the CLI must read, the pinned trisection
-defect, the bans on assert and on json's indent encoder in the package, the
-tracer-only imports, and the unread imports of the test modules."""
+defect, the bans on assert, on json's indent encoder and on Fraction
+arithmetic in number-field elements in the package, the tracer-only imports,
+and the unread imports of the test modules."""
 
 from __future__ import annotations
 
@@ -447,6 +448,32 @@ def test_no_resultant_is_interpolated_only_to_be_tested_for_zero():
         in ("resultant_bivariate", "branch_discriminant")
     ]
     assert not found, f".is_zero read on a full resultant in fibdense: {found}"
+
+
+# the NumFieldElement methods that may build Fractions: the constructor from
+# Fractions, the Fraction view, the Fraction hash of a rational element and
+# the printed form
+FRACTION_VIEWS = {"__init__", "coeffs", "as_fraction", "__hash__", "__str__"}
+
+
+def test_numfield_arithmetic_builds_no_fraction():
+    # a field element is two integers over one denominator; a method that
+    # builds a Fraction, or reads the Fraction pair coeffs, is back to one
+    # reduced Fraction per coefficient operation
+    path = pathlib.Path(fibdense.__file__).parent / "exactmath" / "numfield.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (element,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "NumFieldElement")
+    methods = {item.name: item for item in element.body if isinstance(item, ast.FunctionDef)}
+    assert {"__add__", "__sub__", "__mul__", "__truediv__", "inverse", "conjugate"} <= set(methods)
+    found = [
+        f"NumFieldElement.{name}:{node.lineno}"
+        for name, method in methods.items()
+        if name not in FRACTION_VIEWS
+        for node in ast.walk(method)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "coeffs")
+    ]
+    assert not found, f"Fraction arithmetic in NumFieldElement: {found}"
 
 
 # top-level names kept although no code in fibdense reads them

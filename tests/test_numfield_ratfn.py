@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from fibdense.errors import DomainError, NoSquareRoot, ZeroInput
 from fibdense.exactmath import (
     NumField,
+    NumFieldElement,
     Poly,
     RatFn,
     is_square,
@@ -101,6 +103,14 @@ def test_a_poly_operand_gets_the_reflected_method():
         K.gen * FIELDS[1].gen
 
 
+def test_a_scalar_minus_a_poly_is_the_negated_difference():
+    K = FIELDS[0]
+    p = poly([1, Fraction(-2, 3), 5])
+    assert Fraction(1) - p == -(p - 1)
+    assert 1 - p == -(p - 1)
+    assert K.gen - p == -(p - K.gen)
+
+
 def test_division_by_rational_zero_raises():
     a = FIELDS[0].element([1, 2])
     for zero in (0, Fraction(0)):
@@ -159,6 +169,50 @@ def test_closed_forms_match_sympy(p1, p0, cs):
     sq = a * a
     root = K.sqrt(sq)
     assert root * root == sq
+
+
+def _lowest_terms(el, K):
+    assert el.field is K
+    assert el.d > 0 and math.gcd(el.n0, el.n1, el.d) == 1
+    # one integer form per value: rebuilding from the Fractions changes nothing
+    rebuilt = NumFieldElement(K, el.coeffs)
+    assert (rebuilt.n0, rebuilt.n1, rebuilt.d) == (el.n0, el.n1, el.d)
+    return el
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rat64, _rat64, st.lists(_rat64, min_size=4, max_size=4), st.one_of(_rat64, st.integers(-50, 50)),
+       st.integers(-3, 3))
+def test_every_result_is_in_lowest_terms(p1, p0, cs, r, n):
+    """Each result is (n0 + n1*gen)/d with d > 0 and gcd(n0, n1, d) = 1, so
+    equal values have equal integers, and a rational result equals its
+    Fraction and hashes like it."""
+    assume(not is_square(p1 * p1 - 4 * p0))
+    K = NumField(poly([p0, p1, 1]), "r")
+    a, b = K.element(cs[:2]), K.element(cs[2:])
+    e = K.embed(r)
+    results = [a + b, a - b, a * b, a + r, r + a, a - r, r - a, a * r, r * a, a * e, e * a, -a, a.conjugate()]
+    results += [a**abs(n), K.sqrt(a * a)]
+    if b:
+        results += [a / b, r / b, e / b, b.inverse(), b**n]
+        assert _lowest_terms((a * b) / b, K) == a
+    if r:
+        results += [a / r, a / e]
+    for el in results:
+        _lowest_terms(el, K)
+    assert _lowest_terms(a.conjugate().conjugate(), K) == a
+    a0, a1 = cs[:2]
+    rational = [
+        (a + a.conjugate(), 2 * a0 - a1 * p1),
+        (a * a.conjugate(), a0 * a0 - a0 * a1 * p1 + a1 * a1 * p0),
+        (e, Fraction(r)),
+        (a - a, Fraction(0)),
+        (K.one, Fraction(1)),
+    ]
+    for el, want in rational:
+        assert _lowest_terms(el, K).is_rational
+        assert el == want and want == el and el.as_fraction() == want
+        assert hash(el) == hash(want)
 
 
 def test_conjugate_properties():
