@@ -23,10 +23,10 @@ built over Q or a quadratic field, so nothing larger is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from ..errors import DomainError, NoSquareRoot, ZeroInput
-from .poly import Poly
+from .poly import Poly, _cleared, _signed_sum, power
 from .rationals import is_square, rat_sqrt
 
 
@@ -41,8 +41,7 @@ class NumField:
             raise DomainError("minimal polynomial must have degree 2")
         if not all(isinstance(cc, Fraction) for cc in m.coeffs):
             raise DomainError("minimal polynomial must have rational coefficients")
-        den = lcm(*(c.denominator for c in m.coeffs))
-        P0, P1, E = (c.numerator * (den // c.denominator) for c in m.coeffs)
+        (P0, P1, E), _den = _cleared(m.coeffs)
         g = gcd(E, P1, P0) if E > 0 else -gcd(E, P1, P0)
         E, P1, P0 = E // g, P1 // g, P0 // g
         disc = P1 * P1 - 4 * P0 * E
@@ -156,13 +155,11 @@ class NumFieldElement:
     __slots__ = ("field", "n0", "n1", "d")
 
     def __init__(self, field: NumField, coeffs: tuple[Fraction, Fraction]):
-        a, b = (Fraction(c) for c in coeffs)
-        qa, qb = a.denominator, b.denominator
-        # d = lcm(qa, qb) is in lowest terms: the full power of a prime in d
-        # divides qa or qb, and that Fraction's numerator is prime to it
-        d = lcm(qa, qb)
-        self.field = field
-        self.n0, self.n1, self.d = a.numerator * (d // qa), b.numerator * (d // qb), d
+        # the lcm d of the two denominators is in lowest terms: the full power
+        # of a prime in d divides one of them, and that Fraction's numerator
+        # is prime to it
+        (n0, n1), d = _cleared([Fraction(c) for c in coeffs])
+        self.field, self.n0, self.n1, self.d = field, n0, n1, d
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction]:
@@ -299,14 +296,7 @@ class NumFieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one)
 
     def conjugate(self) -> "NumFieldElement":
         """Galois conjugate: gen goes to the other root -p1 - gen, so
@@ -328,12 +318,7 @@ class NumFieldElement:
             parts.append(f"-{name}")
         elif b != 0:
             parts.append(f"{b}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _signed_sum(parts)
 
 
 def quadratic_field(f: Poly, name: str = "r") -> tuple[NumField, NumFieldElement, NumFieldElement]:

@@ -35,6 +35,7 @@ Design notes, kept here because they are easy to get wrong:
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -149,14 +150,7 @@ class Poly:
             one = Fraction(1)
         else:
             one = self.lead / self.lead
-        result = Poly([one])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly([one]))
 
     def __truediv__(self, other):
         """Division by a nonzero int, Fraction or NumFieldElement; any other
@@ -231,9 +225,31 @@ def poly(coeffs: Sequence) -> Poly:
     return Poly(coeffs)
 
 
-def format_poly(p: Poly) -> str:
-    if p.is_zero:
+def power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply from one, the power 0; the
+    base is squared only while bits of n remain."""
+    result = one
+    while True:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+def _signed_sum(terms: list[str]) -> str:
+    """The terms joined by " + ", or by " - " before a term that starts
+    with "-"; "0" when there are none."""
+    if not terms:
         return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+def format_poly(p: Poly) -> str:
     parts = []
     for k in range(p.degree, -1, -1):
         c = p.coefficient(k)
@@ -250,10 +266,7 @@ def format_poly(p: Poly) -> str:
             else:
                 term = f"{c}*{mon}"
         parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return _signed_sum(parts)
 
 
 def _is_rational_poly(p: Poly) -> bool:
@@ -267,10 +280,8 @@ def _rational_product(a: tuple, b: tuple) -> Poly:
     da*a and db*b lie in Z[t]; their convolution is da*db times the product,
     so each output coefficient is one Fraction(c, da*db) and one gcd, not a
     Fraction product and sum per term."""
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    A = [c.numerator * (da // c.denominator) for c in a]
-    B = [c.numerator * (db // c.denominator) for c in b]
+    A, da = _cleared(a)
+    B, db = _cleared(b)
     out = [0] * (len(A) + len(B) - 1)
     for i, x in enumerate(A):
         if x:
@@ -284,11 +295,17 @@ def _rational_product(a: tuple, b: tuple) -> Poly:
 # integer polynomial layer (private): contents, exact division, heuristic gcd
 # ---------------------------------------------------------------------------
 
+def _cleared(values) -> tuple[list[int], int]:
+    """(ints, L) for rationals values: L is the lcm of their denominators
+    and ints lists L*v for each v, one integer product per value."""
+    L = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (L // c.denominator) for c in values], L
+
+
 def _to_int_primitive(p: Poly) -> list[int]:
     """The primitive part of p in Z[t]: gcd of coeffs 1, positive leading
     coefficient (empty for the zero polynomial)."""
-    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    return _int_primitive([int(c * den_lcm) for c in p.coeffs])
+    return _int_primitive(_cleared(p.coeffs)[0])
 
 
 def _int_primitive(a: list[int]) -> list[int]:
@@ -470,10 +487,7 @@ def _resultant_nodes(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
     if not all(_is_rational_poly(c) for c in f + g):
         raise ZeroInput("resultant_bivariate is implemented over Q only")
     n, m = len(f) - 1, len(g) - 1
-    cf = math.lcm(*(c.denominator for p in f for c in p.coeffs))
-    cg = math.lcm(*(c.denominator for p in g for c in p.coeffs))
-    fi = [[c.numerator * (cf // c.denominator) for c in p.coeffs] for p in f]
-    gi = [[c.numerator * (cg // c.denominator) for c in p.coeffs] for p in g]
+    (fi, cf), (gi, cg) = (_cleared_rows(h) for h in (f, g))
     # a degree bound for R, plus one; each list ends in a nonzero polynomial
     count = m * max(p.degree for p in f) + n * max(p.degree for p in g) + 1
     yield count, cf ** m * cg ** n
@@ -485,6 +499,14 @@ def _resultant_nodes(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
         if F[-1] and G[-1]:
             count -= 1
             yield x, _int_resultant(F, G)
+
+
+def _cleared_rows(polys: list[Poly]) -> tuple[list[list[int]], int]:
+    """(rows, L): the coefficient list of each polynomial cleared by L, the
+    lcm of all their denominators (_cleared on the joined lists)."""
+    ints, L = _cleared([c for p in polys for c in p.coeffs])
+    it = iter(ints)
+    return [list(itertools.islice(it, len(p.coeffs))) for p in polys], L
 
 
 def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> Poly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import ZeroInput
-from .poly import Poly, format_poly, poly_gcd
+from .poly import Poly, format_poly, poly_gcd, power
 
 _ONE = Poly([Fraction(1)])
 
@@ -125,14 +125,7 @@ class RatFn:
     def __pow__(self, n: int):
         if n < 0:
             return (1 / self) ** (-n)
-        result = RatFn(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, RatFn(1))
 
     # -- evaluation --
 

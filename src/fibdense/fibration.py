@@ -10,20 +10,24 @@ points(model, height_bound) lists its rational points by parameter height,
 cycle(fiber, b) cuts out its zero-cycle on the smooth fiber at t = b,
 trace(fiber, b) gives that cycle's group-law sum over Q, and
 ramification(model) locates the branch points of its projection to the
-t-line. Each fiber cycle is Galois-stable, so its sum (the trace) is
-rational, and tau(p) = [d]p - trace is the workhorse class map. The
-functions on one fiber take the smooth fiber the caller specialized:
-fiber_cycle(m, fiber, b), trace_cycle(fiber, m, b) and
-tau_map(fiber, m, p, b). A section is the degree-1 case: a section
+t-line. A fiber cycle is defined over Q, so cycle returns it as
+(rational, pairs): the points over Q, and O, with their multiplicities,
+and one point P of each conjugate pair {P, conj(P)} with the multiplicity
+the two share. Its sum (the trace) is rational, and tau(p) = [d]p - trace
+is the workhorse class map. The functions on one fiber take the smooth
+fiber the caller specialized: fiber_cycle(m, fiber, b), trace_cycle(fiber,
+m, b) and tau_map(fiber, m, p, b). A section is the degree-1 case: a section
 difference takes two multisections of degree 1 and reads each one's point
 on a fiber as its trace.
 
 No trace but a parametrized curve's takes a root. The zero section and
 x = c trace to O, and a graph to the image of the unmarked branch at
 infinity, in closed form (see each trace method for its divisor). A
-parametrized curve and a split list sum their checked support (fiber_cycle)
-over Q, each conjugate pair by its chord; a split list's points are all
-rational or O, so it has no pair to form.
+parametrized curve and a split list sum their checked cycle over Q, each
+conjugate pair by its chord; a split list's points are all rational or O,
+so it has no pair. A cycle that takes a root evaluates its point at the
+first root of each conjugate pair only: x(s), y(s) and the chart maps are
+defined over Q, so the point at the other root is the conjugate.
 
 Fiber points are only ever constructed over Q or quadratic fields, by one
 evaluation (RatFn.__call__) and one root splitter (small_field_roots). Over
@@ -79,6 +83,7 @@ from .exactmath import (
     squarefree_decompose,
 )
 from .exactmath.numfield import NumFieldElement
+from .exactmath.poly import _cleared
 
 Rat = Fraction
 
@@ -280,7 +285,7 @@ class ZeroSection:
         return [(b, INFINITY) for b in enumerate_rationals(height_bound)]
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
-        return [(INFINITY, 1)]
+        return [(INFINITY, 1)], []
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
         """O: the cycle is O itself."""
@@ -311,9 +316,7 @@ class ConstantX:
             )
         # n(t) = y^2 d(t) at y = p/q, times q^2 L with n0, n1, d0, d1 cleared by
         # L, their denominators' lcm: t = (p^2 d0 - q^2 n0) / (q^2 n1 - p^2 d1)
-        coeffs = [f.coefficient(k) for f in (n, d) for k in (0, 1)]
-        lcm = math.lcm(*(c.denominator for c in coeffs))
-        n0, n1, d0, d1 = (c.numerator * (lcm // c.denominator) for c in coeffs)
+        (n0, n1, d0, d1), _lcm = _cleared([f.coefficient(k) for f in (n, d) for k in (0, 1)])
         out = []
         for y in enumerate_rationals(height_bound):
             p2, q2 = y.numerator**2, y.denominator**2
@@ -325,7 +328,7 @@ class ConstantX:
     def cycle(self, fiber: EllipticCurve, b: Rat):
         w2 = self.c**3 + fiber.a * self.c + fiber.b
         roots, _none = small_field_roots(Poly([-w2, 0, 1]), "w")
-        return [(Point(w * 0 + self.c, w), mult) for w, mult in roots]
+        return _cycle_over_roots(roots, lambda w: Point(w * 0 + self.c, w))
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
         """O, with no root taken.
@@ -371,19 +374,17 @@ class Parametrized:
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
         solver = self.t.num - b * self.t.den
-        support = []
         drop = self.degree - solver.degree
-        if drop > 0:
-            # the missing preimages sit at s = infinity
-            support.append((_eval_point(self.x, self.y, None), drop))
+        # the missing preimages sit at s = infinity
+        at_infinity = [(_eval_point(self.x, self.y, None), drop)] if drop > 0 else []
         roots, unresolved = small_field_roots(solver, "s")
         if unresolved:
             factor = unresolved[0]
             raise TraceFieldTooLarge(
                 f"fiber points at t = {b} need a degree-{factor.degree} factor {factor}"
             )
-        support += [(_descend_point(_eval_point(self.x, self.y, s)), mult) for s, mult in roots]
-        return support
+        rational, pairs = _cycle_over_roots(roots, lambda s: _descend_point(_eval_point(self.x, self.y, s)))
+        return at_infinity + rational, pairs
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
         return _support_trace(self, fiber, b)
@@ -491,7 +492,7 @@ class GraphOnQuartic:
         roots, _none = small_field_roots(Poly([-g(b), 0, 1]), "w")
         fwd, _e2 = self._chart(b, fiber)
         z0 = self.p(b)
-        return [(fwd(z0, w), mult) for w, mult in roots]
+        return _cycle_over_roots(roots, lambda w: fwd(z0, w))
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
         """e2, the image of the branch at infinity that is not marked, with
@@ -535,7 +536,7 @@ class SplitList:
         ]
 
     def cycle(self, fiber: EllipticCurve, b: Rat):
-        return [(_eval_point(x_fn, y_fn, b), 1) for x_fn, y_fn in self.sections]
+        return [(_eval_point(x_fn, y_fn, b), 1) for x_fn, y_fn in self.sections], []
 
     def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
         """The section points are rational or O, so the support path takes
@@ -568,38 +569,33 @@ def _check_support(curve: EllipticCurve, support) -> None:
             raise DomainError(f"cycle point {pt} is off the fiber")
 
 
-def _pair_conjugates(support):
-    """(rational, pairs) for a cycle's support, or None when it is not
-    Galois-stable.
+def _conjugate(p: Point) -> Point:
+    """conj(P), coordinate by coordinate; a Fraction is its own conjugate."""
+    return Point(p.x.conjugate(), p.y.conjugate())
 
-    rational lists the points over Q with their multiplicities; pairs lists
-    one point P of each conjugate pair {P, conj(P)} with the multiplicity the
-    two must share. One pass over the support keeps, for each pair met so
-    far, the multiplicity of P minus that of conj(P); the support is
-    Galois-stable when every difference ends at zero."""
-    rational, pending = [], []  # pending entries: [key, point, multiplicity, difference]
-    for pt, mult in support:
-        x, y = pt.x, pt.y
-        if not isinstance(x, NumFieldElement):
+
+def _cycle_over_roots(roots, point):
+    """(rational, pairs) for the cycle of the points point(r), r over the
+    (root, multiplicity) list that small_field_roots gives over Q.
+
+    That list holds the two roots of each quadratic factor side by side,
+    and point is defined over Q, so the point at the second root of a pair
+    is the conjugate of the point at the first: point is evaluated at the
+    first only. A point that is its own conjugate (rational, or O) is
+    listed under rational once for each root; any other is one pair."""
+    rational, pairs = [], []
+    roots = iter(roots)
+    for r, mult in roots:
+        pt = point(r)
+        if isinstance(r, NumFieldElement):
+            next(roots)
+            if not pt.is_infinity and pt != _conjugate(pt):
+                pt.y.coeffs  # a rational y beside a quadratic x (the trisection defect, ROADMAP item 2) fails here
+                pairs.append((pt, mult))
+                continue
             rational.append((pt, mult))
-            continue
-        y.coeffs  # a rational y beside a quadratic x (the trisection defect, ROADMAP item 2) fails here
-        xc, yc = x.conjugate(), y.conjugate()
-        key = (x.field, x.n0, x.n1, x.d, y.n0, y.n1, y.d)
-        conj = (x.field, xc.n0, xc.n1, xc.d, yc.n0, yc.n1, yc.d)
-        for entry in pending:
-            if entry[0] == conj:
-                entry[3] -= mult
-                break
-            if entry[0] == key:
-                entry[2] += mult
-                entry[3] += mult
-                break
-        else:
-            pending.append([key, pt, mult, mult])
-    if any(entry[3] for entry in pending):
-        return None
-    return rational, [(pt, mult) for _key, pt, mult, _diff in pending]
+        rational.append((pt, mult))
+    return rational, pairs
 
 
 def _pair_sum(p: Point) -> Point:
@@ -607,14 +603,15 @@ def _pair_sum(p: Point) -> Point:
     with E*g^2 + P1*g + P0 = 0.
 
     The chord through P and conj(P) has slope l = by/bx; its third point is
-    rational, x3 = l^2 - (2ax - bx*P1/E) and y3 = l*(ax - x3) - ay. When
-    bx = 0 and by != 0, conj(P) = -P on the curve and the sum is the origin.
-    This is Cantor's reduction of a degree-2 divisor (D. G. Cantor, Math.
-    Comp. 48, 1987). With x = (xn0 + xn1*g)/xd and y = (yn0 + yn1*g)/yd, the
-    slope is yn1*xd/(yd*xn1) and the trace 2ax - bx*P1/E is
-    (2*E*xn0 - P1*xn1)/(E*xd)."""
+    rational, x3 = l^2 - (2ax - bx*P1/E) and y3 = l*(ax - x3) - ay. When x
+    is rational (bx = 0, or x a Fraction) and y is not, conj(P) = -P on the
+    curve and the sum is the origin. This is Cantor's reduction of a
+    degree-2 divisor (D. G. Cantor, Math. Comp. 48, 1987). With
+    x = (xn0 + xn1*g)/xd and y = (yn0 + yn1*g)/yd, the slope is
+    yn1*xd/(yd*xn1) and the trace 2ax - bx*P1/E is (2*E*xn0 - P1*xn1)/(E*xd).
+    No other code in this module reads the integer form of a field element."""
     x, y = p.x, p.y
-    if not x.n1:
+    if not isinstance(x, NumFieldElement) or not x.n1:
         return INFINITY
     K = x.field
     slope = Fraction(y.n1 * x.d, y.d * x.n1)
@@ -624,30 +621,24 @@ def _pair_sum(p: Point) -> Point:
 
 
 def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
-    """(support, rational, pairs) for m's zero-cycle on the smooth fiber at
-    t = b: its support as m.cycle lists it, split by _pair_conjugates.
-
-    The cycle must be Galois-stable, on the fiber and of degree m.degree
+    """(rational, pairs), m's zero-cycle on the smooth fiber at t = b as
+    m.cycle lists it, checked: on the fiber and of degree m.degree
     (DomainError otherwise). The fiber is defined over Q, so conjugation
     maps its points to its points, and one point of each pair is checked
-    on it."""
-    support = m.cycle(fiber, b)
-    split = _pair_conjugates(support)
-    if split is None:
-        raise DomainError(f"cycle at t = {b} is not Galois-stable")
-    rational, pairs = split
+    on it; a pair counts twice in the degree."""
+    rational, pairs = m.cycle(fiber, b)
     _check_support(fiber, rational + pairs)
-    degree = sum(mult for _pt, mult in support)
+    degree = sum(mult for _pt, mult in rational) + 2 * sum(mult for _pt, mult in pairs)
     if degree != m.degree:
         raise DomainError(f"cycle at t = {b} has degree {degree}, expected {m.degree}")
-    return support, rational, pairs
+    return rational, pairs
 
 
 def _support_trace(m: Multisection, fiber: EllipticCurve, b: Rat) -> Point:
     """The sum of the checked support (see _checked_support) over Q: the
     rational points with their multiplicities, and each conjugate pair by
     its chord (_pair_sum)."""
-    _support, rational, pairs = _checked_support(m, fiber, b)
+    rational, pairs = _checked_support(m, fiber, b)
     trace = INFINITY
     for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
         trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
@@ -657,8 +648,10 @@ def _support_trace(m: Multisection, fiber: EllipticCurve, b: Rat) -> Point:
 def fiber_cycle(m: Multisection, fiber: EllipticCurve, b: Rat) -> tuple:
     """The checked support, (point, multiplicity) pairs, of the
     multisection's zero-cycle on the smooth fiber at t = b (see
-    _checked_support)."""
-    return tuple(_checked_support(m, fiber, b)[0])
+    _checked_support): the rational points, then each conjugate pair as P
+    and conj(P)."""
+    rational, pairs = _checked_support(m, fiber, b)
+    return tuple(rational) + tuple(q for pt, mult in pairs for q in ((pt, mult), (_conjugate(pt), mult)))
 
 
 def trace_cycle(fiber: EllipticCurve, m: Multisection, b: Rat) -> Point:

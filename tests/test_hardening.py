@@ -3,8 +3,9 @@ plain reference loop, the unchecked group law the loops rely on, the
 re-verification of emitted points, the rational parser and flag validation
 behind the CLI, the spec fields the CLI must read, the pinned trisection
 defect, the bans on assert, on json's indent encoder and on Fraction
-arithmetic in number-field elements in the package, the tracer-only imports,
-and the unread imports of the test modules."""
+arithmetic in number-field elements in the package, the one reader of a
+field element's integer form in fibration, the tracer-only imports, and the
+unread imports of the test modules."""
 
 from __future__ import annotations
 
@@ -476,6 +477,24 @@ def test_numfield_arithmetic_builds_no_fraction():
     assert not found, f"Fraction arithmetic in NumFieldElement: {found}"
 
 
+# the integer form of a quadratic-field element: an element's n0, n1 and d,
+# its field's E, P1 and P0
+INTEGER_FORM = {"n0", "n1", "d", "E", "P1", "P0"}
+
+
+def test_fibration_reads_the_integer_form_only_in_the_chord_sum():
+    # numfield owns the representation of an element; in fibration only the
+    # chord sum of a conjugate pair (_pair_sum) reads it
+    path = pathlib.Path(fibdense.__file__).parent / "fibration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (chord,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pair_sum")
+    inside = set(map(id, ast.walk(chord)))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in INTEGER_FORM]
+    assert any(id(node) in inside for node in reads)
+    found = [f"fibration.py:{node.lineno}:{node.attr}" for node in reads if id(node) not in inside]
+    assert not found, f"integer form of a field element read outside _pair_sum: {found}"
+
+
 # top-level names kept although no code in fibdense reads them
 UNREFERENCED_ALLOWED = {
     "ec_sub": "test oracle for the group law",
@@ -661,7 +680,7 @@ def test_shared_method_names_are_reviewed():
 
 
 @pytest.mark.xfail(raises=AttributeError, strict=True, reason="known defect: a constant y(s) "
-                   "evaluates to a Fraction at a quadratic s, and the Galois check reads .coeffs")
+                   "evaluates to a Fraction at a quadratic s, and the conjugate pairing reads .coeffs")
 def test_trisection_with_nonzero_constant_y():
     model = FibrationModel(ratfn([0, 1]), ratfn([5]))  # y^2 = x^3 + t x + 5
     trisection = Parametrized(ratfn([-1, 0, 0, -1], [0, 1]), ratfn([0, 1]), ratfn([2]))

@@ -29,6 +29,7 @@ from fibdense.exactmath.poly import (
     _int_horner_all,
     _simple_roots_mod_small_prime,
     _to_int_primitive,
+    power,
 )
 
 _x = sympy.Symbol("x")
@@ -613,6 +614,21 @@ def test_rational_power_matches_sympy_and_the_schoolbook_loop(p, n):
         expected = _schoolbook_product(expected, p)
     assert p**n == expected
     assert _to_sympy(p**n) == _to_sympy(p) ** n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 13])
+def test_power_squares_the_base_only_while_bits_remain(n):
+    # square-and-multiply takes one product per set bit of n and one
+    # squaring per bit after the first; none after the last bit
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(other)
+            return Counted(int(self) * int(other))
+
+    assert power(Counted(3), n, Counted(1)) == 3**n
+    assert len(products) == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
 
 _ROOT2 = NumField(poly([-2, 0, 1]), "r")

@@ -1,7 +1,9 @@
 """The trace of a fiber cycle summed over Q, checked against the sum taken
 point by point over each field: the closed forms of every multisection kind
 but a parametrized curve, and the support path of a parametrized curve,
-which sums each conjugate pair by its chord."""
+which sums each conjugate pair by its chord. A cycle is (rational, pairs)
+with one point per conjugate pair, checked against the cycle evaluated at
+every root of the fiber equation on its own."""
 
 from __future__ import annotations
 
@@ -35,6 +37,8 @@ from fibdense.fibration import (
     ZeroSection,
     _pair_sum,
     fiber_cycle,
+    quartic_on_graph,
+    small_field_roots,
     specialize,
     trace_cycle,
 )
@@ -74,17 +78,18 @@ def _support_sum(curve: EllipticCurve, support) -> Point:
 
 @dataclass(frozen=True)
 class FixedCycle:
-    """A multisection whose cycle on every fiber is the given support,
-    traced by the support path that a parametrized curve takes."""
+    """A multisection whose cycle on every fiber is the given (rational,
+    pairs), traced by the support path that a parametrized curve takes."""
 
-    support: tuple
+    rational: tuple = ()
+    pairs: tuple = ()
 
     @property
     def degree(self) -> int:
-        return sum(m for _pt, m in self.support)
+        return sum(m for _pt, m in self.rational) + 2 * sum(m for _pt, m in self.pairs)
 
     def cycle(self, fiber, b):
-        return list(self.support)
+        return list(self.rational), list(self.pairs)
 
     trace = Parametrized.trace
 
@@ -126,44 +131,32 @@ def test_chord_pair_sum_matches_the_field_group_law(curve_point, mult):
     expected = _descend(_add_unchecked(curve, p, _conjugate(p)))
     assert _pair_sum(p) == expected
     # with multiplicity m the pair contributes [m](P + conj P), summed over Q
-    cycle = FixedCycle(((p, mult), (_conjugate(p), mult)))
+    cycle = FixedCycle(pairs=((p, mult),))
     assert trace_cycle(curve, cycle, F(0)) == _mul_unchecked(curve, mult, expected)
+    assert fiber_cycle(cycle, curve, F(0)) == ((p, mult), (_conjugate(p), mult))
 
 
 def test_pair_sum_with_rational_x_is_the_point_at_infinity():
     K = NumField(poly([-3, 0, 1]), "w")
     curve = EllipticCurve(F(0), F(-5))  # y^2 = x^3 - 5 meets x = 2 at y = +-w
-    p = Point(K.embed(2), K.gen)
-    assert curve.contains(p)
-    assert _pair_sum(p) is INFINITY
-    assert trace_cycle(curve, FixedCycle(((p, 3), (_conjugate(p), 3))), F(0)) is INFINITY
+    # x over Q as a field element, and as a Fraction beside a quadratic y
+    for p in (Point(K.embed(2), K.gen), Point(F(2), K.gen)):
+        assert curve.contains(p)
+        assert _pair_sum(p) is INFINITY
+        assert trace_cycle(curve, FixedCycle(pairs=((p, 3),)), F(0)) is INFINITY
 
 
 @settings(max_examples=80, deadline=None)
 @given(points_over_quadratic_fields(), st.lists(st.integers(1, 3), min_size=1, max_size=3), st.randoms())
 def test_pairing_sums_multiplicities_in_any_order(curve_point, splits, rng):
-    """A pair listed as several entries, in any order, is stable when the
-    multiplicities of P and of conj P add up to the same total."""
+    """A pair listed as several entries, each standing for the pair by P or
+    by conj P, in any order, sums as P and conj P each with the total."""
     curve, p = curve_point
     conj = _conjugate(p)
-    support = [(p, m) for m in splits] + [(conj, sum(splits))]
-    rng.shuffle(support)
-    cycle = FixedCycle(tuple(support))
-    assert trace_cycle(curve, cycle, F(0)) == _support_sum(curve, support)
-    unbalanced = FixedCycle(tuple(support) + ((p, 1),))
-    with pytest.raises(DomainError, match="is not Galois-stable"):
-        trace_cycle(curve, unbalanced, F(0))
-
-
-def test_unpaired_point_is_not_galois_stable():
-    K = NumField(poly([-2, 0, 1]), "w")
-    curve = EllipticCurve(F(0), F(-6))  # y^2 = x^3 - 6 meets x = 2 at y = +-w
-    p = Point(K.embed(2), K.gen)
-    assert curve.contains(p)
-    with pytest.raises(DomainError, match="is not Galois-stable"):
-        trace_cycle(curve, FixedCycle(((p, 1), (p, 1))), F(0))
-    with pytest.raises(DomainError, match="is not Galois-stable"):
-        trace_cycle(curve, FixedCycle(((p, 1), (_conjugate(p), 2))), F(0))
+    pairs = [(rng.choice((p, conj)), m) for m in splits]
+    rng.shuffle(pairs)
+    cycle = FixedCycle(pairs=tuple(pairs))
+    assert trace_cycle(curve, cycle, F(0)) == _support_sum(curve, [(p, sum(splits)), (conj, sum(splits))])
 
 
 def test_off_curve_conjugate_pair_is_off_the_fiber():
@@ -171,30 +164,71 @@ def test_off_curve_conjugate_pair_is_off_the_fiber():
     curve = EllipticCurve(F(0), F(-5))
     p = Point(K.embed(2), K.gen)  # on y^2 = x^3 - 6, not on this curve
     assert not curve.contains(p)
-    with pytest.raises(DomainError, match="off the fiber"):
-        trace_cycle(curve, FixedCycle(((p, 1), (_conjugate(p), 1))), F(0))
-    # either order: whichever point of the pair is kept, it is checked
-    with pytest.raises(DomainError, match="off the fiber"):
-        trace_cycle(curve, FixedCycle(((_conjugate(p), 1), (p, 1))), F(0))
+    # whichever point stands for the pair, it is checked
+    for q in (p, _conjugate(p)):
+        with pytest.raises(DomainError, match="off the fiber"):
+            trace_cycle(curve, FixedCycle(pairs=((q, 1),)), F(0))
+        with pytest.raises(DomainError, match="off the fiber"):
+            fiber_cycle(FixedCycle(pairs=((q, 1),)), curve, F(0))
 
 
 # -- trace_cycle against the reference sum on the multisection kinds --
 
 
+def _eval(x_fn: RatFn, y_fn: RatFn, s) -> Point:
+    xv, yv = x_fn(s), y_fn(s)
+    return INFINITY if xv is None or yv is None else Point(xv, yv)
+
+
+def _per_root(m, fiber, b):
+    """(root, point, multiplicity) at every root of the fiber equation of a
+    multisection that takes one, each root evaluated on its own, in the
+    order small_field_roots lists them; a parametrized curve's points at
+    s = infinity come first, with root None."""
+    if isinstance(m, Parametrized):
+        solver = m.t.num - b * m.t.den
+        drop = m.degree - solver.degree
+        head = [(None, _eval(m.x, m.y, None), drop)] if drop > 0 else []
+        roots, unresolved = small_field_roots(solver, "s")
+        if unresolved:
+            raise DomainError("the fiber points need a larger field")
+        return head + [(s, _eval(m.x, m.y, s), k) for s, k in roots]
+    if isinstance(m, ConstantX):
+        roots, _none = small_field_roots(poly([-(m.c**3 + fiber.a * m.c + fiber.b), 0, 1]), "w")
+        return [(w, Point(w * 0 + m.c, w), k) for w, k in roots]
+    forward = quartic_to_weierstrass([f(b) for f in m.fiber_coeffs], m.sign)[2]
+    z0 = m.p(b)
+    roots, _none = small_field_roots(poly([-quartic_on_graph(m.fiber_coeffs, m.p)(b), 0, 1]), "w")
+    return [(w, forward(z0, w), k) for w, k in roots]
+
+
+def _flat_cycle(m, fiber, b):
+    """The cycle as (point, multiplicity) pairs, one for each root: the
+    reference support. The zero section and a split list take no root, and
+    every point they list is rational or O."""
+    if isinstance(m, (ZeroSection, SplitList)):
+        rational, pairs = m.cycle(fiber, b)
+        assert pairs == []
+        return rational
+    return [(pt, k) for _r, pt, k in _per_root(m, fiber, b)]
+
+
 def _check_against_reference(model: FibrationModel, m, b):
-    """Compare the trace with the reference sum wherever the fiber is smooth
-    and the reference succeeds; returns whether a comparison was made. Where
-    the reference exists, neither the checked support nor the trace may
-    refuse the cycle."""
+    """Compare the trace with the reference sum, and the checked support
+    with the reference support, wherever the fiber is smooth and the
+    reference succeeds; returns whether a comparison was made. Where the
+    reference exists, neither the checked support nor the trace may refuse
+    the cycle."""
     try:
         fiber = specialize(model, b)
     except DomainError:  # a pole or a singular fiber
         return False
     try:
-        expected = _support_sum(fiber, m.cycle(fiber, b))
+        flat = _flat_cycle(m, fiber, b)
+        expected = _support_sum(fiber, flat)
     except DomainError:  # TraceFieldTooLarge among them
         return False
-    assert fiber_cycle(m, fiber, b) == tuple(m.cycle(fiber, b))
+    assert fiber_cycle(m, fiber, b) == tuple(flat)
     assert trace_cycle(fiber, m, b) == expected
     return True
 
@@ -270,7 +304,7 @@ def test_split_list_with_a_pole_sums_infinity():
     # over t = 0 the pole section is O, between two copies of the 2-torsion point (0, 0)
     fiber = specialize(POLE_MODEL, F(0))
     two_torsion = Point(F(0), F(0))
-    assert POLE_SPLIT.cycle(fiber, F(0)) == [(two_torsion, 1), (INFINITY, 1), (two_torsion, 1)]
+    assert POLE_SPLIT.cycle(fiber, F(0)) == ([(two_torsion, 1), (INFINITY, 1), (two_torsion, 1)], [])
     assert trace_cycle(fiber, POLE_SPLIT, F(0)) is INFINITY
     for sections in ((POLE_SECTION, POLE_SPLIT.sections[0]), (POLE_SPLIT.sections[0], POLE_SECTION)):
         assert trace_cycle(fiber, SplitList(sections), F(0)) == two_torsion
@@ -335,6 +369,72 @@ def test_reference_agrees_on_fixed_fibers():
         compared += _check_against_reference(worked, trisection, b)
         compared += _check_against_reference(worked, ConstantX(F(rng.randint(-3, 3))), b)
     assert compared == 22
+
+
+# -- one point per conjugate pair, evaluated at the first root only --
+
+# y^2 = x^3 + t - 1 with s -> (s^2, 1, s): a pair with a rational x
+RATIONAL_X = (FibrationModel(ratfn([0]), ratfn([-1, 1])), Parametrized(ratfn([0, 0, 1]), ratfn([1]), ratfn([0, 1])))
+# y^2 = x^3 + (t - t^2)x with s -> (s^2, s^2, s^2): every pair descends to Q
+DESCENDS = (FibrationModel(ratfn([0, 1, -1]), ratfn([0])), Parametrized(*[ratfn([0, 0, 1])] * 3))
+
+
+@st.composite
+def root_taking_cases(draw):
+    """(model, multisection, b) of a kind whose cycle takes a root: a
+    parametrized curve (x = s with y = q(s) at b = t(s0), so that the fiber
+    cubic has the rational root s0, or RATIONAL_X or DESCENDS), a constant x
+    or a graph."""
+    kind = draw(st.sampled_from(("curve", "fixed", "constant_x", "graph")))
+    b = draw(rationals)
+    if kind == "curve":
+        q = poly(draw(st.lists(small, min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0)))
+        const = draw(small.filter(bool))
+        t = RatFn(q * q - poly([0, 0, 0, 1]) - const, poly([0, 1]))
+        b = t(draw(rationals.filter(bool)))
+        return FibrationModel(ratfn([0, 1]), ratfn([const])), Parametrized(t, ratfn([0, 1]), RatFn(q)), b
+    if kind == "fixed":
+        return draw(st.sampled_from((RATIONAL_X, DESCENDS))) + (b,)
+    if kind == "constant_x":
+        return _model(draw(st.tuples(small, small)), draw(st.tuples(small, small))), ConstantX(draw(rationals)), b
+    f = draw(st.lists(st.lists(small, min_size=1, max_size=3), min_size=4, max_size=4))
+    lead, p = draw(st.sampled_from([1, 4, 9])), draw(st.lists(small, min_size=1, max_size=2))
+    return _graph_case(f, lead, p, draw(st.sampled_from([1, -1]))) + (b,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=root_taking_cases())
+@example(case=RATIONAL_X + (F(2),))
+@example(case=DESCENDS + (F(2),))
+def test_a_pair_is_its_first_root_and_the_conjugate_is_the_other(case):
+    """small_field_roots lists each conjugate pair of roots side by side;
+    the cycle keeps the point at the first root of a pair, the point at the
+    second is its conjugate, and fiber_cycle lists the points, multiplicities
+    and order of the cycle evaluated at every root on its own."""
+    model, m, b = case
+    try:
+        fiber = specialize(model, b)
+        per_root = _per_root(m, fiber, b)
+    except DomainError:  # a pole, a singular fiber or a larger field
+        assume(False)
+    quadratic = [i for i, (r, _pt, _k) in enumerate(per_root) if isinstance(r, NumFieldElement)]
+    expected = []  # the points at first roots that are not their own conjugate
+    for i in quadratic[::2]:
+        (r, pt, k), (r2, pt2, k2) = per_root[i], per_root[i + 1]
+        assert (r2, k2) == (r.conjugate(), k)
+        assert pt2 == (pt if pt.is_infinity else _conjugate(pt))
+        if pt2 != pt:
+            expected.append((pt, k))
+    assert m.cycle(fiber, b)[1] == expected
+    assert fiber_cycle(m, fiber, b) == tuple((pt, k) for _r, pt, k in per_root)
+
+
+def test_a_descended_pair_is_listed_twice_as_rational():
+    model, m = DESCENDS
+    fiber = specialize(model, F(2))
+    q = Point(F(2), F(2))
+    assert m.cycle(fiber, F(2)) == ([(q, 1), (q, 1)], [])
+    assert trace_cycle(fiber, m, F(2)) == _mul_unchecked(fiber, 2, q)
 
 
 # -- tau takes no root on a constant-x multisection --
