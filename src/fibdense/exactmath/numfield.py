@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import DomainError, NoSquareRoot, ZeroInput
-from .poly import Poly, _cleared, _signed_sum, power
+from .poly import Poly, _cleared, _is_rational_poly, _signed_sum, _to_int_primitive, power
 from .rationals import is_square, rat_sqrt
 
 
@@ -39,11 +39,9 @@ class NumField:
         m = minimal_polynomial
         if m.is_zero or m.degree != 2:
             raise DomainError("minimal polynomial must have degree 2")
-        if not all(isinstance(cc, Fraction) for cc in m.coeffs):
+        if not _is_rational_poly(m):
             raise DomainError("minimal polynomial must have rational coefficients")
-        (P0, P1, E), _den = _cleared(m.coeffs)
-        g = gcd(E, P1, P0) if E > 0 else -gcd(E, P1, P0)
-        E, P1, P0 = E // g, P1 // g, P0 // g
+        P0, P1, E = _to_int_primitive(m)
         disc = P1 * P1 - 4 * P0 * E
         if disc >= 0 and isqrt(disc) ** 2 == disc:
             raise DomainError("minimal polynomial has a rational root")

@@ -9,9 +9,14 @@ finding) check for it.
 
 Design notes, kept here because they are easy to get wrong:
 
-* products over Q convolve integers: each operand's denominators are
-  cleared once, and each output coefficient is one reduced Fraction.
-  Coefficients outside Q keep the generic loop.
+* a polynomial over Q is integer numerators over one positive denominator,
+  in lowest terms, the last numerator nonzero; zero is ((), 1). So equality
+  compares integers, and sums, products, scalar products and quotients,
+  divmod, exact division, derivatives and monic parts are integer loops
+  reduced by one gcd. Evaluation at p/q is integer Horner over the powers
+  of q and one Fraction. coeffs, coefficient and lead build Fractions when
+  read. Other coefficients (number-field elements, polynomials, rational
+  functions) keep the generic loops over coeffs.
 * gcd over Q runs on primitive integer polynomials through the heuristic
   gcd: one big-integer gcd of values at a large integer, read back as
   digits and proved by exact division in Z[x]. No remainder sequence is
@@ -35,12 +40,14 @@ Design notes, kept here because they are easy to get wrong:
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from ..errors import BothZero, ZeroInput
+
+_RATIONAL = (int, Fraction)
+_set = object.__setattr__
 
 
 def _as_coeff(c):
@@ -50,18 +57,20 @@ def _as_coeff(c):
 
 
 class Poly:
-    """Immutable dense polynomial, coefficients in ascending order.
+    """Immutable dense polynomial, coefficients in ascending order: over Q
+    the integer form _nums/_den, with _coeffs caching the Fraction view;
+    over other rings _nums = _den = None and _coeffs holds them."""
 
-    The zero polynomial is the empty coefficient sequence.
-    """
+    __slots__ = ("_nums", "_den", "_coeffs")
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [_as_coeff(c) for c in coeffs]
+    def __new__(cls, coeffs: Sequence = ()):
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if all(isinstance(c, _RATIONAL) for c in cs):
+            nums, den = _cleared(cs)
+            return _make(tuple(nums), den)
+        return _make(None, None, tuple(map(_as_coeff, cs)))
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -69,32 +78,41 @@ class Poly:
     # ---- structure ----
 
     @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            _set(self, "_coeffs", tuple(Fraction(c, self._den) for c in self._nums))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        nums = self._nums
+        return len(self._coeffs if nums is None else nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._nums == ()
 
     @property
     def lead(self):
-        if not self.coeffs:
+        if self.is_zero:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coefficient(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            if self._nums is None or other._nums is None:
+                return self.coeffs == other.coeffs
+            return self._nums == other._nums and self._den == other._den
         if other == 0:
             return self.is_zero
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.coeffs)  # so an equal Poly over a number field hashes alike
 
     def __bool__(self):
         return not self.is_zero
@@ -102,8 +120,20 @@ class Poly:
     # ---- ring operations ----
 
     def __add__(self, other):
+        """Over Q, a/da + b/db = (a*t + b*s)/lcm(da, db), reduced as in
+        NumFieldElement.__add__ by a factor of gcd(da, db)."""
         if not isinstance(other, Poly):
             other = Poly([other])
+        a, b = self._nums, other._nums
+        if a is not None and b is not None:
+            g = math.gcd(self._den, other._den)
+            s, t = self._den // g, other._den // g
+            if len(a) < len(b):
+                a, b, s, t = b, a, t, s
+            out = [c * t for c in a]
+            for i, c in enumerate(b):
+                out[i] += c * s
+            return _reduced(out, self._den // g * other._den)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -115,7 +145,9 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        if self._nums is not None:
+            return _make(tuple(-c for c in self._nums), self._den)
+        return Poly([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -127,13 +159,20 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = _as_coeff(other)
-            return Poly([a * c for a in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+            if self._nums is not None and isinstance(other, _RATIONAL):
+                return _reduced([c * other.numerator for c in self._nums], self._den * other.denominator)
+            return Poly([a * other for a in self.coeffs])
+        if self.is_zero or other.is_zero:
             return Poly()
-        if _is_rational_poly(self) and _is_rational_poly(other):
-            return _rational_product(a, b)
+        a, b = self._nums, other._nums
+        if a is not None and b is not None:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return _reduced(out, self._den * other._den)
+        a, b = self.coeffs, other.coeffs
         out = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
@@ -146,10 +185,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        if self.is_zero or isinstance(self.lead, Fraction):
-            one = Fraction(1)
-        else:
-            one = self.lead / self.lead
+        one = Fraction(1) if self._nums is not None else self.lead / self.lead
         return power(self, n, Poly([one]))
 
     def __truediv__(self, other):
@@ -161,15 +197,24 @@ class Poly:
             return NotImplemented
         if not other:
             raise ZeroInput("polynomial division by zero")
+        if isinstance(other, _RATIONAL):
+            return self * Fraction(other.denominator, other.numerator)
         return Poly([c / other for c in self.coeffs])
 
     def __divmod__(self, other: "Poly"):
+        """Over Q by pseudo-division (_int_prem): l*a = Q*b + R gives
+        a/da = (Q*db/(l*da)) * b/db + R/(l*da)."""
         if not isinstance(other, Poly):
             other = Poly([other])
         if other.is_zero:
             raise ZeroInput("polynomial division by zero")
         if self.degree < other.degree:
             return Poly(), self
+        if self._nums is not None and other._nums is not None:
+            b, db = other._nums, other._den
+            T, R = _int_prem(self._nums, b)
+            scale = b[-1] ** len(T) * self._den
+            return _reduced([c * b[-1] ** k * db for k, c in enumerate(T)], scale), _reduced(R, scale)
         rem = list(self.coeffs)
         dlead = other.lead
         dd = other.degree
@@ -189,35 +234,78 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """Over Q, a/da over b/db is (a / (b/c)) * db/(c*da) for the content
+        c of b: by Gauss's lemma a quotient of a by the primitive b/c lies
+        in Z[x], so integer division (_int_divide) finds it or fails."""
+        b = other._nums
+        if self._nums is None or not b:
+            q, r = divmod(self, other)
+            if not r.is_zero:
+                raise ZeroInput("division was not exact")
+            return q
+        c = math.gcd(*b)
+        q = _int_divide(self._nums, [x // c for x in b])
+        if q is None:
             raise ZeroInput("division was not exact")
-        return q
+        return _reduced([x * other._den for x in q], self._den * c)
 
     # ---- calculus and evaluation ----
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        if self._nums is not None:
+            return _reduced([i * c for i, c in enumerate(self._nums)][1:], self._den)
+        return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def __call__(self, x):
+        """The value at x; over Q at p/q, q^d * self(p/q) by integer Horner
+        (_int_homogeneous_value) over q^d times the denominator."""
+        nums = self._nums
+        if nums and isinstance(x, _RATIONAL):
+            q = x.denominator
+            return Fraction(_int_homogeneous_value(nums, x.numerator, q), self._den * q ** (len(nums) - 1))
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x - x
+            return Fraction(0) if isinstance(x, _RATIONAL) else x - x
         return acc
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
+        if self._nums is not None:
+            return _reduced(list(self._nums), self._nums[-1])
         l = self.lead
-        return Poly([c / l for c in self.coeffs])
+        return Poly([c / l for c in self._coeffs])
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
         return format_poly(self)
+
+
+def _make(nums: tuple | None, den: int | None, coeffs: tuple | None = None) -> Poly:
+    """nums/den over Q, trimmed and in lowest terms with den > 0; or, with
+    nums and den None, the trimmed coefficients of another ring."""
+    p = object.__new__(Poly)
+    _set(p, "_nums", nums)
+    _set(p, "_den", den)
+    _set(p, "_coeffs", coeffs)
+    return p
+
+
+def _reduced(nums: list[int], den: int) -> Poly:
+    """nums/den over Q for den != 0: trimmed, and divided by the gcd of den
+    and the numerators, given den's sign so that the denominator is positive."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    return _make(tuple(nums), den)
 
 
 def poly(coeffs: Sequence) -> Poly:
@@ -270,25 +358,7 @@ def format_poly(p: Poly) -> str:
 
 
 def _is_rational_poly(p: Poly) -> bool:
-    return all(isinstance(c, Fraction) for c in p.coeffs)
-
-
-def _rational_product(a: tuple, b: tuple) -> Poly:
-    """The product of two nonzero coefficient tuples over Q, on integers.
-
-    With da, db the lcm of the denominators of a and b, the cleared lists
-    da*a and db*b lie in Z[t]; their convolution is da*db times the product,
-    so each output coefficient is one Fraction(c, da*db) and one gcd, not a
-    Fraction product and sum per term."""
-    A, da = _cleared(a)
-    B, db = _cleared(b)
-    out = [0] * (len(A) + len(B) - 1)
-    for i, x in enumerate(A):
-        if x:
-            for j, y in enumerate(B):
-                out[i + j] += x * y
-    d = da * db
-    return Poly([Fraction(c, d) for c in out])
+    return p._nums is not None
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +367,9 @@ def _rational_product(a: tuple, b: tuple) -> Poly:
 
 def _cleared(values) -> tuple[list[int], int]:
     """(ints, L) for rationals values: L is the lcm of their denominators
-    and ints lists L*v for each v, one integer product per value."""
+    and ints lists L*v for each v, one integer product per value. They have
+    gcd 1: a prime's full power in L divides a denominator, and that
+    value's numerator is prime to it."""
     L = math.lcm(*(c.denominator for c in values))
     return [c.numerator * (L // c.denominator) for c in values], L
 
@@ -305,7 +377,7 @@ def _cleared(values) -> tuple[list[int], int]:
 def _to_int_primitive(p: Poly) -> list[int]:
     """The primitive part of p in Z[t]: gcd of coeffs 1, positive leading
     coefficient (empty for the zero polynomial)."""
-    return _int_primitive(_cleared(p.coeffs)[0])
+    return _int_primitive(list(p._nums))
 
 
 def _int_primitive(a: list[int]) -> list[int]:
@@ -414,20 +486,23 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # determinants, resultants, discriminants
 # ---------------------------------------------------------------------------
 
-def _int_prem(A: list[int], B: list[int]) -> list[int]:
-    """The pseudo-remainder R, trimmed: lc(B)^(deg A - deg B + 1) * A = Q*B + R
-    with deg R < deg B, for deg A >= deg B >= 1."""
+def _int_prem(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(T, R) for deg A >= deg B >= 0: lc(B)^(deg A - deg B + 1) * A = Q*B + R
+    with R trimmed, deg R < deg B, and Q[k] = T[k] * lc(B)^k, as the step
+    that cancels T[k] is followed by k more scalings by lc(B)."""
     lB, m = B[-1], len(B)
     R = list(A)
+    T = [0] * (len(A) - m + 1)
     for k in range(len(A) - m, -1, -1):
         top = R.pop()
         R = [c * lB for c in R]
         if top:
+            T[k] = top
             for i in range(m - 1):
                 R[k + i] -= top * B[i]
     while R and not R[-1]:
         R.pop()
-    return R
+    return T, R
 
 
 def _int_resultant(A: list[int], B: list[int]) -> int:
@@ -435,7 +510,7 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
     subresultant remainder sequence (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 3.3.7; Collins, J. ACM 14, 1967; Brown and
     Traub, J. ACM 18, 1971): contents come out first, then each
-    pseudo-remainder is divided exactly by g*h^delta."""
+    pseudo-remainder (_int_prem) is divided exactly by g*h^delta."""
     s = 1
     if len(A) < len(B):
         A, B = B, A
@@ -450,7 +525,7 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
         delta = len(A) - len(B)
         if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
             s = -s
-        R = _int_prem(A, B)
+        R = _int_prem(A, B)[1]
         if not R:
             return 0
         div = g * h ** delta
@@ -502,11 +577,10 @@ def _resultant_nodes(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
 
 
 def _cleared_rows(polys: list[Poly]) -> tuple[list[list[int]], int]:
-    """(rows, L): the coefficient list of each polynomial cleared by L, the
-    lcm of all their denominators (_cleared on the joined lists)."""
-    ints, L = _cleared([c for p in polys for c in p.coeffs])
-    it = iter(ints)
-    return [list(itertools.islice(it, len(p.coeffs))) for p in polys], L
+    """(rows, L): the numerators of each polynomial over L, the lcm of their
+    denominators."""
+    L = math.lcm(*(p._den for p in polys))
+    return [[c * (L // p._den) for c in p._nums] for p in polys], L
 
 
 def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> Poly:
@@ -540,7 +614,7 @@ def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> P
             shifted[k] -= xs[i] * c
         shifted[0] += coef[i]
         expanded = shifted
-    return Poly([Fraction(v, scale) for v in expanded])
+    return _reduced(expanded, scale)
 
 
 def resultant_is_zero(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> bool:
@@ -631,8 +705,9 @@ def _int_yun(A: list[int]) -> list[tuple[list[int], int]]:
 
 
 def _int_to_monic(P: list[int]) -> Poly:
-    lead = P[-1]
-    return Poly([Fraction(c, lead) for c in P])
+    """P made monic, for a primitive P with a positive lead: P over its lead
+    is already in lowest terms."""
+    return _make(tuple(P), P[-1])
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -710,7 +785,7 @@ def _int_rational_roots(g: list[int]) -> list[Fraction]:
     return roots
 
 
-def _int_homogeneous_value(g: list[int], u: int, v: int) -> int:
+def _int_homogeneous_value(g: Sequence[int], u: int, v: int) -> int:
     """v^d * g(u/v) for d = deg g, by Horner's rule on integers."""
     acc, vpow = g[-1], 1
     for c in reversed(g[:-1]):

@@ -20,7 +20,7 @@ def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
     if isinstance(x, (int, Fraction)):
-        return Poly([Fraction(x)])
+        return Poly([x])
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 
@@ -42,11 +42,8 @@ class RatFn:
             if g.degree > 0:
                 n = n.exact_div(g)
                 d = d.exact_div(g)
-        lead = d.lead
-        if lead != 1:
-            inv = 1 / lead
-            n = n * inv
-            d = d * inv
+        if d.lead != 1:
+            n, d = n / d.lead, d.monic()
         self.num, self.den = n, d
 
     # -- structure --
@@ -137,6 +134,8 @@ class RatFn:
             if n > d:
                 return None
             return self.num.lead / self.den.lead if n == d else Fraction(0)
+        if self.den.degree == 0:  # the monic denominator is 1
+            return self.num(s)
         den = self.den(s)
         if not den:
             return None

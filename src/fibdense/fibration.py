@@ -1,8 +1,8 @@
 """Elliptic fibrations over the t-line as Weierstrass models over Q(t).
 
 A FibrationModel is the generic fiber y^2 = x^3 + a(t)x + b(t): an
-EllipticCurve with RatFn coefficients, so its discriminant and the refusal
-of a zero one are the curve's.
+EllipticCurve with RatFn coefficients, whose discriminant it forms once and
+whose refusal of a zero one is the curve's.
 Multisections come in five shapes (zero section, constant-x, parametrized,
 graph on a quartic-model fibration, split list). Each shape is one class
 with the same four methods, so the pipeline never asks which shape it has:
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .elliptic import (
     INFINITY,
@@ -92,6 +93,13 @@ Rat = Fraction
 class FibrationModel(EllipticCurve):
     """Generic fiber y^2 = x^3 + a(t)x + b(t): the elliptic curve over Q(t)
     with RatFn coefficients, so a zero discriminant is refused."""
+
+    @cached_property
+    def discriminant(self) -> RatFn:
+        """-16(4 an^3 bd^2 + 27 bn^2 ad^3) / (ad^3 bd^2) for a = an/ad and
+        b = bn/bd, once per model: one gcd, none when ad = bd = 1."""
+        an, ad, bn, bd = self.a.num, self.a.den, self.b.num, self.b.den
+        return RatFn(-16 * (4 * an**3 * bd**2 + 27 * bn**2 * ad**3), ad**3 * bd**2)
 
     def singular_parameters(self) -> list[Rat]:
         """Rational parameters where the fiber is singular or undefined."""

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction as F
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -620,11 +621,18 @@ class TestK3Model:
             assert j_invariant(fiber) == quartic_j == 1728
 
     def test_discriminant_is_computed_once(self, monkeypatch):
+        # the model's check, its singular parameters and later reads share
+        # one discriminant, and the curve's own formula is not run for it
         calls = []
+        func = FibrationModel.discriminant.func
+        counted = cached_property(lambda self: calls.append(type(self)) or func(self))
+        counted.__set_name__(FibrationModel, "discriminant")
+        monkeypatch.setattr(FibrationModel, "discriminant", counted)
         fget = EllipticCurve.discriminant.fget
-        counted = property(lambda self: calls.append(type(self)) or fget(self))
-        monkeypatch.setattr(EllipticCurve, "discriminant", counted)
-        k3_weierstrass_model(FD)
+        monkeypatch.setattr(EllipticCurve, "discriminant", property(lambda self: calls.append(type(self)) or fget(self)))
+        fibration = k3_weierstrass_model(FD).fibration
+        fibration.singular_parameters()
+        assert fibration.discriminant is fibration.discriminant
         assert calls == [FibrationModel]
 
     def test_non_square_lead_needs_flag(self):

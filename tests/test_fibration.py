@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibdense import fibration
 from fibdense.elliptic import (
@@ -92,6 +94,20 @@ class TestFibrationModel:
     def test_discriminant_formula(self):
         d = WORKED.discriminant
         assert d == RatFn(poly([-432, 0, 0, -64]))  # -16(4t^3 + 27)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*[st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), max_size=4)] * 4)
+    def test_discriminant_on_numerators_is_the_q_t_formula(self, an, ad, bn, bd):
+        # over Q(t) with polynomial and with rational coefficients alike
+        assume(any(ad) and any(bd))
+        a, b = RatFn(poly(an), poly(ad)), RatFn(poly(bn), poly(bd))
+        expected = -16 * (4 * a * a * a + 27 * b * b)
+        assume(not expected.is_zero)
+        model = FibrationModel(a, b)
+        assert model.discriminant == expected
+        on_numerators = -16 * (4 * a.num**3 + 27 * b.num**2)
+        if on_numerators:
+            assert FibrationModel(RatFn(a.num), RatFn(b.num)).discriminant == on_numerators
 
     def test_zero_discriminant_rejected(self):
         with pytest.raises(DomainError):

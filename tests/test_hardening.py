@@ -4,8 +4,9 @@ re-verification of emitted points, the rational parser and flag validation
 behind the CLI, the spec fields the CLI must read, the pinned trisection
 defect, the bans on assert, on json's indent encoder and on Fraction
 arithmetic in number-field elements in the package, the one reader of a
-field element's integer form in fibration, the tracer-only imports, and the
-unread imports of the test modules."""
+field element's integer form in fibration, the one module that reads a
+polynomial's slots, the tracer-only imports, and the unread imports of the
+test modules."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from fibdense.elliptic import (
     torsion_certify,
 )
 from fibdense.errors import DomainError
-from fibdense.exactmath import NumField, poly, ratfn
+from fibdense.exactmath import NumField, Poly, poly, ratfn
 from fibdense.fibration import (
     ConstantX,
     FibrationModel,
@@ -495,6 +496,27 @@ def test_fibration_reads_the_integer_form_only_in_the_chord_sum():
     assert not found, f"integer form of a field element read outside _pair_sum: {found}"
 
 
+# a Poly's slots: the integer form _nums/_den over Q, and _coeffs
+POLY_SLOTS = {"_nums", "_den", "_coeffs"}
+
+
+def test_only_poly_reads_a_polynomials_slots():
+    # poly.py owns the representation of a polynomial; every other module
+    # goes through coeffs, coefficient, lead and the operators
+    assert set(Poly.__slots__) == POLY_SLOTS
+    root = pathlib.Path(fibdense.__file__).parent
+    own = root / "exactmath" / "poly.py"
+    reads = {
+        path: [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+               if isinstance(node, ast.Attribute) and node.attr in POLY_SLOTS]
+        for path in sorted(root.rglob("*.py"))
+    }
+    assert reads[own]
+    found = [f"{path.relative_to(root)}:{node.lineno}:{node.attr}" for path, nodes in reads.items() if path != own
+             for node in nodes]
+    assert not found, f"a Poly's slots read outside exactmath/poly.py: {found}"
+
+
 # top-level names kept although no code in fibdense reads them
 UNREFERENCED_ALLOWED = {
     "ec_sub": "test oracle for the group law",
@@ -651,8 +673,10 @@ _MULTISECTIONS = "ZeroSection ConstantX Parametrized GraphOnQuartic SplitList"
 SHARED_METHOD_NAMES = {
     "_coerce": ("NumField RatFn", "each ring lifts its own operands in its arithmetic"),
     "as_fraction": ("NumFieldElement RatFn", "descent of a rational value; read for both rings"),
+    "coeffs": ("NumFieldElement Poly", "the Fraction view of an integer form; read for both"),
     "cycle": (_MULTISECTIONS, "the multisection protocol: the checked support of fiber_cycle"),
     "degree": (f"NumField Poly {_MULTISECTIONS}", "field degree, polynomial degree, multisection degree"),
+    "discriminant": ("EllipticCurve FibrationModel", "a model over Q(t) forms its discriminant once, on numerators"),
     "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 4 and 5, see above"),
     "is_zero": ("Poly RatFn", "zero tests of the two coefficient rings"),
     "points": (_MULTISECTIONS, "the multisection protocol: enumeration by height"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -644,3 +645,106 @@ def test_products_with_quadratic_field_coefficients_take_the_generic_loop(a, pai
     embedded = Poly([_ROOT2.embed(c) for c in a.coeffs])
     assert a * b == embedded * b == _schoolbook_product(embedded, b)
     assert b * a == a * b
+
+
+# ---- the integer form over Q: numerators over one positive denominator ----
+
+_q_coeff = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**20)),
+)
+_q_poly = st.lists(_q_coeff, max_size=7).map(Poly)
+_q_point = st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-(2**30), 2**30), st.integers(1, 2**12)))
+
+
+def _lowest_terms(p: Poly) -> Poly:
+    """p, after checking its integer form: a positive denominator prime to
+    the numerators, no trailing zero, and coeffs the Fractions they make."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0 and all(type(c) is int for c in nums)
+    assert math.gcd(den, *nums) == 1 and (not nums or nums[-1])
+    assert p.coeffs == tuple(Fraction(c, den) for c in nums)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    return p
+
+
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_q_poly, _q_poly, _q_point)
+def test_integer_ring_operations_match_sympy(a, b, c):
+    sa, sb, sc = _to_sympy(a), _to_sympy(b), _rational(c)
+    cases = [(a + b, sa + sb), (a - b, sa - sb), (-a, -sa), (a * b, sa * sb), (a + c, sa + sc), (c - a, sc - sa)]
+    cases += [(a * c, sa * sc), (c * a, sa * sc), (a**3, sa**3), (a.derivative(), sa.diff())]
+    if c:
+        cases.append((a / c, sa * (1 / sc)))
+    if not a.is_zero:
+        cases.append((a.monic(), sa.monic()))
+    for ours, theirs in cases:
+        assert _to_sympy(_lowest_terms(ours)) == theirs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_q_poly, _q_poly.filter(bool))
+def test_integer_division_matches_sympy(a, b):
+    q, r = divmod(a, b)
+    sq, sr = _to_sympy(a).div(_to_sympy(b))
+    assert _to_sympy(_lowest_terms(q)) == sq and _to_sympy(_lowest_terms(r)) == sr
+    assert a % b == r
+    assert _lowest_terms((a * b).exact_div(b)) == a
+    if not r.is_zero:
+        with pytest.raises(ZeroInput, match="not exact"):
+            a.exact_div(b)
+    with pytest.raises(ZeroInput):
+        a.exact_div(Poly())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_q_poly, _q_poly, _q_poly.filter(lambda g: g.degree >= 1))
+def test_integer_gcd_matches_sympy(a, b, g):
+    f, h = a * g, b * g
+    assume(not (f.is_zero and h.is_zero))
+    ours = _lowest_terms(poly_gcd(f, h))
+    assert _to_sympy(ours) == _to_sympy(f).gcd(_to_sympy(h)).monic()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_q_poly, _q_point)
+def test_integer_evaluation_matches_sympy(p, x):
+    value = p(x)
+    assert type(value) is Fraction
+    assert _rational(value) == _to_sympy(p).eval(_rational(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_q_poly, _q_poly, _q_point.filter(bool))
+def test_equal_exactly_when_coeffs_are_equal_and_hashes_agree(a, b, c):
+    assert (a == b) == (a.coeffs == b.coeffs)
+    for same in (Poly(list(a.coeffs)), a * c / c, a + b - b, Poly([_ROOT2.embed(x) for x in a.coeffs])):
+        assert same == a and a == same and hash(same) == hash(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _q_poly,
+    st.lists(st.tuples(_q_coeff, _q_coeff), min_size=1, max_size=4),
+    st.tuples(_q_coeff, _q_coeff).filter(any),
+)
+def test_mixed_operations_with_field_elements_take_the_generic_path(a, pairs, uv):
+    # a over Q against the same polynomial over Q(sqrt 2), whose operations
+    # all run the generic loops
+    b = Poly([_ROOT2.element([u, v]) for u, v in pairs])
+    embedded = Poly([_ROOT2.embed(x) for x in a.coeffs])
+    s = _ROOT2.element(list(uv))
+    assert a + b == embedded + b and b + a == b + embedded
+    assert a - b == embedded - b and b - a == b - embedded
+    assert a * s == embedded * s and a / s == embedded / s
+    assert a(s) == embedded(s)
+    if not a.is_zero:
+        assert divmod(b, a) == divmod(b, embedded)
+    if not b.is_zero:
+        assert divmod(a, b) == divmod(embedded, b)
