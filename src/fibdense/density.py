@@ -11,6 +11,7 @@ json.dumps(doc, indent=2), whose pure-Python encoder they avoid.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,13 +164,20 @@ def densify(model, m, height_bound: int, k_max: int = 5):
 # -- serialization --
 
 
+@functools.cache
+def _list_layout(indent: int) -> tuple[str, str, str]:
+    """A JSON list's opening, separator and closing at one indentation."""
+    pad = " " * indent
+    return f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+
+
 def _json_list(items, indent: int) -> str:
     """The rendered items as a JSON list laid out as json.dumps(indent=2)
     lays it out at the given indentation."""
     if not items:
         return "[]"
-    pad = " " * indent
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+    opening, sep, closing = _list_layout(indent)
+    return f"{opening}{sep.join(items)}{closing}"
 
 
 def _rationals_json(values, indent: int) -> str:

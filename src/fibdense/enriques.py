@@ -44,7 +44,7 @@ from .exactmath import (
     squarefree_decompose,  # unused here; bench/tracing.py wraps this name
     squarefree_part,
 )
-from .exactmath.poly import _as_coeff
+from .exactmath.poly import _as_coeff, taylor_shift, transposed
 from .fibration import (
     FibrationModel,
     odd_square_split,
@@ -314,6 +314,10 @@ def _parameter_roots(data: RamificationData, line: TangentLine):
     The pencil G(lam, t) = F(t, base + lam * direction) is quartic_on_graph
     over Q[t][lam], each f_i a constant in lam. The reduced pencil h(lam, t)
     is G over direction = (t - t0)^2, and its discriminant in t is Res_t(h, h_t).
+    Both are formed in tau = t - t0, where Res_tau = Res_t (a shift keeps
+    root differences and leads): the direction is tau^2, h drops G's two
+    lowest tau-coefficients, and h's lam^k coefficient carries tau^(2k - 2),
+    which resultant_bivariate's degree bound reads and cannot see in t.
     bitangent_sections keys the result by (t0^2, z0) when F is even in t,
     so the base points (t0, z0) and (-t0, z0) share one discriminant:
     F_t is odd in t, so the slope at (-t0, z0) is minus the slope at
@@ -327,14 +331,13 @@ def _parameter_roots(data: RamificationData, line: TangentLine):
     the same way. Otherwise the key is (t0, z0), so only a repeated point
     shares.
     """
-    lam_line = Poly([line.base, line.direction])
-    pencil = quartic_on_graph([Poly([f]) for f in data.coeffs], lam_line).coeffs
-    reduced = [g.exact_div(line.direction) for g in pencil]
-    t_degree = max((h.degree for h in reduced), default=-1)
-    if t_degree < 1:
+    t0 = line.point[0]
+    lam_line = Poly([taylor_shift(line.base, t0), taylor_shift(line.direction, t0)])
+    pencil = quartic_on_graph([Poly([taylor_shift(f, t0)]) for f in data.coeffs], lam_line).coeffs
+    columns = transposed(pencil, 2)
+    if len(columns) < 2:
         raise DegenerateDiscriminant("the reduced pencil is constant along the base")
-    columns = [Poly([h.coefficient(k) for h in reduced]) for k in range(t_degree + 1)]
-    derivative_columns = [(k + 1) * columns[k + 1] for k in range(t_degree)]
+    derivative_columns = [k * columns[k] for k in range(1, len(columns))]
     try:
         disc = resultant_bivariate(columns, derivative_columns)
     except ZeroInput:

@@ -54,6 +54,7 @@ from fibdense.exactmath import (
     rational_roots,
     resultant_bivariate,
 )
+from fibdense.exactmath.poly import _isobaric_bound
 from fibdense.fibration import (
     FibrationModel,
     GraphOnQuartic,
@@ -408,8 +409,26 @@ def _binomial_pencil(data: RamificationData, line) -> list[Poly]:
     return out
 
 
+def _in_tau(p: Poly, t0) -> Poly:
+    """p(tau + t0), summing each term's power of tau + t0."""
+    return sum((c * poly([t0, 1]) ** i for i, c in enumerate(p.coeffs)), Poly())
+
+
 class _Eliminated(Exception):
     """Carries the first operand _parameter_roots hands to the resultant."""
+
+
+def _eliminated_columns(data: RamificationData, line) -> list[Poly]:
+    """The first operand of _parameter_roots' resultant."""
+
+    def eliminated(columns, _derivative_columns):
+        raise _Eliminated(columns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enriques, "resultant_bivariate", eliminated)
+        with pytest.raises(_Eliminated) as caught:
+            enriques._parameter_roots(data, line)
+    return caught.value.args[0]
 
 
 class TestPencil:
@@ -417,21 +436,33 @@ class TestPencil:
     @given(_cone_quartic_through_point())
     def test_lambda_pencil_is_the_binomial_expansion(self, drawn):
         coeffs, t0, z0 = drawn
-        data = RamificationData(coeffs)
-        line = tangent_line(data, (t0, z0))
-        # the t^k columns of the reduced pencil G / (t - t0)^2, as polynomials in lam
-        reduced = [g.exact_div(line.direction) for g in _binomial_pencil(data, line)]
+        line = tangent_line(RamificationData(coeffs), (t0, z0))
+        # the same pencil written in tau = t - t0, where the direction is tau^2
+        tau_data = RamificationData(tuple(_in_tau(f, t0) for f in coeffs))
+        tau_line = type(line)(line.point, _in_tau(line.base, t0), _in_tau(line.direction, t0))
+        assert tau_line.direction == poly([0, 0, 1])
+        reduced = [g.exact_div(tau_line.direction) for g in _binomial_pencil(tau_data, tau_line)]
+        # the lam^k coefficient of G / tau^2 carries tau^(2k - 2)
+        assert all(h.coefficient(j) == 0 for k, h in enumerate(reduced) for j in range(2 * k - 2))
+        # the tau^k columns of the reduced pencil, as polynomials in lam
         width = max(h.degree for h in reduced) + 1
         expected = [Poly([h.coefficient(k) for h in reduced]) for k in range(width)]
+        assert _eliminated_columns(RamificationData(coeffs), line) == expected
 
-        def eliminated(columns, _derivative_columns):
-            raise _Eliminated(columns)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enriques, "resultant_bivariate", eliminated)
-            with pytest.raises(_Eliminated) as caught:
-                enriques._parameter_roots(data, line)
-        assert caught.value.args[0] == expected
+    def test_isobaric_bound_on_the_acceptance_cone(self):
+        # the reduced pencil at (1, 1) has tau-degree 6 and lam-degree 4; the
+        # bound in tau is 29, where the plain bound 5*4 + 6*4 is 44
+        line = tangent_line(FD, (1, 1))
+        columns = _eliminated_columns(FD, line)
+        degrees = [c.degree for c in columns]
+        assert len(degrees) == 7 and max(degrees) == 4
+        derivative = [k * columns[k] for k in range(1, len(columns))]
+        assert _isobaric_bound(degrees, [c.degree for c in derivative]) == 29
+        # the pencil in t, interpolated from 45 nodes, has the same discriminant
+        reduced = [g.exact_div(line.direction) for g in _binomial_pencil(FD, line)]
+        t_columns = [Poly([h.coefficient(k) for h in reduced]) for k in range(7)]
+        disc = resultant_bivariate(t_columns, [k * t_columns[k] for k in range(1, 7)])
+        assert disc.degree == 29 and resultant_bivariate(columns, derivative) == disc
 
 
 class TestMirroredBasePoints:

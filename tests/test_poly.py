@@ -27,10 +27,15 @@ from fibdense.exactmath import (
     squarefree_part,
 )
 from fibdense.exactmath.poly import (
+    _FIRST_SCAN_PRIME,
     _int_horner_all,
+    _int_primitive,
+    _int_rational_roots,
+    _isobaric_bound,
     _simple_roots_mod_small_prime,
     _to_int_primitive,
     power,
+    taylor_shift,
 )
 
 _x = sympy.Symbol("x")
@@ -48,15 +53,16 @@ def _rand_poly(rng: random.Random, max_deg: int, max_coef: int = 9) -> Poly:
 
 @contextlib.contextmanager
 def _counted_tries(cap: int = 64):
-    """Record the heuristic gcd's evaluation points (one per try) and fail
-    once `cap` tries have passed: a kernel that never accepts its answer
-    would otherwise double xi forever."""
+    """Record the evaluation points of the integer kernels (one per try of
+    the heuristic gcd, two per resultant node) and fail once `cap` have
+    passed: a heuristic gcd that never accepts its answer would otherwise
+    double xi forever, and a node loop that misses its count run forever."""
     tries = []
     evaluate = _int_horner_all
 
     def counted(polys, x):
         tries.append(x)
-        assert len(tries) <= cap, "the heuristic gcd did not settle"
+        assert len(tries) <= cap, "an integer kernel did not settle"
         return evaluate(polys, x)
 
     with mock.patch.object(sys.modules["fibdense.exactmath.poly"], "_int_horner_all", counted):
@@ -144,12 +150,18 @@ def test_rational_roots_survives_large_coefficients():
     assert rational_roots(f)[0] == [(Fraction(-5, 2), 1), (Fraction(7, 3), 1)]
 
 
+# the first three primes the root scan tries
+_P0 = _FIRST_SCAN_PRIME
+_P1 = int(sympy.nextprime(_P0))
+_P2 = int(sympy.nextprime(_P1))
+
+
 @pytest.mark.parametrize(
     "roots, prime",
     [
-        ([1, 102], 103),  # 1 and 102 meet mod 101
-        ([1, 1 + 101 * 103], 107),  # meet mod 101 and mod 103
-        ([1, Fraction(5, 101)], 103),  # 101 divides the leading coefficient
+        ([1, 1 + _P0], _P1),  # 1 and 1 + p0 meet mod the first prime p0
+        ([1, 1 + _P0 * _P1], _P2),  # meet mod p0 and mod the next prime p1
+        ([1, Fraction(3, _P0)], _P1),  # p0 divides the leading coefficient
     ],
 )
 def test_rational_roots_skip_primes_with_repeated_roots(roots, prime):
@@ -159,6 +171,39 @@ def test_rational_roots_skip_primes_with_repeated_roots(roots, prime):
     g = _to_int_primitive(f)
     assert _simple_roots_mod_small_prime(g, [i * c for i, c in enumerate(g)][1:])[0] == prime
     assert rational_roots(f)[0] == [(Fraction(r), 1) for r in sorted(roots)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(
+        st.builds(
+            Fraction,
+            st.integers(-3, 3).map(lambda k: 2 + k * _P0),  # numerators that meet mod p0
+            st.sampled_from([1, 2, _P0, 3 * _P0]),  # and denominators it divides
+        ),
+        min_size=1,
+        max_size=5,
+        unique=True,
+    ),
+    cofactor=st.lists(st.integers(-9, 9), max_size=3).map(lambda cs: [*cs, 1]),
+)
+# every residue mod 13 is a root, and 0..12 meet mod every smaller prime
+@example(roots=[Fraction(i) for i in range(13)], cofactor=[1])
+def test_int_rational_roots_where_the_first_scan_prime_is_bad(roots, cofactor):
+    expr = sympy.Poly(list(reversed(cofactor)), _x).as_expr()
+    for r in roots:
+        expr *= r.denominator * _x - r.numerator
+    sym = sympy.Poly(expr, _x)
+    assume(sym.degree() >= 3 and sym.is_sqf)
+    g = _int_primitive([int(c) for c in reversed(sym.all_coeffs())])
+    theirs = {
+        Fraction(-int(b), int(a))
+        for factor, _m in sympy.factor_list(expr, _x)[1]
+        if sympy.degree(factor, _x) == 1
+        for a, b in [sympy.Poly(factor, _x).all_coeffs()]
+    }
+    ours = _int_rational_roots(g)
+    assert len(ours) == len(theirs) and set(ours) == theirs
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,6 +515,61 @@ def test_resultant_is_zero_matches_the_interpolated_resultant(fc, gc, common):
     if common is not None:  # a shared factor of positive z-degree: R = 0
         fc, gc = _bivariate_product(fc, common), _bivariate_product(gc, common)
     assert resultant_is_zero(fc, gc) == resultant_bivariate(fc, gc).is_zero
+
+
+@st.composite
+def _weighted_bivariate(draw):
+    """Coefficient list in z of z-degree 1-4 over Q[t] whose z^j coefficient
+    has t-degree at most a + b*j, the shape the isobaric bound reads; any
+    coefficient but the last may be 0, and the last may vanish at a node."""
+    degree = draw(st.integers(1, 4))
+    a, b = draw(st.integers(0, 6)), draw(st.integers(-1, 2))
+    coeffs = [Poly(draw(st.lists(_inner_coeff, max_size=max(a + b * j, 0) + 1))) for j in range(degree + 1)]
+    if coeffs[-1].is_zero:
+        coeffs[-1] = draw(st.one_of(_nonzero_inner, _vanishing_at_node))
+    return coeffs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_weighted_bivariate(), _weighted_bivariate(), st.booleans())
+# f0 = g0 = 0 and a bound of -5: R = 0 with no node
+@example([Poly(), Poly([1]), Poly([0, 0, 0, 0, 0, 1])], [Poly(), Poly([1])], False)
+# degree growing with j, as in the tau-pencil: R = 3t^6 - 3t^5 + t^4 meets the
+# bound 6, where the plain bound is 10
+@example([Poly([1]), Poly([0, 1]), Poly([0, 0, 1])], [Poly([1]), Poly([0, 0, 1]), Poly([0, 0, 0, 2])], False)
+def test_isobaric_bound_holds_and_resultant_matches_sympy(fc, gc, zero_constants):
+    if zero_constants:  # a common root z = 0: the resultant is 0
+        fc, gc = [Poly(), *fc[1:]], [Poly(), *gc[1:]]
+    s, z = sympy.symbols("s z")
+
+    def expr(cs):
+        return sum(_to_sympy(c).as_expr().subs(_x, s) * z**i for i, c in enumerate(cs))
+
+    # higher degree first, with the sign (-1)^(nm) applied here (see
+    # test_resultant_bivariate_matches_sympy_on_degree_drops)
+    n, m = len(fc) - 1, len(gc) - 1
+    if n >= m:
+        res = sympy.resultant(expr(fc), expr(gc), z)
+    else:
+        res = (-1) ** (n * m) * sympy.resultant(expr(gc), expr(fc), z)
+    theirs = sympy.Poly(res, s, domain="QQ")
+    bound = _isobaric_bound([c.degree for c in fc], [c.degree for c in gc])
+    assert theirs.is_zero or theirs.degree() <= bound
+    assert bound <= m * max(c.degree for c in fc) + n * max(c.degree for c in gc)
+    with _counted_tries(cap=400):
+        ours = resultant_bivariate(fc, gc)
+        assert resultant_is_zero(fc, gc) == ours.is_zero
+    assert (list(ours.coeffs) or [Fraction(0)]) == [
+        Fraction(int(c.p), int(c.q)) for c in reversed(theirs.all_coeffs())
+    ]
+    if bound < 0:
+        assert ours.is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_inner_coeff, max_size=9).map(Poly), st.fractions(-9, 9, max_denominator=7))
+def test_taylor_shift_matches_sympy(p, a):
+    assert _to_sympy(taylor_shift(p, a)) == _to_sympy(p).shift(sympy.Rational(a.numerator, a.denominator))
 
 
 def test_resultant_with_a_constant_in_the_main_variable():
