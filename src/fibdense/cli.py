@@ -133,7 +133,7 @@ def _cmd_analyze(spec: RunSpec) -> int:
     print("singular fibers:" + (" none" if not singular else ""))
     for b in singular:
         ft = fiber_type(model, b)
-        irr = {True: "irreducible", False: "reducible", None: "undecided"}[ft.irreducible]
+        irr = "undecided" if ft.label == "Other" else "irreducible"
         print(f"b={rat_to_string(b)}: ordΔ={ft.ord_delta}, {ft.label}, {irr}")
     if spec.multisection is None:
         return 0

@@ -16,18 +16,17 @@ few integer products and one reducing gcd, and no Fraction is built:
 - other products reduce E*gen^2 = -P1*gen - P0;
 - a quotient is the product with the conjugate over the integer norm
   E*n0^2 - n0*n1*P1 + n1^2*P0.
-The field has an exact in-field square root. Fiber points are only ever
-built over Q or a quadratic field, so nothing larger is needed.
+A square root is one closed form in the norm and trace. Fiber points are
+only ever built over Q or a quadratic field, so nothing larger is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from ..errors import DomainError, NoSquareRoot, ZeroInput
-from .poly import Poly, _cleared, _is_rational_poly, _signed_sum, _to_int_primitive, power
-from .rationals import is_square, rat_sqrt
+from .poly import Poly, _cleared, _int_sqrt, _is_rational_poly, _signed_sum, _to_int_primitive, power
 
 
 class NumField:
@@ -42,8 +41,7 @@ class NumField:
         if not _is_rational_poly(m):
             raise DomainError("minimal polynomial must have rational coefficients")
         P0, P1, E = _to_int_primitive(m)
-        disc = P1 * P1 - 4 * P0 * E
-        if disc >= 0 and isqrt(disc) ** 2 == disc:
+        if _int_sqrt(P1 * P1 - 4 * P0 * E) is not None:
             raise DomainError("minimal polynomial has a rational root")
         self.name = name
         self.E, self.P1, self.P0 = E, P1, P0
@@ -52,10 +50,6 @@ class NumField:
     def minimal_polynomial(self) -> Poly:
         """The monic x^2 + p1*x + p0."""
         return Poly([Fraction(self.P0, self.E), Fraction(self.P1, self.E), Fraction(1)])
-
-    @property
-    def degree(self) -> int:
-        return 2
 
     def __eq__(self, other):
         return self is other or (
@@ -67,12 +61,6 @@ class NumField:
 
     def __repr__(self):
         return f"NumField({self.minimal_polynomial!s}, gen={self.name!r})"
-
-    def element(self, coeffs) -> "NumFieldElement":
-        """a + b*gen from the coefficient list [a, b] (or [a], or [])."""
-        if len(coeffs) > 2:
-            raise DomainError("a quadratic field element has at most two coefficients")
-        return NumFieldElement(self, tuple(coeffs) + (0,) * (2 - len(coeffs)))
 
     def embed(self, r) -> "NumFieldElement":
         r = Fraction(r)
@@ -87,32 +75,28 @@ class NumField:
         return _make(self, 0, 1, 1)
 
     def sqrt(self, el: "NumFieldElement") -> "NumFieldElement":
-        """Exact square root inside the field; NoSquareRoot when none exists."""
-        # solve (u + v*gen)^2 = A + B*gen with gen^2 = -p1*gen - p0
-        A, B = self._coerce(el).coeffs
-        p0, p1, _one = self.minimal_polynomial.coeffs
-        lead = p1 * p1 - 4 * p0  # nonzero: the minimal polynomial is irreducible
-        if B == 0:
-            if is_square(A):
-                return self.embed(rat_sqrt(A))
-            # maybe A = (v*(gen + p1/2))^2 = v^2 * lead/4 for rational v
-            vv = 4 * A / lead
-            if is_square(vv):
-                v = rat_sqrt(vv)
-                return self.element([p1 * v / 2, v])
+        """Exact square root inside the field; NoSquareRoot when none exists.
+
+        A root y of x with trace t and norm n has n^2 = N(x) and
+        t*y = y^2 + y*conj(y) = x + n, so t^2 = Tr(x) + 2n (H. Cohen, GTM
+        138, 4.2). On the integer form s = E*d*n and w = E*d*t^2 =
+        2*E*n0 - P1*n1 + 2s give y = (E*n0 + s + E*n1*gen)/sqrt(w*E*d), for
+        the sign of s = +-E*d*sqrt(N(x)) that makes w*E*d a nonzero square.
+        Otherwise x is rational (0 included) and y = v*(2*E*gen + P1) with
+        v^2*(P1^2 - 4*E*P0) = x. The root returned has a positive gen
+        coefficient or is a nonnegative rational: 0, or from s > 0, n0 > 0."""
+        x = self._coerce(el)
+        E, P1, P0, n0, n1, d = self.E, self.P1, self.P0, x.n0, x.n1, x.d
+        s = _int_sqrt(E * (E * n0 * n0 - P1 * n0 * n1 + P0 * n1 * n1))
+        for n in (s, -s) if s is not None else ():
+            r = _int_sqrt((2 * E * n0 - P1 * n1 + 2 * n) * E * d)
+            if r:  # _element negates all three for a negative denominator
+                return _element(self, E * n0 + n, E * n1, -r if n1 < 0 else r)
+        disc = P1 * P1 - 4 * E * P0
+        q = None if n1 else _int_sqrt(n0 * d * disc)
+        if q is None:
             raise NoSquareRoot("no square root in quadratic field")
-        disc = (2 * B * p1 - 4 * A) ** 2 - 4 * lead * B * B
-        if not is_square(disc):
-            raise NoSquareRoot("no square root in quadratic field")
-        s = rat_sqrt(disc)
-        for V in ((4 * A - 2 * B * p1 + s) / (2 * lead), (4 * A - 2 * B * p1 - s) / (2 * lead)):
-            if V > 0 and is_square(V):
-                v = rat_sqrt(V)
-                u = B / (2 * v) + p1 * v / 2
-                cand = self.element([u, v])
-                if cand * cand == self.element([A, B]):
-                    return cand
-        raise NoSquareRoot("no square root in quadratic field")
+        return _element(self, q * P1, 2 * E * q, d * abs(disc))
 
     def _coerce(self, x) -> "NumFieldElement":
         if isinstance(x, NumFieldElement):
@@ -194,9 +178,6 @@ class NumFieldElement:
     # gets NotImplemented, so Python tries its reflected method (K.gen * p is
     # p * K.gen for a Poly p) --
 
-    def _binop(self, other):
-        return self.field._coerce(other)
-
     def __add__(self, other):
         """With g = gcd(d, e) for the denominators d and e, the sum over
         lcm(d, e) = (d/g)*e shares with its numerators only a factor of g:
@@ -206,7 +187,7 @@ class NumFieldElement:
         if isinstance(other, (int, Fraction)):
             m0, m1, e = other.numerator, 0, other.denominator
         elif isinstance(other, NumFieldElement):
-            o = self._binop(other)
+            o = self.field._coerce(other)
             m0, m1, e = o.n0, o.n1, o.d
         else:
             return NotImplemented
@@ -229,7 +210,7 @@ class NumFieldElement:
             return self + (-other)
         if not isinstance(other, NumFieldElement):
             return NotImplemented
-        return self + (-self._binop(other))
+        return self + (-self.field._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -249,7 +230,7 @@ class NumFieldElement:
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, NumFieldElement):
             return NotImplemented
-        o = self._binop(other)
+        o = self.field._coerce(other)
         if not o.n1:
             return self._scaled(o.n0, o.d)
         if not self.n1:
@@ -277,7 +258,7 @@ class NumFieldElement:
             return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
         if not isinstance(other, NumFieldElement):
             return NotImplemented
-        o = self._binop(other)
+        o = self.field._coerce(other)
         if not o:
             raise ZeroInput("division by the zero field element")
         K, n0, n1, m0, m1 = self.field, self.n0, self.n1, o.n0, o.n1

@@ -12,11 +12,12 @@ Design notes, kept here because they are easy to get wrong:
 * a polynomial over Q is integer numerators over one positive denominator,
   in lowest terms, the last numerator nonzero; zero is ((), 1). So equality
   compares integers, and sums, products, scalar products and quotients,
-  divmod, exact division, derivatives and monic parts are integer loops
-  reduced by one gcd. Evaluation at p/q is integer Horner over the powers
-  of q and one Fraction. coeffs, coefficient and lead build Fractions when
-  read. Other coefficients (number-field elements, polynomials, rational
-  functions) keep the generic loops over coeffs.
+  exact division, derivatives and monic parts are integer loops reduced by
+  one gcd. Evaluation at p/q is integer Horner over the powers of q and one
+  Fraction. coeffs, coefficient and lead build Fractions when read. Other
+  coefficients (number-field elements, polynomials, rational functions)
+  keep the generic loops over coeffs, and so does divmod: no Q[x] division
+  with a remainder is taken, as gcds and exact division have integer paths.
 * gcd over Q runs on primitive integer polynomials through the heuristic
   gcd: one big-integer gcd of values at a large integer, read back as
   digits and proved by exact division in Z[x]. No remainder sequence is
@@ -202,19 +203,13 @@ class Poly:
         return Poly([c / other for c in self.coeffs])
 
     def __divmod__(self, other: "Poly"):
-        """Over Q by pseudo-division (_int_prem): l*a = Q*b + R gives
-        a/da = (Q*db/(l*da)) * b/db + R/(l*da)."""
+        """Long division on coeffs; over Q, poly_gcd and exact_div take integer paths."""
         if not isinstance(other, Poly):
             other = Poly([other])
         if other.is_zero:
             raise ZeroInput("polynomial division by zero")
         if self.degree < other.degree:
             return Poly(), self
-        if self._nums is not None and other._nums is not None:
-            b, db = other._nums, other._den
-            T, R = _int_prem(self._nums, b)
-            scale = b[-1] ** len(T) * self._den
-            return _reduced([c * b[-1] ** k * db for k, c in enumerate(T)], scale), _reduced(R, scale)
         rem = list(self.coeffs)
         dlead = other.lead
         dd = other.degree
@@ -396,6 +391,12 @@ def _cleared(values) -> tuple[list[int], int]:
     return [c.numerator * (L // c.denominator) for c in values], L
 
 
+def _int_sqrt(n: int) -> int | None:
+    """The square root of an integer square n, else None."""
+    r = math.isqrt(n) if n >= 0 else -1
+    return r if r * r == n else None
+
+
 def _to_int_primitive(p: Poly) -> list[int]:
     """The primitive part of p in Z[t]: gcd of coeffs 1, positive leading
     coefficient (empty for the zero polynomial)."""
@@ -508,23 +509,20 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # determinants, resultants, discriminants
 # ---------------------------------------------------------------------------
 
-def _int_prem(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(T, R) for deg A >= deg B >= 0: lc(B)^(deg A - deg B + 1) * A = Q*B + R
-    with R trimmed, deg R < deg B, and Q[k] = T[k] * lc(B)^k, as the step
-    that cancels T[k] is followed by k more scalings by lc(B)."""
+def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """The pseudo-remainder R for deg A >= deg B >= 0, trimmed:
+    lc(B)^(deg A - deg B + 1) * A = Q*B + R with deg R < deg B."""
     lB, m = B[-1], len(B)
     R = list(A)
-    T = [0] * (len(A) - m + 1)
     for k in range(len(A) - m, -1, -1):
         top = R.pop()
         R = [c * lB for c in R]
         if top:
-            T[k] = top
             for i in range(m - 1):
                 R[k + i] -= top * B[i]
     while R and not R[-1]:
         R.pop()
-    return T, R
+    return R
 
 
 def _int_resultant(A: list[int], B: list[int]) -> int:
@@ -547,7 +545,7 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
         delta = len(A) - len(B)
         if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
             s = -s
-        R = _int_prem(A, B)[1]
+        R = _int_prem(A, B)
         if not R:
             return 0
         div = g * h ** delta
@@ -807,8 +805,8 @@ def _int_rational_roots(g: list[int]) -> list[Fraction]:
     if len(g) == 3:
         a0, a1, a2 = g
         disc = a1 * a1 - 4 * a2 * a0
-        s = math.isqrt(disc) if disc >= 0 else -1
-        if s * s != disc:
+        s = _int_sqrt(disc)
+        if s is None:
             return []
         return [Fraction(-a1 + s, 2 * a2), Fraction(-a1 - s, 2 * a2)]
     lc = abs(g[-1])

@@ -138,29 +138,27 @@ class FiberType:
     ord_delta: int
     ord_c4: int | None  # None encodes c4 identically zero
     label: str
-    irreducible: bool | None
 
 
 def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
-    """Minimal I0/I1/II classifier; anything else is Other with
-    irreducibility left undecided.
+    """Minimal I0/I1/II classifier, each an irreducible fiber; anything else
+    is Other, with irreducibility left undecided.
 
     The model is first made minimal at b. With u = (t - b)^n, the model with
     u^4 a and u^6 b is isomorphic over Q(t), and its discriminant and c4 are
     u^12 and u^4 times the old ones. n is the least integer that leaves
     neither nonzero coefficient a pole; it is negative where the given model
-    is not minimal, and positive at a pole."""
+    is not minimal, and positive at a pole. c4 = -48a has the order of a."""
     n = max(-(_order_at(fn, b) // w) for fn, w in ((model.a, 4), (model.b, 6)) if not fn.is_zero)
     ord_delta = _order_at(model.discriminant, b) + 12 * n
-    c4 = -48 * model.a
-    ord_c4 = None if c4.is_zero else _order_at(c4, b) + 4 * n
+    ord_c4 = None if model.a.is_zero else _order_at(model.a, b) + 4 * n
     if ord_delta == 0:
-        return FiberType(0, ord_c4, "I0", True)
+        return FiberType(0, ord_c4, "I0")
     if ord_delta == 1 and ord_c4 == 0:
-        return FiberType(1, ord_c4, "I1", True)
+        return FiberType(1, ord_c4, "I1")
     if ord_delta == 2 and (ord_c4 is None or ord_c4 >= 1):
-        return FiberType(2, ord_c4, "II", True)
-    return FiberType(ord_delta, ord_c4, "Other", None)
+        return FiberType(2, ord_c4, "II")
+    return FiberType(ord_delta, ord_c4, "Other")
 
 
 # -- points and roots over Q and quadratic fields --
@@ -173,10 +171,12 @@ def _eval_point(x_fn: RatFn, y_fn: RatFn, s) -> Point:
 
 
 def _descend_point(p: Point) -> Point:
-    """p over Q when its number-field coordinates are both rational."""
+    """p over Q when both coordinates are rational, field elements or not."""
     x, y = p.x, p.y
-    if isinstance(x, NumFieldElement) and x.is_rational and y.is_rational:
-        return Point(x.as_fraction(), y.as_fraction())
+    if isinstance(x, NumFieldElement) and not x.is_rational or isinstance(y, NumFieldElement) and not y.is_rational:
+        return p
+    if isinstance(x, NumFieldElement) or isinstance(y, NumFieldElement):
+        return Point(*(c.as_fraction() if isinstance(c, NumFieldElement) else c for c in (x, y)))
     return p
 
 

@@ -469,6 +469,24 @@ class TestProbeCommand:
             "NonTorsion(witness=2) (proof: the sampled difference at t = 2 has infinite order)\n"
         )
 
+    def test_rational_field_x_beside_a_constant_y(self, tmp_path, capsys):
+        # s -> (s^2, 0, 2) lies on y^2 = x^3 + t x + 4. At t = 2, s = +-sqrt(2):
+        # the zero x(s) is a field element and the constant y(s) a Fraction,
+        # and the point (0, 2) descends to Q on both conjugates
+        path = write_spec(
+            tmp_path,
+            """{
+            "fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["4"]}},
+            "multisection": {"kind": "parametrized", "t": {"num": ["0", "0", "1"]},
+                             "x": {"num": ["0"]}, "y": {"num": ["2"]}},
+            "params": {"samples": ["2"]}
+            }""",
+        )
+        assert main(["probe", path]) == 0
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        assert captured.out == "Order(1) (evidence on 1 sampled fibers)\n"
+
     def test_order_is_the_lcm_of_the_exact_orders(self, tmp_path, capsys, monkeypatch):
         # a 2-torsion and a 3-torsion difference are killed together by 6
         # and its multiples only

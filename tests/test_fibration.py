@@ -147,34 +147,32 @@ class TestSpecialize:
 class TestFiberType:
     def test_smooth_is_i0(self):
         ft = fiber_type(WORKED, F(2))
-        assert (ft.ord_delta, ft.label, ft.irreducible) == (0, "I0", True)
+        assert (ft.ord_delta, ft.label) == (0, "I0")
 
     def test_cusp_is_type_ii(self):
         ft = fiber_type(CUSPFIB, F(0))
         assert ft.ord_delta == 2
         assert ft.ord_c4 is None  # c4 identically zero
         assert ft.label == "II"
-        assert ft.irreducible is True
 
     def test_node_is_i1(self):
         ft = fiber_type(NODAL, F(2))
-        assert (ft.ord_delta, ft.ord_c4, ft.label, ft.irreducible) == (1, 0, "I1", True)
+        assert (ft.ord_delta, ft.ord_c4, ft.label) == (1, 0, "I1")
 
     def test_type_iii_reported_other(self):
         ft = fiber_type(TXFIB, F(0))
         assert ft.ord_delta == 3
         assert ft.label == "Other"
-        assert ft.irreducible is None
 
     def test_pole_is_scaled_to_a_regular_model(self):
         # (a, b) -> (u^4 a, u^6 b) with u = t^n, n least making both regular:
         # a = 1/t gives n = 1, ord Delta = -3 + 12 and ord c4 = -1 + 4
         ft = fiber_type(FibrationModel(ratfn([1], [0, 1]), ratfn([1])), F(0))
-        assert (ft.ord_delta, ft.ord_c4, ft.label, ft.irreducible) == (9, 3, "Other", None)
+        assert (ft.ord_delta, ft.ord_c4, ft.label) == (9, 3, "Other")
         # a = t^-4, b = t^-6 becomes y^2 = x^3 + x + 1, smooth at t = 0
         fib = FibrationModel(ratfn([1], [0, 0, 0, 0, 1]), ratfn([1], [0, 0, 0, 0, 0, 0, 1]))
         ft = fiber_type(fib, F(0))
-        assert (ft.ord_delta, ft.ord_c4, ft.label, ft.irreducible) == (0, 0, "I0", True)
+        assert (ft.ord_delta, ft.ord_c4, ft.label) == (0, 0, "I0")
         # a zero coefficient sets no bound: b = 1/t alone gives n = 1
         ft = fiber_type(FibrationModel(ratfn([0]), ratfn([1], [0, 1])), F(0))
         assert (ft.ord_delta, ft.ord_c4, ft.label) == (10, None, "Other")

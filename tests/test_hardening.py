@@ -478,6 +478,23 @@ def test_numfield_arithmetic_builds_no_fraction():
     assert not found, f"Fraction arithmetic in NumFieldElement: {found}"
 
 
+def test_numfield_sqrt_is_a_closed_form_on_the_integer_form():
+    # the square root reads an element's n0, n1, d and the field's E, P1, P0:
+    # no Fraction view, no Fraction minimal polynomial, no element built from
+    # a coefficient list and no Fraction
+    path = pathlib.Path(fibdense.__file__).parent / "exactmath" / "numfield.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (field,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "NumField")
+    (sqrt,) = (item for item in field.body if isinstance(item, ast.FunctionDef) and item.name == "sqrt")
+    found = [
+        f"NumField.sqrt:{node.lineno}"
+        for node in ast.walk(sqrt)
+        if (isinstance(node, ast.Attribute) and node.attr in {"coeffs", "minimal_polynomial", "element"})
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction")
+    ]
+    assert not found, f"NumField.sqrt leaves the integer form: {found}"
+
+
 # the integer form of a quadratic-field element: an element's n0, n1 and d,
 # its field's E, P1 and P0
 INTEGER_FORM = {"n0", "n1", "d", "E", "P1", "P0"}
@@ -675,7 +692,7 @@ SHARED_METHOD_NAMES = {
     "as_fraction": ("NumFieldElement RatFn", "descent of a rational value; read for both rings"),
     "coeffs": ("NumFieldElement Poly", "the Fraction view of an integer form; read for both"),
     "cycle": (_MULTISECTIONS, "the multisection protocol: the checked support of fiber_cycle"),
-    "degree": (f"NumField Poly {_MULTISECTIONS}", "field degree, polynomial degree, multisection degree"),
+    "degree": (f"Poly {_MULTISECTIONS}", "polynomial degree, multisection degree"),
     "discriminant": ("EllipticCurve FibrationModel", "a model over Q(t) forms its discriminant once, on numerators"),
     "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 4 and 5, see above"),
     "is_zero": ("Poly RatFn", "zero tests of the two coefficient rings"),

@@ -28,7 +28,7 @@ FIELDS = [
 
 
 def _rand_element(field: NumField, rng: random.Random):
-    return field.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.degree)])
+    return NumFieldElement(field, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.minimal_polynomial))
@@ -51,7 +51,7 @@ def test_field_axioms_on_random_elements(field):
 def test_generator_satisfies_minimal_polynomial(field):
     g = field.gen
     acc = field.embed(0)
-    for k in range(field.degree + 1):
+    for k in range(3):
         acc = acc + field.embed(field.minimal_polynomial.coefficient(k)) * g**k
     assert acc == field.embed(0)
 
@@ -62,7 +62,7 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert 1 + g == g + 1
     assert 2 * g - g == g
     assert (g / 2) * 2 == g
-    assert Fraction(1, 2) + g == K.element([Fraction(1, 2), 1])
+    assert Fraction(1, 2) + g == NumFieldElement(K, (Fraction(1, 2), 1))
     assert 1 / g == g / 2  # 1/sqrt2 = sqrt2/2
     assert g**-2 == Fraction(1, 2)
 
@@ -74,7 +74,7 @@ _small_rat = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
 @given(st.lists(_small_rat, min_size=2, max_size=2), st.one_of(st.integers(-20, 20), _small_rat).filter(bool))
 def test_division_by_a_rational_matches_the_field_inverse(cs, r):
     for K in FIELDS:
-        a = K.element(cs)
+        a = NumFieldElement(K, cs)
         got = a / r
         assert got == a * K.embed(r).inverse()
         assert all(isinstance(c, Fraction) for c in got.coeffs)
@@ -84,7 +84,7 @@ def test_division_by_a_rational_matches_the_field_inverse(cs, r):
 @given(st.lists(_small_rat, min_size=2, max_size=2), st.one_of(st.integers(-20, 20), _small_rat))
 def test_adding_a_rational_matches_the_embedded_element(cs, r):
     for K in FIELDS:
-        a, e = K.element(cs), K.embed(r)
+        a, e = NumFieldElement(K, cs), K.embed(r)
         for got, want in ((a + r, a + e), (r + a, e + a), (a - r, a - e), (r - a, e - a)):
             assert got == want and got.field == K
             assert all(isinstance(c, Fraction) for c in got.coeffs)
@@ -112,7 +112,7 @@ def test_a_scalar_minus_a_poly_is_the_negated_difference():
 
 
 def test_division_by_rational_zero_raises():
-    a = FIELDS[0].element([1, 2])
+    a = NumFieldElement(FIELDS[0], (1, 2))
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroInput):
             a / zero
@@ -159,7 +159,7 @@ def test_closed_forms_match_sympy(p1, p0, cs):
     polynomial arithmetic modulo the minimal polynomial."""
     assume(not is_square(p1 * p1 - 4 * p0))
     K = NumField(poly([p0, p1, 1]), "r")
-    a, b = K.element(cs[:2]), K.element(cs[2:])
+    a, b = NumFieldElement(K, cs[:2]), NumFieldElement(K, cs[2:])
     m, sa, sb = _to_sympy([p0, p1, Fraction(1)]), _to_sympy(cs[:2]), _to_sympy(cs[2:])
     assert _to_sympy((a * b).coeffs) == (sa * sb).rem(m)
     norm = a * a.conjugate()
@@ -189,7 +189,7 @@ def test_every_result_is_in_lowest_terms(p1, p0, cs, r, n):
     Fraction and hashes like it."""
     assume(not is_square(p1 * p1 - 4 * p0))
     K = NumField(poly([p0, p1, 1]), "r")
-    a, b = K.element(cs[:2]), K.element(cs[2:])
+    a, b = NumFieldElement(K, cs[:2]), NumFieldElement(K, cs[2:])
     e = K.embed(r)
     results = [a + b, a - b, a * b, a + r, r + a, a - r, r - a, a * r, r * a, a * e, e * a, -a, a.conjugate()]
     results += [a**abs(n), K.sqrt(a * a)]
@@ -238,19 +238,71 @@ def test_field_sqrt():
     K = FIELDS[0]
     s = K.gen
     assert K.sqrt(K.embed(2)) in (s, -s)
-    got = K.sqrt(K.element([3, 2]))  # 3 + 2*sqrt2 = (1+sqrt2)^2
-    assert got * got == K.element([3, 2])
+    got = K.sqrt(NumFieldElement(K, (3, 2)))  # 3 + 2*sqrt2 = (1+sqrt2)^2
+    assert got * got == NumFieldElement(K, (3, 2))
     assert K.sqrt(K.embed(Fraction(9, 4))) == Fraction(3, 2)
     with pytest.raises(NoSquareRoot):
         K.sqrt(K.embed(3))
     with pytest.raises(NoSquareRoot):
-        K.sqrt(K.element([1, 1]))
+        K.sqrt(NumFieldElement(K, (1, 1)))
     rng = random.Random(11)
     for _ in range(30):
         a = _rand_element(K, rng)
         sq = a * a
         got = K.sqrt(sq)
         assert got * got == sq
+
+
+def _signed(y):
+    """The root sqrt returns: y or -y, with a positive gen coefficient, or
+    rational and nonnegative."""
+    a, b = y.coeffs
+    return y if b > 0 or (b == 0 and a >= 0) else -y
+
+
+_sqrt_kinds = st.sampled_from(["rational", "trace zero", "general"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rat64, _rat64, _rat64, _rat64, _sqrt_kinds)
+def test_sqrt_of_a_square_is_the_signed_root(p1, p0, u, v, kind):
+    assume(not is_square(p1 * p1 - 4 * p0))
+    K = NumField(poly([p0, p1, 1]), "r")
+    # gen + conj(gen) = -p1, so 2*gen + p1 has trace zero
+    y = {"rational": K.embed(u), "trace zero": v * (2 * K.gen + p1), "general": NumFieldElement(K, (u, v))}[kind]
+    assert K.sqrt(y * y) == _signed(y)
+    assert K.sqrt(K.embed(0)) == K.sqrt(0) == 0
+
+
+_z = sympy.Symbol("z")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_rat, _small_rat, _small_rat, _small_rat,
+       st.sampled_from(["general", "square", "rational", "rational over the discriminant"]))
+def test_no_square_root_exactly_when_sympy_finds_no_linear_factor(p1, p0, a, b, kind):
+    # x^2 + p1*x + p0 has the root gen = (sqrt(D) - p1)/2 with D = p1^2 - 4*p0,
+    # and z^2 - x splits over Q(sqrt D) exactly when x has a root in the field
+    D = p1 * p1 - 4 * p0
+    assume(not is_square(D))
+    K = NumField(poly([p0, p1, 1]), "r")
+    x = {
+        "general": NumFieldElement(K, (a, b)),
+        "square": NumFieldElement(K, (a, b)) ** 2,
+        "rational": K.embed(a),
+        "rational over the discriminant": K.embed(a * a * D / (b or 1)),
+    }[kind]
+    assume(x)
+    c0, c1, q1, root = (sympy.Rational(c.numerator, c.denominator) for c in (*x.coeffs, p1, D))
+    root = sympy.sqrt(root)
+    _lead, factors = sympy.factor_list(_z**2 - c0 - c1 * (root - q1) / 2, _z, extension=root)
+    splits = any(sympy.degree(f, _z) == 1 for f, _mult in factors)
+    try:
+        y = K.sqrt(x)
+    except NoSquareRoot:
+        assert not splits
+    else:
+        assert splits and y * y == x and _signed(y) == y
 
 
 def test_elements_of_distinct_fields_do_not_mix():

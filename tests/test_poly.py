@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fibdense.errors import BothZero, ZeroInput
 from fibdense.exactmath import (
     NumField,
+    NumFieldElement,
     Poly,
     RatFn,
     poly,
@@ -741,7 +742,7 @@ _ROOT2 = NumField(poly([-2, 0, 1]), "r")
     st.lists(st.tuples(_product_coeff, _product_coeff), min_size=1, max_size=6),
 )
 def test_products_with_quadratic_field_coefficients_take_the_generic_loop(a, pairs):
-    b = Poly([_ROOT2.element([u, v]) for u, v in pairs])
+    b = Poly([NumFieldElement(_ROOT2, (u, v)) for u, v in pairs])
     embedded = Poly([_ROOT2.embed(c) for c in a.coeffs])
     assert a * b == embedded * b == _schoolbook_product(embedded, b)
     assert b * a == a * b
@@ -837,9 +838,9 @@ def test_equal_exactly_when_coeffs_are_equal_and_hashes_agree(a, b, c):
 def test_mixed_operations_with_field_elements_take_the_generic_path(a, pairs, uv):
     # a over Q against the same polynomial over Q(sqrt 2), whose operations
     # all run the generic loops
-    b = Poly([_ROOT2.element([u, v]) for u, v in pairs])
+    b = Poly([NumFieldElement(_ROOT2, (u, v)) for u, v in pairs])
     embedded = Poly([_ROOT2.embed(x) for x in a.coeffs])
-    s = _ROOT2.element(list(uv))
+    s = NumFieldElement(_ROOT2, uv)
     assert a + b == embedded + b and b + a == b + embedded
     assert a - b == embedded - b and b - a == b - embedded
     assert a * s == embedded * s and a / s == embedded / s

@@ -105,12 +105,12 @@ def points_over_quadratic_fields(draw):
     K = NumField(poly([p0, p1, 1]), "g")
     ax, bx, by = draw(rationals), draw(rationals), draw(rationals.filter(bool))
     if bx:
-        x, y = K.element([ax, bx]), K.element([draw(rationals), by])
+        x, y = NumFieldElement(K, (ax, bx)), NumFieldElement(K, (draw(rationals), by))
         rest = y * y - x * x * x  # = a*x + b
         a = rest.coeffs[1] / bx
         b = rest.coeffs[0] - a * ax
     else:
-        x, y = K.element([ax, 0]), K.element([by * p1 / 2, by])
+        x, y = NumFieldElement(K, (ax, 0)), NumFieldElement(K, (by * p1 / 2, by))
         a = draw(rationals)
         b = (y * y).as_fraction() - ax**3 - a * ax
     assume(4 * a**3 + 27 * b**2 != 0)
