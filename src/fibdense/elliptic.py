@@ -35,7 +35,7 @@ from .errors import (
     PointNotOnCurve,
 )
 from .exactmath import RatFn, rat_sqrt
-from .exactmath.numfield import NumFieldElement
+from .exactmath.numfield import NumFieldElement, _on_curve
 
 TORSION_BOUND_Q = 12
 TORSION_BOUND_QUADRATIC = 18
@@ -99,7 +99,9 @@ class EllipticCurve:
         on integers: y^2 = x^3 + a x + b multiplied through by
         yd^2 xd^3 ad bd. Every denominator is positive, so that factor is
         nonzero and the two equations hold together; no Fraction is built and
-        no gcd is taken. Other coefficient rings use the field expression."""
+        no gcd is taken. A point over a quadratic field on a curve over Q is
+        checked by the same identity in Z[gen] (numfield's _on_curve). Other
+        coefficient rings use the field expression."""
         if p.is_infinity:
             return True
         x, y, a, b = p.x, p.y, self.a, self.b
@@ -109,6 +111,10 @@ class EllipticCurve:
             and isinstance(a, _RATIONAL)
             and isinstance(b, _RATIONAL)
         ):
+            if (isinstance(x, NumFieldElement) or isinstance(y, NumFieldElement)) and (
+                isinstance(a, _RATIONAL) and isinstance(b, _RATIONAL)
+            ):
+                return _on_curve(x, y, a, b)
             return y * y == x * x * x + a * x + b
         xn, xd = x.numerator, x.denominator
         yn, yd = y.numerator, y.denominator

@@ -16,8 +16,12 @@ few integer products and one reducing gcd, and no Fraction is built:
 - other products reduce E*gen^2 = -P1*gen - P0;
 - a quotient is the product with the conjugate over the integer norm
   E*n0^2 - n0*n1*P1 + n1^2*P0.
-A square root is one closed form in the norm and trace. Fiber points are
-only ever built over Q or a quadratic field, so nothing larger is needed.
+A square root is one closed form in the norm and trace. A polynomial over
+Q is evaluated at an element by Horner in Z[gen] (_poly_value), and a point
+over the field is checked on a curve over Q by one cross-multiplied
+identity in Z[gen] (_on_curve); both reduce E*gen^2 = -P1*gen - P0 on
+integers (_times). Fiber points are only ever built over Q or a quadratic
+field, so nothing larger is needed.
 """
 
 from __future__ import annotations
@@ -298,6 +302,51 @@ class NumFieldElement:
         elif b != 0:
             parts.append(f"{b}*{name}")
         return _signed_sum(parts)
+
+
+def _times(K: NumField, u0: int, u1: int, v0: int, v1: int) -> tuple[int, int]:
+    """E*(u0 + u1*gen)*(v0 + v1*gen) on integers, by E*gen^2 = -P1*gen - P0."""
+    t = u1 * v1
+    return K.E * u0 * v0 - K.P0 * t, K.E * (u0 * v1 + u1 * v0) - K.P1 * t
+
+
+def _poly_value(nums, den: int, x: NumFieldElement) -> NumFieldElement:
+    """sum(nums[i] * x^i)/den, of degree D >= 1, at x = (n0 + n1*gen)/d by
+    Horner on integers: _times(A, n0 + n1*gen) is E*d*x*A, so A_k, the
+    Horner value after k steps times (E*d)^k, goes to _times(A_k, ...) +
+    nums[D-k-1]*(E*d)^(k+1), and the value is A_D/(den*(E*d)^D), reduced once."""
+    K, n0, n1 = x.field, x.n0, x.n1
+    Ed = K.E * x.d
+    a0, a1, scale = nums[-1], 0, 1
+    for c in reversed(nums[:-1]):
+        scale *= Ed
+        a0, a1 = _times(K, a0, a1, n0, n1)
+        a0 += c * scale
+    return _element(K, a0, a1, den * scale)
+
+
+def _on_curve(x, y, a, b) -> bool:
+    """y^2 == x^3 + a*x + b for rational a = an/ad, b = bn/bd and x, y in one
+    quadratic field, one of them maybe a Fraction. With x = X/xd, y = Y/yd,
+    Y2 = E*Y^2 and X3 = E^2*X^3 (_times), the equation times the nonzero
+    E^2*yd^2*xd^3*ad*bd is the identity in Z[gen], coefficient by coefficient,
+
+        E*xd^3*ad*bd*Y2 == yd^2*(ad*bd*X3 + E^2*xd^2*bd*an*X + E^2*xd^3*ad*bn)
+    """
+    K = x.field if isinstance(x, NumFieldElement) else y.field
+    x, y = K._coerce(x), K._coerce(y)
+    E, x0, x1, xd, y0, y1, yd = K.E, x.n0, x.n1, x.d, y.n0, y.n1, y.d
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    Y2 = _times(K, y0, y1, y0, y1)
+    X3 = _times(K, *_times(K, x0, x1, x0, x1), x0, x1)
+    xd2, E2, abd = xd * xd, E * E, ad * bd
+    left = E * xd2 * xd * abd
+    lin = E2 * xd2 * bd * an
+    ydd = yd * yd
+    return (
+        left * Y2[0] == ydd * (abd * X3[0] + lin * x0 + E2 * xd2 * xd * ad * bn)
+        and left * Y2[1] == ydd * (abd * X3[1] + lin * x1)
+    )
 
 
 def quadratic_field(f: Poly, name: str = "r") -> tuple[NumField, NumFieldElement, NumFieldElement]:

@@ -14,14 +14,17 @@ Design notes, kept here because they are easy to get wrong:
   compares integers, and sums, products, scalar products and quotients,
   exact division, derivatives and monic parts are integer loops reduced by
   one gcd. Evaluation at p/q is integer Horner over the powers of q and one
-  Fraction. coeffs, coefficient and lead build Fractions when read. Other
+  Fraction, and at a quadratic-field element integer Horner in Z[gen]
+  (numfield's _poly_value) reduced once. coeffs, coefficient and lead build
+  Fractions when read. Other
   coefficients (number-field elements, polynomials, rational functions)
   keep the generic loops over coeffs, and so does divmod: no Q[x] division
   with a remainder is taken, as gcds and exact division have integer paths.
 * gcd over Q runs on primitive integer polynomials through the heuristic
   gcd: one big-integer gcd of values at a large integer, read back as
   digits and proved by exact division in Z[x]. No remainder sequence is
-  formed, so no intermediate coefficient swell.
+  formed, so no intermediate coefficient swell. A linear operand v*x - u
+  needs no try: it divides the other, p, exactly when v^deg p * p(u/v) = 0.
 * bivariate resultants are interpolated from integer nodes; at each node
   the resultant of the two integer polynomials comes from the subresultant
   remainder sequence, whose divisions are exact. No floating point anywhere.
@@ -192,8 +195,6 @@ class Poly:
     def __truediv__(self, other):
         """Division by a nonzero int, Fraction or NumFieldElement; any other
         operand gets its reflected division, so Poly / RatFn is a RatFn."""
-        from .numfield import NumFieldElement
-
         if not isinstance(other, (int, Fraction, NumFieldElement)):
             return NotImplemented
         if not other:
@@ -253,8 +254,13 @@ class Poly:
 
     def __call__(self, x):
         """The value at x; over Q at p/q, q^d * self(p/q) by integer Horner
-        (_int_homogeneous_value) over q^d times the denominator."""
+        (_int_homogeneous_value) over q^d times the denominator, and at a
+        quadratic-field element by integer Horner in Z[gen] (numfield's
+        _poly_value). A constant is its Fraction at every x, and the zero
+        polynomial is the zero of x's ring."""
         nums = self._nums
+        if nums and isinstance(x, NumFieldElement):
+            return _poly_value(nums, self._den, x) if len(nums) > 1 else self.coeffs[0]
         if nums and isinstance(x, _RATIONAL):
             q = x.denominator
             return Fraction(_int_homogeneous_value(nums, x.numerator, q), self._den * q ** (len(nums) - 1))
@@ -419,7 +425,9 @@ def _int_heuristic_gcd(A: list[int], B: list[int]) -> list[int]:
     the largest absolute coefficient; each failed try doubles xi. (Char,
     Geddes, Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm based on
     integer GCD computation", J. Symbolic Comput. 7 (1989); Geddes, Czapor,
-    Labahn, Algorithms for Computer Algebra, 7.7.)
+    Labahn, Algorithms for Computer Algebra, 7.7.) A linear operand
+    v*x - u divides the other, P, exactly when v^deg P * P(u/v) = 0, so
+    then no try is made.
 
     Proof. Let g be the true primitive gcd and say |B| <= |A|, so
     xi >= 2|B| + 2 and B(xi) != 0. Suppose P = pp(G) divides A and B in
@@ -437,6 +445,9 @@ def _int_heuristic_gcd(A: list[int], B: list[int]) -> list[int]:
     xi/2, so its digits are exactly those of h, pp(G) = g, and the division
     test passes. So the loop needs no cap and no fallback.
     """
+    for L, P in ((B, A), (A, B)):
+        if len(L) == 2:  # L = v*x - u is irreducible: the gcd is L or 1
+            return [1] if _int_homogeneous_value(P, -L[0], L[1]) else _int_primitive(L)
     xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
     while True:
         h = math.gcd(*_int_horner_all([A, B], xi))
@@ -899,3 +910,8 @@ def _rational_reconstruct(r: int, m: int, num_bound: int, den_bound: int) -> Fra
     if v > den_bound:
         return None
     return Fraction(u, v)
+
+
+# numfield imports from this module, so this import comes last, once every
+# name it reads is defined (the package imports this module first)
+from .numfield import NumFieldElement, _poly_value  # noqa: E402

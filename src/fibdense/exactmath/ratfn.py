@@ -128,7 +128,8 @@ class RatFn:
 
     def __call__(self, s):
         """The value at s over Q or a number field, s = None meaning s = infinity;
-        None at a pole. A constant gives a Fraction even at a number-field s."""
+        None at a pole. At a number-field s, as in Poly.__call__, a nonzero
+        constant gives its Fraction and the zero function the field's zero."""
         if s is None:
             n, d = self.num.degree, self.den.degree
             if n > d:

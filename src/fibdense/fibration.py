@@ -16,9 +16,9 @@ and one point P of each conjugate pair {P, conj(P)} with the multiplicity
 the two share. Its sum (the trace) is rational, and tau(p) = [d]p - trace
 is the workhorse class map. The functions on one fiber take the smooth
 fiber the caller specialized: fiber_cycle(m, fiber, b), trace_cycle(fiber,
-m, b) and tau_map(fiber, m, p, b). A section is the degree-1 case: a section
-difference takes two multisections of degree 1 and reads each one's point
-on a fiber as its trace.
+m, b, p=None) and tau_map(fiber, m, p, b). A section is the degree-1 case: a
+section difference takes two multisections of degree 1 and reads each one's
+point on a fiber as its trace.
 
 No trace but a parametrized curve's takes a root. The zero section and
 x = c trace to O, and a graph to the image of the unmarked branch at
@@ -28,6 +28,11 @@ conjugate pair by its chord; a split list's points are all rational or O,
 so it has no pair. A cycle that takes a root evaluates its point at the
 first root of each conjugate pair only: x(s), y(s) and the chart maps are
 defined over Q, so the point at the other root is the conjugate.
+
+tau_map hands its base point p, one of the cycle's points, to the trace.
+Only a parametrized curve reads it: the parameter of p is a root of its
+fiber equation, which it divides out before the root search (see
+Parametrized.cycle).
 
 Fiber points are only ever constructed over Q or quadratic fields, by one
 evaluation (RatFn.__call__) and one root splitter (small_field_roots). Over
@@ -84,7 +89,7 @@ from .exactmath import (
     squarefree_decompose,
 )
 from .exactmath.numfield import NumFieldElement
-from .exactmath.poly import _cleared
+from .exactmath.poly import _cleared, _is_rational_poly
 
 Rat = Fraction
 
@@ -170,10 +175,15 @@ def _eval_point(x_fn: RatFn, y_fn: RatFn, s) -> Point:
     return INFINITY if xv is None or yv is None else Point(xv, yv)
 
 
+def _irrational(c) -> bool:
+    """Whether c is a field element outside Q (a Fraction and O's None are not)."""
+    return isinstance(c, NumFieldElement) and not c.is_rational
+
+
 def _descend_point(p: Point) -> Point:
     """p over Q when both coordinates are rational, field elements or not."""
     x, y = p.x, p.y
-    if isinstance(x, NumFieldElement) and not x.is_rational or isinstance(y, NumFieldElement) and not y.is_rational:
+    if _irrational(x) or _irrational(y):
         return p
     if isinstance(x, NumFieldElement) or isinstance(y, NumFieldElement):
         return Point(*(c.as_fraction() if isinstance(c, NumFieldElement) else c for c in (x, y)))
@@ -193,9 +203,8 @@ def small_field_roots(p: Poly, name: str):
     Over Q, rational_roots splits p with one Yun run, and each factor it
     leaves keeps its multiplicity.
     """
-    field = next((c.field for c in p.coeffs if isinstance(c, NumFieldElement)), None)
     quadratic, unresolved = [], []
-    if field is None:
+    if _is_rational_poly(p):
         rational, rest = rational_roots(p)
         for factor, mult in rest:
             if factor.degree == 2:
@@ -204,6 +213,7 @@ def small_field_roots(p: Poly, name: str):
             else:
                 unresolved.append(factor)
         return rational + quadratic, unresolved
+    field = next(c.field for c in p.coeffs if isinstance(c, NumFieldElement))
     for factor, mult in squarefree_decompose(p):
         if factor.degree == 1:
             quadratic.append((-factor.coefficient(0), mult))
@@ -295,7 +305,7 @@ class ZeroSection:
     def cycle(self, fiber: EllipticCurve, b: Rat):
         return [(INFINITY, 1)], []
 
-    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+    def trace(self, fiber: EllipticCurve, b: Rat, p: Point | None = None) -> Point:
         """O: the cycle is O itself."""
         return INFINITY
 
@@ -338,7 +348,7 @@ class ConstantX:
         roots, _none = small_field_roots(Poly([-w2, 0, 1]), "w")
         return _cycle_over_roots(roots, lambda w: Point(w * 0 + self.c, w))
 
-    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+    def trace(self, fiber: EllipticCurve, b: Rat, p: Point | None = None) -> Point:
         """O, with no root taken.
 
         x - c is a function on the fiber with a double pole at O and zeros
@@ -380,22 +390,41 @@ class Parametrized:
             if (tv := self.t(s)) is not None
         ]
 
-    def cycle(self, fiber: EllipticCurve, b: Rat):
+    def cycle(self, fiber: EllipticCurve, b: Rat, p: Point | None = None):
+        """The points at the roots of the solver t.num - b*t.den and at
+        s = infinity. Given a rational point p, a linear g = gcd(solver,
+        x.num - p.x*x.den) is divided out before the root search and its root
+        joins the cofactor's with multiplicity 1: the same list, for any p."""
         solver = self.t.num - b * self.t.den
         drop = self.degree - solver.degree
         # the missing preimages sit at s = infinity
         at_infinity = [(_eval_point(self.x, self.y, None), drop)] if drop > 0 else []
-        roots, unresolved = small_field_roots(solver, "s")
+        g = self._factor_over(solver, p)
+        roots, unresolved = small_field_roots(solver if g is None else solver.exact_div(g), "s")
         if unresolved:
             factor = unresolved[0]
             raise TraceFieldTooLarge(
                 f"fiber points at t = {b} need a degree-{factor.degree} factor {factor}"
             )
+        if g is not None:
+            roots = _with_root(roots, -g.coefficient(0))
         rational, pairs = _cycle_over_roots(roots, lambda s: _descend_point(_eval_point(self.x, self.y, s)))
         return at_infinity + rational, pairs
 
-    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
-        return _support_trace(self, fiber, b)
+    def _factor_over(self, solver: Poly, p: Point | None) -> Poly | None:
+        """gcd(solver, x.num - p.x*x.den) when it is linear, else None (no
+        p, O, a constant x, or several parameters over p.x)."""
+        if p is None or not isinstance(p.x, Fraction):
+            return None
+        over = self.x.num - p.x * self.x.den
+        if over.degree < 1:
+            return None
+        g = poly_gcd(solver, over)
+        return g if g.degree == 1 else None
+
+    def trace(self, fiber: EllipticCurve, b: Rat, p: Point | None = None) -> Point:
+        """The sum of the checked cycle, taken with p (see cycle)."""
+        return _support_trace(self, fiber, b, self.cycle(fiber, b, p))
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
         n, d = self.t.num, self.t.den
@@ -502,7 +531,7 @@ class GraphOnQuartic:
         z0 = self.p(b)
         return _cycle_over_roots(roots, lambda w: fwd(z0, w))
 
-    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+    def trace(self, fiber: EllipticCurve, b: Rat, p: Point | None = None) -> Point:
         """e2, the image of the branch at infinity that is not marked, with
         no root of the cover taken.
 
@@ -546,11 +575,11 @@ class SplitList:
     def cycle(self, fiber: EllipticCurve, b: Rat):
         return [(_eval_point(x_fn, y_fn, b), 1) for x_fn, y_fn in self.sections], []
 
-    def trace(self, fiber: EllipticCurve, b: Rat) -> Point:
+    def trace(self, fiber: EllipticCurve, b: Rat, p: Point | None = None) -> Point:
         """The section points are rational or O, so the support path takes
         no root; each point is checked on the fiber, and a section off the
         fibration is refused."""
-        return _support_trace(self, fiber, b)
+        return _support_trace(self, fiber, b, self.cycle(fiber, b))
 
     def ramification(self, model: FibrationModel) -> RamificationReport:
         return RamificationReport(points=())
@@ -582,6 +611,18 @@ def _conjugate(p: Point) -> Point:
     return Point(p.x.conjugate(), p.y.conjugate())
 
 
+def _with_root(roots, r0: Rat):
+    """The (root, multiplicity) list of small_field_roots with one more root
+    r0 over Q: its multiplicity raised by 1 when listed, else (r0, 1) in its
+    ascending place among the rational roots, which come first."""
+    for i, (r, mult) in enumerate(roots):
+        if isinstance(r, NumFieldElement) or r > r0:
+            return roots[:i] + [(r0, 1)] + roots[i:]
+        if r == r0:
+            return roots[:i] + [(r0, mult + 1)] + roots[i + 1 :]
+    return roots + [(r0, 1)]
+
+
 def _cycle_over_roots(roots, point):
     """(rational, pairs) for the cycle of the points point(r), r over the
     (root, multiplicity) list that small_field_roots gives over Q.
@@ -589,15 +630,16 @@ def _cycle_over_roots(roots, point):
     That list holds the two roots of each quadratic factor side by side,
     and point is defined over Q, so the point at the second root of a pair
     is the conjugate of the point at the first: point is evaluated at the
-    first only. A point that is its own conjugate (rational, or O) is
-    listed under rational once for each root; any other is one pair."""
+    first only. A point that is its own conjugate (no irrational
+    coordinate: rational, or O) is listed under rational once for each
+    root; any other is one pair."""
     rational, pairs = [], []
     roots = iter(roots)
     for r, mult in roots:
         pt = point(r)
         if isinstance(r, NumFieldElement):
             next(roots)
-            if not pt.is_infinity and pt != _conjugate(pt):
+            if _irrational(pt.x) or _irrational(pt.y):
                 pt.y.coeffs  # a rational y beside a quadratic x (the trisection defect, ROADMAP item 2) fails here
                 pairs.append((pt, mult))
                 continue
@@ -615,26 +657,28 @@ def _pair_sum(p: Point) -> Point:
     is rational (bx = 0, or x a Fraction) and y is not, conj(P) = -P on the
     curve and the sum is the origin. This is Cantor's reduction of a
     degree-2 divisor (D. G. Cantor, Math. Comp. 48, 1987). With
-    x = (xn0 + xn1*g)/xd and y = (yn0 + yn1*g)/yd, the slope is
-    yn1*xd/(yd*xn1) and the trace 2ax - bx*P1/E is (2*E*xn0 - P1*xn1)/(E*xd).
+    x = (xn0 + xn1*g)/xd and y = (yn0 + yn1*g)/yd, the slope is sn/sd =
+    yn1*xd/(yd*xn1) and the trace 2ax - bx*P1/E is (2*E*xn0 - P1*xn1)/(E*xd),
+    so x3 and y3 are each one Fraction of integers, as in _add_unchecked.
     No other code in this module reads the integer form of a field element."""
     x, y = p.x, p.y
     if not isinstance(x, NumFieldElement) or not x.n1:
         return INFINITY
-    K = x.field
-    slope = Fraction(y.n1 * x.d, y.d * x.n1)
-    ax = Fraction(x.n0, x.d)
-    x3 = slope * slope - Fraction(2 * K.E * x.n0 - K.P1 * x.n1, K.E * x.d)
-    return Point(x3, slope * (ax - x3) - Fraction(y.n0, y.d))
+    K, xn0, xd, yn0, yd = x.field, x.n0, x.d, y.n0, y.d
+    sn, sd = y.n1 * xd, yd * x.n1
+    sd2, Exd = sd * sd, K.E * xd
+    x3 = Fraction(sn * sn * Exd - sd2 * (2 * K.E * xn0 - K.P1 * x.n1), sd2 * Exd)
+    x3n, x3d = x3.numerator, x3.denominator
+    return Point(x3, Fraction(sn * (xn0 * x3d - x3n * xd) * yd - yn0 * sd * xd * x3d, sd * xd * x3d * yd))
 
 
-def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
-    """(rational, pairs), m's zero-cycle on the smooth fiber at t = b as
-    m.cycle lists it, checked: on the fiber and of degree m.degree
+def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat, cycle):
+    """(rational, pairs) = cycle, m's zero-cycle on the smooth fiber at
+    t = b as m.cycle lists it, checked: on the fiber and of degree m.degree
     (DomainError otherwise). The fiber is defined over Q, so conjugation
     maps its points to its points, and one point of each pair is checked
     on it; a pair counts twice in the degree."""
-    rational, pairs = m.cycle(fiber, b)
+    rational, pairs = cycle
     _check_support(fiber, rational + pairs)
     degree = sum(mult for _pt, mult in rational) + 2 * sum(mult for _pt, mult in pairs)
     if degree != m.degree:
@@ -642,11 +686,11 @@ def _checked_support(m: Multisection, fiber: EllipticCurve, b: Rat):
     return rational, pairs
 
 
-def _support_trace(m: Multisection, fiber: EllipticCurve, b: Rat) -> Point:
-    """The sum of the checked support (see _checked_support) over Q: the
+def _support_trace(m: Multisection, fiber: EllipticCurve, b: Rat, cycle) -> Point:
+    """The sum of the checked cycle (see _checked_support) over Q: the
     rational points with their multiplicities, and each conjugate pair by
     its chord (_pair_sum)."""
-    rational, pairs = _checked_support(m, fiber, b)
+    rational, pairs = _checked_support(m, fiber, b, cycle)
     trace = INFINITY
     for pt, mult in rational + [(_pair_sum(pt), mult) for pt, mult in pairs]:
         trace = _add_unchecked(fiber, trace, _mul_unchecked(fiber, mult, pt))
@@ -658,20 +702,22 @@ def fiber_cycle(m: Multisection, fiber: EllipticCurve, b: Rat) -> tuple:
     multisection's zero-cycle on the smooth fiber at t = b (see
     _checked_support): the rational points, then each conjugate pair as P
     and conj(P)."""
-    rational, pairs = _checked_support(m, fiber, b)
+    rational, pairs = _checked_support(m, fiber, b, m.cycle(fiber, b))
     return tuple(rational) + tuple(q for pt, mult in pairs for q in ((pt, mult), (_conjugate(pt), mult)))
 
 
-def trace_cycle(fiber: EllipticCurve, m: Multisection, b: Rat) -> Point:
+def trace_cycle(fiber: EllipticCurve, m: Multisection, b: Rat, p: Point | None = None) -> Point:
     """The group sum over Q of the multisection's cycle on fiber, the
-    smooth fiber at t = b: m.trace(fiber, b)."""
-    return m.trace(fiber, b)
+    smooth fiber at t = b: m.trace(fiber, b, p). A parametrized curve reads
+    the optional rational point p as a known root (see Parametrized.cycle);
+    the sum does not depend on it."""
+    return m.trace(fiber, b, p)
 
 
 def tau_map(fiber: EllipticCurve, m: Multisection, p: Point, b: Rat) -> Point:
     """tau(p) = [d]p - trace of the fiber cycle, on fiber, the smooth fiber
-    at t = b."""
-    trace = trace_cycle(fiber, m, b)
+    at t = b; the trace takes p, a point of the cycle."""
+    trace = trace_cycle(fiber, m, b, p)
     return ec_add(fiber, ec_mul(fiber, m.degree, p), ec_neg(trace))
 
 

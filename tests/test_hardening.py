@@ -513,6 +513,21 @@ def test_fibration_reads_the_integer_form_only_in_the_chord_sum():
     assert not found, f"integer form of a field element read outside _pair_sum: {found}"
 
 
+def test_only_numfield_and_fibration_read_the_integer_form():
+    # the kernels on a field element's integers (arithmetic, Horner at an
+    # element, the on-curve identity) live in numfield.py; fibration reads
+    # them only in its chord sum (the test above)
+    root = pathlib.Path(fibdense.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}:{node.attr}"
+        for path in sorted(root.rglob("*.py"))
+        if path.name not in {"numfield.py", "fibration.py"}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in INTEGER_FORM
+    ]
+    assert not found, f"integer form of a field element read outside numfield.py and fibration.py: {found}"
+
+
 # a Poly's slots: the integer form _nums/_den over Q, and _coeffs
 POLY_SLOTS = {"_nums", "_den", "_coeffs"}
 

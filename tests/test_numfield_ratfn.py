@@ -9,6 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fibdense.elliptic import EllipticCurve, Point
 from fibdense.errors import DomainError, NoSquareRoot, ZeroInput
 from fibdense.exactmath import (
     NumField,
@@ -372,3 +373,82 @@ def test_poly_evaluation_at_ratfn_argument():
     got = a(t_of_s)
     assert got == (3 * t_of_s * t_of_s + 1)
     assert got == ratfn(poly([3, 6, 4]), poly([0, 0, 1]))
+
+
+# -- Q polynomials and curves over Q at quadratic-field elements, on integers --
+
+
+def _field_horner(coeffs, x):
+    """sum(coeffs[i] * x^i) by Horner in the field's own arithmetic."""
+    acc = x - x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rat64, _rat64, st.lists(_rat64, min_size=2, max_size=2), st.lists(_rat64, min_size=2, max_size=6),
+       st.lists(_small_rat, min_size=1, max_size=4), st.booleans())
+def test_integer_horner_at_a_field_element_matches_the_field_arithmetic(p1, p0, xs, cs, ds, rational):
+    """Poly.__call__ at (n0 + n1*gen)/d is integer Horner in Z[gen] with one
+    reduction; a RatFn divides the two values, or is None at a pole."""
+    assume(not is_square(p1 * p1 - 4 * p0))
+    K = NumField(poly([p0, p1, 1]), "r")
+    x = K.embed(xs[0]) if rational else NumFieldElement(K, xs)
+    p, q = poly(cs), poly(ds)
+    assume(p.degree >= 1)
+    value = p(x)
+    assert value == _field_horner(p.coeffs, x)
+    assert _lowest_terms(value, K) is value
+    if not q.is_zero:
+        f = RatFn(p, q)
+        num, den = _field_horner(f.num.coeffs, x), _field_horner(f.den.coeffs, x)
+        assert f(x) == (num / den if den else None)
+
+
+def test_constants_at_a_field_element_keep_their_types():
+    # the bench's known-defect jobs rely on a constant y(s) = c != 0 giving a
+    # Fraction at a quadratic s (ROADMAP item 2 mends that defect), while
+    # the zero polynomial gives the zero of the field
+    K = FIELDS[0]
+    for x in (K.gen, K.embed(3), 1 + K.gen):
+        for f in (poly([5]), RatFn(poly([5])), RatFn(5, 3)):
+            assert type(f(x)) is Fraction and f(x) == f(Fraction(0))
+        for f in (Poly(), RatFn(0), poly([1, 1]) - poly([1, 1])):
+            zero = f(x)
+            assert isinstance(zero, NumFieldElement) and zero.field is K and not zero
+
+
+_curve_kinds = st.sampled_from(("general", "rational x", "fraction x", "fraction y"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_rat, _small_rat, st.lists(_small_rat, min_size=4, max_size=4), _small_rat, _small_rat, _curve_kinds)
+def test_on_curve_identity_in_z_gen_matches_the_field_expression(p1, p0, cs, a, shift, kind):
+    """EllipticCurve.contains at a point over a quadratic field on a curve
+    over Q (numfield's cross-multiplied identity) agrees with
+    y*y == x*x*x + a*x + b, on the curve and off it, with a rational
+    coordinate as a field element or as a Fraction."""
+    assume(not is_square(p1 * p1 - 4 * p0))
+    K = NumField(poly([p0, p1, 1]), "r")
+    ax, bx, ay, by = cs
+    if kind == "general":
+        assume(bx)
+        x, y = NumFieldElement(K, (ax, bx)), NumFieldElement(K, (ay, by))
+        rest = y * y - x * x * x  # = a*x + b with a, b rational
+        a = rest.coeffs[1] / bx
+        b = rest.coeffs[0] - a * ax
+    elif kind == "fraction y":
+        # y^2 - x^3 - a*x is irrational for most a: mostly off the curve
+        assume(bx)
+        x, y, b = NumFieldElement(K, (ax, bx)), ay, ay
+    else:
+        x = ax if kind == "fraction x" else K.embed(ax)
+        y = by * (2 * K.gen + p1)  # (2*gen + p1)^2 = p1^2 - 4*p0 is rational
+        b = (y * y).as_fraction() - ax**3 - a * ax
+    for c in (b, b + shift):
+        assume(4 * a**3 + 27 * c**2 != 0)
+        on = EllipticCurve(a, c).contains(Point(x, y))
+        assert on == (y * y == x * x * x + a * x + c)
+        if c == b and kind != "fraction y":
+            assert on

@@ -29,6 +29,7 @@ from fibdense.exactmath import (
 )
 from fibdense.exactmath.poly import (
     _FIRST_SCAN_PRIME,
+    _int_heuristic_gcd,
     _int_horner_all,
     _int_primitive,
     _int_rational_roots,
@@ -290,15 +291,41 @@ def test_gcd_matches_sympy_on_planted_factors(g, a, b):
         # first input; xi = 12 gives h = 24 = 2x, whose primitive part is x
         (poly([0, -2, 1]), poly([0, 2, 1]), poly([0, 1])),
         (poly([0, 2, 1]), poly([0, -2, 1]), poly([0, 1])),
-        # xi = 4: h = 3 reads back as x - 1, which divides only x - 1
-        (poly([-1, 1]), poly([2, 1]), poly([1])),
-        (poly([2, 1]), poly([-1, 1]), poly([1])),
+        # xi = 4: h = gcd(15, 18) = 3 reads back as x - 1, which divides
+        # only x^2 - 1; xi = 8 gives h = gcd(63, 66) = 3, the constant 1
+        (poly([-1, 0, 1]), poly([2, 0, 1]), poly([1])),
+        (poly([2, 0, 1]), poly([-1, 0, 1]), poly([1])),
     ],
 )
 def test_gcd_retries_when_the_first_point_fails(f, h, gcd):
     with _counted_tries() as tries:
         assert poly_gcd(f, h) == gcd
     assert tries[1] == 2 * tries[0]
+
+
+@pytest.mark.parametrize(
+    "f,h,gcd",
+    [
+        # x - 2 divides x^2 - 3x + 2, and x + 1 does not
+        (poly([2, -3, 1]), poly([-2, 1]), poly([-2, 1])),
+        (poly([2, -3, 1]), poly([1, 1]), poly([1])),
+        # the non-monic 3x - 2 divides (3x - 2)(x^2 + 1), and 2x - 3 does not
+        (poly([-2, 3, -2, 3]), poly([-2, 3]), poly([Fraction(-2, 3), 1])),
+        (poly([-2, 3, -2, 3]), poly([-3, 2]), poly([1])),
+        # both linear: equal up to a unit, or coprime
+        (poly([-4, 6]), poly([2, -3]), poly([Fraction(-2, 3), 1])),
+        (poly([-2, 3]), poly([-3, 2]), poly([1])),
+    ],
+)
+def test_gcd_with_a_linear_operand_is_a_closed_form(f, h, gcd):
+    # v*x - u divides p exactly when v^deg p * p(u/v) = 0, so no
+    # evaluation point of the heuristic gcd is tried
+    with _counted_tries() as tries:
+        assert poly_gcd(f, h) == gcd
+        assert poly_gcd(h, f) == gcd
+    assert tries == []
+    # a linear operand with a negative lead gives the gcd a positive one
+    assert _int_heuristic_gcd([-2, 3, -2, 3], [2, -3]) == [-2, 3]
 
 
 def test_gcd_first_point_is_twice_the_smaller_norm_plus_two():

@@ -3,7 +3,9 @@ point by point over each field: the closed forms of every multisection kind
 but a parametrized curve, and the support path of a parametrized curve,
 which sums each conjugate pair by its chord. A cycle is (rational, pairs)
 with one point per conjugate pair, checked against the cycle evaluated at
-every root of the fiber equation on its own."""
+every root of the fiber equation on its own. A parametrized curve given
+tau_map's base point divides that point's parameter out of its fiber
+equation first, and lists the same cycle as without it."""
 
 from __future__ import annotations
 
@@ -24,9 +26,12 @@ from fibdense.elliptic import (
     Point,
     _add_unchecked,
     _mul_unchecked,
+    ec_add,
+    ec_mul,
+    ec_neg,
     quartic_to_weierstrass,
 )
-from fibdense.errors import DomainError
+from fibdense.errors import DomainError, TraceFieldTooLarge
 from fibdense.exactmath import NumField, NumFieldElement, RatFn, is_square, poly, ratfn
 from fibdense.fibration import (
     ConstantX,
@@ -40,6 +45,7 @@ from fibdense.fibration import (
     quartic_on_graph,
     small_field_roots,
     specialize,
+    tau_map,
     trace_cycle,
 )
 
@@ -88,7 +94,7 @@ class FixedCycle:
     def degree(self) -> int:
         return sum(m for _pt, m in self.rational) + 2 * sum(m for _pt, m in self.pairs)
 
-    def cycle(self, fiber, b):
+    def cycle(self, fiber, b, p=None):
         return list(self.rational), list(self.pairs)
 
     trace = Parametrized.trace
@@ -465,3 +471,164 @@ def test_densify_on_constant_x_takes_no_root(tmp_path, monkeypatch, capsys):
         files[patched] = [(out / name).read_bytes() for name in ("report.json", "points.csv")]
     assert files[True] == files[False]
     assert b'"non_torsion"' in files[True][0]
+
+
+# -- the base point's parameter divided out of a parametrized curve's solver --
+
+
+def _on_the_family(x: RatFn, y: RatFn, const: int):
+    """y^2 = x^3 + t*x + const with the curve s -> (t(s), x(s), y(s)) for
+    t = (y^2 - x^3 - const)/x, so the curve lies on the fibration."""
+    model = FibrationModel(ratfn([0, 1]), ratfn([const]))
+    return model, Parametrized((y * y - x * x * x - const) / x, x, y)
+
+
+def _moebius(f: RatFn) -> RatFn:
+    """f(1 + 1/s): the parameter s = infinity goes to the old s = 1."""
+    r = RatFn(poly([1, 1]), poly([0, 1]))
+    return f.num(r) / f.den(r)
+
+
+@st.composite
+def base_point_cases(draw):
+    """(model, multisection, s0) with t(s) of degree 3 or 4 and x(s) of
+    degree 1 or 2: x affine and y of degree <= 2 ("line"), x = s^2 and
+    y = s^3 + q(s) with deg q <= 1 ("square"), or a line curve
+    reparametrized by s -> 1 + 1/s, with s0 = None for s = infinity, where
+    t(s) drops a degree ("moebius")."""
+    kind = draw(st.sampled_from(("line", "square", "moebius")))
+    const = draw(small.filter(bool))
+    if kind == "square":
+        x = poly([0, 0, 1])
+        y = x * poly([0, 1]) + poly(draw(st.lists(small, min_size=1, max_size=2)))
+    else:
+        x = poly([draw(small), draw(small.filter(bool))])
+        y = poly(draw(st.lists(small, min_size=1, max_size=3)))
+        # a constant y = c != 0 is the known defect of
+        # test_hardening.py::test_trisection_with_nonzero_constant_y
+        assume(y.degree != 0)
+    model, m = _on_the_family(RatFn(x), RatFn(y), const)
+    assume(m.degree in (3, 4))
+    s0 = draw(rationals)
+    if kind == "moebius":
+        m = Parametrized(*map(_moebius, (m.t, m.x, m.y)))
+        s0 = draw(st.sampled_from((None, s0)))
+    return model, m, s0
+
+
+def _same_with_and_without_the_base_point(model, m, s0) -> bool:
+    """On the fiber through the point p at s0, the cycle and the trace with
+    p equal those without it, TraceFieldTooLarge included, and tau_map is
+    [d]p minus the trace taken without p. False where the fiber is singular
+    or a pole, or p is O."""
+    b, p = m.t(s0), fibration._eval_point(m.x, m.y, s0)
+    if b is None or p.is_infinity:
+        return False
+    try:
+        fiber = specialize(model, b)
+    except DomainError:
+        return False
+    outcomes = []
+    for hint in (p, INFINITY, None):
+        try:
+            outcomes.append((m.cycle(fiber, b, hint), trace_cycle(fiber, m, b, hint)))
+        except TraceFieldTooLarge as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if isinstance(outcomes[2], str):
+        with pytest.raises(TraceFieldTooLarge, match="need a degree"):
+            tau_map(fiber, m, p, b)
+    else:
+        assert tau_map(fiber, m, p, b) == ec_add(fiber, ec_mul(fiber, m.degree, p), ec_neg(outcomes[2][1]))
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=base_point_cases())
+def test_the_base_point_leaves_cycle_trace_and_tau_unchanged(case):
+    assume(_same_with_and_without_the_base_point(*case))
+
+
+def _solver_degrees(monkeypatch):
+    """The degree of every polynomial fibration hands to rational_roots."""
+    degrees = []
+    split = fibration.rational_roots
+    monkeypatch.setattr(fibration, "rational_roots", lambda p: degrees.append(p.degree) or split(p))
+    return degrees
+
+
+X_LINE = ratfn([0, 1])
+
+
+@pytest.mark.parametrize(
+    "x,y,const,s0,divided,too_large",
+    [
+        # the solver is -(s + 1)^2 (s - 3): the double root keeps multiplicity 2
+        (X_LINE, ratfn([-2, -1]), 1, F(-1), True, False),
+        # the cofactor's roots 1 and 6 are rational, s0 = 2 goes between them
+        (X_LINE, ratfn([-3, -3]), -3, F(2), True, False),
+        # x = s^2 is over p.x at s0 = +-1, both roots of the solver
+        # (2s^2 + 1)(s^2 - 1), so g = s^2 - 1 and the whole solver is split
+        (ratfn([0, 0, 1]), ratfn([0, 1, 0, 1]), 1, F(1), False, False),
+        # x = s^2 with y = s^3 + s + 1 is over p.x at s0 = 1 only, and t has
+        # degree 4: the cubic cofactor is irreducible
+        (ratfn([0, 0, 1]), ratfn([1, 1, 0, 1]), 2, F(1), True, True),
+        # the cofactor 2s^3 + 2s^2 + 4s + 1 of 2s^4 - 2s^3 - 7s - 2 is irreducible
+        (X_LINE, ratfn([0, 0, 1]), 1, F(2), True, True),
+    ],
+    ids=["double root", "rational cofactor", "x = s^2", "x = s^2, one root", "cubic cofactor"],
+)
+def test_base_point_cases(monkeypatch, x, y, const, s0, divided, too_large):
+    model, m = _on_the_family(x, y, const)
+    degrees = _solver_degrees(monkeypatch)
+    assert _same_with_and_without_the_base_point(model, m, s0)
+    # a cycle and a trace (none when the cycle raises) with p, with O and
+    # with no point, then tau_map: with p, one root fewer to split exactly
+    # when g is linear
+    full = m.degree
+    cut = full - 1 if divided else full
+    k = 1 if too_large else 2
+    assert degrees == [cut] * k + [full] * 2 * k + [cut]
+
+
+def test_base_point_at_infinity_and_at_a_pole():
+    # the line curve x = s, y = -2 - s reparametrized so that s = infinity
+    # is the old s = 1: there t(s) drops to degree 2, and x - p.x is constant
+    model, m = _on_the_family(X_LINE, ratfn([-2, -1]), 1)
+    m = Parametrized(*map(_moebius, (m.t, m.x, m.y)))
+    b, p = m.t(None), fibration._eval_point(m.x, m.y, None)
+    fiber = specialize(model, b)
+    assert (m.t.num - b * m.t.den).degree == m.degree - 1
+    assert m.cycle(fiber, b, p)[0][0] == (p, 1)
+    assert _same_with_and_without_the_base_point(model, m, None)
+    # the section (1/s^2, (1 + s^4)/s^3) of y^2 = x^3 + 2x + t^2 passes
+    # through O over s = 0: tau_map's base point O takes the full solver
+    pole = Parametrized(ratfn([0, 1]), *POLE_SECTION)
+    fiber = specialize(POLE_MODEL, F(0))
+    assert fibration._eval_point(pole.x, pole.y, F(0)) is INFINITY
+    assert trace_cycle(fiber, pole, F(0), INFINITY) is INFINITY
+    assert tau_map(fiber, pole, INFINITY, F(0)) is INFINITY
+
+
+def test_densify_on_a_trisection_splits_one_quadratic_per_fiber(tmp_path, monkeypatch):
+    """tau_map hands its base point to the trace, so the trisection divides
+    the base point's parameter out of each fiber cubic: densify makes one
+    rational_roots call per fiber, on the quadratic cofactor."""
+    spec = {
+        "fibration": {"a": {"num": ["0", "1"]}, "b": {"num": ["1"]}},
+        "multisection": {
+            "kind": "parametrized",
+            "t": {"num": ["-1", "0", "0", "-1"], "den": ["0", "1"]},
+            "x": {"num": ["0", "1"]},
+            "y": {"num": ["0"]},
+        },
+        "params": {"height_bound": 8},
+    }
+    path, out = tmp_path / "run.json", tmp_path / "out"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    degrees = _solver_degrees(monkeypatch)
+    assert main(["densify", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["fibers_attempted"] == len(report["per_fiber"]) > 0
+    assert all(fiber["verdict"] == "torsion" for fiber in report["per_fiber"])
+    assert degrees == [2] * report["fibers_attempted"]
