@@ -3,7 +3,8 @@
 The pipeline: enumerate rational points of a multisection up to a parameter
 height bound, certify that the class-map image tau(p) has infinite order on
 its fiber, then translate p by multiples of tau(p) to flood the fiber with
-verified rational points. Reports aggregate per-fiber outcomes and stay
+verified rational points (elliptic's translates walk, re-checked on the
+fiber point by point). Reports aggregate per-fiber outcomes and stay
 byte-stable across runs. The writers render each fiber entry's fixed shape
 directly, one fiber at a time; report.json is byte for byte
 json.dumps(doc, indent=2), whose pure-Python encoder they avoid.
@@ -21,10 +22,10 @@ from .elliptic import (
     InfiniteOrder,
     Point,
     Torsion,
-    _add_unchecked,
     ec_add,  # unused here; bench/tracing.py wraps this name
     ec_mul,  # unused here; bench/tracing.py wraps this name
     torsion_certify,
+    translates,
 )
 from .errors import (
     DomainError,
@@ -87,7 +88,9 @@ def certify_and_translate(model, m, b, p: Point, k_max: int):
     Returns (CertificationResult, points); the verdict is the torsion
     certificate of tau(p) or a Skipped reason. The list is empty unless the
     verdict is InfiniteOrder, in which case it holds k_max + 1 translates
-    indexed from k = 0 (the base point itself).
+    indexed from k = 0 (the base point itself), walked by elliptic's
+    translates: over Q, on the integral model in Jacobian coordinates, with
+    one reduction per emitted coordinate.
 
     The translates are not checked on the fiber here: p is checked by
     tau_map and tau(p) by torsion_certify, and densify re-verifies every
@@ -104,11 +107,7 @@ def certify_and_translate(model, m, b, p: Point, k_max: int):
     except TraceFieldTooLarge:
         return CertificationResult(b, p, None, Skipped("trace field too large"), fiber), []
     cert = torsion_certify(fiber, q)
-    points = []
-    if isinstance(cert, InfiniteOrder):
-        points.append(p)
-        for _k in range(k_max):
-            points.append(_add_unchecked(fiber, points[-1], q))
+    points = translates(fiber, p, q, k_max) if isinstance(cert, InfiniteOrder) else []
     return CertificationResult(b, p, q, cert, fiber), points
 
 
@@ -117,14 +116,14 @@ def _fiber_work(model, m, b, base_points, k_max):
     translates plus every enumerated base point on that fiber."""
     first_result = None
     for p in base_points:
-        result, translates = certify_and_translate(model, m, b, p, k_max)
+        result, walk = certify_and_translate(model, m, b, p, k_max)
         if first_result is None:
             first_result = result
         if isinstance(result.verdict, InfiniteOrder):
             # the translates p + k tau are pairwise distinct, since
             # (i - j) tau = O forces i = j for a non-torsion tau; only the
             # extra base points can repeat an emitted point
-            emitted = [(k, pt) for k, pt in enumerate(translates) if not pt.is_infinity]
+            emitted = [(k, pt) for k, pt in enumerate(walk) if not pt.is_infinity]
             for extra in base_points:
                 if not extra.is_infinity and all(extra != pt for _k, pt in emitted):
                     emitted.append((0, extra))

@@ -8,7 +8,9 @@ reduction also takes Poly coefficients over a rational q4, because it
 divides only by integers and multiples of sqrt(q4): the cone's K3 model
 runs it in Q[t]. Over Q the group law, the on-curve check and the
 nonsingularity test run on integer numerators and denominators (see
-_add_unchecked and EllipticCurve).
+_add_unchecked and EllipticCurve), and the translate walk p + kq runs on the
+integral model in Jacobian coordinates, one reduction per emitted coordinate
+(see translates).
 
 The quartic bridge (quartic_to_weierstrass) turns w^2 = q4*z^4 + ... + q0
 with q4 a nonzero square into short Weierstrass coefficients, marked at one
@@ -89,19 +91,18 @@ class EllipticCurve:
         """Whether p lies on the curve, decided exactly.
 
         When x, y, a and b are all rationals (int or Fraction), with
-        x = xn/xd, y = yn/yd, a = an/ad, b = bn/bd, the test is the
-        cross-multiplied identity
+        x = xn/xd, y = yn/yd, a = an/ad, b = bn/bd, the right side is
+        x^3 + a x + b = R / D on integers, with
 
-            yn^2 * xd^3 * ad * bd == yd^2 * (xn^3 * ad * bd
-                                             + an * bd * xn * xd^2
-                                             + bn * ad * xd^3)
+            R = xn^3 ad bd + an bd xn xd^2 + bn ad xd^3,   D = xd^3 ad bd.
 
-        on integers: y^2 = x^3 + a x + b multiplied through by
-        yd^2 xd^3 ad bd. Every denominator is positive, so that factor is
-        nonzero and the two equations hold together; no Fraction is built and
-        no gcd is taken. A point over a quadratic field on a curve over Q is
-        checked by the same identity in Z[gen] (numfield's _on_curve). Other
-        coefficient rings use the field expression."""
+        yn^2 / yd^2 is in lowest terms, so y^2 = R / D forces yd^2 | D: the
+        test is q, r = divmod(D, yd^2), False when r != 0, and otherwise
+        yn^2 q == R, the identity yn^2 D == yd^2 R divided through by yd^2.
+        No Fraction is built and no gcd is taken. A point over a quadratic
+        field on a curve over Q is checked by the same identity in Z[gen]
+        (numfield's _on_curve). Other coefficient rings use the field
+        expression."""
         if p.is_infinity:
             return True
         x, y, a, b = p.x, p.y, self.a, self.b
@@ -123,9 +124,10 @@ class EllipticCurve:
         xd2 = xd * xd
         xd3 = xd2 * xd
         abd = ad * bd
-        lhs = yn * yn * xd3 * abd
-        rhs = yd * yd * (xn * (xn * xn * abd + an * bd * xd2) + bn * ad * xd3)
-        return lhs == rhs
+        quotient, rem = divmod(xd3 * abd, yd * yd)
+        if rem:
+            return False
+        return yn * yn * quotient == xn * (xn * xn * abd + an * bd * xd2) + bn * ad * xd3
 
     def __repr__(self):
         return f"EllipticCurve(a={self.a}, b={self.b})"
@@ -291,7 +293,8 @@ def smallest_order(curve: EllipticCurve, p: Point, bound: int) -> int | None:
     Curves and points over number fields always run to the bound.
 
     p must lie on the curve; it is not checked again here."""
-    scale = _integral_scale(curve, p)
+    u = _integral_u(curve, p.x)
+    scale = None if u is None else u * u
     acc = p
     for m in range(1, bound + 1):
         if acc.is_infinity:
@@ -303,12 +306,101 @@ def smallest_order(curve: EllipticCurve, p: Point, bound: int) -> int | None:
     return None
 
 
-def _integral_scale(curve: EllipticCurve, p: Point) -> int | None:
-    """u^2 for the integral model of a curve over Q (see smallest_order);
-    None unless the curve and p are both over Q."""
-    if not all(isinstance(c, _RATIONAL) for c in (curve.a, curve.b, p.x)):
+def _integral_u(curve: EllipticCurve, *coords) -> int | None:
+    """u = lcm(den a, den b), which takes the curve over Q to its integral
+    model Y^2 = X^3 + u^4 a X + u^6 b by (x, y) -> (u^2 x, u^3 y) (see
+    smallest_order); None unless a, b and the given coordinates are all
+    rationals."""
+    if not all(isinstance(c, _RATIONAL) for c in (curve.a, curve.b, *coords)):
         return None
-    return math.lcm(curve.a.denominator, curve.b.denominator) ** 2
+    return math.lcm(curve.a.denominator, curve.b.denominator)
+
+
+def _model_x(xn: int, xd: int, u2: int) -> tuple[int, int]:
+    """(m, e) with u^2 xn/xd = m/e^2 in lowest terms, e > 0, for reduced
+    xn/xd: the denominator is xd/g with g = gcd(u^2, xd). DomainError when
+    it is not a square, which no point on the curve allows."""
+    g = math.gcd(u2, xd)
+    e2 = xd // g
+    e = math.isqrt(e2)
+    if e * e != e2:
+        raise DomainError(f"x = {xn}/{xd} is not the x of a point on the integral model")
+    return u2 // g * xn, e
+
+
+def translates(curve: EllipticCurve, p: Point, q: Point, k_max: int) -> list:
+    """[p, p + q, ..., p + k_max q]: each entry is _add_unchecked of the one
+    before it and q, as the same Fractions; p and q are not checked on the
+    curve, and k_max <= 0 gives [p].
+
+    Over Q the walk runs on the integral model Y^2 = X^3 + u^4 a X + u^6 b
+    (see _integral_u), where every rational point is (m/e^2, n/e^3) in
+    lowest terms, e > 0 (Silverman-Tate, Rational Points on Elliptic Curves,
+    III.2). For P1 = (m1, n1, e1) and P2 = (m2, n2, e2) = q, the chord step
+    in Jacobian coordinates (Cohen-Frey, Handbook of Elliptic and
+    Hyperelliptic Curve Cryptography, 13.2) is
+
+        U1 = m1 e2^2,  U2 = m2 e1^2,  S1 = n1 e2^3,  S2 = n2 e1^3,
+        H = U2 - U1,   r = S2 - S1,
+        X3 = r^2 - H^3 - 2 U1 H^2,  Y3 = r (U1 H^2 - X3) - S1 H^3,
+        Z3 = e1 e2 H,
+
+    with P1 + P2 = (X3/Z3^2, Y3/Z3^3) on the model. The emitted x is
+    Fraction(X3, Z3^2 u^2), one reduction, and _model_x reads (m3, e3) off
+    it. e3^2 divides Z3^2, so n3 = Y3 / (Z3/e3)^3 is an exact division, and
+    the emitted y is Fraction(n3, e3^3 u^3), the second reduction. H = 0 (a
+    doubling, or a sum that is O) goes through _add_unchecked, and the walk
+    goes on from its result. Other coefficient rings run the
+    _add_unchecked chain."""
+    points = [p]
+    if k_max <= 0:
+        return points
+    affine = [c for pt in (p, q) if not pt.is_infinity for c in (pt.x, pt.y)]
+    u = _integral_u(curve, *affine)
+    if u is None or q.is_infinity:
+        for _k in range(k_max):
+            points.append(_add_unchecked(curve, points[-1], q))
+        return points
+    u2 = u * u
+    u3 = u2 * u
+
+    def model(pt: Point):
+        """(m, n, e) of an affine point over Q, None for O."""
+        if pt.is_infinity:
+            return None
+        m, e = _model_x(pt.x.numerator, pt.x.denominator, u2)
+        return m, u3 * pt.y.numerator * e * e * e // pt.y.denominator, e
+
+    m2, n2, e2 = model(q)
+    e2_2 = e2 * e2
+    e2_3 = e2_2 * e2
+    acc, last = model(p), p
+    for _k in range(k_max):
+        if acc is None:  # O + q
+            acc, last = (m2, n2, e2), q
+        else:
+            m1, n1, e1 = acc
+            e1_2 = e1 * e1
+            u1 = m1 * e2_2
+            h = m2 * e1_2 - u1
+            if not h:
+                last = _add_unchecked(curve, last, q)
+                acc = model(last)
+            else:
+                s1 = n1 * e2_3
+                r = n2 * e1_2 * e1 - s1
+                h2 = h * h
+                h3 = h2 * h
+                u1h2 = u1 * h2
+                x3 = r * r - h3 - 2 * u1h2
+                z3 = e1 * e2 * h
+                x = Fraction(x3, z3 * z3 * u2)
+                m3, e3 = _model_x(x.numerator, x.denominator, u2)
+                c = z3 // e3
+                n3 = (r * (u1h2 - x3) - s1 * h3) // (c * c * c)
+                acc, last = (m3, n3, e3), Point(x, Fraction(n3, e3 * e3 * e3 * u3))
+        points.append(last)
+    return points
 
 
 # -- quartic models --

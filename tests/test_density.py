@@ -150,13 +150,15 @@ class TestCertifyAndTranslate:
 
     @pytest.mark.parametrize("k_max", [0, 1, 4])
     def test_translates_take_k_max_additions(self, k_max, monkeypatch):
-        additions = []
-        add = density._add_unchecked
-        monkeypatch.setattr(density, "_add_unchecked", lambda *args: additions.append(args) or add(*args))
+        walks = []
+        walk = density.translates
+        monkeypatch.setattr(density, "translates", lambda *args: walks.append(args) or walk(*args))
         p = Point(F(1), F(2))
         result, points = certify_and_translate(WORKED, ConstantX(F(1)), F(2), p, k_max)
         assert result.verdict == InfiniteOrder()
-        assert len(additions) == k_max
+        assert [(walked_p, walked_q, steps) for _fiber, walked_p, walked_q, steps in walks] == [
+            (p, result.tau, k_max)
+        ]
         fiber = specialize(WORKED, F(2))
         assert points == [ec_add(fiber, p, ec_mul(fiber, k, result.tau)) for k in range(k_max + 1)]
 

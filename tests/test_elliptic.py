@@ -31,6 +31,7 @@ from fibdense.elliptic import (
     quartic_to_weierstrass,
     smallest_order,
     torsion_certify,
+    translates,
 )
 from fibdense.exactmath import NumField, Poly, RatFn, poly, poly_gcd, rat_height, ratfn
 
@@ -224,6 +225,118 @@ def test_integer_nonsingularity_agrees_with_field_expression(a, b, k):
                 EllipticCurve(a_val, b_val)
         else:
             assert EllipticCurve(a_val, b_val).b == b_val
+
+
+def test_contains_by_exact_division():
+    """contains over Q: yd^2 must divide xd^3 ad bd before the numerators
+    are compared; int and Fraction coordinates, and coefficients with
+    denominators, each on and off the curve."""
+    E = EllipticCurve(0, 1)
+    # yd^2 does not divide xd^3 ad bd: the early exit
+    for x, y in ((0, F(1, 2)), (F(1, 4), F(1, 4)), (2, F(3, 2)), (F(-1, 4), F(1, 16))):
+        assert not E.contains(Point(x, y))
+    # y^2 = x^3 + x at x = 0: the right side is 0, and so is the floored
+    # quotient 1 // yd^2, so only the remainder tells (0, 1/2) from (0, 0)
+    assert EllipticCurve(1, 0).contains(Point(0, 0))
+    assert not EllipticCurve(1, 0).contains(Point(0, F(1, 2)))
+    # divisible, numerators unequal
+    for x, y in ((F(1, 4), F(1, 8)), (0, 2), (2, -2)):
+        assert not E.contains(Point(x, y))
+    # int coordinates and an int curve
+    assert E.contains(Point(2, 3)) and E.contains(Point(-1, 0)) and E.contains(Point(0, -1))
+    assert EllipticCurve(F(2), 1).contains(Point(F(-7, 16), F(-13, 64)))
+    # y^2 = x^3 + x/4 + 1/16 through (1/4, 3/8): xd^3 ad bd / yd^2 = 64
+    E2 = EllipticCurve(F(1, 4), F(1, 16))
+    assert E2.contains(Point(F(1, 4), F(3, 8))) and E2.contains(Point(F(1, 4), F(-3, 8)))
+    assert E2.contains(Point(0, F(1, 4)))
+    assert not E2.contains(Point(F(1, 4), F(5, 8)))  # divisible, unequal
+    assert not E2.contains(Point(F(1, 4), F(3, 16)))  # not divisible
+    # y^2 = x^3 - x/4 + 1/9 through (0, -1/3): ad bd / yd^2 = 4
+    E3 = EllipticCurve(F(-1, 4), F(1, 9))
+    assert E3.contains(Point(0, F(-1, 3))) and E3.contains(Point(F(-1, 2), F(1, 3)))
+    assert not E3.contains(Point(0, F(1, 9)))
+
+
+def _chain(curve, p, q, k_max):
+    """[p, p + q, ..., p + k_max q] by repeated _add_unchecked, the oracle."""
+    points = [p]
+    for _k in range(k_max):
+        points.append(elliptic._add_unchecked(curve, points[-1], q))
+    return points
+
+
+_SMALL_RAT = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_RAT, _SMALL_RAT, _SMALL_RAT, _SMALL_RAT, st.integers(-4, 4), st.sampled_from([-1, 0, 1, 5]))
+def test_translates_equal_the_addition_chain(x1, y1, x2, y2, j, k_max):
+    """translates(curve, p, q, k_max) is the _add_unchecked chain, Fraction
+    for Fraction, on curves through two drawn points, so that a and b have
+    denominators (u > 1 on most draws). p is the other point, O (j = 0) or
+    [j]q, so the walk meets P_k = q (a doubling), P_k = -q (a sum that is O,
+    after which it goes on from O) and P_k = O."""
+    assume(x1 != x2)
+    a = (y2 * y2 - y1 * y1 - x2**3 + x1**3) / (x2 - x1)
+    b = y1 * y1 - x1**3 - a * x1
+    assume(4 * a**3 + 27 * b * b != 0)
+    E = EllipticCurve(a, b)
+    q = Point(x2, y2)
+    for p in (Point(x1, y1), elliptic._mul_unchecked(E, j, q)):
+        want = _chain(E, p, q, k_max)
+        got = translates(E, p, q, k_max)
+        assert got == want
+        assert len(got) == max(k_max, 0) + 1
+        for pt in got:
+            _assert_exact(pt)
+
+
+def test_translates_fixed_cases():
+    """Doublings, sums that are O and walks from O, on a curve with u = 6."""
+    # y^2 = x^3 - x/4 + 1/9 with u = lcm(4, 9) = 6, and a point of infinite order
+    E = EllipticCurve(F(-1, 4), F(1, 9))
+    q = Point(0, F(-1, 3))
+    assert torsion_certify(E, q) == InfiniteOrder()
+    for p in (INFINITY, q, ec_neg(q), ec_mul(E, -3, q), ec_mul(E, 2, q), Point(F(-1, 2), F(1, 3))):
+        for k_max in (-1, 0, 1, 5):
+            assert translates(E, p, q, k_max) == _chain(E, p, q, k_max)
+    walk = translates(E, ec_mul(E, -3, q), q, 5)
+    assert walk[3] == INFINITY and walk[4] == q and walk[5] == ec_mul(E, 2, q)
+    # q = O leaves p where it is; a 2-torsion q flips between p and p + q
+    assert translates(E, q, INFINITY, 3) == [q] * 4
+    E2 = EllipticCurve(0, 1)
+    assert translates(E2, Point(2, 3), Point(-1, 0), 3) == _chain(E2, Point(2, 3), Point(-1, 0), 3)
+
+
+def test_translates_build_two_fractions_per_step(monkeypatch):
+    """On a walk over Q with no repeated x, each step builds exactly two
+    Fractions, x and y, and calls no _add_unchecked."""
+    built, added = [], []
+    monkeypatch.setattr(elliptic, "Fraction", lambda *args: built.append(args) or F(*args))
+    monkeypatch.setattr(elliptic, "_add_unchecked", lambda *args: added.append(args))
+    for E, p, q in (
+        (EllipticCurve(F(2), F(1)), Point(F(1), F(2)), Point(F(-7, 16), F(-13, 64))),
+        (EllipticCurve(F(-1, 4), F(1, 9)), Point(F(-1, 2), F(1, 3)), Point(0, F(-1, 3))),
+    ):
+        for k_max in (1, 5):
+            built.clear()
+            walk = translates(E, p, q, k_max)
+            assert len(built) == 2 * k_max
+            assert not added
+            assert all(E.contains(pt) for pt in walk)
+            assert len({pt.x for pt in walk}) == k_max + 1
+
+
+def test_translates_reject_an_x_that_is_not_on_the_integral_model():
+    # u = 1: a point's x-denominator must be a square
+    E = EllipticCurve(F(2), F(1))
+    with pytest.raises(DomainError, match="integral model"):
+        translates(E, Point(F(1, 2), F(1)), Point(F(1), F(2)), 1)
+    with pytest.raises(DomainError, match="integral model"):
+        translates(E, Point(F(1), F(2)), Point(F(1, 2), F(1)), 1)
+    # off the curve, the chord through (1/4, 1/8) and (5/4, 1/8) has x = -3/2
+    with pytest.raises(DomainError, match="integral model"):
+        translates(E, Point(F(1, 4), F(1, 8)), Point(F(5, 4), F(1, 8)), 1)
 
 
 def test_off_curve_points_rejected():

@@ -294,7 +294,7 @@ def test_tau_difference_law_on_random_fibers(case):
 def test_translates_are_re_verified_before_they_are_emitted(monkeypatch):
     # (0, 0) is on no fiber of y^2 = x^3 + t x + 1
     model = FibrationModel(ratfn([0, 1]), ratfn([1]))
-    monkeypatch.setattr(density, "_add_unchecked", lambda curve, p, q: Point(F(0), F(0)))
+    monkeypatch.setattr(density, "translates", lambda curve, p, q, k_max: [p] + [Point(F(0), F(0))] * k_max)
     with pytest.raises(DomainError, match="failed on-curve re-verification"):
         densify(model, ConstantX(F(1)), 3, 2)
 
@@ -526,6 +526,25 @@ def test_only_numfield_and_fibration_read_the_integer_form():
         if isinstance(node, ast.Attribute) and node.attr in INTEGER_FORM
     ]
     assert not found, f"integer form of a field element read outside numfield.py and fibration.py: {found}"
+
+
+# CPython's private Fraction API: the _normalize keyword, the 3.12
+# constructor and the slots; 3.11 lacks _from_coprime_ints, and 3.12 dropped
+# _normalize, so code that uses any of them is tied to one Python version
+PRIVATE_FRACTION_API = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+
+
+def test_no_module_uses_private_fraction_api():
+    root = pathlib.Path(fibdense.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in PRIVATE_FRACTION_API)
+        or (isinstance(node, ast.keyword) and node.arg in PRIVATE_FRACTION_API)
+        or (isinstance(node, ast.Constant) and node.value in PRIVATE_FRACTION_API)
+    ]
+    assert not found, f"private Fraction API used: {found}"
 
 
 # a Poly's slots: the integer form _nums/_den over Q, and _coeffs
