@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import (
@@ -22,6 +21,7 @@ from .elliptic import (
     InfiniteOrder,
     Point,
     Torsion,
+    Value,
     ec_add,  # unused here; bench/tracing.py wraps this name
     ec_mul,  # unused here; bench/tracing.py wraps this name
     torsion_certify,
@@ -44,34 +44,37 @@ from .fibration import (
 Rat = Fraction
 
 
-@dataclass(frozen=True)
-class Skipped:
-    reason: str
+class Skipped(Value):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
-@dataclass(frozen=True)
-class CertificationResult:
-    b: Rat
-    base: Point
-    tau: Point | None
-    verdict: InfiniteOrder | Torsion | Skipped
-    fiber: EllipticCurve | None = None  # the smooth fiber at b; None at a pole or singular fiber
+class CertificationResult(Value):
+    __slots__ = _fields = ("b", "base", "tau", "verdict", "fiber")
+
+    def __init__(self, b: Rat, base: Point, tau: Point | None, verdict, fiber: EllipticCurve | None = None):
+        self.b, self.base, self.tau = b, base, tau
+        self.verdict = verdict  # InfiniteOrder, Torsion or Skipped
+        self.fiber = fiber  # the smooth fiber at b; None at a pole or singular fiber
 
 
-@dataclass(frozen=True)
-class FiberOutcome:
-    b: Rat
-    result: CertificationResult
-    points: tuple  # of (k, Point), k the translate index (0 = untranslated)
+class FiberOutcome(Value):
+    __slots__ = _fields = ("b", "result", "points")
+
+    def __init__(self, b: Rat, result: CertificationResult, points: tuple):
+        self.b, self.result = b, result
+        self.points = points  # of (k, Point), k the translate index (0 = untranslated)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    fibers_attempted: int
-    fibers_certified: int
-    points_emitted: int
-    max_height_seen: int
-    per_fiber: tuple  # of FiberOutcome, sorted by fiber parameter
+class DensityReport(Value):
+    __slots__ = _fields = ("fibers_attempted", "fibers_certified", "points_emitted", "max_height_seen", "per_fiber")
+
+    def __init__(self, fibers_attempted, fibers_certified, points_emitted, max_height_seen, per_fiber: tuple):
+        self.fibers_attempted, self.fibers_certified = fibers_attempted, fibers_certified
+        self.points_emitted, self.max_height_seen = points_emitted, max_height_seen
+        self.per_fiber = per_fiber  # of FiberOutcome, sorted by fiber parameter
 
 
 def enumerate_multisection_points(model: FibrationModel, m, height_bound: int):

@@ -25,7 +25,6 @@ a square lead. Exceptional parameters raise MapUndefined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -45,16 +44,44 @@ MAZUR_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
 _RATIONAL = (int, Fraction)
 
 
-@dataclass(frozen=True)
+class Value:
+    """Equality, hashing and repr over the fields named in _fields, as a
+    frozen dataclass gives them: equal only within one class. Subclasses set
+    their slots once, in __init__, and as with RatFn nothing guards them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
 class Point:
     """Affine point or the point at infinity (x is None)."""
 
-    x: object = None
-    y: object = None
+    __slots__ = ("x", "y")
+
+    def __init__(self, x=None, y=None):
+        self.x = x
+        self.y = y
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
+
+    def __eq__(self, other):
+        return (self.x, self.y) == (other.x, other.y) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __repr__(self):
         if self.is_infinity:
@@ -65,15 +92,14 @@ class Point:
 INFINITY = Point()
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
-    a: object
-    b: object
+class EllipticCurve(Value):
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
+    def __init__(self, a, b):
         """Reject 4a^3 + 27b^2 = 0. Over Q the test runs on integers as
         4 an^3 bd^2 + 27 bn^2 ad^3 = 0, the same sum times ad^3 bd^2 > 0."""
-        a, b = self.a, self.b
+        self.a = a
+        self.b = b
         if isinstance(a, _RATIONAL) and isinstance(b, _RATIONAL):
             an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
             nonsingular = 4 * an * an * an * bd * bd + 27 * bn * bn * ad * ad * ad
@@ -236,14 +262,15 @@ def _mul_unchecked(curve: EllipticCurve, n: int, p: Point) -> Point:
     return result
 
 
-@dataclass(frozen=True)
-class Torsion:
-    order: int
+class Torsion(Value):
+    __slots__ = _fields = ("order",)
+
+    def __init__(self, order: int):
+        self.order = order
 
 
-@dataclass(frozen=True)
-class InfiniteOrder:
-    pass
+class InfiniteOrder(Value):
+    __slots__ = _fields = ()
 
 
 def _uniform_bound(curve: EllipticCurve, p: Point) -> int:

@@ -16,10 +16,9 @@ module finds them by eliminating the tangency conditions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .elliptic import Point, quartic_to_weierstrass
+from .elliptic import Point, Value, quartic_to_weierstrass
 from .errors import (
     DegenerateDiscriminant,
     DomainError,
@@ -58,8 +57,7 @@ from .fibration import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeQuartic:
+class ConeQuartic(Value):
     """Homogeneous quartic form in z0..z3, keyed by exponent tuples.
 
     Coefficients are a mapping from (e0, e1, e2, e3) with e0+e1+e2+e3 = 4 to
@@ -67,11 +65,11 @@ class ConeQuartic:
     (exponents, value) pairs in ascending lexicographic exponent order.
     """
 
-    coeffs: object
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs):
         clean = {}
-        for key, value in dict(self.coeffs).items():
+        for key, value in dict(coeffs).items():
             e = tuple(int(x) for x in key)
             if len(e) != 4 or min(e) < 0 or sum(e) != 4:
                 raise DomainError(f"{key!r} is not a degree-4 monomial exponent")
@@ -80,7 +78,7 @@ class ConeQuartic:
                 raise DomainError("cone quartic coefficients must be rational")
             if v:
                 clean[e] = v
-        object.__setattr__(self, "coeffs", tuple(sorted(clean.items())))
+        self.coeffs = tuple(sorted(clean.items()))
 
     def evaluate(self, z0, z1, z2, z3):
         total = Fraction(0)
@@ -89,8 +87,7 @@ class ConeQuartic:
         return total
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(Value):
     """Branch curve F(t, z) = f0(t) + f1(t) z + ... + f4 z^4 in the chart
     (1, t^2, t, z) of the cone.
 
@@ -104,11 +101,11 @@ class RamificationData:
     share them; equality and hashing ignore that memo.
     """
 
-    coeffs: tuple
-    _shared_roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("coeffs", "_shared_roots")
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple):
+        cs = tuple(coeffs)
         if len(cs) != 5:
             raise DomainError("a branch quartic takes exactly five z-coefficients")
         if cs[4].is_zero:
@@ -118,7 +115,8 @@ class RamificationData:
         for i, c in enumerate(cs):
             if c.degree > 8 - 2 * i:
                 raise DomainError(f"z^{i} coefficient has degree > {8 - 2 * i}")
-        object.__setattr__(self, "coeffs", cs)
+        self.coeffs = cs
+        self._shared_roots = {}
 
     @property
     def lead_z(self) -> Fraction:
@@ -146,29 +144,33 @@ class RamificationData:
         return self.z_slice(t0)(z0)
 
 
-@dataclass(frozen=True)
 class TangentLine:
     """Affine line of section conics tangent to the branch curve at a point
     (t0, z0): the sections base + lam * direction, direction = (t - t0)^2."""
 
-    point: tuple
-    base: Poly
-    direction: Poly
+    __slots__ = ("point", "base", "direction")
+
+    def __init__(self, point: tuple, base: Poly, direction: Poly):
+        self.point, self.base, self.direction = point, base, direction
 
 
-@dataclass(frozen=True)
-class BitangentCandidate:
+class BitangentCandidate(Value):
     """A section tangent to the branch curve at two distinct points."""
 
-    section: Poly  # z = c0 + c1*t + c2*t^2
-    parameter: object  # position on the tangent line
-    second_tangencies: tuple  # (t1, z1) pairs over Q or a quadratic field
+    __slots__ = _fields = ("section", "parameter", "second_tangencies")
+
+    def __init__(self, section: Poly, parameter, second_tangencies: tuple):
+        self.section = section  # z = c0 + c1*t + c2*t^2
+        self.parameter = parameter  # position on the tangent line
+        self.second_tangencies = second_tangencies  # (t1, z1) pairs over Q or a quadratic field
 
 
-@dataclass(frozen=True)
-class BitangentReport:
-    candidates: tuple
-    higher_degree_parameters: int  # line parameters outside degree <= 2 fields
+class BitangentReport(Value):
+    __slots__ = _fields = ("candidates", "higher_degree_parameters")
+
+    def __init__(self, candidates: tuple, higher_degree_parameters: int):
+        self.candidates = candidates
+        self.higher_degree_parameters = higher_degree_parameters  # line parameters outside degree <= 2 fields
 
     def __iter__(self):
         return iter(self.candidates)
@@ -177,17 +179,16 @@ class BitangentReport:
         return len(self.candidates)
 
 
-@dataclass(frozen=True)
 class Tangency:
     """Double point of a section's intersection divisor with the branch curve;
     salient means the surface fiber over it is smooth."""
 
-    t: object
-    z: object
-    salient: bool
+    __slots__ = ("t", "z", "salient")
+
+    def __init__(self, t, z, salient: bool):
+        self.t, self.z, self.salient = t, z, salient
 
 
-@dataclass(frozen=True)
 class SectionCover:
     """Normalized double cover w^2 = odd_part(t) cut out by a section.
 
@@ -197,15 +198,13 @@ class SectionCover:
     quartic (degree 4, square leading coefficient), else None.
     """
 
-    model: object
-    odd_part: Poly
-    square_part: Poly
-    genus: int
-    tangencies: tuple
-    unresolved: tuple
+    __slots__ = ("model", "odd_part", "square_part", "genus", "tangencies", "unresolved")
+
+    def __init__(self, model, odd_part: Poly, square_part: Poly, genus: int, tangencies: tuple, unresolved: tuple):
+        self.model, self.odd_part, self.square_part = model, odd_part, square_part
+        self.genus, self.tangencies, self.unresolved = genus, tangencies, unresolved
 
 
-@dataclass(frozen=True)
 class K3Model:
     """Weierstrass model of the double cover of the cone.
 
@@ -216,10 +215,10 @@ class K3Model:
     is the zero section.
     """
 
-    fibration: FibrationModel
-    e2: Point
-    fiber_coeffs: tuple
-    twist: Fraction
+    __slots__ = ("fibration", "e2", "fiber_coeffs", "twist")
+
+    def __init__(self, fibration: FibrationModel, e2: Point, fiber_coeffs: tuple, twist: Fraction):
+        self.fibration, self.e2, self.fiber_coeffs, self.twist = fibration, e2, fiber_coeffs, twist
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,14 @@ returns a NonTorsion proof or Order evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .elliptic import (
     INFINITY,
     EllipticCurve,
     InfiniteOrder,
     Point,
+    Value,
     _add_unchecked,
     _mul_unchecked,
     ec_add,
@@ -94,17 +93,20 @@ from .exactmath.poly import _cleared, _is_rational_poly
 Rat = Fraction
 
 
-@dataclass(frozen=True)
 class FibrationModel(EllipticCurve):
     """Generic fiber y^2 = x^3 + a(t)x + b(t): the elliptic curve over Q(t)
-    with RatFn coefficients, so a zero discriminant is refused."""
+    with RatFn coefficients. Its discriminant -16(4 an^3 bd^2 + 27 bn^2 ad^3)
+    / (ad^3 bd^2), for a = an/ad and b = bn/bd, is formed once, at
+    construction, with one gcd (none when ad = bd = 1), and a zero one is
+    refused."""
 
-    @cached_property
-    def discriminant(self) -> RatFn:
-        """-16(4 an^3 bd^2 + 27 bn^2 ad^3) / (ad^3 bd^2) for a = an/ad and
-        b = bn/bd, once per model: one gcd, none when ad = bd = 1."""
-        an, ad, bn, bd = self.a.num, self.a.den, self.b.num, self.b.den
-        return RatFn(-16 * (4 * an**3 * bd**2 + 27 * bn**2 * ad**3), ad**3 * bd**2)
+    __slots__ = ("discriminant",)
+    __repr__ = Value.__repr__
+
+    def __init__(self, a: RatFn, b: RatFn):
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        self.discriminant = RatFn(-16 * (4 * an**3 * bd**2 + 27 * bn**2 * ad**3), ad**3 * bd**2)
+        super().__init__(a, b)
 
     def singular_parameters(self) -> list[Rat]:
         """Rational parameters where the fiber is singular or undefined."""
@@ -138,11 +140,12 @@ def _order_at(fn: RatFn, b: Rat) -> int:
     return order
 
 
-@dataclass(frozen=True)
 class FiberType:
-    ord_delta: int
-    ord_c4: int | None  # None encodes c4 identically zero
-    label: str
+    __slots__ = ("ord_delta", "ord_c4", "label")
+
+    def __init__(self, ord_delta: int, ord_c4: int | None, label: str):
+        self.ord_delta, self.label = ord_delta, label
+        self.ord_c4 = ord_c4  # None encodes c4 identically zero
 
 
 def fiber_type(model: FibrationModel, b: Rat) -> FiberType:
@@ -245,29 +248,32 @@ def odd_square_split(g: Poly) -> tuple[Poly, Poly]:
 # -- ramification reports --
 
 
-@dataclass(frozen=True)
 class RamificationPoint:
-    b: object  # Rat or NumFieldElement
-    point: Point
-    salient: bool
+    __slots__ = ("b", "point", "salient")
+
+    def __init__(self, b, point: Point, salient: bool):
+        self.b = b  # Rat or NumFieldElement
+        self.point, self.salient = point, salient
 
 
-@dataclass(frozen=True)
-class UnresolvedRamification:
+class UnresolvedRamification(Value):
     """A parameter factor of degree > 2; all_singular certifies that every
     root of the factor is a singular-fiber parameter."""
 
-    factor: Poly
-    all_singular: bool
+    __slots__ = _fields = ("factor", "all_singular")
+
+    def __init__(self, factor: Poly, all_singular: bool):
+        self.factor, self.all_singular = factor, all_singular
 
 
-@dataclass(frozen=True)
 class RamificationReport:
     """Ramification of a multisection's projection to the t-line, resolved
     over degree <= 2 parameter fields; salient means the fiber there is smooth."""
 
-    points: tuple
-    unresolved: tuple = ()
+    __slots__ = ("points", "unresolved")
+
+    def __init__(self, points: tuple, unresolved: tuple = ()):
+        self.points, self.unresolved = points, unresolved
 
 
 def _branch_report(model, branch_poly: Poly, name: str, locate, target: Poly):
@@ -293,8 +299,9 @@ def _branch_report(model, branch_poly: Poly, name: str, locate, target: Poly):
 # -- multisections --
 
 
-@dataclass(frozen=True)
-class ZeroSection:
+class ZeroSection(Value):
+    __slots__ = _fields = ()
+
     @property
     def degree(self) -> int:
         return 1
@@ -313,9 +320,11 @@ class ZeroSection:
         return RamificationReport(points=())
 
 
-@dataclass(frozen=True)
-class ConstantX:
-    c: Rat
+class ConstantX(Value):
+    __slots__ = _fields = ("c",)
+
+    def __init__(self, c: Rat):
+        self.c = c
 
     @property
     def degree(self) -> int:
@@ -371,13 +380,13 @@ class ConstantX:
         return _branch_report(model, h.num, "b", locate, model.discriminant.num)
 
 
-@dataclass(frozen=True)
-class Parametrized:
+class Parametrized(Value):
     """Curve s -> (t(s), x(s), y(s)) with y^2 = x^3 + a(t)x + b(t) identically."""
 
-    t: RatFn
-    x: RatFn
-    y: RatFn
+    __slots__ = _fields = ("t", "x", "y")
+
+    def __init__(self, t: RatFn, x: RatFn, y: RatFn):
+        self.t, self.x, self.y = t, x, y
 
     @property
     def degree(self) -> int:
@@ -449,8 +458,7 @@ class Parametrized:
         return _branch_report(model, crit, "s", locate, disc_pullback)
 
 
-@dataclass(frozen=True)
-class GraphOnQuartic:
+class GraphOnQuartic(Value):
     """Graph z = p(t) on a quartic-model fibration w^2 = sum_i f_i(t) z^i.
 
     fiber_coeffs lists (f_0, ..., f_4) with f_4 a nonzero square constant;
@@ -460,13 +468,11 @@ class GraphOnQuartic:
     used by enumeration when that curve is elliptic.
     """
 
-    p: Poly
-    fiber_coeffs: tuple
-    sign: int = 1
-    generator: tuple | None = None
+    __slots__ = _fields = ("p", "fiber_coeffs", "sign", "generator")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fiber_coeffs", tuple(Poly(c) if not isinstance(c, Poly) else c for c in self.fiber_coeffs))
+    def __init__(self, p: Poly, fiber_coeffs: tuple, sign: int = 1, generator: tuple | None = None):
+        self.p, self.sign, self.generator = p, sign, generator
+        self.fiber_coeffs = tuple(Poly(c) if not isinstance(c, Poly) else c for c in fiber_coeffs)
         if len(self.fiber_coeffs) != 5:
             raise DomainError("a quartic-model fibration takes five coefficient polynomials")
         if self.p.degree > 2:
@@ -555,11 +561,13 @@ class GraphOnQuartic:
         return _branch_report(model, poly_gcd(g, g.derivative()), "b", locate, target)
 
 
-@dataclass(frozen=True)
-class SplitList:
+class SplitList(Value):
     """Finitely many sections (x_i(t), y_i(t))."""
 
-    sections: tuple  # of (RatFn, RatFn) pairs
+    __slots__ = _fields = ("sections",)
+
+    def __init__(self, sections: tuple):
+        self.sections = sections  # of (RatFn, RatFn) pairs
 
     @property
     def degree(self) -> int:
@@ -724,22 +732,26 @@ def tau_map(fiber: EllipticCurve, m: Multisection, p: Point, b: Rat) -> Point:
 # -- order probing --
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(Value):
     """Sample-level evidence: m is the lcm of the exact orders of the
     sampled differences (each pairwise cycle difference in order_probe,
     s1 - s2 in section_difference_order), so every m' that kills them all
     is a multiple of m."""
 
-    m: int
+    __slots__ = _fields = ("m",)
+
+    def __init__(self, m: int):
+        self.m = m
 
 
-@dataclass(frozen=True)
-class NonTorsion:
+class NonTorsion(Value):
     """Proof: a sampled difference on the smooth fiber at t = witness has
     infinite order, so no multiple of the generic difference vanishes."""
 
-    witness: Rat
+    __slots__ = _fields = ("witness",)
+
+    def __init__(self, witness: Rat):
+        self.witness = witness
 
 
 def _sample_verdict(model: FibrationModel, samples, differences):

@@ -10,7 +10,6 @@ line/column position (malformed JSON) or a dotted field path (bad values).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enriques import ConeQuartic
@@ -26,20 +25,22 @@ from .fibration import (
 )
 
 
-@dataclass(frozen=True)
 class RunSpec:
     """A fully validated run description."""
 
-    fibration: FibrationModel | None = None
-    multisection: object | None = None
-    cone_quartic: ConeQuartic | None = None
-    points: tuple = ()
-    through: tuple | None = None
-    allow_quadratic_twist_extension: bool = False
-    height_bound: int | None = None
-    k_max: int | None = None
-    samples: tuple = ()
-    out: str | None = None
+    __slots__ = (
+        "fibration", "multisection", "cone_quartic", "points", "through",
+        "allow_quadratic_twist_extension", "height_bound", "k_max", "samples", "out",
+    )
+
+    def __init__(self, fibration: FibrationModel | None = None, multisection=None,
+                 cone_quartic: ConeQuartic | None = None, points: tuple = (), through: tuple | None = None,
+                 allow_quadratic_twist_extension: bool = False, height_bound: int | None = None,
+                 k_max: int | None = None, samples: tuple = (), out: str | None = None):
+        self.fibration, self.multisection, self.cone_quartic = fibration, multisection, cone_quartic
+        self.points, self.through, self.samples, self.out = points, through, samples, out
+        self.allow_quadratic_twist_extension = allow_quadratic_twist_extension
+        self.height_bound, self.k_max = height_bound, k_max
 
 
 def _require(obj: dict, key: str, path: str):

@@ -373,7 +373,7 @@ def test_every_spec_field_is_read_by_the_cli():
     # no knob does nothing: every RunSpec field is read in cli.py, as
     # spec.<field> or as _need(spec, "<field>", ...), and every flag sets one
     root = pathlib.Path(fibdense.__file__).parent
-    fields = set(RunSpec.__dataclass_fields__)
+    fields = set(RunSpec.__slots__)
     tree = ast.parse((root / "cli.py").read_text(encoding="utf-8"))
     read = {
         node.attr
@@ -575,7 +575,7 @@ UNREFERENCED_ALLOWED = {
     "quartic_j_invariant": "test oracle for the quartic-to-Weierstrass conversion",
     "poly": "test constructor",
     "ratfn": "test constructor",
-    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 5",
+    "multisection_from_section": "the cone-to-points pipeline of ROADMAP item 6",
 }
 
 
@@ -612,9 +612,9 @@ def test_every_top_level_name_is_referenced():
 
 # methods and properties kept although no attribute read in fibdense names them
 UNREFERENCED_METHODS_ALLOWED = {
-    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 5 and 6",
-    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 5",
-    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 6",
+    "ConeQuartic.evaluate": "the exact check on the cone of ROADMAP items 6 and 7",
+    "RamificationData.evaluate": "the exact check w^2 = F(t, z) of ROADMAP item 6",
+    "RamificationData.coeffs_infinity": "the fixed point at t = infinity of ROADMAP item 7",
 }
 
 
@@ -727,8 +727,7 @@ SHARED_METHOD_NAMES = {
     "coeffs": ("NumFieldElement Poly", "the Fraction view of an integer form; read for both"),
     "cycle": (_MULTISECTIONS, "the multisection protocol: the checked support of fiber_cycle"),
     "degree": (f"Poly {_MULTISECTIONS}", "polynomial degree, multisection degree"),
-    "discriminant": ("EllipticCurve FibrationModel", "a model over Q(t) forms its discriminant once, on numerators"),
-    "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 4 and 5, see above"),
+    "evaluate": ("ConeQuartic RamificationData", "both kept for ROADMAP items 6 and 7, see above"),
     "is_zero": ("Poly RatFn", "zero tests of the two coefficient rings"),
     "points": (_MULTISECTIONS, "the multisection protocol: enumeration by height"),
     "ramification": (_MULTISECTIONS, "the multisection protocol: ramification reports"),
