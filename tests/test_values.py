@@ -5,6 +5,7 @@ the bytes that callers, reports and error messages rely on."""
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from fibdense.fibration import FibrationModel, NonTorsion, Order
 def test_importing_the_cli_loads_no_dataclass_machinery():
     src = pathlib.Path(fibdense.__file__).parents[1]
     code = "import sys, fibdense.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 
 
