@@ -21,15 +21,15 @@ Design notes, kept here because they are easy to get wrong:
   keep the generic loops over coeffs, and so does divmod: no Q[x] division
   with a remainder is taken, as gcds and exact division have integer paths.
 * gcd over Q runs on primitive integer polynomials through the heuristic
-  gcd: one big-integer gcd of values at a large integer, read back as
-  digits and proved by exact division in Z[x]. No remainder sequence is
-  formed, so no intermediate coefficient swell. A linear operand v*x - u
-  needs no try: it divides the other, p, exactly when v^deg p * p(u/v) = 0.
-* bivariate resultants are interpolated from integer nodes; at each node
-  the resultant of the two integer polynomials comes from the subresultant
-  remainder sequence, whose divisions are exact. No floating point anywhere.
-  A resultant that is only tested for zero (resultant_is_zero) is not
-  interpolated: it stops at its first nonzero node.
+  gcd: one big-integer gcd of values at a power of two, read back as
+  digits by shifts and proved by exact division in Z[x]. No remainder
+  sequence, so no coefficient swell. A linear operand v*x - u needs no
+  try: it divides the other, p, exactly when v^deg p * p(u/v) = 0.
+* a bivariate resultant R(t) is read off two integer resultants, at
+  t = 2^k and -2^k, each from the subresultant remainder sequence, whose
+  divisions are exact; a Hadamard bound on R's coefficients sets k
+  (Kronecker substitution). No floating point anywhere. resultant_is_zero
+  reads no digits, and a nonzero R(2^k) decides it.
 * squarefree decomposition and rational roots over Q run on the primitive
   integer polynomial: Yun's algorithm in Z[x] divides only by primitive
   polynomials, so every quotient is exact. Rational roots come from each
@@ -419,15 +419,15 @@ def _int_primitive(a: list[int]) -> list[int]:
 def _int_heuristic_gcd(A: list[int], B: list[int]) -> list[int]:
     """Primitive gcd of primitive integer polynomials by the heuristic gcd.
 
-    Each try evaluates A and B at an integer xi, takes h = gcd(A(xi), B(xi))
-    and reads h back as a polynomial G through its symmetric base-xi digits
-    (each in (-xi/2, xi/2]). The first try uses xi = 2*min(|A|, |B|) + 2, |.|
-    the largest absolute coefficient; each failed try doubles xi. (Char,
-    Geddes, Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm based on
-    integer GCD computation", J. Symbolic Comput. 7 (1989); Geddes, Czapor,
-    Labahn, Algorithms for Computer Algebra, 7.7.) A linear operand
-    v*x - u divides the other, P, exactly when v^deg P * P(u/v) = 0, so
-    then no try is made.
+    Each try evaluates A and B at a power of two xi, takes h = gcd(A(xi),
+    B(xi)) and reads h back as a polynomial G through its balanced base-xi
+    digits (each in (-xi/2, xi/2]). The first xi is the least power of two
+    >= 2*min(|A|, |B|) + 2, |.| the largest absolute coefficient; each
+    failed try doubles xi. (Char, Geddes, Gonnet, "GCDHEU: Heuristic
+    polynomial GCD algorithm based on integer GCD computation", J. Symbolic
+    Comput. 7 (1989); Geddes, Czapor, Labahn, Algorithms for Computer
+    Algebra, 7.7.) A linear operand v*x - u divides the other, P, exactly
+    when v^deg P * P(u/v) = 0, so then no try is made.
 
     Proof. Let g be the true primitive gcd and say |B| <= |A|, so
     xi >= 2|B| + 2 and B(xi) != 0. Suppose P = pp(G) divides A and B in
@@ -448,20 +448,12 @@ def _int_heuristic_gcd(A: list[int], B: list[int]) -> list[int]:
     for L, P in ((B, A), (A, B)):
         if len(L) == 2:  # L = v*x - u is irreducible: the gcd is L or 1
             return [1] if _int_homogeneous_value(P, -L[0], L[1]) else _int_primitive(L)
-    xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
+    s = (2 * min(max(map(abs, A)), max(map(abs, B))) + 1).bit_length()
     while True:
-        h = math.gcd(*_int_horner_all([A, B], xi))
-        digits = []
-        while h:
-            d = h % xi
-            if d > xi // 2:
-                d -= xi
-            digits.append(d)
-            h = (h - d) // xi
-        G = _int_primitive(digits)
+        G = _int_primitive(_balanced_digits(math.gcd(*_int_horner_all([A, B], 1 << s)), s))
         if _int_divide(A, G) is not None and _int_divide(B, G) is not None:
             return G
-        xi *= 2
+        s += 1
 
 
 def _int_divide(A: list[int], B: list[int]) -> list[int] | None:
@@ -567,23 +559,19 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
     return s * t * (B[0] ** d // h ** max(d - 1, 0))
 
 
-def _resultant_nodes(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
-    """The resultant in the main variable of f and g, node by node, on
-    integers: yields (count, cf^m * cg^n) first, then (x, R(x)) at count
-    integer nodes x, where R = res(cf*f, cg*g) = cf^m * cg^n * res(f, g) in
-    Z[t] and deg R < count: one more than _isobaric_bound, or 0 when that
-    bound is negative, as then R = 0.
+def _cleared_rows(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
+    """(rows, L): the numerators of each polynomial over L, the lcm of their
+    denominators."""
+    L = math.lcm(*(p._den for p in polys))
+    return [[c * (L // p._den) for c in p._nums] for p in polys], L
 
-    The coefficient lists are trimmed, and cf, cg are the lcm of the
-    coefficient denominators of f and g, so R has integer coefficients: its
-    Sylvester matrix has entries in Z[t]. The nodes come from the sequence
-    0, 1, -1, 2, -2, ..., skipping every node where the leading coefficient
-    of f or of g vanishes: at the other nodes the specialized polynomials
-    keep degrees n and m, so their Sylvester matrix is the specialized
-    Sylvester matrix and their resultant is the value there. At most
-    deg lc(f) + deg lc(g) nodes are skipped. Each value is the subresultant
-    resultant of two integer polynomials (_int_resultant).
-    """
+
+def _kronecker_values(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
+    """Yields (k, cf^m * cg^n), then R(2^k) and R(-2^k), each an integer
+    resultant (_int_resultant), for R = res(cf*f, cg*g) = cf^m * cg^n *
+    res(f, g) in Z[t], cf and cg the lcm of the coefficient denominators of
+    f and g, and k as resultant_bivariate sets it. A row packed at 2^k is
+    E + O for its even and odd terms E and O, and E - O at -2^k."""
     f, g = list(f_coeffs), list(g_coeffs)
     while f and f[-1].is_zero:
         f.pop()
@@ -595,87 +583,75 @@ def _resultant_nodes(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]):
         raise ZeroInput("resultant_bivariate is implemented over Q only")
     n, m = len(f) - 1, len(g) - 1
     (fi, cf), (gi, cg) = (_cleared_rows(h) for h in (f, g))
-    count = max(_isobaric_bound([p.degree for p in f], [p.degree for p in g]) + 1, 0)
-    yield count, cf ** m * cg ** n
-    step = 0
-    while count:
-        x = (step + 1) // 2 if step % 2 else -(step // 2)
-        step += 1
-        F, G = _int_horner_all(fi, x), _int_horner_all(gi, x)
-        if F[-1] and G[-1]:
-            count -= 1
-            yield x, _int_resultant(F, G)
+    norms_f, norms_g = ([sum(map(abs, r)) for r in rows] for rows in (fi, gi))
+    square_bound = sum(a * a for a in norms_f) ** m * sum(b * b for b in norms_g) ** n
+    k = max(((4 * square_bound).bit_length() + 3) // 4, (2 * max(norms_f + norms_g)).bit_length())
+    yield k, cf**m * cg**n
+
+    def packed(cs):
+        return sum(c << 2 * k * i for i, c in enumerate(cs))
+
+    fh, gh = ([(packed(r[::2]), packed(r[1::2]) << k) for r in rows] for rows in (fi, gi))
+    yield _int_resultant([e + o for e, o in fh], [e + o for e, o in gh])
+    yield _int_resultant([e - o for e, o in fh], [e - o for e, o in gh])
 
 
-def _isobaric_bound(df: list[int], dg: list[int]) -> int:
-    """The least B(a) of resultant_bivariate over a = 0 and the slopes a =
-    p/q (q > 0) between two points (j, df[j]), or two points (k, dg[k]), on
-    integers as floor(q*B(a) / q); df[j] = deg f_j, dg[k] = deg g_k, -1 for 0."""
-    n, m = len(df) - 1, len(dg) - 1
-    fs, gs = ([(j, d) for j, d in enumerate(ds) if d >= 0] for ds in (df, dg))
-    slopes = {(0, 1)} | {(d2 - d1, j2 - j1) for pts in (fs, gs) for j1, d1 in pts for j2, d2 in pts if j2 > j1}
-    return min(
-        (m * max(q * d - p * j for j, d in fs) + n * max(q * d - p * k for k, d in gs) + p * n * m) // q
-        for p, q in slopes
-    )
-
-
-def _cleared_rows(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
-    """(rows, L): the numerators of each polynomial over L, the lcm of their
-    denominators."""
-    L = math.lcm(*(p._den for p in polys))
-    return [[c * (L // p._den) for c in p._nums] for p in polys], L
+def _balanced_digits(h: int, s: int) -> list[int]:
+    """The digits of h in base 2^s, lowest first, each in (-2^(s-1), 2^(s-1)],
+    read by masks and shifts: the unique such digits d_i with h = sum d_i 2^(si)."""
+    base = 1 << s
+    mask, half = base - 1, base >> 1
+    digits = []
+    while h:
+        d = h & mask
+        if d > half:
+            d -= base
+        digits.append(d)
+        h = (h - d) >> s
+    return digits
 
 
 def resultant_bivariate(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> Poly:
     """Resultant in the main variable of two polynomials whose coefficients
-    are themselves rational polynomials in a second variable.
+    are themselves rational polynomials in a second variable t.
 
     The structural degrees n, m are fixed by the trimmed coefficient lists.
-    The resultant is evaluated at one integer node more than a bound on its
-    degree (_resultant_nodes), and recovered by Newton interpolation (Collins,
-    J. ACM 18, 1971). A Sylvester determinant term is a product of m f_j and
-    n g_k whose indices sum to nm, so for every rational a its degree is at
-    most B(a) = m*max_j(deg f_j - a*j) + n*max_k(deg g_k - a*k) + a*nm. B is
-    convex and piecewise linear, B(0) the plain bound, and _isobaric_bound
-    tries its corners; a negative bound proves the resultant 0.
+    R = res(cf*f, cg*g) = cf^m * cg^n * res(f, g) has a Sylvester matrix with
+    entries F_j, G_k in Z[t]; it is read off its values at x = 2^k and -x
+    (_kronecker_values) by Kronecker substitution (Schoenhage, ICALP 1982),
+    then divided by cf^m * cg^n.
 
-    All of it runs on integers. The values are those of R = cf^m * cg^n *
-    res(f, g) in Z[t]. Its divided differences at distinct integer nodes,
-    in any order and with any gaps, are integers on every sub-range: the
-    Newton basis (t - x0)...(t - x(i-1)) of any run of nodes is monic in
-    Z[t], so dividing R by it step by step never leaves Z[t], and the
-    coefficients of R in that basis are its divided differences. So each
-    Newton step divides exactly, and only the expanded R is divided by
-    cf^m * cg^n.
+    Proof. On |t| = 1 each entry is at most its 1-norm, |F_j(t)| <= |F_j|_1,
+    so by Hadamard's inequality |R(t)| <= B = sqrt(sum_j |F_j|_1^2)^m *
+    sqrt(sum_k |G_k|_1^2)^n, and each coefficient r_i of R, the mean of
+    R(t) * t^-i over the circle, has |r_i| <= B. k is the least with
+    2^(2k) > 2B (2^(4k) > 4B^2 on integers), or with 2^k > 2 * max |.|_1 if
+    that is larger. Then a nonzero row P of degree d has |P(+-x)| >= x^d -
+    |P|_1 * x^(d-1) > 0, so F_n and G_m do not vanish at +-x, and R(+-x) is
+    the resultant there. The even part (R(x) + R(-x))/2 = sum r_2i x^2i and
+    the odd part (R(x) - R(-x))/(2x) = sum r_(2i+1) x^2i are integers (exact
+    shifts) whose balanced base-2^(2k) digits (_balanced_digits) are the r_i,
+    as each |r_i| <= B < 2^(2k)/2.
     """
-    nodes = _resultant_nodes(f_coeffs, g_coeffs)
-    count, scale = next(nodes)
-    if not count:
-        return Poly()
-    xs, coef = map(list, zip(*nodes))
-    for j in range(1, count):
-        for i in range(count - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) // (xs[i] - xs[i - j])
-    expanded = [coef[-1]]
-    for i in range(count - 2, -1, -1):
-        # expanded <- expanded * (t - xs[i]) + coef[i]
-        shifted = [0, *expanded]
-        for k, c in enumerate(expanded):
-            shifted[k] -= xs[i] * c
-        shifted[0] += coef[i]
-        expanded = shifted
-    return _reduced(expanded, scale)
+    values = _kronecker_values(f_coeffs, g_coeffs)
+    k, scale = next(values)
+    plus, minus = values
+    even = _balanced_digits((plus + minus) >> 1, 2 * k)
+    odd = _balanced_digits((plus - minus) >> (k + 1), 2 * k)
+    out = [0] * (2 * max(len(even), len(odd)))
+    out[: 2 * len(even) : 2] = even
+    out[1 : 2 * len(odd) : 2] = odd
+    return _reduced(out, scale)
 
 
 def resultant_is_zero(f_coeffs: Sequence[Poly], g_coeffs: Sequence[Poly]) -> bool:
-    """resultant_bivariate(f_coeffs, g_coeffs).is_zero, decided at the first
-    node where the resultant is nonzero: deg R < count, so one nonzero value
-    proves R != 0 and count zero values (none for a negative bound) prove
-    R = 0."""
-    nodes = _resultant_nodes(f_coeffs, g_coeffs)
-    next(nodes)
-    return not any(v for _x, v in nodes)
+    """resultant_bivariate(f_coeffs, g_coeffs).is_zero, with no digits read:
+    R(2^k) and R(-2^k) determine R, so R = 0 exactly when both are 0, and a
+    nonzero R(2^k) decides at once. A zero at 2^k alone proves nothing: 2^k
+    is only about sqrt(2B), and a root of R may be as large as B."""
+    values = _kronecker_values(f_coeffs, g_coeffs)
+    next(values)
+    return not any(values)
 
 
 def _int_horner_all(polys: list[list[int]], x: int) -> list[int]:

@@ -436,8 +436,8 @@ def test_no_json_dump_with_indent():
 
 
 def test_no_resultant_is_interpolated_only_to_be_tested_for_zero():
-    # resultant_is_zero decides R = 0 at the first node where R is nonzero;
-    # .is_zero on an interpolated resultant evaluates every node first
+    # resultant_is_zero stops at R(2^k) when that is nonzero and reads no
+    # digits; .is_zero on a full resultant takes both values and every digit
     root = pathlib.Path(fibdense.__file__).parent
     found = [
         f"{path.relative_to(root)}:{node.lineno}"

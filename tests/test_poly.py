@@ -33,7 +33,6 @@ from fibdense.exactmath.poly import (
     _int_horner_all,
     _int_primitive,
     _int_rational_roots,
-    _isobaric_bound,
     _simple_roots_mod_small_prime,
     _to_int_primitive,
     power,
@@ -55,10 +54,9 @@ def _rand_poly(rng: random.Random, max_deg: int, max_coef: int = 9) -> Poly:
 
 @contextlib.contextmanager
 def _counted_tries(cap: int = 64):
-    """Record the evaluation points of the integer kernels (one per try of
-    the heuristic gcd, two per resultant node) and fail once `cap` have
-    passed: a heuristic gcd that never accepts its answer would otherwise
-    double xi forever, and a node loop that misses its count run forever."""
+    """Record the evaluation points of the heuristic gcd, one per try, and
+    fail once `cap` have passed: a heuristic gcd that never accepts its
+    answer would otherwise double xi forever."""
     tries = []
     evaluate = _int_horner_all
 
@@ -287,10 +285,11 @@ def test_gcd_matches_sympy_on_planted_factors(g, a, b):
 @pytest.mark.parametrize(
     "f,h,gcd",
     [
-        # xi = 6: h = 24 reads back as x^2 - 2x, which divides only the
-        # first input; xi = 12 gives h = 24 = 2x, whose primitive part is x
-        (poly([0, -2, 1]), poly([0, 2, 1]), poly([0, 1])),
-        (poly([0, 2, 1]), poly([0, -2, 1]), poly([0, 1])),
+        # xi = 4: h = gcd(18, 12) = 6 reads back as x + 2, which divides
+        # only the first input; xi = 8 gives h = gcd(70, 56) = 14 = 2x - 2,
+        # whose primitive part is x - 1
+        (poly([-2, 1, 1]), poly([0, -1, 1]), poly([-1, 1])),
+        (poly([0, -1, 1]), poly([-2, 1, 1]), poly([-1, 1])),
         # xi = 4: h = gcd(15, 18) = 3 reads back as x - 1, which divides
         # only x^2 - 1; xi = 8 gives h = gcd(63, 66) = 3, the constant 1
         (poly([-1, 0, 1]), poly([2, 0, 1]), poly([1])),
@@ -334,6 +333,10 @@ def test_gcd_first_point_is_twice_the_smaller_norm_plus_two():
     with _counted_tries() as tries:
         assert poly_gcd(poly([2, -3, 1]), poly([-4, 0, 1])) == poly([-2, 1])
     assert tries[0] == 2 * 3 + 2
+    # xi is the least power of two at or above 2 * 2 + 2 = 6
+    with _counted_tries() as tries:
+        assert poly_gcd(poly([0, -2, 1]), poly([0, 2, 1])) == poly([0, 1])
+    assert tries == [8]
 
 
 def test_gcd_settles_when_every_value_shares_a_factor():
@@ -434,7 +437,7 @@ def test_resultant_bivariate_matches_sympy():
 _inner_coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 _inner = st.lists(_inner_coeff, max_size=3).map(Poly)  # may be the zero polynomial
 _nonzero_inner = _inner.filter(lambda p: not p.is_zero)
-# (t - r) * q: the main-variable degree drops at the interpolation node r
+# (t - r) * q: the main-variable degree drops at t = r
 _vanishing_at_node = st.builds(
     lambda r, q: Poly([Fraction(-r), Fraction(1)]) * q, st.integers(-2, 2), _nonzero_inner
 )
@@ -481,8 +484,7 @@ def test_resultant_bivariate_is_over_q_only():
 # -- the integer kernels behind resultant_bivariate, squarefree_decompose and
 # rational_roots, against sympy --
 
-# t(t - 1)(t + 1) * q: the leading coefficient vanishes at the first three
-# interpolation nodes 0, 1, -1, so each of them must be skipped
+# t(t - 1)(t + 1) * q: the leading coefficient vanishes at t = 0, 1 and -1
 _vanishing_at_first_nodes = st.builds(lambda q: Poly([0, -1, 0, 1]) * q, _nonzero_inner)
 
 
@@ -535,7 +537,7 @@ def test_resultant_bivariate_matches_sympy_resultant(fc, gc, common):
 
 @settings(max_examples=100, deadline=None)
 @given(_z_polynomial(3), _z_polynomial(3), st.one_of(st.none(), _z_polynomial(1)))
-# R = t(t - 1)(t + 1) vanishes at the first three nodes and not at the fourth
+# R = t(t - 1)(t + 1) vanishes at t = 0, 1 and -1
 @example([Poly([0, 1, 0, -1]), Poly([1])], [Poly(), Poly([1])], None)
 # a common factor (R = 0) whose product's leading coefficients vanish at 0, 1, -1
 @example([Poly([1]), Poly([0, -1, 0, 1])], [Poly([2]), Poly([1])], [Poly([1]), Poly([0, -1, 0, 1])])
@@ -548,8 +550,9 @@ def test_resultant_is_zero_matches_the_interpolated_resultant(fc, gc, common):
 @st.composite
 def _weighted_bivariate(draw):
     """Coefficient list in z of z-degree 1-4 over Q[t] whose z^j coefficient
-    has t-degree at most a + b*j, the shape the isobaric bound reads; any
-    coefficient but the last may be 0, and the last may vanish at a node."""
+    has t-degree at most a + b*j, the shape of the tangent pencil in tau; any
+    coefficient but the last may be 0, and the last may vanish at a small
+    integer."""
     degree = draw(st.integers(1, 4))
     a, b = draw(st.integers(0, 6)), draw(st.integers(-1, 2))
     coeffs = [Poly(draw(st.lists(_inner_coeff, max_size=max(a + b * j, 0) + 1))) for j in range(degree + 1)]
@@ -560,10 +563,9 @@ def _weighted_bivariate(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_weighted_bivariate(), _weighted_bivariate(), st.booleans())
-# f0 = g0 = 0 and a bound of -5: R = 0 with no node
+# f0 = g0 = 0: a common root z = 0, so R = 0
 @example([Poly(), Poly([1]), Poly([0, 0, 0, 0, 0, 1])], [Poly(), Poly([1])], False)
-# degree growing with j, as in the tau-pencil: R = 3t^6 - 3t^5 + t^4 meets the
-# bound 6, where the plain bound is 10
+# degree growing with j, as in the tau-pencil: R = 3t^6 - 3t^5 + t^4
 @example([Poly([1]), Poly([0, 1]), Poly([0, 0, 1])], [Poly([1]), Poly([0, 0, 1]), Poly([0, 0, 0, 2])], False)
 def test_isobaric_bound_holds_and_resultant_matches_sympy(fc, gc, zero_constants):
     if zero_constants:  # a common root z = 0: the resultant is 0
@@ -581,17 +583,90 @@ def test_isobaric_bound_holds_and_resultant_matches_sympy(fc, gc, zero_constants
     else:
         res = (-1) ** (n * m) * sympy.resultant(expr(gc), expr(fc), z)
     theirs = sympy.Poly(res, s, domain="QQ")
-    bound = _isobaric_bound([c.degree for c in fc], [c.degree for c in gc])
-    assert theirs.is_zero or theirs.degree() <= bound
-    assert bound <= m * max(c.degree for c in fc) + n * max(c.degree for c in gc)
-    with _counted_tries(cap=400):
-        ours = resultant_bivariate(fc, gc)
-        assert resultant_is_zero(fc, gc) == ours.is_zero
+    ours = resultant_bivariate(fc, gc)
+    assert resultant_is_zero(fc, gc) == ours.is_zero
     assert (list(ours.coeffs) or [Fraction(0)]) == [
         Fraction(int(c.p), int(c.q)) for c in reversed(theirs.all_coeffs())
     ]
-    if bound < 0:
-        assert ours.is_zero
+
+
+# z^2 * t^2 + z * t + 1 and 2 z^2 * t^3 + z * t^2 + 1, with R = 3t^6 - 3t^5 + t^4
+_PENCIL_PAIR = (
+    [Poly([1]), Poly([0, 1]), Poly([0, 0, 1])],
+    [Poly([1]), Poly([0, 0, 1]), Poly([0, 0, 0, 2])],
+)
+
+
+def test_resultant_bivariate_is_two_integer_resultants(monkeypatch):
+    # Kronecker substitution: one integer resultant at t = 2^k and one at
+    # t = -2^k, and no polynomial evaluated node by node
+    module = sys.modules["fibdense.exactmath.poly"]
+    calls = []
+    for name in ("_int_resultant", "_int_horner_all"):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+    assert resultant_bivariate(*_PENCIL_PAIR) == poly([0, 0, 0, 0, 1, -3, 3])
+    assert calls == ["_int_resultant", "_int_resultant"]
+
+
+def test_resultant_is_zero_needs_both_values_to_vanish(monkeypatch):
+    # a zero at t = 2^k alone proves nothing, as 2^k may be a root of R:
+    # with the first integer resultant forced to 0, the value at -2^k decides
+    module = sys.modules["fibdense.exactmath.poly"]
+    kernel = module._int_resultant
+    values = []
+
+    def zero_at_the_first_value(A, B):
+        values.append(kernel(A, B))
+        return 0 if len(values) == 1 else values[-1]
+
+    monkeypatch.setattr(module, "_int_resultant", zero_at_the_first_value)
+    assert not resultant_is_zero(*_PENCIL_PAIR)
+    assert len(values) == 2 and all(values)
+
+
+# rationals with denominators up to 10^6, in rows of t-degree up to 6
+_wide_inner = st.lists(st.fractions(-(10**6), 10**6, max_denominator=10**6), max_size=7).map(Poly)
+
+
+@st.composite
+def _wide_bivariate(draw):
+    """Coefficient list in z of z-degree 1-3 over Q[t] with a nonzero
+    leading coefficient; the z^0 row may be 0, and a zero row may follow the
+    leading one, so that the list is trimmed."""
+    degree = draw(st.integers(1, 3))
+    rows = draw(st.lists(_wide_inner, min_size=degree, max_size=degree))
+    rows.append(draw(_wide_inner.filter(lambda p: not p.is_zero)))
+    zero = draw(st.sampled_from(("none", "trailing", "leading")))
+    if zero == "trailing":
+        rows[0] = Poly()
+    elif zero == "leading":
+        rows.append(Poly())
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_bivariate(), _wide_bivariate())
+# a Sylvester matrix with orthogonal rows of equal length: |R| = 324 meets
+# the Hadamard bound B = 18 * 18, so a k one bit short misreads it
+@example([Poly([3]), Poly(), Poly([3])], [Poly([-3]), Poly(), Poly([3])])
+def test_resultant_bivariate_matches_sympy_on_wide_coefficients(fc, gc):
+    s, z = sympy.symbols("s z")
+
+    def expr(cs):
+        return sum(_to_sympy(c).as_expr().subs(_x, s) * z**i for i, c in enumerate(cs))
+
+    # higher degree first, with the sign (-1)^(nm) applied here (see
+    # test_resultant_bivariate_matches_sympy_on_degree_drops)
+    n, m = (max(i for i, c in enumerate(cs) if not c.is_zero) for cs in (fc, gc))
+    if n >= m:
+        res = sympy.resultant(expr(fc), expr(gc), z)
+    else:
+        res = (-1) ** (n * m) * sympy.resultant(expr(gc), expr(fc), z)
+    theirs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(res, s, domain="QQ").all_coeffs())]
+    ours = resultant_bivariate(fc, gc)
+    assert (list(ours.coeffs) or [Fraction(0)]) == theirs
+    assert resultant_is_zero(fc, gc) == ours.is_zero
 
 
 @settings(max_examples=60, deadline=None)
